@@ -43,7 +43,10 @@ def _write_output(path: str, text: str) -> None:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".rfladder-")
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from None
+    umask = os.umask(0)
+    os.umask(umask)
     try:
+        os.fchmod(fd, 0o666 & ~umask)  # mkstemp made it 0600; use open()'s mode
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)

@@ -74,20 +74,16 @@ class MissingDimension(GeometryError):
         super().__init__(f"missing required entry {name!r}")
 
 
-class NonPositiveValue(GeometryError):
+class NonPositiveValue(LocatedError, GeometryError):
     def __init__(self, name: str, line: int | None = None):
         self.name = name
-        self.line = line
-        at = "" if line is None else f" (line {line})"
-        super().__init__(f"value for {name!r} violates its positivity bound{at}")
+        super().__init__(f"value for {name!r} violates its positivity bound", line)
 
 
-class UnknownKey(GeometryError):
+class UnknownKey(LocatedError, GeometryError):
     def __init__(self, name: str, line: int | None = None):
         self.name = name
-        self.line = line
-        at = "" if line is None else f" (line {line})"
-        super().__init__(f"unknown geometry key {name!r}{at}")
+        super().__init__(f"unknown geometry key {name!r}", line)
 
 
 class MalformedLine(LocatedError, GeometryError):

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 
 from . import sinum
-from .errors import InputError
+from .errors import LocatedError
 
 TOPOLOGIES = (
     "series_rlc",
@@ -38,12 +38,8 @@ _NAME_RE = re.compile(r"[A-Za-z_]\w*")
 DEFAULT_PORTS = (50.0, 4.5)
 
 
-class NetlistError(InputError):
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+class NetlistError(LocatedError):
+    pass
 
 
 class MalformedLine(NetlistError):

@@ -3,8 +3,10 @@
 Every section maps to a 2x2 chain (ABCD) matrix; a cascade is the
 left-to-right matrix product with the input side first. S-parameters
 use real, possibly distinct, reference impedances at the two ports.
-The sweep evaluates all frequencies in one vectorized pass and returns
-samples in grid order.
+The engine carries the four chain entries as scalars or as arrays over
+frequency, so a single-frequency call and a sweep share one section
+formula, one chain recurrence and one S conversion. The sweep evaluates
+all frequencies in one vectorized pass and returns samples in grid order.
 """
 
 from __future__ import annotations
@@ -39,9 +41,13 @@ class NonPositiveImpedance(InputError):
     pass
 
 
+class NonFiniteResult(NumericalError):
+    pass
+
+
 @dataclass(frozen=True)
 class AbcdMatrix:
-    """Chain matrix of one two-port: b in ohms, c in siemens."""
+    """Chain matrix of one two-port: b in ohms, c in siemens; scalars or arrays."""
 
     a: complex
     b: complex
@@ -55,69 +61,66 @@ class AbcdMatrix:
 IDENTITY = AbcdMatrix(1.0, 0.0, 0.0, 1.0)
 
 
-def _section_abcd_array(section: Section, frequencies: np.ndarray) -> np.ndarray:
-    """ABCD matrices of `section` at each frequency, shape (F, 2, 2)."""
-    w = 2.0 * np.pi * frequencies
-    p = section.params
-    out = np.zeros((len(frequencies), 2, 2), dtype=complex)
+def _section_entries(section: Section, w):
+    """Chain entries (a, b, c, d) of `section` at angular frequencies `w`.
 
+    Entries that do not vary with frequency are plain floats and broadcast.
+    """
+    p = section.params
     if section.topology == "tline":
         theta = w * math.sqrt(p["eps_eff"]) * p["len"] / SPEED_OF_LIGHT
         z0 = p["z0"]
-        out[:, 0, 0] = np.cos(theta)
-        out[:, 0, 1] = 1j * z0 * np.sin(theta)
-        out[:, 1, 0] = 1j * np.sin(theta) / z0
-        out[:, 1, 1] = np.cos(theta)
-        return out
-
-    def branch_z():
-        z = np.zeros(len(frequencies), dtype=complex)
+        cos, sin = np.cos(theta), np.sin(theta)
+        return cos, 1j * z0 * sin, 1j * sin / z0, cos
+    jw = 1j * w
+    if section.topology == "series_rl_shunt_c":
+        z = jw * p["L"] + p.get("R", 0.0)
+        y = jw * p["C"]
+        return 1.0 + z * y, z, y, 1.0
+    if section.topology == "shunt_parallel_rlc":
+        y = 0.0
         if "R" in p:
-            z += p["R"]
+            y = y + 1.0 / p["R"]
         if "L" in p:
-            z += 1j * w * p["L"]
+            y = y + 1.0 / (jw * p["L"])
         if "C" in p:
-            z += 1.0 / (1j * w * p["C"])
-        return z
-
+            y = y + jw * p["C"]
+        return 1.0, 0.0, y, 1.0
+    z = 0.0
+    if "R" in p:
+        z = z + p["R"]
+    if "L" in p:
+        z = z + jw * p["L"]
+    if "C" in p:
+        z = z + 1.0 / (jw * p["C"])
     if section.topology == "series_rlc":
-        z = branch_z()
-        out[:, 0, 0] = 1.0
-        out[:, 0, 1] = z
-        out[:, 1, 1] = 1.0
-    elif section.topology == "shunt_series_rlc":
-        out[:, 0, 0] = 1.0
-        out[:, 1, 0] = 1.0 / branch_z()
-        out[:, 1, 1] = 1.0
-    elif section.topology == "shunt_parallel_rlc":
-        y = np.zeros(len(frequencies), dtype=complex)
-        if "R" in p:
-            y += 1.0 / p["R"]
-        if "L" in p:
-            y += 1.0 / (1j * w * p["L"])
-        if "C" in p:
-            y += 1j * w * p["C"]
-        out[:, 0, 0] = 1.0
-        out[:, 1, 0] = y
-        out[:, 1, 1] = 1.0
-    elif section.topology == "series_rl_shunt_c":
-        z = 1j * w * p["L"] + p.get("R", 0.0)
-        y = 1j * w * p["C"]
-        out[:, 0, 0] = 1.0 + z * y
-        out[:, 0, 1] = z
-        out[:, 1, 0] = y
-        out[:, 1, 1] = 1.0
-    else:  # unreachable for validated sections
-        raise InputError(f"unknown topology {section.topology!r}")
-    return out
+        return 1.0, z, 0.0, 1.0
+    if section.topology == "shunt_series_rlc":
+        return 1.0, 0.0, 1.0 / z, 1.0
+    raise InputError(f"unknown topology {section.topology!r}")  # unreachable once validated
 
 
 def section_abcd(section: Section, frequency: float) -> AbcdMatrix:
     """Chain matrix of one section at a single frequency."""
     if not frequency > 0:
         raise NonPositiveFrequency("frequency must be > 0")
-    m = _section_abcd_array(section, np.array([frequency], dtype=float))[0]
-    return AbcdMatrix(complex(m[0, 0]), complex(m[0, 1]), complex(m[1, 0]), complex(m[1, 1]))
+    return AbcdMatrix(*map(complex, _section_entries(section, 2.0 * np.pi * frequency)))
+
+
+def _chain(matrices):
+    """Left-to-right product of chain matrices, and of their determinants."""
+    matrices = iter(matrices)
+    total = next(matrices, IDENTITY)
+    det = total.determinant()
+    for m in matrices:
+        det = det * m.determinant()
+        total = AbcdMatrix(
+            total.a * m.a + total.b * m.c,
+            total.a * m.b + total.b * m.d,
+            total.c * m.a + total.d * m.c,
+            total.c * m.b + total.d * m.d,
+        )
+    return total, det
 
 
 def cascade(matrices) -> AbcdMatrix:
@@ -125,15 +128,7 @@ def cascade(matrices) -> AbcdMatrix:
     matrices = list(matrices)
     if not matrices:
         raise EmptyCascade("cascade of zero matrices")
-    a, b, c, d = 1.0 + 0j, 0j, 0j, 1.0 + 0j
-    for m in matrices:
-        a, b, c, d = (
-            a * m.a + b * m.c,
-            a * m.b + b * m.d,
-            c * m.a + d * m.c,
-            c * m.b + d * m.d,
-        )
-    return AbcdMatrix(a, b, c, d)
+    return _chain(matrices)[0]
 
 
 def input_impedance(m: AbcdMatrix, load: complex) -> complex:
@@ -154,19 +149,24 @@ def reflection(z_in: complex, z_ref: float) -> complex:
     return (z_in - z_ref) / denom
 
 
+def _abcd_to_s(m: AbcdMatrix, det, z01: float, z02: float):
+    """(s11, s12, s21, s22) of chain entries with determinant `det`."""
+    denom = m.a * z02 + m.b + m.c * z01 * z02 + m.d * z01
+    if np.any(denom == 0):
+        raise DegenerateDenominator("conversion denominator vanished")
+    root = math.sqrt(z01 * z02)
+    s11 = (m.a * z02 + m.b - m.c * z01 * z02 - m.d * z01) / denom
+    s21 = 2.0 * root / denom
+    s12 = s21 * det
+    s22 = (-m.a * z02 + m.b - m.c * z01 * z02 + m.d * z01) / denom
+    return s11, s12, s21, s22
+
+
 def abcd_to_s(m: AbcdMatrix, z01: float, z02: float):
     """Convert a chain matrix to (s11, s12, s21, s22) with real references."""
     if not z01 > 0 or not z02 > 0:
         raise NonPositiveImpedance("reference impedances must be > 0")
-    denom = m.a * z02 + m.b + m.c * z01 * z02 + m.d * z01
-    if denom == 0:
-        raise DegenerateDenominator("conversion denominator vanished")
-    root = math.sqrt(z01 * z02)
-    s11 = (m.a * z02 + m.b - m.c * z01 * z02 - m.d * z01) / denom
-    s12 = 2.0 * m.determinant() * root / denom
-    s21 = 2.0 * root / denom
-    s22 = (-m.a * z02 + m.b - m.c * z01 * z02 + m.d * z01) / denom
-    return s11, s12, s21, s22
+    return _abcd_to_s(m, m.determinant(), z01, z02)
 
 
 def vswr(s11_magnitude: float) -> float:
@@ -187,15 +187,12 @@ class SweepGrid:
     start: float
     stop: float
     points: int
-    spacing: str = "linear"
 
     def __post_init__(self):
         if not 0 < self.start < self.stop:
             raise InvalidGrid("need 0 < start < stop")
         if self.points < 2:
             raise InvalidGrid("need at least 2 points")
-        if self.spacing != "linear":
-            raise InvalidGrid(f"unsupported spacing {self.spacing!r}")
 
     def frequencies(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.points)
@@ -251,30 +248,22 @@ def netlist_abcd_array(netlist: Netlist, frequencies: np.ndarray):
     The determinant product tracks reciprocity exactly: each section's
     determinant is 1 up to a rounding term, while the determinant of
     the multiplied-out cascade loses accuracy when entries are large.
+    Each section's entries are built only when the chain reaches it.
     """
-    total = np.broadcast_to(np.eye(2, dtype=complex), (len(frequencies), 2, 2)).copy()
-    det = np.ones(len(frequencies), dtype=complex)
-    for section in netlist.sections:
-        m = _section_abcd_array(section, frequencies)
-        det *= m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
-        total = total @ m
-    return total, det
+    w = 2.0 * np.pi * np.asarray(frequencies, dtype=float)
+    total, det = _chain(AbcdMatrix(*_section_entries(s, w)) for s in netlist.sections)
+    a, b, c, d, det = np.broadcast_arrays(total.a, total.b, total.c, total.d, det, w)[:5]
+    return AbcdMatrix(a, b, c, d), det
 
 
 def sweep(netlist: Netlist, grid: SweepGrid) -> SParameterTrace:
     """Simulate the netlist over the grid, returning the full S set."""
     freqs = grid.frequencies()
-    total, det = netlist_abcd_array(netlist, freqs)
     z01 = netlist.input_port_impedance
     z02 = netlist.output_port_impedance
-    a, b = total[:, 0, 0], total[:, 0, 1]
-    c, d = total[:, 1, 0], total[:, 1, 1]
-    denom = a * z02 + b + c * z01 * z02 + d * z01
-    if np.any(denom == 0):
-        raise DegenerateDenominator("conversion denominator vanished during sweep")
-    root = math.sqrt(z01 * z02)
-    s11 = (a * z02 + b - c * z01 * z02 - d * z01) / denom
-    s21 = 2.0 * root / denom
-    s12 = s21 * det
-    s22 = (-a * z02 + b - c * z01 * z02 + d * z01) / denom
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        total, det = netlist_abcd_array(netlist, freqs)
+        s11, s12, s21, s22 = _abcd_to_s(total, det, z01, z02)
+    if not all(np.isfinite(x).all() for x in (s11, s12, s21, s22)):
+        raise NonFiniteResult("S-parameters are not finite; a section value overflows")
     return SParameterTrace(freqs, s11, s21, s12, s22, (z01, z02))

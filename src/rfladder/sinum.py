@@ -9,7 +9,10 @@ to the identical float. Round trips are therefore bit-exact.
 
 from __future__ import annotations
 
+import math
 from decimal import Decimal, InvalidOperation
+
+from .errors import NumericalError
 
 SUFFIX_EXPONENT = {
     "f": -15,
@@ -23,6 +26,10 @@ SUFFIX_EXPONENT = {
 }
 
 # Descending scan order for suffix selection (mantissa lands in [1, 1000)).
+class NonFiniteValue(NumericalError):
+    """A NaN or infinite value reached a text writer."""
+
+
 _SCALES = [
     (1e9, 9, "G"),
     (1e6, 6, "M"),
@@ -67,6 +74,8 @@ def parse_scaled(text: str, exponent: int) -> float:
 
 def format_bare(value: float) -> str:
     """Shortest plain decimal string that parses back to exactly `value`."""
+    if not math.isfinite(value):
+        raise NonFiniteValue(f"cannot write non-finite value {value!r}")
     if value == int(value) and abs(value) < 1e16:
         return str(int(value))
     return repr(float(value))

@@ -85,8 +85,8 @@ def _parse_option_line(line: str, lineno: int):
         i += 1
     if parameter != "s":
         raise BadOptionLine(f"only S-parameter files are supported, got {parameter!r}", lineno)
-    if resistance <= 0:
-        raise BadOptionLine("reference resistance must be > 0", lineno)
+    if not (resistance > 0 and math.isfinite(resistance)):
+        raise BadOptionLine("reference resistance must be finite and > 0", lineno)
     return unit, fmt.upper(), resistance
 
 
@@ -113,7 +113,9 @@ def parse_touchstone(text: str) -> TouchstoneDocument:
             try:
                 port2_ref = float(comment[len(PORT2_REF_COMMENT):])
             except ValueError:
-                raise MalformedRow(f"bad {PORT2_REF_COMMENT} comment", lineno) from None
+                port2_ref = math.nan
+            if not (port2_ref > 0 and math.isfinite(port2_ref)):
+                raise MalformedRow(f"bad {PORT2_REF_COMMENT} comment", lineno)
         line = line.strip()
         if not line:
             continue
@@ -130,6 +132,8 @@ def parse_touchstone(text: str) -> TouchstoneDocument:
             values = tuple(float(f) for f in fields)
         except ValueError:
             raise MalformedRow(f"non-numeric field in {line!r}", lineno) from None
+        if not all(map(math.isfinite, values)):
+            raise MalformedRow(f"non-finite field in {line!r}", lineno)
         if len(values) == 3:
             row_ports = 1
         elif len(values) == 9:

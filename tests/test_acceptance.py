@@ -114,8 +114,8 @@ def test_criterion_6_network_property_suite():
                 power = np.abs(trace.s11) ** 2 + np.abs(trace.s21) ** 2
                 worst_unitarity = max(worst_unitarity, float(np.abs(power - 1).max()))
             total, _ = netlist_abcd_array(net, freqs)
-            zin = (total[:, 0, 0] * net.output_port_impedance + total[:, 0, 1]) / (
-                total[:, 1, 0] * net.output_port_impedance + total[:, 1, 1]
+            zin = (total.a * net.output_port_impedance + total.b) / (
+                total.c * net.output_port_impedance + total.d
             )
             gamma = (zin - net.input_port_impedance) / (zin + net.input_port_impedance)
             worst_consistency = max(

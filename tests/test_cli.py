@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -163,6 +165,34 @@ def test_numerical_errors_exit_3(tmp_path, capsys):
     full.write_text("# Hz S RI R 50\n1e9 1 0\n2e9 1 0\n")
     assert run(["bandwidth", "--input", full, "--threshold", "0"]) == 3
     assert "numerical error:" in capsys.readouterr().err
+
+
+def test_simulate_overflow_exits_3_without_traceback(tmp_path, capsys):
+    net = tmp_path / "huge.net"
+    net.write_text("port in z0=50\nport out z0=50\nsection s topology=series_rlc L=1e300\n")
+    out = tmp_path / "huge.s1p"
+    assert run(["simulate", "--netlist", net, "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert "numerical error:" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_bandwidth_non_finite_sample_exits_2(tmp_path, capsys):
+    bad = tmp_path / "nan.s1p"
+    bad.write_text("# Hz S RI R 50\n1e9 nan 0\n2e9 0.1 0\n")
+    assert run(["bandwidth", "--input", bad]) == 2
+    assert "error: line 2:" in capsys.readouterr().err
+
+
+def test_output_files_follow_umask(tmp_path, geometry_file):
+    out = tmp_path / "elements.csv"
+    previous = os.umask(0o022)
+    try:
+        assert run(["extract", "--geometry", geometry_file, "--out", out]) == 0
+    finally:
+        os.umask(previous)
+    assert out.stat().st_mode & 0o777 == 0o644
 
 
 def test_vary_argument_validation(tmp_path):

@@ -190,8 +190,19 @@ def test_sweep_grid_validation():
         nw.SweepGrid(2e9, 1e9, 10)
     with pytest.raises(nw.InvalidGrid):
         nw.SweepGrid(1e9, 2e9, 1)
-    with pytest.raises(nw.InvalidGrid):
-        nw.SweepGrid(1e9, 2e9, 10, spacing="log")
+
+
+def test_sweep_rejects_non_finite_results():
+    net = Netlist(50.0, 50.0, (Section("s", "series_rlc", {"L": 1e300}),))
+    with pytest.raises(nw.NonFiniteResult):
+        nw.sweep(net, nw.SweepGrid(1e9, 4e9, 31))
+
+
+def test_sweep_of_frequency_independent_ladder_has_grid_length():
+    net = Netlist(50.0, 50.0, (Section("s", "series_rlc", {"R": 50.0}),))
+    total, det = nw.netlist_abcd_array(net, np.array([1e9, 2e9, 3e9]))
+    assert total.a.shape == total.b.shape == det.shape == (3,)
+    assert len(nw.sweep(Netlist(50.0, 4.5), nw.SweepGrid(1e9, 4e9, 7))) == 7
 
 
 def test_sweep_series_fifty_flat():
@@ -311,8 +322,8 @@ def test_property_corpus_small():
             power = np.abs(trace.s11) ** 2 + np.abs(trace.s21) ** 2
             assert float(np.abs(power - 1).max()) <= 1e-9
         total, det = nw.netlist_abcd_array(net, freqs)
-        zin = (total[:, 0, 0] * net.output_port_impedance + total[:, 0, 1]) / (
-            total[:, 1, 0] * net.output_port_impedance + total[:, 1, 1]
+        zin = (total.a * net.output_port_impedance + total.b) / (
+            total.c * net.output_port_impedance + total.d
         )
         gamma = (zin - net.input_port_impedance) / (zin + net.input_port_impedance)
         assert float(np.abs(gamma - trace.s11).max()) <= 1e-12

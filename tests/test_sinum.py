@@ -79,6 +79,14 @@ def test_format_bare_round_trip(value):
     assert float(sinum.format_bare(value)) == value
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_format_bare_rejects_non_finite(value):
+    with pytest.raises(sinum.NonFiniteValue):
+        sinum.format_bare(value)
+    with pytest.raises(sinum.NonFiniteValue):
+        sinum.format_value(value)
+
+
 def test_parse_scaled_single_rounding():
     # shifting the exponent must behave like one decimal-to-float conversion
     assert sinum.parse_scaled("2.39", -9) == 2.39e-9

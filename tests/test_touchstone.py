@@ -168,6 +168,26 @@ def test_malformed_row():
     assert err.value.line == 3
 
 
+@pytest.mark.parametrize(
+    "row",
+    ["1e9 nan 0", "1e9 0.1 inf", "nan 0.1 0", "inf 0.1 0", "1e9 0.1 -inf"],
+)
+def test_non_finite_fields_rejected_at_their_line(row):
+    with pytest.raises(ts.MalformedRow) as err:
+        ts.read_touchstone(f"# Hz S RI R 50\n5e8 0.1 0\n{row}\n")
+    assert err.value.line == 3
+
+
+def test_non_finite_references_rejected():
+    with pytest.raises(ts.BadOptionLine) as err:
+        ts.read_touchstone("# Hz S RI R nan\n1e9 0.1 0\n")
+    assert err.value.line == 1
+    for bad in ("inf", "nan", "0"):
+        with pytest.raises(ts.MalformedRow) as err:
+            ts.read_touchstone(f"! PORT2_REF_OHMS {bad}\n# Hz S RI R 50\n1e9 0.1 0\n")
+        assert err.value.line == 1
+
+
 def test_write_rejects_unknown_format():
     trace = SParameterTrace(np.array([1e9]), np.array([0j]))
     with pytest.raises(ts.TouchstoneError):
