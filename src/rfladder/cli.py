@@ -16,7 +16,7 @@ import os
 import sys
 import tempfile
 
-from . import __version__, analysis, elements, fitting, geometry, netlist, touchstone
+from . import __version__, analysis, elements, fitting, geometry, netlist, sinum, touchstone
 from .errors import InputError, NumericalError, RfLadderError
 from .network import SweepGrid, sweep
 
@@ -56,14 +56,19 @@ def _write_output(path: str, text: str) -> None:
         raise
 
 
+def _number(text: str) -> float:
+    """Finite number option value; argparse turns the error into exit 2."""
+    try:
+        return sinum.parse_scaled(text, 0)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}") from None
+
+
 def _parse_ports(text: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
-        raise InputError(f"--ports wants 'in,out', got {text!r}")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError:
-        raise InputError(f"bad port impedance in {text!r}") from None
+        raise argparse.ArgumentTypeError(f"wants 'in,out', got {text!r}")
+    return _number(parts[0]), _number(parts[1])
 
 
 def _cmd_extract(args) -> int:
@@ -90,7 +95,6 @@ def _cmd_microstrip(args) -> int:
 
 def _cmd_build(args) -> int:
     rows = elements.elements_from_csv(_read_input(args.elements))
-    ports = _parse_ports(args.ports)
     feed = None
     feed_rows = [row for row in rows if row.elements.inductance is None]
     if feed_rows:
@@ -100,7 +104,7 @@ def _cmd_build(args) -> int:
             line.effective_permittivity,
             args.feed_len if args.feed_len is not None else feed_rows[0].length,
         )
-    ladder = netlist.from_elements([row.elements for row in rows], feed, ports)
+    ladder = netlist.from_elements([row.elements for row in rows], feed, args.ports)
     _write_output(args.out, netlist.serialize(ladder))
     return EXIT_OK
 
@@ -192,33 +196,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", help="compute R/L/C per cavity and write the elements CSV")
     p.add_argument("--geometry", help="geometry file (defaults to the built-in reference antenna)")
-    p.add_argument("--frequency", type=float, default=elements.DEFAULT_EVALUATION_FREQUENCY,
+    p.add_argument("--frequency", type=_number, default=elements.DEFAULT_EVALUATION_FREQUENCY,
                    help="resistance evaluation frequency in Hz (default %(default)s)")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("microstrip", help="print eps_eff, Z0 and the formula branch for a strip")
-    p.add_argument("--width", type=float, required=True, help="strip width in meters")
-    p.add_argument("--height", type=float, required=True, help="substrate height in meters")
-    p.add_argument("--er", type=float, required=True, help="substrate relative permittivity")
+    p.add_argument("--width", type=_number, required=True, help="strip width in meters")
+    p.add_argument("--height", type=_number, required=True, help="substrate height in meters")
+    p.add_argument("--er", type=_number, required=True, help="substrate relative permittivity")
     p.set_defaults(func=_cmd_microstrip)
 
     p = sub.add_parser("build", help="turn an elements CSV into the default ladder netlist")
     p.add_argument("--elements", required=True, help="elements CSV from 'extract'")
-    p.add_argument("--ports", default="50,4.5", help="in,out port impedances (default %(default)s)")
-    p.add_argument("--er", type=float, default=geometry.CANONICAL_RELATIVE_PERMITTIVITY,
+    p.add_argument("--ports", type=_parse_ports, default="50,4.5",
+                   help="in,out port impedances (default %(default)s)")
+    p.add_argument("--er", type=_number, default=geometry.CANONICAL_RELATIVE_PERMITTIVITY,
                    help="substrate permittivity for the feed line (default %(default)s)")
-    p.add_argument("--height", type=float, default=geometry.CANONICAL_SUBSTRATE_THICKNESS,
+    p.add_argument("--height", type=_number, default=geometry.CANONICAL_SUBSTRATE_THICKNESS,
                    help="substrate height in meters for the feed line (default %(default)s)")
-    p.add_argument("--feed-len", type=float, default=None,
+    p.add_argument("--feed-len", type=_number, default=None,
                    help="feed line length in meters (default: the feed cavity length)")
     p.add_argument("--out", required=True, help="output netlist path")
     p.set_defaults(func=_cmd_build)
 
     p = sub.add_parser("simulate", help="sweep a netlist and write Touchstone (and CSV) output")
     p.add_argument("--netlist", required=True)
-    p.add_argument("--fstart", type=float, default=0.1e9, help="Hz (default %(default)s)")
-    p.add_argument("--fstop", type=float, default=6e9, help="Hz (default %(default)s)")
+    p.add_argument("--fstart", type=_number, default=0.1e9, help="Hz (default %(default)s)")
+    p.add_argument("--fstop", type=_number, default=6e9, help="Hz (default %(default)s)")
     p.add_argument("--points", type=int, default=1201, help="default %(default)s")
     p.add_argument("--out", required=True, help=".s1p writes one-port data, anything else two-port")
     p.add_argument("--csv", help="also write the trace CSV here")
@@ -227,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bandwidth", help="report bands below a reflection threshold")
     p.add_argument("--input", required=True, help="Touchstone file")
-    p.add_argument("--threshold", type=float, default=-10.0,
+    p.add_argument("--threshold", type=_number, default=-10.0,
                    help="band threshold in dB (default %(default)s)")
     p.add_argument("--csv", help="also write one band per row here")
     p.set_defaults(func=_cmd_bandwidth)
@@ -235,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="similarity report between two traces")
     p.add_argument("--a", required=True, help="first Touchstone file (defines the grid)")
     p.add_argument("--b", required=True, help="second Touchstone file")
-    p.add_argument("--threshold", type=float, default=-10.0,
+    p.add_argument("--threshold", type=_number, default=-10.0,
                    help="agreement threshold in dB (default %(default)s)")
     p.set_defaults(func=_cmd_compare)
 
@@ -244,15 +249,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True, help="target Touchstone file")
     p.add_argument("--vary", required=True, help="comma list of section.param to free")
     p.add_argument("--max-iter", type=int, default=500, help="default %(default)s")
-    p.add_argument("--tol", type=float, default=1e-10,
+    p.add_argument("--tol", type=_number, default=1e-10,
                    help="relative cost-spread stop (default %(default)s)")
     p.add_argument("--seed", type=int, default=0, help="seed for restarts (default %(default)s)")
     p.add_argument("--restarts", type=int, default=0,
                    help="extra seeded starts inside the bounds (default %(default)s)")
-    p.add_argument("--bounds-factor", type=float, default=10.0,
+    p.add_argument("--bounds-factor", type=_number, default=10.0,
                    help="bounds are value/F .. value*F (default %(default)s)")
-    p.add_argument("--fstart", type=float, help="fit grid start in Hz (default: target span)")
-    p.add_argument("--fstop", type=float, help="fit grid stop in Hz (default: target span)")
+    p.add_argument("--fstart", type=_number, help="fit grid start in Hz (default: target span)")
+    p.add_argument("--fstop", type=_number, help="fit grid stop in Hz (default: target span)")
     p.add_argument("--points", type=int, default=201,
                    help="fit grid points when --fstart/--fstop given (default %(default)s)")
     p.add_argument("--out", required=True, help="fitted netlist path")

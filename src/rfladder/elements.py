@@ -76,19 +76,12 @@ class MicrostripResult:
     branch: str  # "narrow" (W/h < 1) or "wide"
 
 
-def _check_cavity(cavity: Cavity) -> None:
-    for name in ("width", "length", "thickness"):
-        if not getattr(cavity, name) > 0:
-            raise NonPositiveDimension(name)
-
-
 def cap_eq_approx(cavity: Cavity, substrate: Substrate) -> float:
     """Approximate block capacitance n*eps0*er*W*h / (50*d^2), in farads.
 
     This is the form that lands nearest the reference per-cavity values
     and is what the extraction pipeline uses.
     """
-    _check_cavity(cavity)
     er = substrate.relative_permittivity
     return (
         cavity.block_factor
@@ -107,7 +100,6 @@ def cap_eq_full(cavity: Cavity, substrate: Substrate) -> float:
     (W, d, h), so it cannot carry farad units consistently, and its
     values do not track the reference table. Prefer cap_eq_approx.
     """
-    _check_cavity(cavity)
     w, d, h = cavity.width, cavity.length, cavity.thickness
     s = 2.0 * d * (w + h) + 2.0 * h * w
     denom = d * (math.log(s / (2.0 * h * d)) + math.log(s / (2.0 * h * w)))
@@ -116,7 +108,6 @@ def cap_eq_full(cavity: Cavity, substrate: Substrate) -> float:
 
 def ind_eq(cavity: Cavity, substrate: Substrate) -> float:
     """Block inductance mu0*d/(10.5*W) * [d*ln((W+d)/d) + W*ln((W+d)^2/(h*W))]."""
-    _check_cavity(cavity)
     w, d, h = cavity.width, cavity.length, cavity.thickness
     bracket = d * math.log((w + d) / d) + w * math.log((w + d) ** 2 / (h * w))
     return VACUUM_PERMEABILITY * d / (10.5 * w) * bracket
@@ -248,7 +239,7 @@ class ElementRow:
 
 def elements_from_csv(text: str) -> list[ElementRow]:
     """Parse the elements CSV written by :func:`elements_to_csv`."""
-    lines = [ln for ln in text.splitlines()]
+    lines = text.splitlines()
     if not lines or lines[0].strip() != ELEMENTS_CSV_HEADER:
         raise MalformedElementsRow(f"expected header {ELEMENTS_CSV_HEADER!r}", 1)
     rows = []
@@ -260,15 +251,18 @@ def elements_from_csv(text: str) -> list[ElementRow]:
             raise MalformedElementsRow("expected 7 comma-separated fields", lineno)
         try:
             index = int(fields[0])
-            width = float(fields[1])
-            length = float(fields[2])
+            width = sinum.parse_scaled(fields[1], 0)
+            length = sinum.parse_scaled(fields[2], 0)
             n = int(fields[3])
-            c = float(fields[4])
-            l = float(fields[5]) if fields[5].strip() else None
-            r = float(fields[6]) if fields[6].strip() else None
-        except ValueError as exc:
+            c = sinum.parse_scaled(fields[4], 0)
+            l = sinum.parse_scaled(fields[5], 0) if fields[5].strip() else None
+            r = sinum.parse_scaled(fields[6], 0) if fields[6].strip() else None
+            if not (width > 0 and length > 0):
+                raise NonPositiveDimension("W_m and d_m")
+            lumped = LumpedElements(c, l, r, index)
+        except (ValueError, ExtractionError) as exc:
             raise MalformedElementsRow(str(exc), lineno) from None
-        rows.append(ElementRow(index, width, length, n, LumpedElements(c, l, r, index)))
+        rows.append(ElementRow(index, width, length, n, lumped))
     if not rows:
         raise MalformedElementsRow("no data rows", 1)
     return rows

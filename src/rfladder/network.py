@@ -102,8 +102,8 @@ def _section_entries(section: Section, w):
 
 def section_abcd(section: Section, frequency: float) -> AbcdMatrix:
     """Chain matrix of one section at a single frequency."""
-    if not frequency > 0:
-        raise NonPositiveFrequency("frequency must be > 0")
+    if not (frequency > 0 and math.isfinite(frequency)):
+        raise NonPositiveFrequency("frequency must be finite and > 0")
     return AbcdMatrix(*map(complex, _section_entries(section, 2.0 * np.pi * frequency)))
 
 
@@ -189,8 +189,8 @@ class SweepGrid:
     points: int
 
     def __post_init__(self):
-        if not 0 < self.start < self.stop:
-            raise InvalidGrid("need 0 < start < stop")
+        if not (0 < self.start < self.stop and math.isfinite(self.stop)):
+            raise InvalidGrid("need 0 < start < stop, both finite")
         if self.points < 2:
             raise InvalidGrid("need at least 2 points")
 

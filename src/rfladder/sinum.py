@@ -25,11 +25,11 @@ SUFFIX_EXPONENT = {
     "G": 9,
 }
 
-# Descending scan order for suffix selection (mantissa lands in [1, 1000)).
 class NonFiniteValue(NumericalError):
     """A NaN or infinite value reached a text writer."""
 
 
+# Descending scan order for suffix selection (mantissa lands in [1, 1000)).
 _SCALES = [
     (1e9, 9, "G"),
     (1e6, 6, "M"),
@@ -52,13 +52,7 @@ def parse_value(text: str) -> float:
     if text[-1] in SUFFIX_EXPONENT:
         exponent = SUFFIX_EXPONENT[text[-1]]
         text = text[:-1]
-    try:
-        mantissa = Decimal(text)
-    except InvalidOperation:
-        raise ValueError(f"bad numeric literal {text!r}") from None
-    if not mantissa.is_finite():
-        raise ValueError(f"non-finite literal {text!r}")
-    return float(mantissa.scaleb(exponent))
+    return parse_scaled(text, exponent)
 
 
 def parse_scaled(text: str, exponent: int) -> float:
@@ -69,7 +63,12 @@ def parse_scaled(text: str, exponent: int) -> float:
         raise ValueError(f"bad numeric literal {text!r}") from None
     if not mantissa.is_finite():
         raise ValueError(f"non-finite literal {text!r}")
-    return float(mantissa.scaleb(exponent))
+    sign, digits, own_exponent = mantissa.as_tuple()
+    # built from the tuple, not scaleb, which rounds to the context's 28 digits
+    value = float(Decimal((sign, digits, own_exponent + exponent)))
+    if not math.isfinite(value):
+        raise ValueError(f"literal {text!r} overflows a float")
+    return value
 
 
 def format_bare(value: float) -> str:

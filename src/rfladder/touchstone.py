@@ -4,16 +4,16 @@ One-port (.s1p) and two-port (.s2p) files are supported in RI, MA and
 DB value formats. Version 1 carries a single reference resistance, so
 a run with a different output-port reference records it in a structured
 comment (``! PORT2_REF_OHMS <value>``) that the reader honors.
-Numbers are written as the shortest decimal that parses back to the
-identical float, which makes output byte-stable and value round trips
-exact.
+The reader checks the text line by line, then converts all rows into a
+trace at once; the writer formats whole columns. Numbers are written as
+the shortest decimal that parses back to the identical float, which
+makes output byte-stable and RI round trips exact.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,18 +43,6 @@ class NonMonotoneFrequency(LocatedError, TouchstoneError):
 
 class MalformedRow(LocatedError, TouchstoneError):
     pass
-
-
-@dataclass(frozen=True)
-class TouchstoneDocument:
-    """Raw parsed content of one file before conversion to a trace."""
-
-    frequency_unit: str
-    format: str
-    reference_resistance: float
-    port2_reference: float | None
-    rows: tuple[tuple[float, ...], ...]
-    ports: int
 
 
 def _parse_option_line(line: str, lineno: int):
@@ -90,20 +78,12 @@ def _parse_option_line(line: str, lineno: int):
     return unit, fmt.upper(), resistance
 
 
-def _pair_to_complex(x: float, y: float, fmt: str) -> complex:
-    if fmt == "RI":
-        return complex(x, y)
-    if fmt == "MA":
-        return cmath.rect(x, math.radians(y))
-    return cmath.rect(10.0 ** (x / 20.0), math.radians(y))
-
-
-def parse_touchstone(text: str) -> TouchstoneDocument:
-    """Parse file text into a raw document; errors carry line numbers."""
+def read_touchstone(text: str) -> SParameterTrace:
+    """Parse one-port or two-port version-1 text into a trace; errors name their line."""
     unit_fmt_res = None
     port2_ref = None
     rows = []
-    ports = None
+    linenos = []
     option_lineno = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -134,63 +114,57 @@ def parse_touchstone(text: str) -> TouchstoneDocument:
             raise MalformedRow(f"non-numeric field in {line!r}", lineno) from None
         if not all(map(math.isfinite, values)):
             raise MalformedRow(f"non-finite field in {line!r}", lineno)
-        if len(values) == 3:
-            row_ports = 1
-        elif len(values) == 9:
-            row_ports = 2
-        else:
+        if len(values) not in (3, 9):
             raise MalformedRow(
                 f"expected 3 (one-port) or 9 (two-port) numbers, got {len(values)}", lineno
             )
-        if ports is None:
-            ports = row_ports
-        elif ports != row_ports:
+        if rows and len(values) != len(rows[0]):
             raise MalformedRow("row width changed mid-file", lineno)
         if rows and values[0] <= rows[-1][0]:
             raise NonMonotoneFrequency(
                 f"frequency {values[0]} not above previous {rows[-1][0]}", lineno
             )
+        if not values[0] > 0:
+            raise MalformedRow(f"frequency {values[0]} must be > 0", lineno)
         rows.append(values)
+        linenos.append(lineno)
 
     if unit_fmt_res is None:
-        raise BadOptionLine("missing option line", option_lineno or 1)
+        raise BadOptionLine("missing option line", 1)
     if not rows:
-        raise MalformedRow("no data rows", option_lineno or 1)
+        raise MalformedRow("no data rows", option_lineno)
     unit, fmt, resistance = unit_fmt_res
-    return TouchstoneDocument(unit, fmt, resistance, port2_ref, tuple(rows), ports)
+    data = np.array(rows).T
+    x, y = data[1::2], data[2::2]  # one row per port, in file order: S11 (S21 S12 S22)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        freqs = data[0] * FREQUENCY_UNITS[unit]
+        if fmt == "RI":
+            s = x + 1j * y
+        else:
+            magnitude = x if fmt == "MA" else 10.0 ** (x / 20.0)
+            s = magnitude * np.exp(1j * np.radians(y))
+    ok = np.isfinite(freqs) & np.isfinite(s).all(axis=0)
+    ok[1:] &= freqs[1:] > freqs[:-1]
+    if not ok.all():
+        raise MalformedRow(
+            "value overflows or frequencies collide after unit or dB conversion",
+            linenos[ok.argmin()],
+        )
+    z2 = port2_ref if port2_ref is not None else resistance
+    return SParameterTrace(freqs, *s, reference_impedances=(resistance, z2))
 
 
-def document_to_trace(doc: TouchstoneDocument) -> SParameterTrace:
-    """Convert a raw document to a trace in Hz with complex samples."""
-    scale = FREQUENCY_UNITS[doc.frequency_unit]
-    freqs = np.array([row[0] * scale for row in doc.rows])
-    s11 = np.array([_pair_to_complex(row[1], row[2], doc.format) for row in doc.rows])
-    s21 = s12 = s22 = None
-    if doc.ports == 2:
-        # version-1 two-port row order: f S11 S21 S12 S22
-        s21 = np.array([_pair_to_complex(row[3], row[4], doc.format) for row in doc.rows])
-        s12 = np.array([_pair_to_complex(row[5], row[6], doc.format) for row in doc.rows])
-        s22 = np.array([_pair_to_complex(row[7], row[8], doc.format) for row in doc.rows])
-    z2 = doc.port2_reference if doc.port2_reference is not None else doc.reference_resistance
-    return SParameterTrace(
-        freqs, s11, s21, s12, s22, (doc.reference_resistance, z2)
-    )
-
-
-def read_touchstone(text: str) -> SParameterTrace:
-    """Parse one-port or two-port version-1 content into a trace."""
-    return document_to_trace(parse_touchstone(text))
-
-
-def _complex_fields(value: complex, fmt: str) -> tuple[str, str]:
+def _columns(samples: np.ndarray, fmt: str) -> tuple[list[float], list[float]]:
+    """One port's samples as the format's two field columns."""
     if fmt == "RI":
-        return format_bare(value.real), format_bare(value.imag)
-    mag = abs(value)
-    angle = math.degrees(cmath.phase(value)) if mag else 0.0
+        return samples.real.tolist(), samples.imag.tolist()
+    values = samples.tolist()
+    mags = [abs(v) for v in values]
+    # per-sample libm calls: numpy's abs/arctan2/log10 differ in the last ulp
+    angles = [math.degrees(cmath.phase(v)) if m else 0.0 for v, m in zip(values, mags)]
     if fmt == "MA":
-        return format_bare(mag), format_bare(angle)
-    db = 20.0 * math.log10(mag) if mag else DB_FLOOR
-    return format_bare(max(db, DB_FLOOR)), format_bare(angle)
+        return mags, angles
+    return [max(20.0 * math.log10(m), DB_FLOOR) if m else DB_FLOOR for m in mags], angles
 
 
 def write_touchstone(trace: SParameterTrace, fmt: str = "RI") -> str:
@@ -207,24 +181,20 @@ def write_touchstone(trace: SParameterTrace, fmt: str = "RI") -> str:
     if z02 != z01:
         lines.append(f"! {PORT2_REF_COMMENT} {format_bare(z02)}")
     lines.append(f"# Hz S {fmt} R {format_bare(z01)}")
-    two_port = trace.s21 is not None and trace.s22 is not None
-    s12 = trace.s12 if trace.s12 is not None else trace.s21
-    for k, f in enumerate(trace.frequencies):
-        fields = [format_bare(float(f))]
-        fields += _complex_fields(complex(trace.s11[k]), fmt)
-        if two_port:
-            fields += _complex_fields(complex(trace.s21[k]), fmt)
-            fields += _complex_fields(complex(s12[k]), fmt)
-            fields += _complex_fields(complex(trace.s22[k]), fmt)
-        lines.append(" ".join(fields))
+    ports = [trace.s11]
+    if trace.s21 is not None and trace.s22 is not None:
+        s12 = trace.s12 if trace.s12 is not None else trace.s21
+        ports += [trace.s21, s12, trace.s22]
+    columns = [column for samples in ports for column in _columns(samples, fmt)]
+    for row in zip(trace.frequencies.tolist(), *columns):
+        lines.append(" ".join(map(format_bare, row)))
     return "\n".join(lines) + "\n"
 
 
 def write_trace_csv(trace: SParameterTrace) -> str:
     """CSV with 9 significant digits: freq_hz, s11_re, s11_im, s11_db."""
-    db = trace.s11_db()
+    columns = (trace.frequencies, trace.s11.real, trace.s11.imag, trace.s11_db())
     lines = [CSV_HEADER]
-    for k, f in enumerate(trace.frequencies):
-        s = trace.s11[k]
-        lines.append(f"{f:.9g},{s.real:.9g},{s.imag:.9g},{db[k]:.9g}")
+    for f, re, im, db in zip(*(column.tolist() for column in columns)):
+        lines.append(f"{f:.9g},{re:.9g},{im:.9g},{db:.9g}")
     return "\n".join(lines) + "\n"

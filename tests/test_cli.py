@@ -185,6 +185,42 @@ def test_bandwidth_non_finite_sample_exits_2(tmp_path, capsys):
     assert "error: line 2:" in capsys.readouterr().err
 
 
+def test_build_non_finite_element_exits_2_with_line(tmp_path, capsys):
+    elements_csv = tmp_path / "elements.csv"
+    assert run(["extract", "--out", elements_csv]) == 0
+    lines = elements_csv.read_text().splitlines()
+    fields = lines[2].split(",")
+    fields[1] = "nan"  # W_m of cavity 1, a resonator row
+    lines[2] = ",".join(fields)
+    elements_csv.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "ladder.net"
+    assert run(["build", "--elements", elements_csv, "--out", out]) == 2
+    assert "error: line 3:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["simulate", "--netlist", "x.net", "--fstop", "inf", "--out", "x.s1p"],
+        ["bandwidth", "--input", "x.s1p", "--threshold", "nan"],
+        ["extract", "--frequency", "inf", "--out", "x.csv"],
+        ["extract", "--frequency", "1e400", "--out", "x.csv"],
+        ["microstrip", "--width", "-inf", "--height", "1e-3", "--er", "4.4"],
+        ["build", "--elements", "x.csv", "--ports", "50,inf", "--out", "x.net"],
+        ["build", "--elements", "x.csv", "--ports", "50", "--out", "x.net"],
+    ],
+)
+def test_non_finite_option_values_exit_2(tmp_path, capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        run([tmp_path / a if a.startswith("x.") else a for a in args])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_output_files_follow_umask(tmp_path, geometry_file):
     out = tmp_path / "elements.csv"
     previous = os.umask(0o022)

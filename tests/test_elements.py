@@ -267,3 +267,17 @@ def test_elements_csv_errors():
     assert err.value.line == 3
     with pytest.raises(el.MalformedElementsRow):
         el.elements_from_csv(good + "1,x,0.007,1,1e-12,2e-9,3\n")
+    for bad in (
+        "1,nan,0.007,1,1e-12,2e-9,3",  # non-finite width
+        "1,0.018,inf,1,1e-12,2e-9,3",  # non-finite length
+        "1,1e400,0.007,1,1e-12,2e-9,3",  # width overflows a float
+        "1,0.018,0.007,1,nan,2e-9,3",  # non-finite capacitance
+        "1,0.018,0.007,1,1e-12,inf,3",  # non-finite inductance
+        "1,0.018,0.007,1,1e-12,2e-9,nan",  # non-finite resistance
+        "1,0,0.007,1,1e-12,2e-9,3",  # zero width
+        "1,0.018,-0.007,1,1e-12,2e-9,3",  # negative length
+        "1,0.018,0.007,1,-1e-12,2e-9,3",  # negative capacitance
+    ):
+        with pytest.raises(el.MalformedElementsRow) as err:
+            el.elements_from_csv(good + bad + "\n")
+        assert err.value.line == 3, bad

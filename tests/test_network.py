@@ -78,8 +78,9 @@ def test_shunt_series_rlc_admittance():
 
 def test_section_abcd_rejects_bad_frequency():
     section = Section("s", "series_rlc", {"R": 1.0})
-    with pytest.raises(NonPositiveFrequency):
-        nw.section_abcd(section, 0.0)
+    for bad in (0.0, math.inf, math.nan):
+        with pytest.raises(NonPositiveFrequency):
+            nw.section_abcd(section, bad)
 
 
 def test_cascade_identity_and_additivity():
@@ -190,6 +191,9 @@ def test_sweep_grid_validation():
         nw.SweepGrid(2e9, 1e9, 10)
     with pytest.raises(nw.InvalidGrid):
         nw.SweepGrid(1e9, 2e9, 1)
+    for start, stop in ((1e9, math.inf), (1e9, math.nan), (math.nan, 2e9)):
+        with pytest.raises(nw.InvalidGrid):
+            nw.SweepGrid(start, stop, 10)
 
 
 def test_sweep_rejects_non_finite_results():

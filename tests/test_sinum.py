@@ -35,7 +35,7 @@ def test_suffixes_are_case_sensitive():
         sinum.parse_value("1K")  # only lowercase kilo exists
 
 
-@pytest.mark.parametrize("text", ["", "abc", "x1", "1..2", "nan", "inf", "1 2"])
+@pytest.mark.parametrize("text", ["", "abc", "x1", "1..2", "nan", "inf", "1 2", "1e400", "1e300G"])
 def test_parse_value_rejects_junk(text):
     with pytest.raises(ValueError):
         sinum.parse_value(text)
@@ -92,3 +92,7 @@ def test_parse_scaled_single_rounding():
     assert sinum.parse_scaled("2.39", -9) == 2.39e-9
     assert sinum.parse_scaled("24", -3) == 0.024
     assert math.isclose(sinum.parse_scaled("1.7", -3),  1.7e-3, rel_tol=0)
+    # 55 significant digits just below the midpoint between 1 and the next float
+    long = "1.00000000000000011102230246251565404236306680908203125"
+    assert sinum.parse_scaled(long, 0) == float(long) == 1.0
+    assert sinum.parse_scaled(long, -3) == float(long + "e-3")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfladder import touchstone as ts
 from rfladder.network import SParameterTrace
@@ -186,6 +188,106 @@ def test_non_finite_references_rejected():
         with pytest.raises(ts.MalformedRow) as err:
             ts.read_touchstone(f"! PORT2_REF_OHMS {bad}\n# Hz S RI R 50\n1e9 0.1 0\n")
         assert err.value.line == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "# GHz S DB R 50\n1 -3 0\n2 7000 0\n",  # 10**(7000/20) overflows
+        "# GHz S RI R 50\n1 0.1 0\n1e300 0.1 0\n",  # 1e300 GHz overflows in Hz
+        # adjacent floats that round to the same frequency in Hz
+        "# GHz S RI R 50\n9.827518048986072 0.1 0\n9.827518048986073 0.1 0\n",
+    ],
+)
+def test_conversion_failures_rejected_at_their_line(text):
+    with pytest.raises(ts.MalformedRow) as err:
+        ts.read_touchstone(text)
+    assert err.value.line == 3
+
+
+@pytest.mark.parametrize("first", ["0", "-1e9"])
+def test_non_positive_frequency_rejected_at_its_line(first):
+    with pytest.raises(ts.MalformedRow) as err:
+        ts.read_touchstone(f"# Hz S RI R 50\n{first} 0.1 0\n2e9 0.1 0\n")
+    assert err.value.line == 2
+
+
+CLEAN_NUMBERS = st.floats(-1e4, 1e4).map(repr) | st.integers(-10, 10).map(str)
+NUMBER_TOKENS = CLEAN_NUMBERS | st.floats().map(repr) | st.sampled_from(
+    ["nan", "inf", "-inf", "-0", "0", "1e300", "7000", "x", "1,5", "1e", "0x10"]
+)
+CLEAN_OPTIONS = st.sampled_from(["Hz", "kHz", "MHz", "GHz", "S", "RI", "MA", "DB", "ri", "R 50"])
+OPTION_TOKENS = CLEAN_OPTIONS | st.sampled_from(["Z", "R", "50", "R nan", "R -1", "q"])
+
+
+@st.composite
+def touchstone_texts(draw):
+    """Text from option tokens, numbers, comments and ragged rows.
+
+    Each line is drawn clean (well-formed on its own) or noisy, so that
+    both traces and every error path are reached.
+    """
+    lines = []
+    if draw(st.sampled_from([True, True, False])):
+        lines.append(" ".join(["#", *draw(st.lists(CLEAN_OPTIONS, max_size=4))]))
+    for k in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["option"] + ["comment"] * 2 + ["row"] * 7))
+        clean = draw(st.sampled_from([True, True, False]))
+        numbers = CLEAN_NUMBERS if clean else NUMBER_TOKENS
+        if kind == "option":
+            tokens = CLEAN_OPTIONS if clean else OPTION_TOKENS
+            lines.append(" ".join(["#", *draw(st.lists(tokens, max_size=4))]))
+        elif kind == "comment":
+            tag = draw(st.sampled_from([ts.PORT2_REF_COMMENT + " ", "", "!"]))
+            lines.append(f"! {tag}{draw(numbers)}")
+        else:
+            width = draw(st.sampled_from([3, 9]) if clean else st.integers(0, 10))
+            freq = str(k + 1) if clean else draw(NUMBER_TOKENS)
+            values = draw(st.lists(numbers, min_size=width, max_size=width))
+            note = draw(st.sampled_from(["", " ! note", "!"]))
+            lines.append(" ".join([freq, *values[1:]]) + note)
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(touchstone_texts())
+def test_fuzz_reader_returns_finite_trace_or_touchstone_error(text):
+    try:
+        trace = ts.read_touchstone(text)
+    except ts.TouchstoneError:
+        return
+    assert isinstance(trace, SParameterTrace)
+    for values in (trace.frequencies, trace.s11, trace.s21, trace.s12, trace.s22):
+        assert values is None or np.isfinite(values).all()
+
+
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def finite_traces(draw):
+    freqs = sorted(set(draw(st.lists(POSITIVE, min_size=1, max_size=12))))
+    column = st.lists(
+        st.complex_numbers(allow_nan=False, allow_infinity=False),
+        min_size=len(freqs), max_size=len(freqs),
+    )
+    if draw(st.booleans()):
+        z = draw(POSITIVE)
+        return SParameterTrace(np.array(freqs), np.array(draw(column)), reference_impedances=(z, z))
+    ports = [np.array(draw(column)) for _ in range(4)]
+    return SParameterTrace(np.array(freqs), *ports, (draw(POSITIVE), draw(POSITIVE)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(finite_traces())
+def test_property_ri_round_trip_exact(trace):
+    back = ts.read_touchstone(ts.write_touchstone(trace, "RI"))
+    assert np.array_equal(back.frequencies, trace.frequencies)
+    assert back.reference_impedances == trace.reference_impedances
+    for name in ("s11", "s21", "s12", "s22"):
+        original, parsed = getattr(trace, name), getattr(back, name)
+        assert (parsed is None) == (original is None)
+        assert original is None or np.array_equal(parsed, original)
 
 
 def test_write_rejects_unknown_format():
