@@ -1,9 +1,10 @@
 """Trace analysis: operating bands, mismatch efficiency, VSWR, similarity.
 
 A band is a maximal frequency interval where the reflection magnitude
-stays at or below a dB threshold; edges are interpolated linearly in
-(frequency, dB) between the bracketing samples because thresholds are
-specified in dB.
+stays at or below a dB threshold; a sample exactly at the threshold is
+in band. Edges are interpolated linearly in (frequency, dB) between the
+bracketing samples, because thresholds are specified in dB, and always
+lie between those two samples. Each report reads one dB array per trace.
 """
 
 from __future__ import annotations
@@ -51,44 +52,38 @@ class SimilarityReport:
     common_grid_points: int
 
 
-def find_bands(trace: SParameterTrace, threshold_db: float) -> list[tuple[float, float]]:
-    """Maximal intervals with s11 dB <= threshold, edges interpolated."""
+def _db(trace: SParameterTrace) -> np.ndarray:
     if len(trace) == 0:
         raise EmptyTrace("trace has no samples")
-    f = trace.frequencies
-    db = trace.s11_db()
-    below = db <= threshold_db
-
-    def crossing(i_out: int, i_in: int) -> float:
-        # crossing between a sample above threshold and one at/below it
-        return f[i_out] + (threshold_db - db[i_out]) * (f[i_in] - f[i_out]) / (
-            db[i_in] - db[i_out]
-        )
-
-    bands = []
-    i = 0
-    n = len(f)
-    while i < n:
-        if not below[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and below[j + 1]:
-            j += 1
-        lo = f[i] if i == 0 else crossing(i - 1, i)
-        hi = f[j] if j == n - 1 else crossing(j + 1, j)
-        bands.append((float(lo), float(hi)))
-        i = j + 1
-    return bands
+    return trace.s11_db()
 
 
-def _band_samples(trace: SParameterTrace, band: tuple[float, float]):
+def _bands(f: np.ndarray, db: np.ndarray, threshold_db: float) -> list[tuple[float, float]]:
+    # each run of in-band samples starts and ends where the padded mask flips
+    flips = np.flatnonzero(np.diff(np.concatenate(([False], db <= threshold_db, [False]))))
+    first, last = flips[0::2], flips[1::2] - 1
+    edges = []
+    for inside, out in ((first, first - 1), (last, last + 1)):
+        edge = f[inside]  # a run touching the grid edge keeps that sample
+        k = (out >= 0) & (out < len(f))
+        i, o = inside[k], out[k]
+        x = f[o] + (threshold_db - db[o]) * (f[i] - f[o]) / (db[i] - db[o])
+        # rounding can carry a crossing past a sample that sits at the threshold
+        edge[k] = np.clip(x, f[np.minimum(i, o)], f[np.maximum(i, o)])
+        edges.append(edge.tolist())
+    return list(zip(*edges))
+
+
+def find_bands(trace: SParameterTrace, threshold_db: float) -> list[tuple[float, float]]:
+    """Maximal intervals with s11 dB <= threshold, edges interpolated."""
+    return _bands(trace.frequencies, _db(trace), threshold_db)
+
+
+def _band_samples(f: np.ndarray, db: np.ndarray, band: tuple[float, float]):
     """In-band frequencies and dB values, with interpolated edge points."""
     f_lo, f_hi = band
-    f = trace.frequencies
     if f_lo > f_hi or f_lo < f[0] or f_hi > f[-1]:
         raise BandOutsideTrace(f"band {band} outside trace span ({f[0]}, {f[-1]})")
-    db = trace.s11_db()
     inner = (f > f_lo) & (f < f_hi)
     xs = np.concatenate(([f_lo], f[inner], [f_hi]))
     ys = np.concatenate(
@@ -97,19 +92,20 @@ def _band_samples(trace: SParameterTrace, band: tuple[float, float]):
     return xs, ys
 
 
+def _efficiency(xs: np.ndarray, ys: np.ndarray) -> float:
+    power = 1.0 - (10.0 ** (ys / 20.0)) ** 2
+    if xs[-1] == xs[0]:
+        return float(100.0 * power[0])
+    return float(100.0 * np.trapezoid(power, xs) / (xs[-1] - xs[0]))
+
+
 def mismatch_efficiency(trace: SParameterTrace, band: tuple[float, float]) -> float:
     """Band-averaged percentage of incident power not reflected.
 
     Trapezoidal average of 1 - |s11|^2 over the band, interpolating the
     trace (in dB) at the band edges.
     """
-    if len(trace) == 0:
-        raise EmptyTrace("trace has no samples")
-    xs, ys = _band_samples(trace, band)
-    power = 1.0 - (10.0 ** (ys / 20.0)) ** 2
-    if xs[-1] == xs[0]:
-        return float(100.0 * power[0])
-    return float(100.0 * np.trapezoid(power, xs) / (xs[-1] - xs[0]))
+    return _efficiency(*_band_samples(trace.frequencies, _db(trace), band))
 
 
 def resonant_frequency(inductance: float, capacitance: float) -> float:
@@ -121,6 +117,24 @@ def resonant_frequency(inductance: float, capacitance: float) -> float:
     return 1.0 / (2.0 * math.pi * math.sqrt(inductance * capacitance))
 
 
+def _overlap(a: SParameterTrace, b: SParameterTrace):
+    """a's grid points inside b's span, a's dB there, and b's dB resampled onto them.
+
+    Identical grids pass both dB arrays through without interpolating.
+    """
+    f, db_a, db_b = a.frequencies, _db(a), _db(b)
+    if len(f) == len(b) and np.array_equal(f, b.frequencies):
+        return f, db_a, db_b
+    lo = max(f[0], b.frequencies[0])
+    hi = min(f[-1], b.frequencies[-1])
+    if lo > hi:
+        raise NoOverlap("frequency spans do not overlap")
+    keep = (f >= lo) & (f <= hi)
+    if not np.any(keep):
+        raise NoOverlap("no grid points of the first trace inside the overlap")
+    return f[keep], db_a[keep], np.interp(f[keep], b.frequencies, db_b)
+
+
 def compare_traces(
     a: SParameterTrace, b: SParameterTrace, threshold_db: float
 ) -> SimilarityReport:
@@ -129,18 +143,7 @@ def compare_traces(
     Agreement counts the grid points where both traces sit on the same
     side of the threshold; the deviation is the mean |dB difference|.
     """
-    if len(a) == 0 or len(b) == 0:
-        raise EmptyTrace("trace has no samples")
-    lo = max(a.frequencies[0], b.frequencies[0])
-    hi = min(a.frequencies[-1], b.frequencies[-1])
-    if lo > hi:
-        raise NoOverlap("frequency spans do not overlap")
-    keep = (a.frequencies >= lo) & (a.frequencies <= hi)
-    if not np.any(keep):
-        raise NoOverlap("no grid points of the first trace inside the overlap")
-    f = a.frequencies[keep]
-    db_a = a.s11_db()[keep]
-    db_b = np.interp(f, b.frequencies, b.s11_db())
+    f, db_a, db_b = _overlap(a, b)
     same_side = (db_a <= threshold_db) == (db_b <= threshold_db)
     return SimilarityReport(
         band_agreement_percent=float(100.0 * np.mean(same_side)),
@@ -151,15 +154,15 @@ def compare_traces(
 
 def band_report(trace: SParameterTrace, threshold_db: float) -> BandReport:
     """Bands plus efficiency and worst VSWR over the widest band."""
-    bands = tuple(find_bands(trace, threshold_db))
+    f, db = trace.frequencies, _db(trace)
+    bands = tuple(_bands(f, db, threshold_db))
     if not bands:
         return BandReport(bands, threshold_db, None, None, None)
     widest = max(range(len(bands)), key=lambda k: bands[k][1] - bands[k][0])
-    efficiency = mismatch_efficiency(trace, bands[widest])
-    _, ys = _band_samples(trace, bands[widest])
+    xs, ys = _band_samples(f, db, bands[widest])
     worst = float(np.max(ys))
     max_vswr = vswr(10.0 ** (worst / 20.0))
-    return BandReport(bands, threshold_db, widest, efficiency, max_vswr)
+    return BandReport(bands, threshold_db, widest, _efficiency(xs, ys), max_vswr)
 
 
 def band_report_text(report: BandReport) -> str:

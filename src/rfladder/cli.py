@@ -154,6 +154,8 @@ def _cmd_fit(args) -> int:
     ladder = netlist.parse(_read_input(args.netlist))
     target = touchstone.read_touchstone(_read_input(args.target))
     free = _parse_vary(args.vary)
+    if not args.bounds_factor > 1:
+        raise InputError("--bounds-factor must be greater than 1")
     bounds = []
     for sname, pname in free:
         value = ladder.section(sname).params.get(pname)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from . import sinum
-from .errors import InputError, LocatedError, NonPositiveFrequency
+from .errors import InputError, LocatedError, NonFiniteResult, NonPositiveFrequency
 from .geometry import (
     SPEED_OF_LIGHT,
     VACUUM_PERMEABILITY,
@@ -163,13 +163,19 @@ def z0_microstrip(width: float, height: float, relative_permittivity: float) -> 
 
 def microstrip(width: float, height: float, relative_permittivity: float) -> MicrostripResult:
     """Bundle eps_eff, Z0, W/h, and the formula branch for one strip."""
+    try:
+        ee = eps_eff(width, height, relative_permittivity)
+        z0 = z0_microstrip(width, height, relative_permittivity)
+    except (OverflowError, ZeroDivisionError):
+        ee = z0 = math.nan
     ratio = width / height
-    return MicrostripResult(
-        effective_permittivity=eps_eff(width, height, relative_permittivity),
-        characteristic_impedance=z0_microstrip(width, height, relative_permittivity),
-        width_to_height=ratio,
-        branch="narrow" if ratio < 1.0 else "wide",
-    )
+    _require_finite("microstrip line parameters", ee, z0, ratio)
+    return MicrostripResult(ee, z0, ratio, "narrow" if ratio < 1.0 else "wide")
+
+
+def _require_finite(what: str, *values: float) -> None:
+    if not all(math.isfinite(v) for v in values):
+        raise NonFiniteResult(f"{what} are not finite; an input value is too large or too small")
 
 
 def half_wavelength(frequency: float, effective_permittivity: float) -> float:
@@ -200,12 +206,16 @@ def extract_all(
     omega = 2.0 * math.pi * evaluation_frequency
     rows = []
     for cavity in cavities:
-        c = cap_eq_approx(cavity, substrate)
-        if cavity.index == 0:
-            rows.append(LumpedElements(c, None, None, cavity.index))
-            continue
-        l = ind_eq(cavity, substrate)
-        r = res_eq(l, c, cavity.block_factor, omega)
+        l = r = None
+        try:
+            c = cap_eq_approx(cavity, substrate)
+            if cavity.index != 0:
+                l = ind_eq(cavity, substrate)
+                r = res_eq(l, c, cavity.block_factor, omega)
+        except (OverflowError, ZeroDivisionError, ValueError):  # ValueError: log of 0
+            c = math.nan
+        values = [v for v in (c, l, r) if v is not None]
+        _require_finite(f"cavity {cavity.index} elements", *values)
         rows.append(LumpedElements(c, l, r, cavity.index))
     return rows
 

@@ -18,6 +18,10 @@ class NumericalError(RfLadderError):
     """A computation left the domain where its result is meaningful."""
 
 
+class NonFiniteResult(NumericalError):
+    """A result overflowed, or a value it needs left the floating-point range."""
+
+
 class LocatedError(InputError):
     """Input error tied to a 1-based line of a text document."""
 

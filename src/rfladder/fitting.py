@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sinum
-from .analysis import NoOverlap
+from .analysis import _overlap
 from .errors import InputError
 from .netlist import Netlist, NetlistError, Section
 from .network import SParameterTrace, SweepGrid, sweep
@@ -53,9 +53,9 @@ class Mask:
 def cost(netlist: Netlist, target, grid: SweepGrid) -> float:
     """Mean squared dB deviation from a trace, or mean squared mask violation."""
     trace = sweep(netlist, grid)
-    f = trace.frequencies
-    db = trace.s11_db()
     if isinstance(target, Mask):
+        f = trace.frequencies
+        db = trace.s11_db()
         acc = 0.0
         count = 0
         for lo, hi, ceiling in target.intervals:
@@ -64,16 +64,8 @@ def cost(netlist: Netlist, target, grid: SweepGrid) -> float:
             acc += float(np.sum(violation * violation))
             count += int(np.sum(sel))
         return acc / count if count else 0.0
-    if len(target.frequencies) == len(f) and np.array_equal(target.frequencies, f):
-        delta = db - target.s11_db()  # identical grids: no interpolation noise
-        return float(np.mean(delta * delta))
-    lo = max(f[0], target.frequencies[0])
-    hi = min(f[-1], target.frequencies[-1])
-    keep = (f >= lo) & (f <= hi)
-    if lo > hi or not np.any(keep):
-        raise NoOverlap("sweep grid does not overlap the target trace")
-    target_db = np.interp(f[keep], target.frequencies, target.s11_db())
-    delta = db[keep] - target_db
+    _, db, target_db = _overlap(trace, target)
+    delta = db - target_db
     return float(np.mean(delta * delta))
 
 
@@ -97,8 +89,10 @@ class FitProblem:
         if len(self.bounds) != len(self.free_parameters):
             raise InvalidBounds("need one (low, high) pair per free parameter")
         for lo, hi in self.bounds:
-            if not 0 < lo < hi:
-                raise InvalidBounds(f"bounds ({lo}, {hi}) must satisfy 0 < low < high")
+            if not 0 < lo < hi < math.inf:
+                raise InvalidBounds(f"bounds ({lo}, {hi}) must satisfy 0 < low < high < inf")
+        if min(self.max_iterations, self.restarts, self.seed) < 0:
+            raise InputError("max_iterations, restarts and seed must not be negative")
         for sname, pname in self.free_parameters:
             try:
                 section = self.netlist.section(sname)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NonPositiveFrequency, NumericalError
+from .errors import InputError, NonFiniteResult, NonPositiveFrequency, NumericalError
 from .geometry import SPEED_OF_LIGHT
 from .netlist import Netlist, Section
 
@@ -38,10 +38,6 @@ class OutOfRange(NumericalError):
 
 
 class NonPositiveImpedance(InputError):
-    pass
-
-
-class NonFiniteResult(NumericalError):
     pass
 
 

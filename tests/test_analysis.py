@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfladder import analysis as an
 from rfladder.elements import NonPositiveElement
@@ -75,6 +77,54 @@ def test_threshold_monotonicity():
         tight = an.find_bands(trace, -12.0)
         for lo, hi in tight:
             assert any(plo <= lo and hi <= phi for plo, phi in loose)
+
+
+@st.composite
+def threshold_traces(draw):
+    """A random trace and a threshold; often some samples sit exactly on it.
+
+    Values come from a drawn numpy seed: irregular floats round in both
+    directions, where the simple floats Hypothesis prefers rarely do.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 25))
+    mags = rng.uniform(0.0, 0.99, n)
+    pick = rng.integers(n)
+    mags[rng.random(n) < 0.5] = mags[pick]
+    trace = SParameterTrace(1e8 + np.cumsum(rng.uniform(1.0, 1e9, n)), mags.astype(complex))
+    exact = draw(st.booleans())
+    return trace, float(trace.s11_db()[pick]) if exact else draw(st.floats(-60.0, -0.1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(threshold_traces())
+def test_property_band_edges_stay_between_their_samples(case):
+    trace, threshold = case
+    f, below = trace.frequencies, trace.s11_db() <= threshold
+    runs = []  # (first, last) in-band sample indices, found sample by sample
+    for k, inside in enumerate(below):
+        if inside and (k == 0 or not below[k - 1]):
+            runs.append([k, k])
+        elif inside:
+            runs[-1][1] = k
+    bands = an.find_bands(trace, threshold)
+    assert len(bands) == len(runs)
+    for (lo, hi), (i, j) in zip(bands, runs):
+        assert f[0] <= lo <= hi <= f[-1]
+        assert f[max(i - 1, 0)] <= lo <= f[i]
+        assert f[j] <= hi <= f[min(j + 1, len(f) - 1)]
+    assert all(b1[1] <= b2[0] for b1, b2 in zip(bands, bands[1:]))
+    an.band_report(trace, threshold)  # never raises on a non-empty trace
+
+
+def test_band_edge_at_a_threshold_sample_is_not_inverted():
+    # the first sample sits exactly at -10 dB; rounding in the interpolated
+    # high edge used to land it below the low edge
+    mags = [0.31622776601683794, 0.917875900218441, 0.7943282347242815]
+    trace = SParameterTrace(np.array([1e9, 4.9e9, 9e9]), np.array(mags, dtype=complex))
+    assert trace.s11_db()[0] == -10.0
+    assert an.find_bands(trace, -10.0) == [(1e9, 1e9)]
+    assert an.band_report(trace, -10.0).bands == ((1e9, 1e9),)
 
 
 def test_mismatch_efficiency_extremes():

@@ -167,6 +167,62 @@ def test_numerical_errors_exit_3(tmp_path, capsys):
     assert "numerical error:" in capsys.readouterr().err
 
 
+def test_bandwidth_threshold_exact_sample_exits_0(tmp_path, capsys):
+    exact = tmp_path / "exact.s1p"
+    exact.write_text(
+        "# Hz S RI R 50\n1000000000 0.31622776601683794 0\n"
+        "4900000000 0.917875900218441 0\n9000000000 0.7943282347242815 0\n"
+    )
+    assert run(["bandwidth", "--input", exact, "--threshold", "-10"]) == 0
+    out = capsys.readouterr().out
+    assert "band0_low_hz = 1000000000" in out
+    assert "band0_high_hz = 1000000000" in out
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["extract", "--frequency", "1e200", "--out", "x.csv"],
+        ["extract", "--geometry", "cavity 1 W=1e300", "--out", "x.csv"],
+        ["extract", "--geometry", "cavity 2 d=1e200", "--out", "x.csv"],
+        ["microstrip", "--width", "1e-300", "--height", "1e300", "--er", "4.4"],
+        ["microstrip", "--width", "1e300", "--height", "1e-300", "--er", "4.4"],
+    ],
+)
+def test_out_of_range_extraction_exits_3(tmp_path, capsys, args):
+    if "--geometry" in args:
+        k = args.index("--geometry") + 1
+        path = tmp_path / "big.geo"
+        path.write_text(geometry.serialize_geometry(
+            geometry.canonical_geometry(), geometry.canonical_cavities()) + args[k] + "\n")
+        args[k] = path
+    assert run([tmp_path / a if str(a).startswith("x.") else a for a in args]) == 3
+    err = capsys.readouterr().err
+    assert "numerical error:" in err
+    assert not list(tmp_path.glob("x.*"))
+
+
+def test_microstrip_zero_height_exits_2(capsys):
+    assert run(["microstrip", "--width", "1e-3", "--height", "0", "--er", "4.4"]) == 2
+    assert "error: height must be strictly positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "option", [["--bounds-factor", "0"], ["--bounds-factor", "1"], ["--restarts", "-1"],
+               ["--max-iter", "-1"], ["--seed", "-1"]],
+)
+def test_fit_rejects_out_of_range_options(tmp_path, capsys, option):
+    net = tmp_path / "n.net"
+    net.write_text("port in z0=50\nport out z0=4.5\nsection s1 topology=series_rl_shunt_c L=3n C=1p\n")
+    target = tmp_path / "t.s1p"
+    target.write_text("# Hz S RI R 50\n1e9 0.5 0\n2e9 0.5 0\n")
+    out = tmp_path / "o.net"
+    assert run(["fit", "--netlist", net, "--target", target, "--vary", "s1.L",
+                *option, "--out", out]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_overflow_exits_3_without_traceback(tmp_path, capsys):
     net = tmp_path / "huge.net"
     net.write_text("port in z0=50\nport out z0=50\nsection s topology=series_rlc L=1e300\n")

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rfladder import elements as el
-from rfladder.errors import NonPositiveFrequency
+from rfladder.errors import NonFiniteResult, NonPositiveFrequency
 from rfladder.geometry import Cavity, Substrate, canonical_cavities, canonical_substrate
 
 # Frozen oracle values: 50-digit evaluation of the closed forms,
@@ -232,6 +232,21 @@ def test_extract_all_uses_block_factor(substrate):
     row1 = el.extract_all([single], substrate, 2.5e9)[0]
     row2 = el.extract_all([double], substrate, 2.5e9)[0]
     assert row2.capacitance == pytest.approx(2 * row1.capacitance, rel=1e-12)
+
+
+def test_microstrip_out_of_range_ratio_is_numerical_error():
+    with pytest.raises(NonFiniteResult):
+        el.microstrip(1e-300, 1e300, 4.4)  # W/h underflows to 0
+    with pytest.raises(NonFiniteResult):
+        el.microstrip(1e300, 1e-300, 4.4)  # W/h overflows to inf
+
+
+def test_extract_all_overflow_is_numerical_error(cavities, substrate):
+    with pytest.raises(NonFiniteResult):
+        el.extract_all(cavities, substrate, 1e200)
+    for cavity in (Cavity(1, 1e297, 0.007, 1.7e-3), Cavity(2, 0.027, 1e197, 1.7e-3)):
+        with pytest.raises(NonFiniteResult):
+            el.extract_all([cavity], substrate)
 
 
 def test_extract_all_validation(cavities, substrate):

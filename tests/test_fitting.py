@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import log_uniform
 from rfladder import fitting as ft
 from rfladder.analysis import NoOverlap
+from rfladder.errors import InputError
 from rfladder.netlist import Netlist, Section
 from rfladder.network import SParameterTrace, SweepGrid, sweep
 
@@ -85,6 +88,11 @@ def test_problem_validation():
         ft.FitProblem(net, (("nope", "L"),), ((1e-10, 1e-8),), target, GRID)
     with pytest.raises(ft.UnknownParameter):
         ft.FitProblem(net, (("s1", "len"),), ((1e-10, 1e-8),), target, GRID)
+    with pytest.raises(ft.InvalidBounds):
+        ft.FitProblem(net, (("s1", "L"),), ((1e-10, math.inf),), target, GRID)
+    for field in ("max_iterations", "restarts", "seed"):
+        with pytest.raises(InputError):
+            ft.FitProblem(net, (("s1", "L"),), ((1e-10, 1e-8),), target, GRID, **{field: -1})
 
 
 def _recovery_problem(seed=0, perturbation=1.3, max_iterations=600):
