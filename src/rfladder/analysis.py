@@ -117,14 +117,15 @@ def resonant_frequency(inductance: float, capacitance: float) -> float:
     return 1.0 / (2.0 * math.pi * math.sqrt(inductance * capacitance))
 
 
-def _overlap(a: SParameterTrace, b: SParameterTrace):
-    """a's grid points inside b's span, a's dB there, and b's dB resampled onto them.
+def _resample(f: np.ndarray, b: SParameterTrace):
+    """The points of grid `f` inside b's span, and b's dB resampled onto them.
 
-    Identical grids pass both dB arrays through without interpolating.
+    On an identical grid the selection is None and b's dB passes through
+    without interpolating.
     """
-    f, db_a, db_b = a.frequencies, _db(a), _db(b)
+    db_b = _db(b)
     if len(f) == len(b) and np.array_equal(f, b.frequencies):
-        return f, db_a, db_b
+        return None, db_b
     lo = max(f[0], b.frequencies[0])
     hi = min(f[-1], b.frequencies[-1])
     if lo > hi:
@@ -132,7 +133,16 @@ def _overlap(a: SParameterTrace, b: SParameterTrace):
     keep = (f >= lo) & (f <= hi)
     if not np.any(keep):
         raise NoOverlap("no grid points of the first trace inside the overlap")
-    return f[keep], db_a[keep], np.interp(f[keep], b.frequencies, db_b)
+    return keep, np.interp(f[keep], b.frequencies, db_b)
+
+
+def _overlap(a: SParameterTrace, b: SParameterTrace):
+    """a's grid points inside b's span, a's dB there, and b's dB resampled onto them."""
+    f, db_a = a.frequencies, _db(a)
+    keep, db_b = _resample(f, b)
+    if keep is None:
+        return f, db_a, db_b
+    return f[keep], db_a[keep], db_b
 
 
 def compare_traces(

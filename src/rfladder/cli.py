@@ -161,7 +161,8 @@ def _cmd_fit(args) -> int:
         value = ladder.section(sname).params.get(pname)
         if value is None:
             raise InputError(f"section {sname!r} has no parameter {pname!r}")
-        bounds.append((value / args.bounds_factor, value * args.bounds_factor))
+        low = value / args.bounds_factor
+        bounds.append((max(low, 1.0) if pname == "eps_eff" else low, value * args.bounds_factor))
     if (args.fstart is None) != (args.fstop is None):
         raise InputError("--fstart and --fstop must be given together")
     if args.fstart is not None:
@@ -257,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=0,
                    help="extra seeded starts inside the bounds (default %(default)s)")
     p.add_argument("--bounds-factor", type=_number, default=10.0,
-                   help="bounds are value/F .. value*F (default %(default)s)")
+                   help="bounds are value/F .. value*F, eps_eff at least 1 (default %(default)s)")
     p.add_argument("--fstart", type=_number, help="fit grid start in Hz (default: target span)")
     p.add_argument("--fstop", type=_number, help="fit grid stop in Hz (default: target span)")
     p.add_argument("--points", type=int, default=201,

@@ -44,6 +44,22 @@ class NonPositiveElement(ExtractionError):
         super().__init__(f"{name} must be strictly positive")
 
 
+class SubstrateTooThick(ExtractionError):
+    """ind_eq's bracket d*ln((W+d)/d) + W*ln((W+d)^2/(h*W)) is not positive.
+
+    The bracket is positive exactly when h < (W+d)^2/W * ((W+d)/d)^(d/W).
+    """
+
+    def __init__(self, cavity: Cavity):
+        w, d, h = cavity.width, cavity.length, cavity.thickness
+        self.index = cavity.index
+        h_max = (w + d) ** 2 / w * ((w + d) / d) ** (d / w)
+        super().__init__(
+            f"cavity {cavity.index}: inductance is not positive at substrate height"
+            f" h = {h:g} m; ind_eq needs h < (W+d)^2/W * ((W+d)/d)^(d/W) = {h_max:g} m"
+        )
+
+
 class MalformedElementsRow(LocatedError, ExtractionError):
     pass
 
@@ -211,6 +227,8 @@ def extract_all(
             c = cap_eq_approx(cavity, substrate)
             if cavity.index != 0:
                 l = ind_eq(cavity, substrate)
+                if not l > 0:
+                    raise SubstrateTooThick(cavity)
                 r = res_eq(l, c, cavity.block_factor, omega)
         except (OverflowError, ZeroDivisionError, ValueError):  # ValueError: log of 0
             c = math.nan

@@ -6,6 +6,15 @@ log transform gives both properties for free. Residuals live in dB
 because that is how reflection requirements are stated. Every candidate
 vector is clamped into its bounds before evaluation, so the search can
 never leave the feasible box.
+
+A problem is compiled once per fit: the angular frequencies, where each
+free parameter enters its section, and the target's dB on the fit grid
+(or each mask interval's selection) are fixed up front, and one
+objective call scores a batch of parameter sets in one vectorized
+sweep. The 1 + `restarts` searches run in lockstep, every search's
+pending points scored in one call per step. Each search evaluates
+exactly the points it would evaluate alone, so results, and the errors
+raised, are identical to running the searches one after another.
 """
 
 from __future__ import annotations
@@ -16,10 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sinum
-from .analysis import _overlap
-from .errors import InputError
-from .netlist import Netlist, NetlistError, Section
-from .network import SParameterTrace, SweepGrid, sweep
+from .analysis import _resample
+from .errors import InputError, RfLadderError
+from .netlist import Netlist, NetlistError, NonPositiveParameter, Section, in_domain
+from .network import SParameterTrace, SweepGrid, _batch_s11, magnitude_db, sweep
 
 
 class InvalidBounds(InputError):
@@ -50,23 +59,38 @@ class Mask:
             prev_hi = hi
 
 
+def _scorer(target, f: np.ndarray):
+    """Map `(K, F)` s11 dB on grid `f` to the K costs `cost` defines.
+
+    Selections use `np.compress`, which keeps each row contiguous, so a
+    row sums in the same pairwise order as a single trace does and every
+    cost is bit-identical whatever K is.
+    """
+    if isinstance(target, Mask):
+        windows = [((f >= lo) & (f <= hi), ceiling) for lo, hi, ceiling in target.intervals]
+        count = sum(int(np.sum(sel)) for sel, _ in windows)
+
+        def score(db):
+            acc = np.zeros(len(db))
+            for sel, ceiling in windows:  # summed in interval order
+                violation = np.maximum(0.0, np.compress(sel, db, axis=-1) - ceiling)
+                acc += np.sum(violation * violation, axis=-1)
+            return acc / count if count else acc
+
+        return score
+    keep, target_db = _resample(f, target)
+
+    def score(db):
+        delta = (db if keep is None else np.compress(keep, db, axis=-1)) - target_db
+        return np.mean(delta * delta, axis=-1)
+
+    return score
+
+
 def cost(netlist: Netlist, target, grid: SweepGrid) -> float:
     """Mean squared dB deviation from a trace, or mean squared mask violation."""
     trace = sweep(netlist, grid)
-    if isinstance(target, Mask):
-        f = trace.frequencies
-        db = trace.s11_db()
-        acc = 0.0
-        count = 0
-        for lo, hi, ceiling in target.intervals:
-            sel = (f >= lo) & (f <= hi)
-            violation = np.maximum(0.0, db[sel] - ceiling)
-            acc += float(np.sum(violation * violation))
-            count += int(np.sum(sel))
-        return acc / count if count else 0.0
-    _, db, target_db = _overlap(trace, target)
-    delta = db - target_db
-    return float(np.mean(delta * delta))
+    return float(_scorer(target, trace.frequencies)(trace.s11_db()[None])[0])
 
 
 @dataclass(frozen=True)
@@ -100,6 +124,12 @@ class FitProblem:
                 raise UnknownParameter(f"no section named {sname!r}") from None
             if pname not in section.params:
                 raise UnknownParameter(f"section {sname!r} has no parameter {pname!r}")
+        for (sname, pname), (lo, _) in zip(self.free_parameters, self.bounds):
+            if not in_domain(pname, lo):
+                raise InvalidBounds(
+                    f"low bound {lo} of {sname}.{pname} is outside the parameter's domain"
+                    " (eps_eff >= 1, len >= 0, others > 0)"
+                )
 
 
 @dataclass(frozen=True)
@@ -110,6 +140,7 @@ class FitResult:
     iterations: int
     converged: bool
     netlist: Netlist
+    stop_reason: str  # "tolerance", "collapsed", "max_iterations" or "no_search"
 
 
 def _with_values(netlist: Netlist, free, values) -> Netlist:
@@ -129,14 +160,65 @@ def _with_values(netlist: Netlist, free, values) -> Netlist:
 
 _SIMPLEX_STEP = 0.15  # initial vertex offset in log space (~16 % in value)
 _COLLAPSE = 1e-9  # log-space simplex diameter treated as fully converged
+_CONVERGED = ("tolerance", "collapsed")
+_BATCH_ELEMENTS = 1 << 16  # rows x frequencies per sweep, bounding memory for many restarts
 
 
-def _nelder_mead(func, x0, lo, hi, max_iterations, tolerance):
-    """Standard reflect/expand/contract/shrink loop on clamped vectors.
+class _Objective:
+    """A problem's cost of K rows of log-parameters, compiled once.
 
-    Returns (best_x, best_f, iterations, converged). Convergence means
-    the simplex cost spread fell below `tolerance` relative to the best
-    cost, or the simplex collapsed geometrically.
+    Holds the angular frequencies, where each free column enters its
+    section, and the target scorer. Calling it checks every free column
+    against its parameter's domain, as building each candidate's
+    sections would, and scores all rows in one sweep.
+    """
+
+    def __init__(self, problem: FitProblem, start_values: np.ndarray):
+        net = problem.netlist
+        self._ports = (net.input_port_impedance, net.output_port_impedance)
+        f = problem.grid.frequencies()
+        self._w = 2.0 * np.pi * f
+        column = {slot: j for j, slot in enumerate(problem.free_parameters)}
+        self._sections = []
+        for s in net.sections:
+            slots = [(p, column[s.name, p]) for p in s.params if (s.name, p) in column]
+            self._sections.append((s.topology, s.params, slots))
+        # in section and parameter order, the order Section validation meets them
+        self._checks = [(p, j) for _, _, slots in self._sections for p, j in slots]
+        # sweep the start before resampling the target, so errors come in cost()'s order
+        start_db = self.s11_db(start_values[None])
+        self._score = _scorer(problem.target, f)
+        self.initial_cost = float(self._score(start_db)[0])
+
+    def s11_db(self, values: np.ndarray) -> np.ndarray:
+        """s11 dB, shape `(K, F)`, of K rows of free-parameter values."""
+        lows, highs = values.min(axis=0).tolist(), values.max(axis=0).tolist()
+        for pname, j in self._checks:
+            if not (in_domain(pname, lows[j]) and in_domain(pname, highs[j])):
+                raise NonPositiveParameter(pname)
+        sections = []
+        for topology, params, slots in self._sections:
+            if slots:
+                params = {**params, **{p: values[:, j, None] for p, j in slots}}
+            sections.append((topology, params))
+        return magnitude_db(_batch_s11(sections, self._w, *self._ports))
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        rows = max(1, _BATCH_ELEMENTS // len(self._w))
+        return np.concatenate(
+            [self._score(self.s11_db(np.exp(x[k : k + rows]))) for k in range(0, len(x), rows)]
+        )
+
+
+def _nm_steps(x0, lo, hi, max_iterations, tolerance):
+    """Standard reflect/expand/contract/shrink loop on clamped vectors, as a coroutine.
+
+    Yields lists of points and receives a list of their costs. The
+    initial simplex and a shrink are one yield each. Returns (best_x,
+    best_f, iterations, stop_reason): "tolerance" when the simplex cost
+    spread fell below `tolerance` relative to the best cost,
+    "collapsed" when the simplex collapsed geometrically, else
+    "max_iterations".
     """
     n = len(x0)
 
@@ -154,27 +236,28 @@ def _nelder_mead(func, x0, lo, hi, max_iterations, tolerance):
         if vertex[k] == xs[0][k]:  # bounds narrower than the step
             vertex[k] = 0.5 * (lo[k] + hi[k])
         xs.append(vertex)
-    fs = [func(x) for x in xs]
+    fs = yield xs
 
     iterations = 0
-    converged = False
+    reason = "max_iterations"
     while iterations < max_iterations:
         order = np.argsort(fs, kind="stable")
         xs = [xs[k] for k in order]
         fs = [fs[k] for k in order]
-        spread = fs[-1] - fs[0]
-        size = max(float(np.max(np.abs(x - xs[0]))) for x in xs[1:])
-        if spread <= tolerance * max(abs(fs[0]), tolerance) or size <= _COLLAPSE:
-            converged = True
+        if fs[-1] - fs[0] <= tolerance * max(abs(fs[0]), tolerance):
+            reason = "tolerance"
+            break
+        if np.max(np.abs(np.array(xs[1:]) - xs[0])) <= _COLLAPSE:
+            reason = "collapsed"
             break
         iterations += 1
 
         centroid = np.mean(xs[:-1], axis=0)
         reflected = clamp(centroid + (centroid - xs[-1]))
-        f_r = func(reflected)
+        (f_r,) = yield [reflected]
         if f_r < fs[0]:
             expanded = clamp(centroid + 2.0 * (reflected - centroid))
-            f_e = func(expanded)
+            (f_e,) = yield [expanded]
             if f_e < f_r:
                 xs[-1], fs[-1] = expanded, f_e
             else:
@@ -187,16 +270,66 @@ def _nelder_mead(func, x0, lo, hi, max_iterations, tolerance):
             contracted = clamp(centroid + 0.5 * (reflected - centroid))
         else:
             contracted = clamp(centroid + 0.5 * (xs[-1] - centroid))
-        f_c = func(contracted)
+        (f_c,) = yield [contracted]
         if f_c < min(f_r, fs[-1]):
             xs[-1], fs[-1] = contracted, f_c
             continue
-        for k in range(1, len(xs)):
-            xs[k] = clamp(xs[0] + 0.5 * (xs[k] - xs[0]))
-            fs[k] = func(xs[k])
+        xs[1:] = [clamp(xs[0] + 0.5 * (x - xs[0])) for x in xs[1:]]
+        fs[1:] = yield xs[1:]
 
     best = int(np.argmin(fs))
-    return xs[best], fs[best], iterations, converged
+    return xs[best], fs[best], iterations, reason
+
+
+def _lockstep(costs, runs):
+    """Drive `_nm_steps` coroutines together and return each one's result, in order.
+
+    Every round scores the pending points of all live runs in one
+    `costs` call. When that call raises, the points are scored one at a
+    time: the first that raises stops its run and every later run, and
+    its error is raised once the earlier runs finish, as it would be if
+    the runs went one after another.
+    """
+    results = [None] * len(runs)
+    pending = {k: next(run) for k, run in enumerate(runs)}
+    error = None
+    while pending:
+        batch = np.array([x for points in pending.values() for x in points])
+        try:
+            values = costs(batch).tolist()
+        except RfLadderError:
+            values = []
+            owners = [k for k, points in pending.items() for _ in points]
+            for k, x in zip(owners, batch):
+                try:
+                    values.append(costs(x[None]).item())
+                except RfLadderError as exc:
+                    error = exc
+                    pending = {j: points for j, points in pending.items() if j < k}
+                    break
+        start = 0
+        for k, points in list(pending.items()):
+            try:
+                pending[k] = runs[k].send(values[start : start + len(points)])
+            except StopIteration as stop:
+                results[k] = stop.value
+                del pending[k]
+            start += len(points)
+    if error is not None:
+        raise error
+    return results
+
+
+def _nelder_mead(func, x0, lo, hi, max_iterations, tolerance):
+    """One search scoring one point per `func` call.
+
+    Returns (best_x, best_f, iterations, converged).
+    """
+    x, f, iterations, reason = _lockstep(
+        lambda batch: np.array([func(x) for x in batch]),
+        [_nm_steps(x0, lo, hi, max_iterations, tolerance)],
+    )[0]
+    return x, f, iterations, reason in _CONVERGED
 
 
 def fit(problem: FitProblem) -> FitResult:
@@ -208,48 +341,40 @@ def fit(problem: FitProblem) -> FitResult:
     start_values = np.clip(
         [start_netlist.section(s).params[p] for s, p in free], lo_values, hi_values
     )
+    objective = _Objective(problem, start_values)
+    initial_cost = objective.initial_cost
 
-    def result_for(values, initial, final, iterations, converged):
+    def result_for(values, final, iterations, reason):
         return FitResult(
             parameters={f"{s}.{p}": float(v) for (s, p), v in zip(free, values)},
-            initial_cost=initial,
+            initial_cost=initial_cost,
             final_cost=final,
             iterations=iterations,
-            converged=converged,
+            converged=reason in _CONVERGED,
             netlist=_with_values(start_netlist, free, values),
+            stop_reason=reason,
         )
 
-    initial_cost = cost(
-        _with_values(start_netlist, free, start_values), problem.target, problem.grid
-    )
     if problem.max_iterations == 0:
-        return result_for(start_values, initial_cost, initial_cost, 0, False)
-
-    def objective(x):
-        return cost(_with_values(start_netlist, free, np.exp(x)), problem.target, problem.grid)
+        return result_for(start_values, initial_cost, 0, "no_search")
 
     lo = np.log(lo_values)
     hi = np.log(hi_values)
     x0 = np.clip(np.log(start_values), lo, hi)
     rng = np.random.default_rng(problem.seed)
-    best_x, best_f, total_iterations, best_converged = None, math.inf, 0, False
-    for run in range(1 + problem.restarts):
-        start = x0 if run == 0 else rng.uniform(lo, hi)
-        x, f, iterations, converged = _nelder_mead(
-            objective, start, lo, hi, problem.max_iterations, problem.tolerance
-        )
-        total_iterations += iterations
-        if f < best_f or best_x is None:
-            best_x, best_f, best_converged = x, f, converged
+    starts = [x0] + [rng.uniform(lo, hi) for _ in range(problem.restarts)]
+    runs = [_nm_steps(x, lo, hi, problem.max_iterations, problem.tolerance) for x in starts]
+    results = _lockstep(objective, runs)
+    total_iterations = sum(iterations for _, _, iterations, _ in results)
+    best_x, best_f, _, best_reason = results[0]
+    for x, f, _, reason in results[1:]:
+        if f < best_f:
+            best_x, best_f, best_reason = x, f, reason
 
     if best_f < initial_cost:
-        return result_for(
-            np.exp(best_x), initial_cost, best_f, total_iterations, best_converged
-        )
+        return result_for(np.exp(best_x), best_f, total_iterations, best_reason)
     # the search never strictly improved on the starting point
-    return result_for(
-        start_values, initial_cost, initial_cost, total_iterations, best_converged
-    )
+    return result_for(start_values, initial_cost, total_iterations, best_reason)
 
 
 def fit_result_text(result: FitResult) -> str:

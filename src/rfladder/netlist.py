@@ -107,14 +107,22 @@ def _validate_section(topology: str, params: dict[str, float], line: int | None)
     if topology != "tline" and topology != "series_rl_shunt_c" and not params:
         raise MissingRequiredParameter("one of R, L, C", line)
     for key, value in params.items():
-        if key == "len":
-            ok = value >= 0
-        elif key == "eps_eff":
-            ok = value >= 1
-        else:
-            ok = value > 0
-        if not ok or not math.isfinite(value):
+        if not in_domain(key, value):
             raise NonPositiveParameter(key, line)
+
+
+def in_domain(key: str, value: float) -> bool:
+    """Whether `value` is allowed for parameter `key`.
+
+    Every value is finite; `len` is >= 0, `eps_eff` >= 1 and the rest > 0.
+    """
+    if key == "len":
+        ok = value >= 0
+    elif key == "eps_eff":
+        ok = value >= 1
+    else:
+        ok = value > 0
+    return bool(ok) and math.isfinite(value)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,9 @@ The engine carries the four chain entries as scalars or as arrays over
 frequency, so a single-frequency call and a sweep share one section
 formula, one chain recurrence and one S conversion. The sweep evaluates
 all frequencies in one vectorized pass and returns samples in grid order.
+A parameter may also be a `(K, 1)` column of values, which adds a leading
+axis of K parameter sets to every array; the fitter scores its
+candidates that way, through the same formulas and the same checks.
 """
 
 from __future__ import annotations
@@ -57,23 +60,25 @@ class AbcdMatrix:
 IDENTITY = AbcdMatrix(1.0, 0.0, 0.0, 1.0)
 
 
-def _section_entries(section: Section, w):
-    """Chain entries (a, b, c, d) of `section` at angular frequencies `w`.
+def _section_entries(topology: str, params, w):
+    """Chain entries (a, b, c, d) of one section at angular frequencies `w`.
 
-    Entries that do not vary with frequency are plain floats and broadcast.
+    Entries that do not vary with frequency are plain floats and broadcast;
+    so does a parameter given as a `(K, 1)` column, which adds a leading
+    batch axis of K parameter sets.
     """
-    p = section.params
-    if section.topology == "tline":
-        theta = w * math.sqrt(p["eps_eff"]) * p["len"] / SPEED_OF_LIGHT
+    p = params
+    if topology == "tline":
+        theta = w * np.sqrt(p["eps_eff"]) * p["len"] / SPEED_OF_LIGHT
         z0 = p["z0"]
         cos, sin = np.cos(theta), np.sin(theta)
         return cos, 1j * z0 * sin, 1j * sin / z0, cos
     jw = 1j * w
-    if section.topology == "series_rl_shunt_c":
+    if topology == "series_rl_shunt_c":
         z = jw * p["L"] + p.get("R", 0.0)
         y = jw * p["C"]
         return 1.0 + z * y, z, y, 1.0
-    if section.topology == "shunt_parallel_rlc":
+    if topology == "shunt_parallel_rlc":
         y = 0.0
         if "R" in p:
             y = y + 1.0 / p["R"]
@@ -89,18 +94,19 @@ def _section_entries(section: Section, w):
         z = z + jw * p["L"]
     if "C" in p:
         z = z + 1.0 / (jw * p["C"])
-    if section.topology == "series_rlc":
+    if topology == "series_rlc":
         return 1.0, z, 0.0, 1.0
-    if section.topology == "shunt_series_rlc":
+    if topology == "shunt_series_rlc":
         return 1.0, 0.0, 1.0 / z, 1.0
-    raise InputError(f"unknown topology {section.topology!r}")  # unreachable once validated
+    raise InputError(f"unknown topology {topology!r}")  # unreachable once validated
 
 
 def section_abcd(section: Section, frequency: float) -> AbcdMatrix:
     """Chain matrix of one section at a single frequency."""
     if not (frequency > 0 and math.isfinite(frequency)):
         raise NonPositiveFrequency("frequency must be finite and > 0")
-    return AbcdMatrix(*map(complex, _section_entries(section, 2.0 * np.pi * frequency)))
+    w = 2.0 * np.pi * frequency
+    return AbcdMatrix(*map(complex, _section_entries(section.topology, section.params, w)))
 
 
 def _chain(matrices):
@@ -238,6 +244,17 @@ class SParameterTrace:
         return magnitude_db(self.s11)
 
 
+def _cascade(sections, w):
+    """Cascaded chain entries of (topology, params) pairs and their determinant product.
+
+    The five arrays are broadcast against `w` and each other, so a
+    parameter column of K sets gives `(K, F)` arrays.
+    """
+    total, det = _chain(AbcdMatrix(*_section_entries(t, p, w)) for t, p in sections)
+    a, b, c, d, det = np.broadcast_arrays(total.a, total.b, total.c, total.d, det, w)[:5]
+    return AbcdMatrix(a, b, c, d), det
+
+
 def netlist_abcd_array(netlist: Netlist, frequencies: np.ndarray):
     """Cascaded ABCD over frequency plus the product of section determinants.
 
@@ -247,9 +264,25 @@ def netlist_abcd_array(netlist: Netlist, frequencies: np.ndarray):
     Each section's entries are built only when the chain reaches it.
     """
     w = 2.0 * np.pi * np.asarray(frequencies, dtype=float)
-    total, det = _chain(AbcdMatrix(*_section_entries(s, w)) for s in netlist.sections)
-    a, b, c, d, det = np.broadcast_arrays(total.a, total.b, total.c, total.d, det, w)[:5]
-    return AbcdMatrix(a, b, c, d), det
+    return _cascade(((s.topology, s.params) for s in netlist.sections), w)
+
+
+def _checked_s(cascade, z01: float, z02: float):
+    """(s11, s12, s21, s22) of the chain `cascade()` returns, all four finite.
+
+    Overflow inside the chain or the conversion shows up as a non-finite
+    S-parameter, which is reported here instead of as numpy warnings.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = _abcd_to_s(*cascade(), z01, z02)
+    if not all(np.isfinite(x).all() for x in s):
+        raise NonFiniteResult("S-parameters are not finite; a section value overflows")
+    return s
+
+
+def _batch_s11(sections, w, z01: float, z02: float) -> np.ndarray:
+    """Checked s11 of (topology, params) pairs whose parameters may be (K, 1) columns."""
+    return _checked_s(lambda: _cascade(sections, w), z01, z02)[0]
 
 
 def sweep(netlist: Netlist, grid: SweepGrid) -> SParameterTrace:
@@ -257,9 +290,5 @@ def sweep(netlist: Netlist, grid: SweepGrid) -> SParameterTrace:
     freqs = grid.frequencies()
     z01 = netlist.input_port_impedance
     z02 = netlist.output_port_impedance
-    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        total, det = netlist_abcd_array(netlist, freqs)
-        s11, s12, s21, s22 = _abcd_to_s(total, det, z01, z02)
-    if not all(np.isfinite(x).all() for x in (s11, s12, s21, s22)):
-        raise NonFiniteResult("S-parameters are not finite; a section value overflows")
+    s11, s12, s21, s22 = _checked_s(lambda: netlist_abcd_array(netlist, freqs), z01, z02)
     return SParameterTrace(freqs, s11, s21, s12, s22, (z01, z02))

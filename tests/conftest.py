@@ -5,8 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from rfladder import fitting
 from rfladder.geometry import canonical_cavities, canonical_geometry
 from rfladder.netlist import Netlist, Section
+from rfladder.network import SweepGrid, sweep
 
 RLC_TOPOLOGIES = (
     "series_rlc",
@@ -94,3 +96,40 @@ def random_netlist(rng: np.random.Generator, lossless: bool = False) -> Netlist:
         random_section(rng, f"s{k}", lossless) for k in range(int(rng.integers(1, 9)))
     )
     return Netlist(log_uniform(rng, 5.0, 100.0), log_uniform(rng, 1.0, 100.0), sections)
+
+
+def recovery_problem(seed: int) -> tuple[fitting.FitProblem, Netlist]:
+    """Trial `seed` of criterion 10's synthetic-recovery corpus: (problem, generating ladder)."""
+    rng = np.random.default_rng(1000 + seed)
+    n_sections = int(rng.integers(1, 4))
+    sections = []
+    for k in range(n_sections):
+        sections.append(
+            Section(
+                f"s{k}",
+                "series_rl_shunt_c",
+                {
+                    "R": log_uniform(rng, 2.0, 40.0),
+                    "L": log_uniform(rng, 2e-9, 1.2e-8),
+                    "C": log_uniform(rng, 0.5e-12, 4e-12),
+                },
+            )
+        )
+    truth = Netlist(50.0, 4.5, tuple(sections))
+    grid = SweepGrid(0.3e9, 6e9, 201)
+    target = sweep(truth, grid)
+
+    candidates = [(f"s{k}", p) for k in range(n_sections) for p in ("L", "C")]
+    rng.shuffle(candidates)
+    free = tuple(candidates[: min(4, len(candidates))])
+    perturbed = [
+        truth.section(s).params[p] * float(rng.uniform(0.5, 1.5)) for s, p in free
+    ]
+    start = fitting._with_values(truth, free, perturbed)
+    bounds = tuple((v / 10.0, v * 10.0) for v in perturbed)
+    # seeded multi-start: the documented escape hatch for local-search ruts
+    problem = fitting.FitProblem(
+        start, free, bounds, target, grid,
+        max_iterations=800, tolerance=1e-14, seed=seed, restarts=3,
+    )
+    return problem, truth

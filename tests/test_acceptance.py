@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import REFERENCE_ELEMENTS, log_uniform, random_netlist
+from conftest import REFERENCE_ELEMENTS, random_netlist, recovery_problem
 from rfladder import analysis, cli, elements, fitting, geometry, netlist, touchstone
 from rfladder.network import (
     AbcdMatrix,
@@ -224,42 +224,11 @@ def test_criterion_9_end_to_end_pipeline(tmp_path, capsys):
 
 def _recovery_trial(seed: int) -> float:
     """One synthetic-recovery fit; returns the worst per-parameter error."""
-    rng = np.random.default_rng(1000 + seed)
-    n_sections = int(rng.integers(1, 4))
-    sections = []
-    for k in range(n_sections):
-        sections.append(
-            netlist.Section(
-                f"s{k}",
-                "series_rl_shunt_c",
-                {
-                    "R": log_uniform(rng, 2.0, 40.0),
-                    "L": log_uniform(rng, 2e-9, 1.2e-8),
-                    "C": log_uniform(rng, 0.5e-12, 4e-12),
-                },
-            )
-        )
-    truth = netlist.Netlist(50.0, 4.5, tuple(sections))
-    grid = SweepGrid(0.3e9, 6e9, 201)
-    target = sweep(truth, grid)
-
-    candidates = [(f"s{k}", p) for k in range(n_sections) for p in ("L", "C")]
-    rng.shuffle(candidates)
-    free = tuple(candidates[: min(4, len(candidates))])
-    perturbed = [
-        truth.section(s).params[p] * float(rng.uniform(0.5, 1.5)) for s, p in free
-    ]
-    start = fitting._with_values(truth, free, perturbed)
-    bounds = tuple((v / 10.0, v * 10.0) for v in perturbed)
-    # seeded multi-start: the documented escape hatch for local-search ruts
-    problem = fitting.FitProblem(
-        start, free, bounds, target, grid,
-        max_iterations=800, tolerance=1e-14, seed=seed, restarts=3,
-    )
+    problem, truth = recovery_problem(seed)
     result = fitting.fit(problem)
     return max(
         abs(result.parameters[f"{s}.{p}"] / truth.section(s).params[p] - 1)
-        for s, p in free
+        for s, p in problem.free_parameters
     )
 
 

@@ -202,6 +202,30 @@ def test_out_of_range_extraction_exits_3(tmp_path, capsys, args):
     assert not list(tmp_path.glob("x.*"))
 
 
+def test_thick_substrate_extraction_names_cavity_and_height(tmp_path, geometry_file, capsys):
+    thick = tmp_path / "thick.geo"
+    thick.write_text(geometry_file.read_text().replace("h = 1.7 mm", "h = 100 mm"))
+    assert run(["extract", "--geometry", thick, "--out", tmp_path / "e.csv"]) == 2
+    err = capsys.readouterr().err
+    assert "error: cavity 1: inductance is not positive at substrate height h = 0.1 m" in err
+    assert "ind_eq needs h < (W+d)^2/W * ((W+d)/d)^(d/W)" in err
+
+
+def test_fit_eps_eff_keeps_its_low_bound_in_domain(tmp_path, capsys):
+    elements_csv, ladder, target = tmp_path / "e.csv", tmp_path / "l.net", tmp_path / "t.s2p"
+    assert run(["extract", "--out", elements_csv]) == 0
+    assert run(["build", "--elements", elements_csv, "--out", ladder]) == 0
+    assert run(["simulate", "--netlist", ladder, "--points", "201", "--out", target]) == 0
+    text = ladder.read_text()
+    assert "eps_eff=3.32599074017086" in text
+    ladder.write_text(text.replace("eps_eff=3.32599074017086", "eps_eff=1.3"))
+    # the default --bounds-factor 10 would put the low bound at 0.13
+    assert run(["fit", "--netlist", ladder, "--target", target, "--vary", "c0.eps_eff",
+                "--restarts", "2", "--out", tmp_path / "f.net"]) == 0
+    fitted = netlist.parse((tmp_path / "f.net").read_text()).section("c0").params["eps_eff"]
+    assert 1.0 <= fitted <= 13.0
+
+
 def test_microstrip_zero_height_exits_2(capsys):
     assert run(["microstrip", "--width", "1e-3", "--height", "0", "--er", "4.4"]) == 2
     assert "error: height must be strictly positive" in capsys.readouterr().err
