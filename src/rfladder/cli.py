@@ -253,7 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vary", required=True, help="comma list of section.param to free")
     p.add_argument("--max-iter", type=int, default=500, help="default %(default)s")
     p.add_argument("--tol", type=_number, default=1e-10,
-                   help="relative cost-spread stop (default %(default)s)")
+                   help="stop once a step cuts the cost by less than this fraction"
+                   " or moves no log-value further (default %(default)s)")
     p.add_argument("--seed", type=int, default=0, help="seed for restarts (default %(default)s)")
     p.add_argument("--restarts", type=int, default=0,
                    help="extra seeded starts inside the bounds (default %(default)s)")

@@ -1,20 +1,31 @@
-"""Derivative-free least-squares adjustment of netlist parameters.
+"""Bounded least-squares adjustment of netlist parameters.
 
-The optimizer is a bounded Nelder-Mead working on the logs of the free
-parameters: R/L/C values span decades and must stay positive, and the
-log transform gives both properties for free. Residuals live in dB
-because that is how reflection requirements are stated. Every candidate
-vector is clamped into its bounds before evaluation, so the search can
-never leave the feasible box.
+Both optimizers work on the logs of the free parameters: R/L/C values
+span decades and must stay positive, and the log transform gives both
+properties for free. Residuals live in dB because that is how
+reflection requirements are stated. Every candidate vector is clamped
+into its bounds before evaluation, so a search never leaves the
+feasible box.
+
+A trace target is fitted by Levenberg-Marquardt (Levenberg 1944,
+Marquardt 1963) on the dB residuals, with a forward-difference
+Jacobian. A mask target keeps Nelder-Mead (1965): its cost has kinks
+where the ceiling is met, which a Jacobian does not model.
 
 A problem is compiled once per fit: the angular frequencies, where each
 free parameter enters its section, and the target's dB on the fit grid
 (or each mask interval's selection) are fixed up front, and one
 objective call scores a batch of parameter sets in one vectorized
-sweep. The 1 + `restarts` searches run in lockstep, every search's
-pending points scored in one call per step. Each search evaluates
-exactly the points it would evaluate alone, so results, and the errors
-raised, are identical to running the searches one after another.
+sweep. A Levenberg-Marquardt iteration is one such call: the trial point
+and its n difference probes. The restarts run only when the first run
+ended above the float floor, the cost at which the residuals are
+rounding. Searches run in lockstep, every search's pending points scored
+in one call per step: the 1 + `restarts` Nelder-Mead searches, and the
+Levenberg-Marquardt restarts, where the first to reach the floor ends
+the sequence. Each search evaluates exactly the points it would evaluate
+alone, so results, and the errors raised, are identical to running the
+searches one after another, each Levenberg-Marquardt restart only while
+every earlier run ended above the floor.
 """
 
 from __future__ import annotations
@@ -59,6 +70,23 @@ class Mask:
             prev_hi = hi
 
 
+def _trace_residual(trace: SParameterTrace, f: np.ndarray):
+    """Map `(K, F)` s11 dB on grid `f` to the `(K, M)` dB residuals against `trace`.
+
+    Returns the map and the target's dB on the M grid points it keeps.
+    """
+    keep, target_db = _resample(f, trace)
+
+    def residual(db):
+        return (db if keep is None else np.compress(keep, db, axis=-1)) - target_db
+
+    return residual, target_db
+
+
+def _mean_square(residuals):
+    return np.mean(residuals * residuals, axis=-1)
+
+
 def _scorer(target, f: np.ndarray):
     """Map `(K, F)` s11 dB on grid `f` to the K costs `cost` defines.
 
@@ -78,13 +106,8 @@ def _scorer(target, f: np.ndarray):
             return acc / count if count else acc
 
         return score
-    keep, target_db = _resample(f, target)
-
-    def score(db):
-        delta = (db if keep is None else np.compress(keep, db, axis=-1)) - target_db
-        return np.mean(delta * delta, axis=-1)
-
-    return score
+    residual, _ = _trace_residual(target, f)
+    return lambda db: _mean_square(residual(db))
 
 
 def cost(netlist: Netlist, target, grid: SweepGrid) -> float:
@@ -140,7 +163,10 @@ class FitResult:
     iterations: int
     converged: bool
     netlist: Netlist
-    stop_reason: str  # "tolerance", "collapsed", "max_iterations" or "no_search"
+    # why the best search stopped: "tolerance", "step" or "damping" (Levenberg-Marquardt),
+    # "tolerance" or "collapsed" (Nelder-Mead), all converged; "max_iterations" or
+    # "no_search" (max_iterations is 0), not converged
+    stop_reason: str
 
 
 def _with_values(netlist: Netlist, free, values) -> Netlist:
@@ -160,7 +186,12 @@ def _with_values(netlist: Netlist, free, values) -> Netlist:
 
 _SIMPLEX_STEP = 0.15  # initial vertex offset in log space (~16 % in value)
 _COLLAPSE = 1e-9  # log-space simplex diameter treated as fully converged
-_CONVERGED = ("tolerance", "collapsed")
+_FD_STEP = 2.0**-26  # forward-difference step in log space (~1.5e-8 in value)
+_DAMPING = 1e-3  # LM's first damping, relative to the largest diagonal entry of J^T J
+_MAX_DAMPING = 1e16  # damping, so relative, past which no step is left to try
+_FLOOR_ULPS = 64.0  # residual, in epsilons of 1 + |target dB|, that counts as an exact fit
+# stop reasons of a search that ended by its own rule, not by the iteration limit
+_CONVERGED = ("tolerance", "collapsed", "step", "damping")
 _BATCH_ELEMENTS = 1 << 16  # rows x frequencies per sweep, bounding memory for many restarts
 
 
@@ -170,7 +201,9 @@ class _Objective:
     Holds the angular frequencies, where each free column enters its
     section, and the target scorer. Calling it checks every free column
     against its parameter's domain, as building each candidate's
-    sections would, and scores all rows in one sweep.
+    sections would, and scores all rows in one sweep. For a trace target
+    `residuals` returns the dB residual rows instead, and `floor` is the
+    cost below which rounding, not the parameters, sets the residuals.
     """
 
     def __init__(self, problem: FitProblem, start_values: np.ndarray):
@@ -187,7 +220,13 @@ class _Objective:
         self._checks = [(p, j) for _, _, slots in self._sections for p, j in slots]
         # sweep the start before resampling the target, so errors come in cost()'s order
         start_db = self.s11_db(start_values[None])
-        self._score = _scorer(problem.target, f)
+        if isinstance(problem.target, Mask):
+            self._score = _scorer(problem.target, f)
+        else:
+            self._residual, target_db = _trace_residual(problem.target, f)
+            self._score = lambda db: _mean_square(self._residual(db))
+            eps = np.finfo(float).eps
+            self.floor = float(_mean_square(_FLOOR_ULPS * eps * (1.0 + np.abs(target_db))))
         self.initial_cost = float(self._score(start_db)[0])
 
     def s11_db(self, values: np.ndarray) -> np.ndarray:
@@ -203,11 +242,18 @@ class _Objective:
             sections.append((topology, params))
         return magnitude_db(_batch_s11(sections, self._w, *self._ports))
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
+    def _rows(self, x: np.ndarray, of) -> np.ndarray:
         rows = max(1, _BATCH_ELEMENTS // len(self._w))
         return np.concatenate(
-            [self._score(self.s11_db(np.exp(x[k : k + rows]))) for k in range(0, len(x), rows)]
+            [of(self.s11_db(np.exp(x[k : k + rows]))) for k in range(0, len(x), rows)]
         )
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return self._rows(x, self._score)
+
+    def residuals(self, x: np.ndarray) -> np.ndarray:
+        """dB residual rows, shape `(K, M)`, of K rows of log-parameters (trace targets)."""
+        return self._rows(x, self._residual)
 
 
 def _nm_steps(x0, lo, hi, max_iterations, tolerance):
@@ -281,14 +327,98 @@ def _nm_steps(x0, lo, hi, max_iterations, tolerance):
     return xs[best], fs[best], iterations, reason
 
 
-def _lockstep(costs, runs):
-    """Drive `_nm_steps` coroutines together and return each one's result, in order.
+def _lm_steps(x0, lo, hi, max_iterations, tolerance, floor):
+    """Levenberg-Marquardt on clamped vectors, as a coroutine.
+
+    Every iteration yields one trial point followed by its n
+    forward-difference probes and receives their residual rows, so a
+    trial and the Jacobian at it cost one batch. A parameter on a bound
+    that the gradient pushes outward is held there for the step. The
+    damping follows Nielsen's rule: a step that lowers the cost is taken
+    and scales the damping by max(1/3, 1 - (2*gain - 1)**3), where gain
+    is the actual over the predicted decrease; a refused step multiplies
+    it by a factor that doubles with each refusal in a row.
+
+    Returns (best_x, best_f, iterations, stop_reason): "tolerance" when
+    the cost is at `floor` or a taken step lowered it by no more than
+    `tolerance` relative, "step" when a taken step moved no
+    log-parameter by more than `tolerance` or no parameter can move
+    downhill, "damping" when the damping passed its limit without a
+    lower cost, else "max_iterations".
+    """
+    n = len(x0)
+
+    def probed(x):
+        signs = np.where(x + _FD_STEP <= hi, 1.0, -1.0)
+        probes = np.clip(x + np.diag(signs * _FD_STEP), lo, hi)
+        rows = np.asarray((yield [x, *probes]))
+        steps = np.diagonal(probes) - x
+        jac = np.divide(rows[1:] - rows[0], steps[:, None], out=np.zeros((n, rows.shape[1])),
+                        where=steps[:, None] != 0)  # transposed: one row per parameter
+        return float(_mean_square(rows[:1])[0]), rows[0], jac
+
+    x = np.clip(np.array(x0, dtype=float), lo, hi)
+    f, r, jac = yield from probed(x)
+    damping = _DAMPING * np.max(np.sum(jac * jac, axis=1))
+    growth = 2.0
+    iterations = 0
+    reason = "max_iterations"
+    while iterations < max_iterations and f > floor:
+        gradient = jac @ r
+        normal = jac @ jac.T
+        # a parameter on a bound that the gradient pushes outward stays there
+        held = ((x <= lo) & (gradient > 0)) | ((x >= hi) & (gradient < 0))
+        downhill = np.where(held, 0.0, -gradient)
+        if not downhill.any():
+            reason = "step"  # no parameter left that can lower the cost
+            break
+        iterations += 1
+        system = normal + damping * np.eye(n)
+        if held.any():
+            system[held] = system[:, held] = 0.0
+            system[held, held] = 1.0
+        try:
+            trial = np.clip(x + np.linalg.solve(system, downhill), lo, hi)
+        except np.linalg.LinAlgError:  # singular to working precision: refuse, damp harder
+            trial = x
+        step = trial - x
+        predicted = -step @ (2.0 * gradient + normal @ step) / len(r)
+        f_t, r_t, jac_t = yield from probed(trial)
+        if f_t < f:
+            decrease = f - f_t
+            gain = decrease / predicted if decrease < predicted else 1.0
+            factor = max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+            damping = max(damping * factor, np.finfo(float).tiny)
+            growth = 2.0
+            x, f, r, jac = trial, f_t, r_t, jac_t
+            if decrease <= tolerance * (f + decrease):
+                reason = "tolerance"
+                break
+            if np.max(np.abs(step)) <= tolerance:
+                reason = "step"
+                break
+        else:
+            damping *= growth
+            growth *= 2.0
+            if damping > _MAX_DAMPING * np.max(np.diagonal(normal)):
+                reason = "damping"
+                break
+    if f <= floor:
+        reason = "tolerance"
+    return x, f, iterations, reason
+
+
+def _lockstep(costs, runs, last=lambda result: False):
+    """Drive search coroutines together and return each one's result, in order.
 
     Every round scores the pending points of all live runs in one
-    `costs` call. When that call raises, the points are scored one at a
-    time: the first that raises stops its run and every later run, and
-    its error is raised once the earlier runs finish, as it would be if
-    the runs went one after another.
+    `costs` call and sends each run its rows of the result: costs for
+    `_nm_steps`, residual rows for `_lm_steps`. When that call raises,
+    the points are scored one at a time: the first that raises stops its
+    run and every later run, and its error is raised once the earlier
+    runs finish, as it would be if the runs went one after another. A
+    run whose result satisfies `last` ends the sequence: the runs after
+    it are dropped with their results and errors, as if never started.
     """
     results = [None] * len(runs)
     pending = {k: next(run) for k, run in enumerate(runs)}
@@ -296,25 +426,32 @@ def _lockstep(costs, runs):
     while pending:
         batch = np.array([x for points in pending.values() for x in points])
         try:
-            values = costs(batch).tolist()
+            values = list(costs(batch))
         except RfLadderError:
             values = []
             owners = [k for k, points in pending.items() for _ in points]
             for k, x in zip(owners, batch):
                 try:
-                    values.append(costs(x[None]).item())
+                    values.append(costs(x[None])[0])
                 except RfLadderError as exc:
                     error = exc
                     pending = {j: points for j, points in pending.items() if j < k}
                     break
         start = 0
         for k, points in list(pending.items()):
+            rows = values[start : start + len(points)]
+            start += len(points)
+            if k not in pending:  # dropped this round by an earlier run's `last`
+                continue
             try:
-                pending[k] = runs[k].send(values[start : start + len(points)])
+                pending[k] = runs[k].send(rows)
             except StopIteration as stop:
                 results[k] = stop.value
                 del pending[k]
-            start += len(points)
+                if last(stop.value):
+                    pending = {j: points for j, points in pending.items() if j < k}
+                    del results[k + 1 :]
+                    error = None  # raised by a later run, if any
     if error is not None:
         raise error
     return results
@@ -363,8 +500,18 @@ def fit(problem: FitProblem) -> FitResult:
     x0 = np.clip(np.log(start_values), lo, hi)
     rng = np.random.default_rng(problem.seed)
     starts = [x0] + [rng.uniform(lo, hi) for _ in range(problem.restarts)]
-    runs = [_nm_steps(x, lo, hi, problem.max_iterations, problem.tolerance) for x in starts]
-    results = _lockstep(objective, runs)
+    settings = (problem.max_iterations, problem.tolerance)
+    if isinstance(problem.target, Mask):
+        # a mask's cost has kinks where the ceiling is met: Nelder-Mead, all runs in lockstep
+        results = _lockstep(objective, [_nm_steps(x, lo, hi, *settings) for x in starts])
+    else:
+        # restarts run only when run 0 ended above the float floor, then in lockstep;
+        # the first of them to reach the floor ends the sequence
+        floor = objective.floor
+        runs = [_lm_steps(x, lo, hi, *settings, floor) for x in starts]
+        results = _lockstep(objective.residuals, runs[:1])
+        if results[0][1] > floor:
+            results += _lockstep(objective.residuals, runs[1:], last=lambda run: run[1] <= floor)
     total_iterations = sum(iterations for _, _, iterations, _ in results)
     best_x, best_f, _, best_reason = results[0]
     for x, f, _, reason in results[1:]:
@@ -372,7 +519,7 @@ def fit(problem: FitProblem) -> FitResult:
             best_x, best_f, best_reason = x, f, reason
 
     if best_f < initial_cost:
-        return result_for(np.exp(best_x), best_f, total_iterations, best_reason)
+        return result_for(np.exp(best_x), float(best_f), total_iterations, best_reason)
     # the search never strictly improved on the starting point
     return result_for(start_values, initial_cost, total_iterations, best_reason)
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_netlist, recovery_problem
+from conftest import random_netlist, recovery_problem, reference_ladder
 from rfladder import fitting as ft
 from rfladder.analysis import NoOverlap
 from rfladder.errors import InputError, NonFiniteResult, RfLadderError
@@ -137,16 +137,39 @@ def test_fit_zero_iterations():
     assert result.stop_reason == "no_search"
 
 
+def _unreachable_target():
+    # the first section's R differs, and R is not free, so no fit reaches zero cost
+    net = two_section_ladder()
+    sections = (dataclasses.replace(net.sections[0], params={"R": 7.0, "L": 3e-9, "C": 1e-12}),
+                net.sections[1])
+    return sweep(dataclasses.replace(net, sections=sections), GRID)
+
+
 def test_fit_stop_reasons():
-    assert ft.fit(_recovery_problem(max_iterations=5)).stop_reason == "max_iterations"
-    result = ft.fit(_recovery_problem())
-    assert (result.stop_reason, result.converged) == ("collapsed", True)
+    # trace targets: Levenberg-Marquardt
+    result = ft.fit(_recovery_problem(max_iterations=5))
+    assert (result.stop_reason, result.converged, result.iterations) == ("max_iterations", False, 5)
+    result = ft.fit(_recovery_problem())  # reaches the float floor
+    assert (result.stop_reason, result.converged) == ("tolerance", True)
+    result = ft.fit(dataclasses.replace(_recovery_problem(), tolerance=1e-3))
+    assert (result.stop_reason, result.converged) == ("step", True)
+    # no relative stop on an unreachable target: it ends when no damping finds a lower cost
+    loose = dataclasses.replace(_recovery_problem(), target=_unreachable_target(), tolerance=0.0)
+    result = ft.fit(loose)
+    assert (result.stop_reason, result.converged) == ("damping", True)
+    assert result.final_cost > 0.1
     # every candidate meets the mask, so the cost spread is zero at once
     met = dataclasses.replace(
         _recovery_problem(), target=ft.Mask(((GRID.start, GRID.stop, 60.0),))
     )
     result = ft.fit(met)
     assert (result.stop_reason, result.converged, result.iterations) == ("tolerance", True, 0)
+    # no candidate meets the mask and there is no cost-spread stop: the simplex collapses
+    unmet = dataclasses.replace(
+        _recovery_problem(), target=ft.Mask(((GRID.start, GRID.stop, -10.0),)), tolerance=0.0
+    )
+    result = ft.fit(unmet)
+    assert (result.stop_reason, result.converged, result.iterations) == ("collapsed", True, 65)
 
 
 def test_fit_already_optimal_start():
@@ -258,17 +281,28 @@ def test_compiled_objective_splits_large_batches():
     assert objective(rows).tolist() == [objective(x[None]).item() for x in rows]
 
 
-def test_fit_restarts_equal_sequential_runs():
-    problem = dataclasses.replace(_recovery_problem(seed=4), restarts=3)
-    free = problem.free_parameters
+def _log_starts(problem):
+    """Log bounds and the 1 + restarts log start vectors `fit` draws."""
     lo_values, hi_values = np.array(problem.bounds).T
     lo, hi = np.log(lo_values), np.log(hi_values)
+    free = problem.free_parameters
     start = np.clip([problem.netlist.section(s).params[p] for s, p in free], lo_values, hi_values)
     rng = np.random.default_rng(problem.seed)
-    starts = [np.clip(np.log(start), lo, hi)] + [rng.uniform(lo, hi) for _ in range(3)]
+    starts = [np.clip(np.log(start), lo, hi)]
+    return lo, hi, starts + [rng.uniform(lo, hi) for _ in range(problem.restarts)]
+
+
+def test_fit_restarts_equal_sequential_runs():
+    # a mask target keeps the Nelder-Mead lockstep; every run ends above zero cost
+    problem = dataclasses.replace(
+        _recovery_problem(seed=4), restarts=3, target=ft.Mask(((1e9, 3e9, -6.0),))
+    )
+    lo, hi, starts = _log_starts(problem)
 
     def objective(x):
-        return ft.cost(ft._with_values(problem.netlist, free, np.exp(x)), problem.target, GRID)
+        values = np.exp(x)
+        return ft.cost(ft._with_values(problem.netlist, problem.free_parameters, values),
+                       problem.target, GRID)
 
     runs = [
         ft._nelder_mead(objective, x0, lo, hi, problem.max_iterations, problem.tolerance)
@@ -287,30 +321,40 @@ def test_fit_restarts_equal_sequential_runs():
     assert result.converged == converged
 
 
-# criterion-10 trials fitted before the objective was compiled and the
-# restarts run in lockstep: (parameters, final_cost, iterations, converged)
+# criterion-10 trials fitted by Levenberg-Marquardt when it took over trace
+# targets: (parameters, final_cost, iterations, converged); trial 31's first
+# three runs end in local minima, so it runs every restart
 CRITERION_10_PINNED = {
-    0: ({"s0.C": 7.629941115446061e-13, "s0.L": 4.650438914538033e-09},
-        3.66460965917573e-25, 326, True),
-    3: ({"s0.C": 1.9757147562363984e-12, "s0.L": 4.8524976378924945e-09},
-        9.901765133326599e-24, 324, True),
-    7: ({"s0.C": 7.525116040539465e-13, "s0.L": 6.328861939592643e-09},
-        9.576845820347302e-26, 378, True),
+    0: ({"s0.L": 4.65043891453501e-09, "s0.C": 7.629941112847394e-13},
+        4.1585982475987486e-30, 14, True),
+    3: ({"s0.C": 1.975714755624083e-12, "s0.L": 4.852497637904993e-09},
+        1.4529936047381774e-29, 9, True),
+    7: ({"s0.L": 6.328861939595387e-09, "s0.C": 7.525116042348487e-13},
+        1.8829945461603632e-29, 15, True),
+    31: ({"s1.L": 7.136225261936585e-09, "s0.L": 6.5506814540781365e-09,
+          "s2.L": 9.222973403371882e-09, "s0.C": 2.048465295416504e-12},
+         2.3087470202696047e-28, 341, True),
 }
 
 
 @pytest.mark.parametrize("trial", sorted(CRITERION_10_PINNED))
 def test_criterion_10_trials_unchanged(trial):
-    result = ft.fit(recovery_problem(trial)[0])
+    problem, truth = recovery_problem(trial)
+    result = ft.fit(problem)
     assert (
         result.parameters, result.final_cost, result.iterations, result.converged
     ) == CRITERION_10_PINNED[trial]
+    for key, value in result.parameters.items():
+        section, param = key.split(".")
+        assert value == pytest.approx(truth.section(section).params[param], rel=1e-6)
 
 
 def test_fit_reports_overflow_in_a_restart():
-    # run 0 stays put at the target; the restart with seed 4 climbs until L*w overflows
-    net = Netlist(50.0, 50.0, (Section("s", "series_rlc", {"L": 1e-9, "R": 5.0}),))
-    problem = ft.FitProblem(net, (("s", "L"),), ((1e-12, 1e308),), sweep(net, GRID), GRID,
+    # run 0 stays put under the mask; a restart with seed 4 starts far along the
+    # line, where the cost has no slope to follow, and wanders until theta overflows
+    line = Netlist(50.0, 50.0, (Section("t", "tline", {"z0": 30.0, "eps_eff": 1.0, "len": 1e-3}),))
+    mask = ft.Mask(((GRID.start, GRID.stop, -10.0),))
+    problem = ft.FitProblem(line, (("t", "len"),), ((1e-4, 1e308),), mask, GRID,
                             max_iterations=300, seed=4, restarts=3)
     with pytest.raises(NonFiniteResult):
         ft.fit(problem)
@@ -344,11 +388,204 @@ def test_lockstep_raises_the_error_the_sequential_order_meets_first():
         ft._lockstep(costs, runs)
 
 
+def test_lockstep_drops_the_runs_after_the_last():
+    def run(rounds, value):
+        for _ in range(rounds):
+            yield [np.array([value])]
+        return value
+
+    def costs(points):
+        if np.any(points < 0.0):
+            raise _Left()
+        return points[:, 0]
+
+    def runs():
+        # run 1 is the last; run 2 ends before it and run 3 raises before it ends
+        return [run(3, 1.0), run(3, 0.0), run(1, 2.0), run(1, -1.0)]
+
+    with pytest.raises(_Left):
+        ft._lockstep(costs, runs())
+    assert ft._lockstep(costs, runs(), last=lambda value: value == 0.0) == [1.0, 0.0]
+    # a later run still going when the last one ends never finishes
+    assert ft._lockstep(costs, [run(2, 0.0), run(5, 3.0)], lambda value: value == 0.0) == [0.0]
+
+
 def test_fit_checks_each_candidate_against_its_domain():
     # bounds that bypass FitProblem's check still meet the per-candidate check
     line = _tline()
-    problem = ft.FitProblem(line, (("t", "eps_eff"),), ((1.0, 13.0),), sweep(line, GRID), GRID,
-                            restarts=2)
+    mask = ft.Mask(((GRID.start, GRID.stop, -10.0),))
+    problem = ft.FitProblem(line, (("t", "eps_eff"),), ((1.0, 13.0),), mask, GRID, restarts=2)
     object.__setattr__(problem, "bounds", ((0.13, 13.0),))
     with pytest.raises(NonPositiveParameter, match="eps_eff"):
         ft.fit(problem)
+
+
+def _objective_for(problem):
+    start = [problem.netlist.section(s).params[p] for s, p in problem.free_parameters]
+    return ft._Objective(problem, np.clip(start, *np.array(problem.bounds).T))
+
+
+@pytest.mark.parametrize(
+    "case", ["trial_1", "trial_31", "other_grid", "partial_overlap", "unreachable"]
+)
+def test_lm_final_cost_is_the_cost_of_the_result(case):
+    if case.startswith("trial_"):
+        problem = recovery_problem(int(case[6:]))[0]
+    elif case == "unreachable":
+        problem = dataclasses.replace(_recovery_problem(), target=_unreachable_target())
+    else:
+        grid = SweepGrid(0.2e9, 7e9, 801) if case == "other_grid" else SweepGrid(1e9, 8e9, 333)
+        problem = dataclasses.replace(_recovery_problem(), target=sweep(two_section_ladder(), grid))
+    result = ft.fit(problem)
+    assert result.final_cost < result.initial_cost
+    assert result.initial_cost == ft.cost(problem.netlist, problem.target, problem.grid)
+    assert result.final_cost == ft.cost(result.netlist, problem.target, problem.grid)
+
+
+def test_lm_fit_deterministic_per_seed():
+    problem = recovery_problem(31)[0]  # runs all its restarts
+    assert ft.fit(problem) == ft.fit(problem)
+    other = ft.fit(dataclasses.replace(problem, seed=5))
+    assert other == ft.fit(dataclasses.replace(problem, seed=5))
+    assert other != ft.fit(problem)
+
+
+@pytest.mark.parametrize("side", ["below", "above"])
+def test_lm_rows_stay_within_bounds(side, monkeypatch):
+    # the generating values lie outside the box, so the search ends on a bound
+    problem = _recovery_problem(perturbation=1.25 if side == "below" else 0.8)
+    start = [problem.netlist.section(s).params[p] for s, p in problem.free_parameters]
+    bounds = tuple((v / 1.1, v * 1.1) for v in start)
+    problem = dataclasses.replace(problem, bounds=bounds, restarts=2)
+    lo, hi = np.log(np.array(bounds)).T
+    seen = []
+    residuals = ft._Objective.residuals
+
+    def recording(self, x):
+        seen.append(x.copy())
+        return residuals(self, x)
+
+    monkeypatch.setattr(ft._Objective, "residuals", recording)
+    result = ft.fit(problem)
+    rows = np.concatenate(seen)
+    # a trial and its probes per run, for each run in the call
+    assert all(len(x) % (len(bounds) + 1) == 0 for x in seen)
+    assert np.all(rows >= lo) and np.all(rows <= hi)
+    values = np.array(list(result.parameters.values()))
+    edge = np.array(bounds)[:, 0 if side == "below" else 1]
+    assert np.any(np.isclose(values, edge, rtol=1e-12, atol=0.0))
+
+
+def test_lm_probes_stay_inside_bounds_narrower_than_the_step():
+    line = _tline(eps_eff=1.0)
+    problem = ft.FitProblem(line, (("t", "eps_eff"),), ((1.0, 1.0 + 1e-9),),
+                            sweep(_tline(), GRID), GRID)
+    assert 1.0 <= ft.fit(problem).parameters["t.eps_eff"] <= 1.0 + 1e-9
+
+
+def test_residuals_split_large_batches():
+    problem = _recovery_problem()
+    objective = _objective_for(problem)
+    rows = _random_rows(np.random.default_rng(3), problem, 2 * ft._BATCH_ELEMENTS // GRID.points)
+    residuals = objective.residuals(rows)
+    assert residuals.shape == (len(rows), GRID.points)
+    assert residuals.tolist() == [objective.residuals(x[None])[0].tolist() for x in rows]
+    assert ft._mean_square(residuals).tolist() == objective(rows).tolist()
+
+
+@pytest.mark.parametrize("trial", [0, 27, 31])
+def test_restart_runs_only_after_runs_above_the_floor(trial):
+    # the restarts run in lockstep, but fit returns what runs in seed order give
+    # when each starts only if every earlier one ended above the floor
+    problem = recovery_problem(trial)[0]
+    objective = _objective_for(problem)
+    lo, hi, starts = _log_starts(problem)
+    runs = []
+    for x0 in starts:
+        if runs and runs[-1][1] <= objective.floor:
+            break
+        steps = ft._lm_steps(x0, lo, hi, problem.max_iterations, problem.tolerance,
+                             objective.floor)
+        runs += ft._lockstep(objective.residuals, [steps])
+    assert len(runs) == {0: 1, 27: 3, 31: 4}[trial]
+    assert all(f > objective.floor for _, f, _, _ in runs[:-1])
+    best = min(runs, key=lambda run: run[1])  # the first of equal costs, as fit keeps
+    result = ft.fit(problem)
+    assert result.final_cost == best[1] <= objective.floor
+    assert list(result.parameters.values()) == np.exp(best[0]).tolist()
+    assert result.iterations == sum(run[2] for run in runs)
+
+
+def test_lm_probe_past_overflow_raises_non_finite():
+    # w*L is finite at the start but not one forward-difference step above it
+    start = np.finfo(float).max / (2.0 * np.pi * GRID.stop) * (1.0 - 5e-9)
+    net = Netlist(50.0, 50.0, (Section("s", "series_rlc", {"L": start}),))
+    problem = ft.FitProblem(net, (("s", "L"),), ((1e-12, 1e308),), sweep(net, GRID), GRID)
+    with pytest.raises(NonFiniteResult):
+        ft.fit(problem)
+    # on the upper bound the probe steps down instead
+    result = ft.fit(dataclasses.replace(problem, bounds=((start / 10.0, start),)))
+    assert (result.final_cost, result.iterations) == (0.0, 0)
+
+
+def test_lm_checks_each_candidate_against_its_domain():
+    # the target is the line at eps_eff 0.5, below the domain the forced bounds open
+    line = Netlist(50.0, 50.0, (Section("t", "tline", {"z0": 30.0, "eps_eff": 1.3, "len": 0.005}),))
+    shorter = Section("t", "tline", {"z0": 30.0, "eps_eff": 1.0, "len": 0.005 * math.sqrt(0.5)})
+    target = sweep(dataclasses.replace(line, sections=(shorter,)), GRID)
+    problem = ft.FitProblem(line, (("t", "eps_eff"),), ((1.0, 13.0),), target, GRID)
+    result = ft.fit(problem)  # held on its low bound
+    assert (result.parameters["t.eps_eff"], result.stop_reason) == (1.0, "step")
+    object.__setattr__(problem, "bounds", ((0.13, 13.0),))
+    with pytest.raises(NonPositiveParameter, match="eps_eff"):
+        ft.fit(problem)
+
+
+# Mask fits of the reference ladder recorded before trace targets moved to
+# Levenberg-Marquardt; masks keep Nelder-Mead, so these must not move a bit.
+MASK_GRID = SweepGrid(0.3e9, 6e9, 201)
+MASK_PINNED = {
+    "band": (
+        {"c1.R": 3.4303883589856996, "c1.L": 1.7795333033639144e-09,
+         "c1.C": 5.618483994030129e-13, "c2.R": 21.855002674394214,
+         "c2.L": 2.8888639394251455e-09, "c2.C": 9.411612504444047e-13,
+         "c3.R": 21.53321618519871, "c3.L": 3.4158506120932752e-09,
+         "c3.C": 1.5022597737927155e-12, "c4.R": 40.46943552275578,
+         "c4.L": 4.05607140514722e-09, "c4.C": 3.2690427618805855e-12,
+         "c5.R": 42.92183907377051, "c5.L": 9.941035864789477e-09,
+         "c5.C": 4.41939626973437e-12},
+        0.0, 327, "tolerance",
+    ),
+    "two_intervals": (
+        {"c0.eps_eff": 3.3481256639115973, "c0.len": 0.11872279442414434,
+         "c2.L": 2.5153943437728934e-09, "c5.R": 68.18116284994719},
+        0.024745759728582152, 196, "tolerance",
+    ),
+}
+
+
+def _mask_problem(kind):
+    net = reference_ladder()
+    if kind == "band":
+        # every R/L/C within x/2 of the table under -10 dB over 780-4220 MHz
+        free = tuple((f"c{k}", p) for k in range(1, 6) for p in ("R", "L", "C"))
+        mask, seed, restarts = ft.Mask(((780e6, 4220e6, -10.0),)), 0, 2
+    else:
+        free = (("c0", "eps_eff"), ("c0", "len"), ("c2", "L"), ("c5", "R"))
+        mask, seed, restarts = ft.Mask(((0.8e9, 2.0e9, -12.0), (3.0e9, 4.0e9, -8.0))), 1, 1
+    values = [net.section(s).params[p] for s, p in free]
+    bounds = tuple(
+        (max(v / 2, 1.0) if p == "eps_eff" else v / 2, v * 2) for (_, p), v in zip(free, values)
+    )
+    return ft.FitProblem(net, free, bounds, mask, MASK_GRID, seed=seed, restarts=restarts)
+
+
+@pytest.mark.parametrize("kind", sorted(MASK_PINNED))
+def test_mask_fits_unchanged(kind):
+    problem = _mask_problem(kind)
+    result = ft.fit(problem)
+    assert (
+        result.parameters, result.final_cost, result.iterations, result.stop_reason
+    ) == MASK_PINNED[kind]
+    assert result.initial_cost == ft.cost(problem.netlist, problem.target, MASK_GRID)
+    assert result.final_cost == ft.cost(result.netlist, problem.target, MASK_GRID)
