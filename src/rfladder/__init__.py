@@ -2,7 +2,8 @@
 
 Pipeline: geometry -> per-cavity R/L/C extraction -> ladder netlist ->
 two-port frequency sweep -> band/VSWR/efficiency analysis, with a
-derivative-free fitter to match a measured or target reflection trace.
+least-squares fitter to match a measured or target reflection trace or
+a spectral mask.
 """
 
 __version__ = "0.1.0"
@@ -20,10 +21,8 @@ from .elements import (
     LumpedElements,
     MicrostripResult,
     cap_eq_approx,
-    cap_eq_full,
     eps_eff,
     extract_all,
-    half_wavelength,
     ind_eq,
     microstrip,
     res_eq,
@@ -82,7 +81,6 @@ __all__ = [
     "canonical_cavities",
     "canonical_geometry",
     "cap_eq_approx",
-    "cap_eq_full",
     "cascade",
     "compare_traces",
     "cost",
@@ -91,7 +89,6 @@ __all__ = [
     "find_bands",
     "fit",
     "from_elements",
-    "half_wavelength",
     "ind_eq",
     "input_impedance",
     "load_geometry",

@@ -209,13 +209,3 @@ def similarity_text(report: SimilarityReport) -> str:
         f"mean_abs_db_deviation = {sinum.format_bare(report.mean_abs_db_deviation)}\n"
         f"common_grid_points = {report.common_grid_points}\n"
     )
-
-
-def similarity_csv(report: SimilarityReport) -> str:
-    """Single-row CSV form of a similarity report."""
-    return (
-        "band_agreement_percent,mean_abs_db_deviation,common_grid_points\n"
-        f"{sinum.format_bare(report.band_agreement_percent)},"
-        f"{sinum.format_bare(report.mean_abs_db_deviation)},"
-        f"{report.common_grid_points}\n"
-    )

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from . import sinum
 from .errors import InputError, LocatedError, NonFiniteResult, NonPositiveFrequency
 from .geometry import (
-    SPEED_OF_LIGHT,
     VACUUM_PERMEABILITY,
     VACUUM_PERMITTIVITY,
     Cavity,
@@ -109,19 +108,6 @@ def cap_eq_approx(cavity: Cavity, substrate: Substrate) -> float:
     )
 
 
-def cap_eq_full(cavity: Cavity, substrate: Substrate) -> float:
-    """Logarithmic form of the block capacitance, in farads.
-
-    Exposed for study only: the expression is scale-invariant in
-    (W, d, h), so it cannot carry farad units consistently, and its
-    values do not track the reference table. Prefer cap_eq_approx.
-    """
-    w, d, h = cavity.width, cavity.length, cavity.thickness
-    s = 2.0 * d * (w + h) + 2.0 * h * w
-    denom = d * (math.log(s / (2.0 * h * d)) + math.log(s / (2.0 * h * w)))
-    return w * VACUUM_PERMITTIVITY * substrate.relative_permittivity / denom
-
-
 def ind_eq(cavity: Cavity, substrate: Substrate) -> float:
     """Block inductance mu0*d/(10.5*W) * [d*ln((W+d)/d) + W*ln((W+d)^2/(h*W))]."""
     w, d, h = cavity.width, cavity.length, cavity.thickness
@@ -192,15 +178,6 @@ def microstrip(width: float, height: float, relative_permittivity: float) -> Mic
 def _require_finite(what: str, *values: float) -> None:
     if not all(math.isfinite(v) for v in values):
         raise NonFiniteResult(f"{what} are not finite; an input value is too large or too small")
-
-
-def half_wavelength(frequency: float, effective_permittivity: float) -> float:
-    """Half of the guided wavelength c / (2*f*sqrt(eps_eff)), in meters."""
-    if not frequency > 0:
-        raise NonPositiveFrequency("frequency must be > 0")
-    if effective_permittivity < 1:
-        raise NonPositiveDimension("effective_permittivity")
-    return SPEED_OF_LIGHT / (2.0 * frequency * math.sqrt(effective_permittivity))
 
 
 def extract_all(

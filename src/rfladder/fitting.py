@@ -1,31 +1,32 @@
 """Bounded least-squares adjustment of netlist parameters.
 
-Both optimizers work on the logs of the free parameters: R/L/C values
-span decades and must stay positive, and the log transform gives both
+The search works on the logs of the free parameters: R/L/C values span
+decades and must stay positive, and the log transform gives both
 properties for free. Residuals live in dB because that is how
 reflection requirements are stated. Every candidate vector is clamped
 into its bounds before evaluation, so a search never leaves the
 feasible box.
 
-A trace target is fitted by Levenberg-Marquardt (Levenberg 1944,
-Marquardt 1963) on the dB residuals, with a forward-difference
-Jacobian. A mask target keeps Nelder-Mead (1965): its cost has kinks
-where the ceiling is met, which a Jacobian does not model.
+Every target is one residual map: a trace gives `db - target_db` on
+the grid points it overlaps, a mask gives the hinge
+`max(0, db - ceiling)` at each point an interval covers, and the cost is
+the mean square of those residuals. The squared hinge has a continuous
+first derivative, zero where the ceiling is met, so one optimizer serves
+both: Levenberg-Marquardt (Levenberg 1944, Marquardt 1963) with a
+forward-difference Jacobian.
 
 A problem is compiled once per fit: the angular frequencies, where each
-free parameter enters its section, and the target's dB on the fit grid
-(or each mask interval's selection) are fixed up front, and one
-objective call scores a batch of parameter sets in one vectorized
-sweep. A Levenberg-Marquardt iteration is one such call: the trial point
-and its n difference probes. The restarts run only when the first run
-ended above the float floor, the cost at which the residuals are
-rounding. Searches run in lockstep, every search's pending points scored
-in one call per step: the 1 + `restarts` Nelder-Mead searches, and the
-Levenberg-Marquardt restarts, where the first to reach the floor ends
-the sequence. Each search evaluates exactly the points it would evaluate
-alone, so results, and the errors raised, are identical to running the
-searches one after another, each Levenberg-Marquardt restart only while
-every earlier run ended above the floor.
+free parameter enters its section, and the residual map on the fit grid
+are fixed up front, and one objective call evaluates a batch of
+parameter sets in one vectorized sweep. A Levenberg-Marquardt iteration
+is one such call: the trial point and its n difference probes. The
+restarts run only when the first run ended above the float floor, the
+cost at which the residuals are rounding. They run in lockstep, every
+run's pending points evaluated in one call per step, and the first to
+reach the floor ends the sequence. Each run evaluates exactly the points
+it would evaluate alone, so results, and the errors raised, are
+identical to running the restarts in seed order, each only while every
+earlier run ended above the floor.
 """
 
 from __future__ import annotations
@@ -70,12 +71,25 @@ class Mask:
             prev_hi = hi
 
 
-def _trace_residual(trace: SParameterTrace, f: np.ndarray):
-    """Map `(K, F)` s11 dB on grid `f` to the `(K, M)` dB residuals against `trace`.
+def _residual_map(target, f: np.ndarray):
+    """Map `(K, F)` s11 dB on grid `f` to the `(K, M)` residuals `cost` averages.
 
-    Returns the map and the target's dB on the M grid points it keeps.
+    A trace gives `db - target_db` on the M grid points it overlaps; a
+    mask gives `max(0, db - ceiling)` at the M points its intervals
+    cover, in grid order, which is interval order. Returns the map and
+    the reference dB at those points: the target's dB or the ceiling.
+    Selections use `np.compress`, which keeps each row contiguous, so a
+    row sums in the same pairwise order as a single trace does and every
+    residual and cost is bit-identical whatever K is.
     """
-    keep, target_db = _resample(f, trace)
+    if isinstance(target, Mask):
+        ceiling = np.full(len(f), np.nan)
+        for lo, hi, level in target.intervals:
+            ceiling[(f >= lo) & (f <= hi)] = level
+        covered = ~np.isnan(ceiling)
+        ceiling = ceiling[covered]
+        return lambda db: np.maximum(np.compress(covered, db, axis=-1) - ceiling, 0.0), ceiling
+    keep, target_db = _resample(f, target)
 
     def residual(db):
         return (db if keep is None else np.compress(keep, db, axis=-1)) - target_db
@@ -84,36 +98,15 @@ def _trace_residual(trace: SParameterTrace, f: np.ndarray):
 
 
 def _mean_square(residuals):
-    return np.mean(residuals * residuals, axis=-1)
-
-
-def _scorer(target, f: np.ndarray):
-    """Map `(K, F)` s11 dB on grid `f` to the K costs `cost` defines.
-
-    Selections use `np.compress`, which keeps each row contiguous, so a
-    row sums in the same pairwise order as a single trace does and every
-    cost is bit-identical whatever K is.
-    """
-    if isinstance(target, Mask):
-        windows = [((f >= lo) & (f <= hi), ceiling) for lo, hi, ceiling in target.intervals]
-        count = sum(int(np.sum(sel)) for sel, _ in windows)
-
-        def score(db):
-            acc = np.zeros(len(db))
-            for sel, ceiling in windows:  # summed in interval order
-                violation = np.maximum(0.0, np.compress(sel, db, axis=-1) - ceiling)
-                acc += np.sum(violation * violation, axis=-1)
-            return acc / count if count else acc
-
-        return score
-    residual, _ = _trace_residual(target, f)
-    return lambda db: _mean_square(residual(db))
+    # a row with no points (a mask that covers no grid point) costs 0
+    return np.sum(residuals * residuals, axis=-1) / max(residuals.shape[-1], 1)
 
 
 def cost(netlist: Netlist, target, grid: SweepGrid) -> float:
     """Mean squared dB deviation from a trace, or mean squared mask violation."""
     trace = sweep(netlist, grid)
-    return float(_scorer(target, trace.frequencies)(trace.s11_db()[None])[0])
+    residual, _ = _residual_map(target, trace.frequencies)
+    return float(_mean_square(residual(trace.s11_db()[None]))[0])
 
 
 @dataclass(frozen=True)
@@ -163,9 +156,10 @@ class FitResult:
     iterations: int
     converged: bool
     netlist: Netlist
-    # why the best search stopped: "tolerance", "step" or "damping" (Levenberg-Marquardt),
-    # "tolerance" or "collapsed" (Nelder-Mead), all converged; "max_iterations" or
-    # "no_search" (max_iterations is 0), not converged
+    # why the best search stopped: "tolerance" (cost at the float floor or a relative
+    # decrease below tolerance), "step" (a step below tolerance, or no parameter can
+    # move downhill) or "damping" (no damping found a lower cost), all converged;
+    # "max_iterations" or "no_search" (max_iterations is 0), not converged
     stop_reason: str
 
 
@@ -184,26 +178,23 @@ def _with_values(netlist: Netlist, free, values) -> Netlist:
     return Netlist(netlist.input_port_impedance, netlist.output_port_impedance, tuple(sections))
 
 
-_SIMPLEX_STEP = 0.15  # initial vertex offset in log space (~16 % in value)
-_COLLAPSE = 1e-9  # log-space simplex diameter treated as fully converged
 _FD_STEP = 2.0**-26  # forward-difference step in log space (~1.5e-8 in value)
 _DAMPING = 1e-3  # LM's first damping, relative to the largest diagonal entry of J^T J
 _MAX_DAMPING = 1e16  # damping, so relative, past which no step is left to try
-_FLOOR_ULPS = 64.0  # residual, in epsilons of 1 + |target dB|, that counts as an exact fit
+_FLOOR_ULPS = 64.0  # residual, in epsilons of 1 + |reference dB|, that counts as an exact fit
 # stop reasons of a search that ended by its own rule, not by the iteration limit
-_CONVERGED = ("tolerance", "collapsed", "step", "damping")
+_CONVERGED = ("tolerance", "step", "damping")
 _BATCH_ELEMENTS = 1 << 16  # rows x frequencies per sweep, bounding memory for many restarts
 
 
 class _Objective:
-    """A problem's cost of K rows of log-parameters, compiled once.
+    """A problem's residuals of K rows of log-parameters, compiled once.
 
     Holds the angular frequencies, where each free column enters its
-    section, and the target scorer. Calling it checks every free column
+    section, and the residual map. `residuals` checks every free column
     against its parameter's domain, as building each candidate's
-    sections would, and scores all rows in one sweep. For a trace target
-    `residuals` returns the dB residual rows instead, and `floor` is the
-    cost below which rounding, not the parameters, sets the residuals.
+    sections would, and maps all rows in one sweep. `floor` is the cost
+    below which rounding, not the parameters, sets the residuals.
     """
 
     def __init__(self, problem: FitProblem, start_values: np.ndarray):
@@ -220,14 +211,10 @@ class _Objective:
         self._checks = [(p, j) for _, _, slots in self._sections for p, j in slots]
         # sweep the start before resampling the target, so errors come in cost()'s order
         start_db = self.s11_db(start_values[None])
-        if isinstance(problem.target, Mask):
-            self._score = _scorer(problem.target, f)
-        else:
-            self._residual, target_db = _trace_residual(problem.target, f)
-            self._score = lambda db: _mean_square(self._residual(db))
-            eps = np.finfo(float).eps
-            self.floor = float(_mean_square(_FLOOR_ULPS * eps * (1.0 + np.abs(target_db))))
-        self.initial_cost = float(self._score(start_db)[0])
+        self._residual, reference_db = _residual_map(problem.target, f)
+        eps = np.finfo(float).eps
+        self.floor = float(_mean_square(_FLOOR_ULPS * eps * (1.0 + np.abs(reference_db))))
+        self.initial_cost = float(_mean_square(self._residual(start_db))[0])
 
     def s11_db(self, values: np.ndarray) -> np.ndarray:
         """s11 dB, shape `(K, F)`, of K rows of free-parameter values."""
@@ -242,89 +229,12 @@ class _Objective:
             sections.append((topology, params))
         return magnitude_db(_batch_s11(sections, self._w, *self._ports))
 
-    def _rows(self, x: np.ndarray, of) -> np.ndarray:
+    def residuals(self, x: np.ndarray) -> np.ndarray:
+        """Residual rows, shape `(K, M)`, of K rows of log-parameters."""
         rows = max(1, _BATCH_ELEMENTS // len(self._w))
         return np.concatenate(
-            [of(self.s11_db(np.exp(x[k : k + rows]))) for k in range(0, len(x), rows)]
+            [self._residual(self.s11_db(np.exp(x[k : k + rows]))) for k in range(0, len(x), rows)]
         )
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self._rows(x, self._score)
-
-    def residuals(self, x: np.ndarray) -> np.ndarray:
-        """dB residual rows, shape `(K, M)`, of K rows of log-parameters (trace targets)."""
-        return self._rows(x, self._residual)
-
-
-def _nm_steps(x0, lo, hi, max_iterations, tolerance):
-    """Standard reflect/expand/contract/shrink loop on clamped vectors, as a coroutine.
-
-    Yields lists of points and receives a list of their costs. The
-    initial simplex and a shrink are one yield each. Returns (best_x,
-    best_f, iterations, stop_reason): "tolerance" when the simplex cost
-    spread fell below `tolerance` relative to the best cost,
-    "collapsed" when the simplex collapsed geometrically, else
-    "max_iterations".
-    """
-    n = len(x0)
-
-    def clamp(x):
-        return np.clip(x, lo, hi)
-
-    xs = [clamp(np.array(x0, dtype=float))]
-    for k in range(n):
-        vertex = xs[0].copy()
-        if vertex[k] + _SIMPLEX_STEP <= hi[k]:
-            vertex[k] += _SIMPLEX_STEP
-        else:
-            vertex[k] -= _SIMPLEX_STEP
-        vertex = clamp(vertex)
-        if vertex[k] == xs[0][k]:  # bounds narrower than the step
-            vertex[k] = 0.5 * (lo[k] + hi[k])
-        xs.append(vertex)
-    fs = yield xs
-
-    iterations = 0
-    reason = "max_iterations"
-    while iterations < max_iterations:
-        order = np.argsort(fs, kind="stable")
-        xs = [xs[k] for k in order]
-        fs = [fs[k] for k in order]
-        if fs[-1] - fs[0] <= tolerance * max(abs(fs[0]), tolerance):
-            reason = "tolerance"
-            break
-        if np.max(np.abs(np.array(xs[1:]) - xs[0])) <= _COLLAPSE:
-            reason = "collapsed"
-            break
-        iterations += 1
-
-        centroid = np.mean(xs[:-1], axis=0)
-        reflected = clamp(centroid + (centroid - xs[-1]))
-        (f_r,) = yield [reflected]
-        if f_r < fs[0]:
-            expanded = clamp(centroid + 2.0 * (reflected - centroid))
-            (f_e,) = yield [expanded]
-            if f_e < f_r:
-                xs[-1], fs[-1] = expanded, f_e
-            else:
-                xs[-1], fs[-1] = reflected, f_r
-            continue
-        if f_r < fs[-2]:
-            xs[-1], fs[-1] = reflected, f_r
-            continue
-        if f_r < fs[-1]:
-            contracted = clamp(centroid + 0.5 * (reflected - centroid))
-        else:
-            contracted = clamp(centroid + 0.5 * (xs[-1] - centroid))
-        (f_c,) = yield [contracted]
-        if f_c < min(f_r, fs[-1]):
-            xs[-1], fs[-1] = contracted, f_c
-            continue
-        xs[1:] = [clamp(xs[0] + 0.5 * (x - xs[0])) for x in xs[1:]]
-        fs[1:] = yield xs[1:]
-
-    best = int(np.argmin(fs))
-    return xs[best], fs[best], iterations, reason
 
 
 def _lm_steps(x0, lo, hi, max_iterations, tolerance, floor):
@@ -408,17 +318,17 @@ def _lm_steps(x0, lo, hi, max_iterations, tolerance, floor):
     return x, f, iterations, reason
 
 
-def _lockstep(costs, runs, last=lambda result: False):
-    """Drive search coroutines together and return each one's result, in order.
+def _lockstep(residuals, runs, last=lambda result: False):
+    """Drive `_lm_steps` coroutines together and return each one's result, in order.
 
-    Every round scores the pending points of all live runs in one
-    `costs` call and sends each run its rows of the result: costs for
-    `_nm_steps`, residual rows for `_lm_steps`. When that call raises,
-    the points are scored one at a time: the first that raises stops its
-    run and every later run, and its error is raised once the earlier
-    runs finish, as it would be if the runs went one after another. A
-    run whose result satisfies `last` ends the sequence: the runs after
-    it are dropped with their results and errors, as if never started.
+    Every round evaluates the pending points of all live runs in one
+    `residuals` call and sends each run its rows of the result. When
+    that call raises, the points are evaluated one at a time: the first
+    that raises stops its run and every later run, and its error is
+    raised once the earlier runs finish, as it would be if the runs went
+    one after another. A run whose result satisfies `last` ends the
+    sequence: the runs after it are dropped with their results and
+    errors, as if never started.
     """
     results = [None] * len(runs)
     pending = {k: next(run) for k, run in enumerate(runs)}
@@ -426,13 +336,13 @@ def _lockstep(costs, runs, last=lambda result: False):
     while pending:
         batch = np.array([x for points in pending.values() for x in points])
         try:
-            values = list(costs(batch))
+            values = list(residuals(batch))
         except RfLadderError:
             values = []
             owners = [k for k, points in pending.items() for _ in points]
             for k, x in zip(owners, batch):
                 try:
-                    values.append(costs(x[None])[0])
+                    values.append(residuals(x[None])[0])
                 except RfLadderError as exc:
                     error = exc
                     pending = {j: points for j, points in pending.items() if j < k}
@@ -455,18 +365,6 @@ def _lockstep(costs, runs, last=lambda result: False):
     if error is not None:
         raise error
     return results
-
-
-def _nelder_mead(func, x0, lo, hi, max_iterations, tolerance):
-    """One search scoring one point per `func` call.
-
-    Returns (best_x, best_f, iterations, converged).
-    """
-    x, f, iterations, reason = _lockstep(
-        lambda batch: np.array([func(x) for x in batch]),
-        [_nm_steps(x0, lo, hi, max_iterations, tolerance)],
-    )[0]
-    return x, f, iterations, reason in _CONVERGED
 
 
 def fit(problem: FitProblem) -> FitResult:
@@ -500,18 +398,15 @@ def fit(problem: FitProblem) -> FitResult:
     x0 = np.clip(np.log(start_values), lo, hi)
     rng = np.random.default_rng(problem.seed)
     starts = [x0] + [rng.uniform(lo, hi) for _ in range(problem.restarts)]
-    settings = (problem.max_iterations, problem.tolerance)
-    if isinstance(problem.target, Mask):
-        # a mask's cost has kinks where the ceiling is met: Nelder-Mead, all runs in lockstep
-        results = _lockstep(objective, [_nm_steps(x, lo, hi, *settings) for x in starts])
-    else:
-        # restarts run only when run 0 ended above the float floor, then in lockstep;
-        # the first of them to reach the floor ends the sequence
-        floor = objective.floor
-        runs = [_lm_steps(x, lo, hi, *settings, floor) for x in starts]
-        results = _lockstep(objective.residuals, runs[:1])
-        if results[0][1] > floor:
-            results += _lockstep(objective.residuals, runs[1:], last=lambda run: run[1] <= floor)
+    # restarts run only when run 0 ended above the float floor, then in lockstep;
+    # the first of them to reach the floor ends the sequence
+    floor = objective.floor
+    runs = [
+        _lm_steps(x, lo, hi, problem.max_iterations, problem.tolerance, floor) for x in starts
+    ]
+    results = _lockstep(objective.residuals, runs[:1])
+    if results[0][1] > floor:
+        results += _lockstep(objective.residuals, runs[1:], last=lambda run: run[1] <= floor)
     total_iterations = sum(iterations for _, _, iterations, _ in results)
     best_x, best_f, _, best_reason = results[0]
     for x, f, _, reason in results[1:]:

@@ -306,12 +306,3 @@ def test_similarity_text():
     text = an.similarity_text(an.compare_traces(trace, trace, -10.0))
     assert "band_agreement_percent = 100" in text
     assert "common_grid_points = 31" in text
-
-
-def test_similarity_csv():
-    trace = flat_trace(-12.0)
-    csv = an.similarity_csv(an.compare_traces(trace, trace, -10.0))
-    lines = csv.splitlines()
-    assert lines[0] == "band_agreement_percent,mean_abs_db_deviation,common_grid_points"
-    assert lines[1].split(",")[0] == "100"
-    assert lines[1].split(",")[2] == "31"

@@ -1,15 +1,16 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import random_netlist, recovery_problem, reference_ladder
 from rfladder import fitting as ft
-from rfladder.analysis import NoOverlap
+from rfladder.analysis import NoOverlap, band_report
 from rfladder.errors import InputError, NonFiniteResult, RfLadderError
 from rfladder.netlist import Netlist, NonPositiveParameter, Section
-from rfladder.network import SParameterTrace, SweepGrid, sweep
+from rfladder.network import SweepGrid, sweep
 
 GRID = SweepGrid(0.5e9, 6e9, 201)
 
@@ -164,12 +165,23 @@ def test_fit_stop_reasons():
     )
     result = ft.fit(met)
     assert (result.stop_reason, result.converged, result.iterations) == ("tolerance", True, 0)
-    # no candidate meets the mask and there is no cost-spread stop: the simplex collapses
+    # no candidate meets the mask and there is no relative stop: it ends as the unreachable
+    # trace does, when no damping finds a lower cost
     unmet = dataclasses.replace(
         _recovery_problem(), target=ft.Mask(((GRID.start, GRID.stop, -10.0),)), tolerance=0.0
     )
     result = ft.fit(unmet)
-    assert (result.stop_reason, result.converged, result.iterations) == ("collapsed", True, 65)
+    assert (result.stop_reason, result.converged, result.iterations) == ("damping", True, 45)
+
+
+def test_fit_mask_outside_the_grid():
+    # no grid point is covered: the residual rows are empty and cost 0, not NaN
+    outside = dataclasses.replace(_recovery_problem(), target=ft.Mask(((7e9, 8e9, -10.0),)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = ft.fit(outside)
+    assert (result.final_cost, result.stop_reason, result.iterations) == (0.0, "tolerance", 0)
+    assert result.initial_cost == 0.0 and result.converged
 
 
 def test_fit_already_optimal_start():
@@ -204,33 +216,38 @@ def test_fit_restarts_deterministic_and_not_worse():
     assert a.final_cost <= ft.fit(base).final_cost + 1e-12
 
 
+def _lm_alone(residuals, x0, lo, hi, max_iterations, tolerance=0.0):
+    """One Levenberg-Marquardt run with no float floor: (best_x, best_f, iterations, reason)."""
+    return ft._lockstep(residuals, [ft._lm_steps(x0, lo, hi, max_iterations, tolerance, 0.0)])[0]
+
+
 def test_optimizer_respects_bounds():
     lo = np.array([-1.0, -2.0])
     hi = np.array([1.0, 0.5])
     seen = []
 
-    def func(x):
-        seen.append(x.copy())
-        return float((x[0] - 5.0) ** 2 + (x[1] + 9.0) ** 2)  # optimum far outside
+    def residuals(points):
+        seen.append(points.copy())
+        return np.column_stack([points[:, 0] - 5.0, points[:, 1] + 9.0])  # optimum far outside
 
-    x, f, iterations, _ = ft._nelder_mead(func, np.array([0.0, 0.0]), lo, hi, 200, 1e-12)
-    assert all(np.all(v >= lo - 1e-15) and np.all(v <= hi + 1e-15) for v in seen)
-    assert x[0] == pytest.approx(1.0, abs=1e-6)  # pinned at the boundary
-    assert x[1] == pytest.approx(-2.0, abs=1e-6)
+    x, _, _, reason = _lm_alone(residuals, np.array([0.0, 0.0]), lo, hi, 200, 1e-12)
+    rows = np.concatenate(seen)
+    assert np.all(rows >= lo) and np.all(rows <= hi)
+    assert x.tolist() == [1.0, -2.0]  # pinned at the boundary
+    assert reason == "step"  # no parameter left that can move downhill
 
 
 def test_optimizer_best_cost_monotone():
     # the accepted best after k iterations never worsens as k grows
-    def func(x):
-        return float(np.sum((x - 0.3) ** 2) * (1 + 0.1 * np.sin(40 * x).sum() ** 2))
+    def residuals(points):
+        wave = np.sin(40 * points).sum(axis=1, keepdims=True)
+        return (points - 0.3) * np.sqrt(1 + 0.1 * wave**2)
 
     lo, hi = np.full(3, -2.0), np.full(3, 2.0)
     start = np.array([-1.0, 0.9, 1.4])
-    bests = [
-        ft._nelder_mead(func, start, lo, hi, k, 0.0)[1]
-        for k in (0, 1, 2, 5, 10, 20, 40, 80, 160)
-    ]
+    bests = [_lm_alone(residuals, start, lo, hi, k)[1] for k in (0, 1, 2, 5, 10, 20, 40, 80, 160)]
     assert bests == sorted(bests, reverse=True)
+    assert bests[-1] < bests[0]
 
 
 def test_fit_result_text():
@@ -268,17 +285,21 @@ def test_compiled_objective_equals_cost_row_by_row(target_kind):
         objective = ft._Objective(problem, np.array(values))
         assert objective.initial_cost == ft.cost(net, target, GRID)
         rows = _random_rows(rng, problem, 7)
-        batched = objective(rows)
+        batched = ft._mean_square(objective.residuals(rows))
         for x, value in zip(rows, batched):
             assert value == ft.cost(ft._with_values(net, free, np.exp(x)), target, GRID)
 
 
 def test_compiled_objective_splits_large_batches():
-    problem = _recovery_problem()
-    start = np.array([problem.netlist.section(s).params[p] for s, p in problem.free_parameters])
-    objective = ft._Objective(problem, start)
+    # a mask's hinge rows, violations only, split across sweeps as a trace's rows do
+    problem = dataclasses.replace(
+        _recovery_problem(), target=ft.Mask(((0.8e9, 2e9, -9.0), (2.5e9, 5.5e9, -3.0)))
+    )
+    objective = _objective_for(problem)
     rows = _random_rows(np.random.default_rng(3), problem, 2 * ft._BATCH_ELEMENTS // GRID.points)
-    assert objective(rows).tolist() == [objective(x[None]).item() for x in rows]
+    residuals = objective.residuals(rows)
+    assert residuals.tolist() == [objective.residuals(x[None])[0].tolist() for x in rows]
+    assert np.all(residuals >= 0.0) and np.any(residuals > 0.0) and np.any(residuals == 0.0)
 
 
 def _log_starts(problem):
@@ -290,35 +311,6 @@ def _log_starts(problem):
     rng = np.random.default_rng(problem.seed)
     starts = [np.clip(np.log(start), lo, hi)]
     return lo, hi, starts + [rng.uniform(lo, hi) for _ in range(problem.restarts)]
-
-
-def test_fit_restarts_equal_sequential_runs():
-    # a mask target keeps the Nelder-Mead lockstep; every run ends above zero cost
-    problem = dataclasses.replace(
-        _recovery_problem(seed=4), restarts=3, target=ft.Mask(((1e9, 3e9, -6.0),))
-    )
-    lo, hi, starts = _log_starts(problem)
-
-    def objective(x):
-        values = np.exp(x)
-        return ft.cost(ft._with_values(problem.netlist, problem.free_parameters, values),
-                       problem.target, GRID)
-
-    runs = [
-        ft._nelder_mead(objective, x0, lo, hi, problem.max_iterations, problem.tolerance)
-        for x0 in starts
-    ]
-    best = 0
-    for k, (_, f, _, _) in enumerate(runs):
-        if f < runs[best][1]:
-            best = k
-    x, f, _, converged = runs[best]
-    result = ft.fit(problem)
-    assert f < result.initial_cost
-    assert result.final_cost == f
-    assert list(result.parameters.values()) == np.exp(x).tolist()
-    assert result.iterations == sum(run[2] for run in runs)
-    assert result.converged == converged
 
 
 # criterion-10 trials fitted by Levenberg-Marquardt when it took over trace
@@ -350,15 +342,15 @@ def test_criterion_10_trials_unchanged(trial):
 
 
 def test_fit_reports_overflow_in_a_restart():
-    # run 0 stays put under the mask; a restart with seed 4 starts far along the
-    # line, where the cost has no slope to follow, and wanders until theta overflows
-    line = Netlist(50.0, 50.0, (Section("t", "tline", {"z0": 30.0, "eps_eff": 1.0, "len": 1e-3}),))
-    mask = ft.Mask(((GRID.start, GRID.stop, -10.0),))
-    problem = ft.FitProblem(line, (("t", "len"),), ((1e-4, 1e308),), mask, GRID,
-                            max_iterations=300, seed=4, restarts=3)
+    # run 0 ends above the floor on the unreachable target, so the restarts run; with
+    # seed 4 the first starts at L = 6e289, far up the log-uniform span, where the cost
+    # still falls as L grows, and steps on until w*L overflows
+    problem = ft.FitProblem(two_section_ladder(), (("s1", "L"),), ((1e-12, 1e308),),
+                            _unreachable_target(), GRID, max_iterations=300, seed=4, restarts=3)
     with pytest.raises(NonFiniteResult):
         ft.fit(problem)
-    assert ft.fit(dataclasses.replace(problem, restarts=0)).final_cost == 0.0
+    result = ft.fit(dataclasses.replace(problem, restarts=0))
+    assert 0.0 < result.final_cost < result.initial_cost
 
 
 class _Left(RfLadderError):
@@ -370,22 +362,24 @@ class _Right(RfLadderError):
 
 
 def test_lockstep_raises_the_error_the_sequential_order_meets_first():
-    # both runs walk outward; run 1 leaves (-0.9, 0.9) first, run 0 later
-    def costs(points):
+    # both runs walk outward, each step about doubling |x| + 0.05; run 1 leaves
+    # (-0.9, 0.9) in its first iteration, run 0 in its third
+    def residuals(points):
         if np.any(points > 0.9):
             raise _Right()
         if np.any(points < -0.9):
             raise _Left()
-        return -np.abs(points[:, 0])
+        return 1.0 / (np.abs(points) + 0.05)
 
     lo, hi = np.array([-2.0]), np.array([2.0])
     with pytest.raises(_Right):
-        ft._nelder_mead(lambda x: costs(x[None])[0], np.array([0.1]), lo, hi, 50, 0.0)
+        _lm_alone(residuals, np.array([0.1]), lo, hi, 50)
+    assert _lm_alone(residuals, np.array([0.1]), lo, hi, 2)[0][0] < 0.9
     with pytest.raises(_Left):
-        ft._nelder_mead(lambda x: costs(x[None])[0], np.array([-0.8]), lo, hi, 1, 0.0)
-    runs = [ft._nm_steps(np.array([x0]), lo, hi, 50, 0.0) for x0 in (0.1, -0.8)]
+        _lm_alone(residuals, np.array([-0.8]), lo, hi, 1)
+    runs = [ft._lm_steps(np.array([x0]), lo, hi, 50, 0.0, 0.0) for x0 in (0.1, -0.8)]
     with pytest.raises(_Right):
-        ft._lockstep(costs, runs)
+        ft._lockstep(residuals, runs)
 
 
 def test_lockstep_drops_the_runs_after_the_last():
@@ -490,14 +484,22 @@ def test_residuals_split_large_batches():
     residuals = objective.residuals(rows)
     assert residuals.shape == (len(rows), GRID.points)
     assert residuals.tolist() == [objective.residuals(x[None])[0].tolist() for x in rows]
-    assert ft._mean_square(residuals).tolist() == objective(rows).tolist()
 
 
-@pytest.mark.parametrize("trial", [0, 27, 31])
+def _restart_mask_problem():
+    # runs 0 and 1 stop just above the floor, short of the ceiling; run 2 meets it
+    net = reference_ladder()
+    free = tuple((f"c{k}", p) for k in range(2, 6) for p in ("R", "L"))
+    bounds = tuple((v / 2, v * 2) for v in (net.section(s).params[p] for s, p in free))
+    mask = ft.Mask(((0.8e9, 4.2e9, -8.0),))
+    return ft.FitProblem(net, free, bounds, mask, GRID, seed=2, restarts=3)
+
+
+@pytest.mark.parametrize("trial", [0, 27, 31, "mask"])
 def test_restart_runs_only_after_runs_above_the_floor(trial):
     # the restarts run in lockstep, but fit returns what runs in seed order give
     # when each starts only if every earlier one ended above the floor
-    problem = recovery_problem(trial)[0]
+    problem = _restart_mask_problem() if trial == "mask" else recovery_problem(trial)[0]
     objective = _objective_for(problem)
     lo, hi, starts = _log_starts(problem)
     runs = []
@@ -507,7 +509,7 @@ def test_restart_runs_only_after_runs_above_the_floor(trial):
         steps = ft._lm_steps(x0, lo, hi, problem.max_iterations, problem.tolerance,
                              objective.floor)
         runs += ft._lockstep(objective.residuals, [steps])
-    assert len(runs) == {0: 1, 27: 3, 31: 4}[trial]
+    assert len(runs) == {0: 1, 27: 3, 31: 4, "mask": 3}[trial]
     assert all(f > objective.floor for _, f, _, _ in runs[:-1])
     best = min(runs, key=lambda run: run[1])  # the first of equal costs, as fit keeps
     result = ft.fit(problem)
@@ -541,27 +543,29 @@ def test_lm_checks_each_candidate_against_its_domain():
         ft.fit(problem)
 
 
-# Mask fits of the reference ladder recorded before trace targets moved to
-# Levenberg-Marquardt; masks keep Nelder-Mead, so these must not move a bit.
+# Mask fits of the reference ladder, pinned as Levenberg-Marquardt on the hinge
+# residuals gives them, and the costs Nelder-Mead reached on the same problems
+# when it fitted masks
 MASK_GRID = SweepGrid(0.3e9, 6e9, 201)
-MASK_PINNED = {
+MASK_LM_PINNED = {
     "band": (
-        {"c1.R": 3.4303883589856996, "c1.L": 1.7795333033639144e-09,
-         "c1.C": 5.618483994030129e-13, "c2.R": 21.855002674394214,
-         "c2.L": 2.8888639394251455e-09, "c2.C": 9.411612504444047e-13,
-         "c3.R": 21.53321618519871, "c3.L": 3.4158506120932752e-09,
-         "c3.C": 1.5022597737927155e-12, "c4.R": 40.46943552275578,
-         "c4.L": 4.05607140514722e-09, "c4.C": 3.2690427618805855e-12,
-         "c5.R": 42.92183907377051, "c5.L": 9.941035864789477e-09,
-         "c5.C": 4.41939626973437e-12},
-        0.0, 327, "tolerance",
+        {"c1.R": 3.4473535066177554, "c1.L": 1.877717775759406e-09,
+         "c1.C": 7.395853711600424e-13, "c2.R": 44.70000000000001,
+         "c2.L": 4.237502541012683e-09, "c2.C": 2.0426348070279e-12,
+         "c3.R": 31.10820370045158, "c3.L": 2.4660411182296477e-09,
+         "c3.C": 1.7405482651878169e-12, "c4.R": 43.36342181108134,
+         "c4.L": 5.086747063449516e-09, "c4.C": 2.255692757394521e-12,
+         "c5.R": 36.445749238636516, "c5.L": 9.751823473280491e-09,
+         "c5.C": 4.200145971199283e-12},
+        0.0, 11, "tolerance",
     ),
     "two_intervals": (
-        {"c0.eps_eff": 3.3481256639115973, "c0.len": 0.11872279442414434,
-         "c2.L": 2.5153943437728934e-09, "c5.R": 68.18116284994719},
-        0.024745759728582152, 196, "tolerance",
+        {"c0.eps_eff": 3.2525086809524946, "c0.len": 0.05737801803311637,
+         "c2.L": 2.5149519170000746e-09, "c5.R": 69.70953456803734},
+        0.024607272889090235, 469, "tolerance",
     ),
 }
+MASK_NELDER_MEAD_COST = {"band": 0.0, "two_intervals": 0.024745759728582152}
 
 
 def _mask_problem(kind):
@@ -580,12 +584,19 @@ def _mask_problem(kind):
     return ft.FitProblem(net, free, bounds, mask, MASK_GRID, seed=seed, restarts=restarts)
 
 
-@pytest.mark.parametrize("kind", sorted(MASK_PINNED))
-def test_mask_fits_unchanged(kind):
+@pytest.mark.parametrize("kind", sorted(MASK_LM_PINNED))
+def test_mask_fits_pinned(kind):
     problem = _mask_problem(kind)
     result = ft.fit(problem)
     assert (
         result.parameters, result.final_cost, result.iterations, result.stop_reason
-    ) == MASK_PINNED[kind]
+    ) == MASK_LM_PINNED[kind]
+    assert result.final_cost <= MASK_NELDER_MEAD_COST[kind]
     assert result.initial_cost == ft.cost(problem.netlist, problem.target, MASK_GRID)
     assert result.final_cost == ft.cost(result.netlist, problem.target, MASK_GRID)
+    if kind == "band":
+        # the mask holds on its grid: every sample in 780-4220 MHz lies in one -10 dB band
+        f = MASK_GRID.frequencies()
+        inside = f[(f >= 780e6) & (f <= 4220e6)]
+        bands = band_report(sweep(result.netlist, MASK_GRID), -10.0).bands
+        assert any(lo <= inside[0] and inside[-1] <= hi for lo, hi in bands)
