@@ -9,7 +9,8 @@ formula, one chain recurrence and one S conversion. The sweep evaluates
 all frequencies in one vectorized pass and returns samples in grid order.
 A parameter may also be a `(K, 1)` column of values, which adds a leading
 axis of K parameter sets to every array; the fitter scores its
-candidates that way, through the same formulas and the same checks.
+candidates that way, through the same formulas and the same checks,
+converting the chain to s11 alone.
 """
 
 from __future__ import annotations
@@ -151,14 +152,18 @@ def reflection(z_in: complex, z_ref: float) -> complex:
     return (z_in - z_ref) / denom
 
 
-def _abcd_to_s(m: AbcdMatrix, det, z01: float, z02: float):
-    """(s11, s12, s21, s22) of chain entries with determinant `det`."""
+def _s11(m: AbcdMatrix, z01: float, z02: float):
+    """s11 of chain entries, and the conversion denominator, checked to be nonzero."""
     denom = m.a * z02 + m.b + m.c * z01 * z02 + m.d * z01
     if np.any(denom == 0):
         raise DegenerateDenominator("conversion denominator vanished")
-    root = math.sqrt(z01 * z02)
-    s11 = (m.a * z02 + m.b - m.c * z01 * z02 - m.d * z01) / denom
-    s21 = 2.0 * root / denom
+    return (m.a * z02 + m.b - m.c * z01 * z02 - m.d * z01) / denom, denom
+
+
+def _abcd_to_s(m: AbcdMatrix, det, z01: float, z02: float):
+    """(s11, s12, s21, s22) of chain entries with determinant `det`."""
+    s11, denom = _s11(m, z01, z02)
+    s21 = 2.0 * math.sqrt(z01 * z02) / denom
     s12 = s21 * det
     s22 = (-m.a * z02 + m.b - m.c * z01 * z02 + m.d * z01) / denom
     return s11, s12, s21, s22
@@ -267,22 +272,25 @@ def netlist_abcd_array(netlist: Netlist, frequencies: np.ndarray):
     return _cascade(((s.topology, s.params) for s in netlist.sections), w)
 
 
-def _checked_s(cascade, z01: float, z02: float):
-    """(s11, s12, s21, s22) of the chain `cascade()` returns, all four finite.
+def _checked_s(convert):
+    """The S-parameters `convert()` returns, every one of them finite.
 
     Overflow inside the chain or the conversion shows up as a non-finite
     S-parameter, which is reported here instead of as numpy warnings.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        s = _abcd_to_s(*cascade(), z01, z02)
+        s = convert()
     if not all(np.isfinite(x).all() for x in s):
         raise NonFiniteResult("S-parameters are not finite; a section value overflows")
     return s
 
 
 def _batch_s11(sections, w, z01: float, z02: float) -> np.ndarray:
-    """Checked s11 of (topology, params) pairs whose parameters may be (K, 1) columns."""
-    return _checked_s(lambda: _cascade(sections, w), z01, z02)[0]
+    """Checked s11 of (topology, params) pairs whose parameters may be (K, 1) columns.
+
+    The fitter reads s11 alone, so s12, s21 and s22 are not computed.
+    """
+    return _checked_s(lambda: _s11(_cascade(sections, w)[0], z01, z02)[:1])[0]
 
 
 def sweep(netlist: Netlist, grid: SweepGrid) -> SParameterTrace:
@@ -290,5 +298,7 @@ def sweep(netlist: Netlist, grid: SweepGrid) -> SParameterTrace:
     freqs = grid.frequencies()
     z01 = netlist.input_port_impedance
     z02 = netlist.output_port_impedance
-    s11, s12, s21, s22 = _checked_s(lambda: netlist_abcd_array(netlist, freqs), z01, z02)
+    s11, s12, s21, s22 = _checked_s(
+        lambda: _abcd_to_s(*netlist_abcd_array(netlist, freqs), z01, z02)
+    )
     return SParameterTrace(freqs, s11, s21, s12, s22, (z01, z02))

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from decimal import Decimal, InvalidOperation
 
+import numpy as np
+
 from .errors import NumericalError
 
 SUFFIX_EXPONENT = {
@@ -78,6 +80,25 @@ def format_bare(value: float) -> str:
     if value == int(value) and abs(value) < 1e16:
         return str(int(value))
     return repr(float(value))
+
+
+def format_bare_column(values) -> list[str]:
+    """`[format_bare(v) for v in values]`, checked and rendered a column at a time.
+
+    One `repr` of the whole list gives every entry's shortest decimal;
+    only the integral entries below 1e16 are then rewritten as integers.
+    """
+    column = np.asarray(values, dtype=float)
+    finite = np.isfinite(column)
+    if not finite.all():
+        format_bare(column[finite.argmin()].item())  # raises with its message
+    items = column.tolist()
+    if not items:
+        return []
+    texts = repr(items)[1:-1].split(", ")
+    for i in np.flatnonzero((column == np.trunc(column)) & (np.abs(column) < 1e16)).tolist():
+        texts[i] = str(int(items[i]))
+    return texts
 
 
 def format_with_exponent(value: float, exponent: int) -> str:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -85,6 +86,42 @@ def test_format_bare_rejects_non_finite(value):
         sinum.format_bare(value)
     with pytest.raises(sinum.NonFiniteValue):
         sinum.format_value(value)
+
+
+# integral values on both sides of 1e16 (rendered as integers only below it),
+# signed zeros, subnormals and the largest exponents
+EDGE_FLOATS = st.sampled_from(
+    [0.0, -0.0, 1.0, -3.0, 2.0**53, 2.0**53 + 2, 1e16 - 2, 1e16, -1e16, 1e16 + 2, 1e22,
+     5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1e308, 0.1]
+)
+COLUMN_FLOATS = (
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.integers(-(2**60), 2**60).map(float)
+    | EDGE_FLOATS
+)
+
+
+@given(st.lists(COLUMN_FLOATS, max_size=40))
+def test_format_bare_column_equals_format_bare(values):
+    expected = [sinum.format_bare(v) for v in values]
+    assert sinum.format_bare_column(values) == expected
+    assert sinum.format_bare_column(np.array(values, dtype=float)) == expected
+
+
+@given(
+    st.lists(COLUMN_FLOATS, max_size=20),
+    st.lists(st.tuples(st.integers(0, 20), st.sampled_from([math.nan, math.inf, -math.inf])),
+             min_size=1, max_size=3),
+)
+def test_format_bare_column_rejects_the_first_non_finite(values, bad):
+    for position, value in bad:
+        values.insert(min(position, len(values)), value)
+    first = next(v for v in values if not math.isfinite(v))
+    with pytest.raises(sinum.NonFiniteValue) as expected:
+        sinum.format_bare(first)
+    with pytest.raises(sinum.NonFiniteValue) as err:
+        sinum.format_bare_column(values)
+    assert str(err.value) == str(expected.value)
 
 
 def test_parse_scaled_single_rounding():

@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rfladder import cli, geometry, netlist
 from rfladder import touchstone as ts
-from rfladder.network import SParameterTrace
+from rfladder.network import SParameterTrace, SweepGrid, sweep
+from rfladder.sinum import NonFiniteValue, format_bare
 
 
 def random_trace(rng, points=101, two_port=False):
@@ -261,6 +265,111 @@ def test_fuzz_reader_returns_finite_trace_or_touchstone_error(text):
         assert values is None or np.isfinite(values).all()
 
 
+def line_by_line_reader(text):
+    """The reader as it was before columns: every check on each line as it is read.
+
+    The oracle of the differential test below; it shares only the option
+    line parser and the error classes with `ts.read_touchstone`.
+    """
+    unit_fmt_res = None
+    port2_ref = None
+    rows = []
+    linenos = []
+    option_lineno = None
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line, _, comment = raw.partition("!")
+        comment = comment.strip()
+        if comment.startswith(ts.PORT2_REF_COMMENT):
+            try:
+                port2_ref = float(comment[len(ts.PORT2_REF_COMMENT):])
+            except ValueError:
+                port2_ref = math.nan
+            if not (port2_ref > 0 and math.isfinite(port2_ref)):
+                raise ts.MalformedRow(f"bad {ts.PORT2_REF_COMMENT} comment", lineno)
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            if unit_fmt_res is not None:
+                raise ts.BadOptionLine("second option line", lineno)
+            unit_fmt_res = ts._parse_option_line(line, lineno)
+            option_lineno = lineno
+            continue
+        if unit_fmt_res is None:
+            raise ts.BadOptionLine("data before the option line", lineno)
+        fields = line.split()
+        try:
+            values = tuple(float(f) for f in fields)
+        except ValueError:
+            raise ts.MalformedRow(f"non-numeric field in {line!r}", lineno) from None
+        if not all(map(math.isfinite, values)):
+            raise ts.MalformedRow(f"non-finite field in {line!r}", lineno)
+        if len(values) not in (3, 9):
+            raise ts.MalformedRow(
+                f"expected 3 (one-port) or 9 (two-port) numbers, got {len(values)}", lineno
+            )
+        if rows and len(values) != len(rows[0]):
+            raise ts.MalformedRow("row width changed mid-file", lineno)
+        if rows and values[0] <= rows[-1][0]:
+            raise ts.NonMonotoneFrequency(
+                f"frequency {values[0]} not above previous {rows[-1][0]}", lineno
+            )
+        if not values[0] > 0:
+            raise ts.MalformedRow(f"frequency {values[0]} must be > 0", lineno)
+        rows.append(values)
+        linenos.append(lineno)
+
+    if unit_fmt_res is None:
+        raise ts.BadOptionLine("missing option line", 1)
+    if not rows:
+        raise ts.MalformedRow("no data rows", option_lineno)
+    unit, fmt, resistance = unit_fmt_res
+    data = np.array(rows).T
+    x, y = data[1::2], data[2::2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        freqs = data[0] * ts.FREQUENCY_UNITS[unit]
+        if fmt == "RI":
+            s = x + 1j * y
+        else:
+            magnitude = x if fmt == "MA" else 10.0 ** (x / 20.0)
+            s = magnitude * np.exp(1j * np.radians(y))
+    ok = np.isfinite(freqs) & np.isfinite(s).all(axis=0)
+    ok[1:] &= freqs[1:] > freqs[:-1]
+    if not ok.all():
+        raise ts.MalformedRow(
+            "value overflows or frequencies collide after unit or dB conversion",
+            linenos[ok.argmin()],
+        )
+    z2 = port2_ref if port2_ref is not None else resistance
+    return SParameterTrace(freqs, *s, reference_impedances=(resistance, z2))
+
+
+def _outcome(read, text):
+    """A trace's bytes, or the class, message and line of the error raised."""
+    try:
+        trace = read(text)
+    except ts.TouchstoneError as err:
+        return type(err), str(err), err.line
+    ports = (trace.frequencies, trace.s11, trace.s21, trace.s12, trace.s22)
+    return trace.reference_impedances, [None if p is None else p.tobytes() for p in ports]
+
+
+@settings(max_examples=500, deadline=None)
+@given(touchstone_texts())
+# a failed line below a bad row (the row's error comes first), and each re-scanned row check
+@example("# RI\n1 0.1 x\n# GHz\n")
+@example("# RI\n2 0.1 0\n1 0.1 0\n! PORT2_REF_OHMS -1\n")
+@example("# RI\n1 0.1 0 1\n2 0.1 0\n5\n")
+@example("# RI\n1 0.1 0 0.2 0\n")
+@example("# RI\n1 0.1 0\n2 0.1 0 0 0 0 0 0 0\n# GHz\n")
+@example("# RI\n0 0.1 0\n")
+@example("# RI\n1 0.1 0\n1 0.2 0\n")
+@example("# DB\n1 7000 0\n2 nan 0\n")
+def test_differential_reader_matches_line_by_line_reader(text):
+    assert _outcome(ts.read_touchstone, text) == _outcome(line_by_line_reader, text)
+
+
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
@@ -288,6 +397,68 @@ def test_property_ri_round_trip_exact(trace):
         original, parsed = getattr(trace, name), getattr(back, name)
         assert (parsed is None) == (original is None)
         assert original is None or np.array_equal(parsed, original)
+
+
+@pytest.fixture(scope="module")
+def criterion_9_sweep(tmp_path_factory):
+    """The criterion-9 ladder (extracted from the canonical geometry) over 1,201 points."""
+    path = tmp_path_factory.mktemp("criterion_9")
+    (path / "antenna.geo").write_text(
+        geometry.serialize_geometry(geometry.canonical_geometry(), geometry.canonical_cavities())
+    )
+    assert cli.main(["extract", "--geometry", str(path / "antenna.geo"),
+                     "--frequency", "2.5e9", "--out", str(path / "elements.csv")]) == 0
+    assert cli.main(["build", "--elements", str(path / "elements.csv"),
+                     "--ports", "50,4.5", "--out", str(path / "ladder.net")]) == 0
+    ladder = netlist.parse((path / "ladder.net").read_text())
+    return sweep(ladder, SweepGrid(0.1e9, 6e9, 1201))
+
+
+def value_by_value_writer(trace, fmt):
+    """`write_touchstone` as it was before columns: `format_bare` on every value."""
+    z01, z02 = trace.reference_impedances
+    lines = []
+    if z02 != z01:
+        lines.append(f"! {ts.PORT2_REF_COMMENT} {format_bare(z02)}")
+    lines.append(f"# Hz S {fmt} R {format_bare(z01)}")
+    ports = [trace.s11]
+    if trace.s21 is not None and trace.s22 is not None:
+        s12 = trace.s12 if trace.s12 is not None else trace.s21
+        ports += [trace.s21, s12, trace.s22]
+    columns = [np.asarray(c).tolist() for samples in ports for c in ts._columns(samples, fmt)]
+    for row in zip(trace.frequencies.tolist(), *columns):
+        lines.append(" ".join(map(format_bare, row)))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ts.VALUE_FORMATS)
+@pytest.mark.parametrize("two_port", [False, True])
+def test_criterion_9_sweep_bytes_equal_value_by_value_rendering(criterion_9_sweep, fmt, two_port):
+    trace = criterion_9_sweep
+    if not two_port:
+        # as `simulate` writes an .s1p
+        trace = SParameterTrace(
+            trace.frequencies, trace.s11, reference_impedances=trace.reference_impedances
+        )
+    text = ts.write_touchstone(trace, fmt)
+    assert text == value_by_value_writer(trace, fmt)
+    assert len(text.splitlines()) == 2 + 1201  # the port-2 comment, the option line
+
+
+@pytest.mark.parametrize("fmt", ts.VALUE_FORMATS)
+@pytest.mark.parametrize("row", [0, 300])  # in the first block of rows, and in a later one
+def test_write_reports_the_first_non_finite_value_in_row_order(fmt, row):
+    trace = SParameterTrace(
+        np.arange(1.0, 402.0), np.full(401, 0.5 + 0j), np.full(401, 0.1 + 0j),
+        np.full(401, 0.1 + 0j), np.full(401, 0.2 + 0j),
+    )
+    trace.s11[row + 1] = complex(math.nan, 0.0)  # a later row, but an earlier column
+    trace.s22[row] = complex(0.0, -math.inf)
+    with pytest.raises(NonFiniteValue) as expected:
+        value_by_value_writer(trace, fmt)
+    with pytest.raises(NonFiniteValue) as err:
+        ts.write_touchstone(trace, fmt)
+    assert str(err.value) == str(expected.value)
 
 
 def test_write_rejects_unknown_format():
