@@ -20,13 +20,8 @@ free parameter enters its section, and the residual map on the fit grid
 are fixed up front, and one objective call evaluates a batch of
 parameter sets in one vectorized sweep. A Levenberg-Marquardt iteration
 is one such call: the trial point and its n difference probes. The
-restarts run only when the first run ended above the float floor, the
-cost at which the residuals are rounding. They run in lockstep, every
-run's pending points evaluated in one call per step, and the first to
-reach the floor ends the sequence. Each run evaluates exactly the points
-it would evaluate alone, so results, and the errors raised, are
-identical to running the restarts in seed order, each only while every
-earlier run ended above the floor.
+restarts run in seed order, each only while every earlier run ended
+above the float floor, the cost at which the residuals are rounding.
 """
 
 from __future__ import annotations
@@ -38,7 +33,7 @@ import numpy as np
 
 from . import sinum
 from .analysis import _resample
-from .errors import InputError, RfLadderError
+from .errors import InputError
 from .netlist import Netlist, NetlistError, NonPositiveParameter, Section, in_domain
 from .network import SParameterTrace, SweepGrid, _batch_s11, magnitude_db, sweep
 
@@ -133,13 +128,15 @@ class FitProblem:
                 raise InvalidBounds(f"bounds ({lo}, {hi}) must satisfy 0 < low < high < inf")
         if min(self.max_iterations, self.restarts, self.seed) < 0:
             raise InputError("max_iterations, restarts and seed must not be negative")
-        for sname, pname in self.free_parameters:
+        for k, (sname, pname) in enumerate(self.free_parameters):
             try:
                 section = self.netlist.section(sname)
             except NetlistError:
                 raise UnknownParameter(f"no section named {sname!r}") from None
             if pname not in section.params:
                 raise UnknownParameter(f"section {sname!r} has no parameter {pname!r}")
+            if (sname, pname) in self.free_parameters[:k]:
+                raise InputError(f"free parameter {sname}.{pname} is given more than once")
         for (sname, pname), (lo, _) in zip(self.free_parameters, self.bounds):
             if not in_domain(pname, lo):
                 raise InvalidBounds(
@@ -184,7 +181,7 @@ _MAX_DAMPING = 1e16  # damping, so relative, past which no step is left to try
 _FLOOR_ULPS = 64.0  # residual, in epsilons of 1 + |reference dB|, that counts as an exact fit
 # stop reasons of a search that ended by its own rule, not by the iteration limit
 _CONVERGED = ("tolerance", "step", "damping")
-_BATCH_ELEMENTS = 1 << 16  # rows x frequencies per sweep, bounding memory for many restarts
+_BATCH_ELEMENTS = 1 << 16  # rows x frequencies per sweep, bounding memory on long fit grids
 
 
 class _Objective:
@@ -237,17 +234,17 @@ class _Objective:
         )
 
 
-def _lm_steps(x0, lo, hi, max_iterations, tolerance, floor):
-    """Levenberg-Marquardt on clamped vectors, as a coroutine.
+def _lm(residuals, x0, lo, hi, max_iterations, tolerance, floor):
+    """Levenberg-Marquardt on clamped vectors.
 
-    Every iteration yields one trial point followed by its n
-    forward-difference probes and receives their residual rows, so a
-    trial and the Jacobian at it cost one batch. A parameter on a bound
-    that the gradient pushes outward is held there for the step. The
-    damping follows Nielsen's rule: a step that lowers the cost is taken
-    and scales the damping by max(1/3, 1 - (2*gain - 1)**3), where gain
-    is the actual over the predicted decrease; a refused step multiplies
-    it by a factor that doubles with each refusal in a row.
+    Every iteration maps one trial point and its n forward-difference
+    probes in one `residuals` call, so a trial and the Jacobian at it
+    cost one batch. A parameter on a bound that the gradient pushes
+    outward is held there for the step. The damping follows Nielsen's
+    rule: a step that lowers the cost is taken and scales the damping by
+    max(1/3, 1 - (2*gain - 1)**3), where gain is the actual over the
+    predicted decrease; a refused step multiplies it by a factor that
+    doubles with each refusal in a row.
 
     Returns (best_x, best_f, iterations, stop_reason): "tolerance" when
     the cost is at `floor` or a taken step lowered it by no more than
@@ -261,14 +258,14 @@ def _lm_steps(x0, lo, hi, max_iterations, tolerance, floor):
     def probed(x):
         signs = np.where(x + _FD_STEP <= hi, 1.0, -1.0)
         probes = np.clip(x + np.diag(signs * _FD_STEP), lo, hi)
-        rows = np.asarray((yield [x, *probes]))
+        rows = residuals(np.array([x, *probes]))
         steps = np.diagonal(probes) - x
         jac = np.divide(rows[1:] - rows[0], steps[:, None], out=np.zeros((n, rows.shape[1])),
                         where=steps[:, None] != 0)  # transposed: one row per parameter
         return float(_mean_square(rows[:1])[0]), rows[0], jac
 
     x = np.clip(np.array(x0, dtype=float), lo, hi)
-    f, r, jac = yield from probed(x)
+    f, r, jac = probed(x)
     damping = _DAMPING * np.max(np.sum(jac * jac, axis=1))
     growth = 2.0
     iterations = 0
@@ -293,7 +290,7 @@ def _lm_steps(x0, lo, hi, max_iterations, tolerance, floor):
             trial = x
         step = trial - x
         predicted = -step @ (2.0 * gradient + normal @ step) / len(r)
-        f_t, r_t, jac_t = yield from probed(trial)
+        f_t, r_t, jac_t = probed(trial)
         if f_t < f:
             decrease = f - f_t
             gain = decrease / predicted if decrease < predicted else 1.0
@@ -316,55 +313,6 @@ def _lm_steps(x0, lo, hi, max_iterations, tolerance, floor):
     if f <= floor:
         reason = "tolerance"
     return x, f, iterations, reason
-
-
-def _lockstep(residuals, runs, last=lambda result: False):
-    """Drive `_lm_steps` coroutines together and return each one's result, in order.
-
-    Every round evaluates the pending points of all live runs in one
-    `residuals` call and sends each run its rows of the result. When
-    that call raises, the points are evaluated one at a time: the first
-    that raises stops its run and every later run, and its error is
-    raised once the earlier runs finish, as it would be if the runs went
-    one after another. A run whose result satisfies `last` ends the
-    sequence: the runs after it are dropped with their results and
-    errors, as if never started.
-    """
-    results = [None] * len(runs)
-    pending = {k: next(run) for k, run in enumerate(runs)}
-    error = None
-    while pending:
-        batch = np.array([x for points in pending.values() for x in points])
-        try:
-            values = list(residuals(batch))
-        except RfLadderError:
-            values = []
-            owners = [k for k, points in pending.items() for _ in points]
-            for k, x in zip(owners, batch):
-                try:
-                    values.append(residuals(x[None])[0])
-                except RfLadderError as exc:
-                    error = exc
-                    pending = {j: points for j, points in pending.items() if j < k}
-                    break
-        start = 0
-        for k, points in list(pending.items()):
-            rows = values[start : start + len(points)]
-            start += len(points)
-            if k not in pending:  # dropped this round by an earlier run's `last`
-                continue
-            try:
-                pending[k] = runs[k].send(rows)
-            except StopIteration as stop:
-                results[k] = stop.value
-                del pending[k]
-                if last(stop.value):
-                    pending = {j: points for j, points in pending.items() if j < k}
-                    del results[k + 1 :]
-                    error = None  # raised by a later run, if any
-    if error is not None:
-        raise error
-    return results
 
 
 def fit(problem: FitProblem) -> FitResult:
@@ -398,20 +346,14 @@ def fit(problem: FitProblem) -> FitResult:
     x0 = np.clip(np.log(start_values), lo, hi)
     rng = np.random.default_rng(problem.seed)
     starts = [x0] + [rng.uniform(lo, hi) for _ in range(problem.restarts)]
-    # restarts run only when run 0 ended above the float floor, then in lockstep;
-    # the first of them to reach the floor ends the sequence
-    floor = objective.floor
-    runs = [
-        _lm_steps(x, lo, hi, problem.max_iterations, problem.tolerance, floor) for x in starts
-    ]
-    results = _lockstep(objective.residuals, runs[:1])
-    if results[0][1] > floor:
-        results += _lockstep(objective.residuals, runs[1:], last=lambda run: run[1] <= floor)
-    total_iterations = sum(iterations for _, _, iterations, _ in results)
-    best_x, best_f, _, best_reason = results[0]
-    for x, f, _, reason in results[1:]:
-        if f < best_f:
-            best_x, best_f, best_reason = x, f, reason
+    runs = []
+    for start in starts:
+        runs.append(_lm(objective.residuals, start, lo, hi, problem.max_iterations,
+                        problem.tolerance, objective.floor))
+        if runs[-1][1] <= objective.floor:  # rounding sets the residuals: no start does better
+            break
+    total_iterations = sum(iterations for _, _, iterations, _ in runs)
+    best_x, best_f, _, best_reason = min(runs, key=lambda run: run[1])  # the first of equal costs
 
     if best_f < initial_cost:
         return result_for(np.exp(best_x), float(best_f), total_iterations, best_reason)

@@ -111,19 +111,17 @@ def section_abcd(section: Section, frequency: float) -> AbcdMatrix:
 
 
 def _chain(matrices):
-    """Left-to-right product of chain matrices, and of their determinants."""
+    """Left-to-right product of chain matrices."""
     matrices = iter(matrices)
     total = next(matrices, IDENTITY)
-    det = total.determinant()
     for m in matrices:
-        det = det * m.determinant()
         total = AbcdMatrix(
             total.a * m.a + total.b * m.c,
             total.a * m.b + total.b * m.d,
             total.c * m.a + total.d * m.c,
             total.c * m.b + total.d * m.d,
         )
-    return total, det
+    return total
 
 
 def cascade(matrices) -> AbcdMatrix:
@@ -131,7 +129,7 @@ def cascade(matrices) -> AbcdMatrix:
     matrices = list(matrices)
     if not matrices:
         raise EmptyCascade("cascade of zero matrices")
-    return _chain(matrices)[0]
+    return _chain(matrices)
 
 
 def input_impedance(m: AbcdMatrix, load: complex) -> complex:
@@ -249,15 +247,13 @@ class SParameterTrace:
         return magnitude_db(self.s11)
 
 
-def _cascade(sections, w):
-    """Cascaded chain entries of (topology, params) pairs and their determinant product.
+def _cascade(matrices, w):
+    """Left-to-right product of section matrices, its entries broadcast against `w`.
 
-    The five arrays are broadcast against `w` and each other, so a
-    parameter column of K sets gives `(K, F)` arrays.
+    A parameter column of K sets gives `(K, F)` arrays.
     """
-    total, det = _chain(AbcdMatrix(*_section_entries(t, p, w)) for t, p in sections)
-    a, b, c, d, det = np.broadcast_arrays(total.a, total.b, total.c, total.d, det, w)[:5]
-    return AbcdMatrix(a, b, c, d), det
+    total = _chain(matrices)
+    return AbcdMatrix(*np.broadcast_arrays(total.a, total.b, total.c, total.d, w)[:4])
 
 
 def netlist_abcd_array(netlist: Netlist, frequencies: np.ndarray):
@@ -266,10 +262,23 @@ def netlist_abcd_array(netlist: Netlist, frequencies: np.ndarray):
     The determinant product tracks reciprocity exactly: each section's
     determinant is 1 up to a rounding term, while the determinant of
     the multiplied-out cascade loses accuracy when entries are large.
-    Each section's entries are built only when the chain reaches it.
+    Each section's entries are built only when the chain reaches it, and
+    its determinant joins the product then.
     """
     w = 2.0 * np.pi * np.asarray(frequencies, dtype=float)
-    return _cascade(((s.topology, s.params) for s in netlist.sections), w)
+    det = None
+
+    def matrices():
+        nonlocal det
+        for s in netlist.sections:
+            m = AbcdMatrix(*_section_entries(s.topology, s.params, w))
+            det = m.determinant() if det is None else det * m.determinant()
+            yield m
+
+    total = _cascade(matrices(), w)
+    if det is None:  # no sections: the identity's
+        det = IDENTITY.determinant()
+    return total, np.broadcast_to(det, total.a.shape)
 
 
 def _checked_s(convert):
@@ -288,9 +297,11 @@ def _checked_s(convert):
 def _batch_s11(sections, w, z01: float, z02: float) -> np.ndarray:
     """Checked s11 of (topology, params) pairs whose parameters may be (K, 1) columns.
 
-    The fitter reads s11 alone, so s12, s21 and s22 are not computed.
+    The fitter reads s11 alone, so s12, s21, s22 and the determinant
+    product are not computed.
     """
-    return _checked_s(lambda: _s11(_cascade(sections, w)[0], z01, z02)[:1])[0]
+    matrices = (AbcdMatrix(*_section_entries(t, p, w)) for t, p in sections)
+    return _checked_s(lambda: _s11(_cascade(matrices, w), z01, z02)[:1])[0]
 
 
 def sweep(netlist: Netlist, grid: SweepGrid) -> SParameterTrace:

@@ -247,6 +247,18 @@ def test_fit_rejects_out_of_range_options(tmp_path, capsys, option):
     assert not out.exists()
 
 
+def test_fit_rejects_a_repeated_free_parameter(tmp_path, capsys):
+    net = tmp_path / "n.net"
+    net.write_text("port in z0=50\nport out z0=4.5\nsection s1 topology=series_rl_shunt_c L=3n C=1p\n")
+    target = tmp_path / "t.s1p"
+    target.write_text("# Hz S RI R 50\n1e9 0.5 0\n2e9 0.5 0\n")
+    out = tmp_path / "o.net"
+    assert run(["fit", "--netlist", net, "--target", target, "--vary", "s1.C,s1.C",
+                "--out", out]) == 2
+    assert "error: free parameter s1.C is given more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_overflow_exits_3_without_traceback(tmp_path, capsys):
     net = tmp_path / "huge.net"
     net.write_text("port in z0=50\nport out z0=50\nsection s topology=series_rlc L=1e300\n")

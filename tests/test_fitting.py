@@ -10,7 +10,7 @@ from rfladder import fitting as ft
 from rfladder.analysis import NoOverlap, band_report
 from rfladder.errors import InputError, NonFiniteResult, RfLadderError
 from rfladder.netlist import Netlist, NonPositiveParameter, Section
-from rfladder.network import SweepGrid, sweep
+from rfladder.network import SParameterTrace, SweepGrid, sweep
 
 GRID = SweepGrid(0.5e9, 6e9, 201)
 
@@ -92,6 +92,9 @@ def test_problem_validation():
         ft.FitProblem(net, (("s1", "len"),), ((1e-10, 1e-8),), target, GRID)
     with pytest.raises(ft.InvalidBounds):
         ft.FitProblem(net, (("s1", "L"),), ((1e-10, math.inf),), target, GRID)
+    with pytest.raises(InputError, match=r"s1\.C is given more than once"):
+        ft.FitProblem(net, (("s1", "C"), ("s1", "L"), ("s1", "C")), ((1e-13, 1e-11),) * 3,
+                      target, GRID)
     for field in ("max_iterations", "restarts", "seed"):
         with pytest.raises(InputError):
             ft.FitProblem(net, (("s1", "L"),), ((1e-10, 1e-8),), target, GRID, **{field: -1})
@@ -216,11 +219,6 @@ def test_fit_restarts_deterministic_and_not_worse():
     assert a.final_cost <= ft.fit(base).final_cost + 1e-12
 
 
-def _lm_alone(residuals, x0, lo, hi, max_iterations, tolerance=0.0):
-    """One Levenberg-Marquardt run with no float floor: (best_x, best_f, iterations, reason)."""
-    return ft._lockstep(residuals, [ft._lm_steps(x0, lo, hi, max_iterations, tolerance, 0.0)])[0]
-
-
 def test_optimizer_respects_bounds():
     lo = np.array([-1.0, -2.0])
     hi = np.array([1.0, 0.5])
@@ -230,7 +228,7 @@ def test_optimizer_respects_bounds():
         seen.append(points.copy())
         return np.column_stack([points[:, 0] - 5.0, points[:, 1] + 9.0])  # optimum far outside
 
-    x, _, _, reason = _lm_alone(residuals, np.array([0.0, 0.0]), lo, hi, 200, 1e-12)
+    x, _, _, reason = ft._lm(residuals, np.array([0.0, 0.0]), lo, hi, 200, 1e-12, 0.0)
     rows = np.concatenate(seen)
     assert np.all(rows >= lo) and np.all(rows <= hi)
     assert x.tolist() == [1.0, -2.0]  # pinned at the boundary
@@ -245,7 +243,8 @@ def test_optimizer_best_cost_monotone():
 
     lo, hi = np.full(3, -2.0), np.full(3, 2.0)
     start = np.array([-1.0, 0.9, 1.4])
-    bests = [_lm_alone(residuals, start, lo, hi, k)[1] for k in (0, 1, 2, 5, 10, 20, 40, 80, 160)]
+    bests = [ft._lm(residuals, start, lo, hi, k, 0.0, 0.0)[1]
+             for k in (0, 1, 2, 5, 10, 20, 40, 80, 160)]
     assert bests == sorted(bests, reverse=True)
     assert bests[-1] < bests[0]
 
@@ -314,8 +313,8 @@ def _log_starts(problem):
 
 
 # criterion-10 trials fitted by Levenberg-Marquardt when it took over trace
-# targets: (parameters, final_cost, iterations, converged); trial 31's first
-# three runs end in local minima, so it runs every restart
+# targets: (parameters, final_cost, iterations, converged); trial 10's first
+# run and trial 31's first three end in local minima, so their restarts run
 CRITERION_10_PINNED = {
     0: ({"s0.L": 4.65043891453501e-09, "s0.C": 7.629941112847394e-13},
         4.1585982475987486e-30, 14, True),
@@ -323,6 +322,9 @@ CRITERION_10_PINNED = {
         1.4529936047381774e-29, 9, True),
     7: ({"s0.L": 6.328861939595387e-09, "s0.C": 7.525116042348487e-13},
         1.8829945461603632e-29, 15, True),
+    10: ({"s1.C": 1.171425288903692e-12, "s1.L": 7.61453782387967e-09,
+          "s0.L": 1.0354313092366713e-08, "s0.C": 3.848770233328075e-12},
+         8.060692274907259e-28, 185, True),
     31: ({"s1.L": 7.136225261936585e-09, "s0.L": 6.5506814540781365e-09,
           "s2.L": 9.222973403371882e-09, "s0.C": 2.048465295416504e-12},
          2.3087470202696047e-28, 341, True),
@@ -339,6 +341,33 @@ def test_criterion_10_trials_unchanged(trial):
     for key, value in result.parameters.items():
         section, param = key.split(".")
         assert value == pytest.approx(truth.section(section).params[param], rel=1e-6)
+
+
+def _noisy_target_problem(trial):
+    """Criterion-10 trial `trial` against its target times 1 + 2 % complex Gaussian noise."""
+    problem = recovery_problem(trial)[0]
+    target = problem.target
+    noise = np.array([1.0, 1j]) @ np.random.default_rng(trial).standard_normal((2, len(target)))
+    noisy = SParameterTrace(target.frequencies, target.s11 * (1.0 + 0.02 * noise))
+    return dataclasses.replace(problem, target=noisy)
+
+
+# (parameters, final_cost, iterations, stop_reason) of a noisy-target fit: no run
+# reaches the float floor, so every one of the three restarts runs
+NOISY_TARGET_PINNED = (
+    {"s0.C": 2.9774600746337874e-12, "s0.L": 2.785261285478513e-09,
+     "s1.C": 1.8574015051211614e-12, "s2.L": 2.613162450015376e-09},
+    0.026290948081201245, 154, "damping",
+)
+
+
+def test_noisy_target_fit_unchanged():
+    problem = _noisy_target_problem(1)
+    result = ft.fit(problem)
+    assert (
+        result.parameters, result.final_cost, result.iterations, result.stop_reason
+    ) == NOISY_TARGET_PINNED
+    assert result.final_cost == ft.cost(result.netlist, problem.target, problem.grid)
 
 
 def test_fit_reports_overflow_in_a_restart():
@@ -361,9 +390,9 @@ class _Right(RfLadderError):
     pass
 
 
-def test_lockstep_raises_the_error_the_sequential_order_meets_first():
-    # both runs walk outward, each step about doubling |x| + 0.05; run 1 leaves
-    # (-0.9, 0.9) in its first iteration, run 0 in its third
+def test_lm_raises_what_residuals_raises():
+    # each step about doubles |x| + 0.05: from 0.1 the run leaves (-0.9, 0.9) in its
+    # third iteration, from -0.8 in its first
     def residuals(points):
         if np.any(points > 0.9):
             raise _Right()
@@ -373,35 +402,10 @@ def test_lockstep_raises_the_error_the_sequential_order_meets_first():
 
     lo, hi = np.array([-2.0]), np.array([2.0])
     with pytest.raises(_Right):
-        _lm_alone(residuals, np.array([0.1]), lo, hi, 50)
-    assert _lm_alone(residuals, np.array([0.1]), lo, hi, 2)[0][0] < 0.9
+        ft._lm(residuals, np.array([0.1]), lo, hi, 50, 0.0, 0.0)
+    assert ft._lm(residuals, np.array([0.1]), lo, hi, 2, 0.0, 0.0)[0][0] < 0.9
     with pytest.raises(_Left):
-        _lm_alone(residuals, np.array([-0.8]), lo, hi, 1)
-    runs = [ft._lm_steps(np.array([x0]), lo, hi, 50, 0.0, 0.0) for x0 in (0.1, -0.8)]
-    with pytest.raises(_Right):
-        ft._lockstep(residuals, runs)
-
-
-def test_lockstep_drops_the_runs_after_the_last():
-    def run(rounds, value):
-        for _ in range(rounds):
-            yield [np.array([value])]
-        return value
-
-    def costs(points):
-        if np.any(points < 0.0):
-            raise _Left()
-        return points[:, 0]
-
-    def runs():
-        # run 1 is the last; run 2 ends before it and run 3 raises before it ends
-        return [run(3, 1.0), run(3, 0.0), run(1, 2.0), run(1, -1.0)]
-
-    with pytest.raises(_Left):
-        ft._lockstep(costs, runs())
-    assert ft._lockstep(costs, runs(), last=lambda value: value == 0.0) == [1.0, 0.0]
-    # a later run still going when the last one ends never finishes
-    assert ft._lockstep(costs, [run(2, 0.0), run(5, 3.0)], lambda value: value == 0.0) == [0.0]
+        ft._lm(residuals, np.array([-0.8]), lo, hi, 1, 0.0, 0.0)
 
 
 def test_fit_checks_each_candidate_against_its_domain():
@@ -497,8 +501,8 @@ def _restart_mask_problem():
 
 @pytest.mark.parametrize("trial", [0, 27, 31, "mask"])
 def test_restart_runs_only_after_runs_above_the_floor(trial):
-    # the restarts run in lockstep, but fit returns what runs in seed order give
-    # when each starts only if every earlier one ended above the floor
+    # fit returns what runs in seed order give when each starts only if every
+    # earlier one ended above the floor
     problem = _restart_mask_problem() if trial == "mask" else recovery_problem(trial)[0]
     objective = _objective_for(problem)
     lo, hi, starts = _log_starts(problem)
@@ -506,9 +510,8 @@ def test_restart_runs_only_after_runs_above_the_floor(trial):
     for x0 in starts:
         if runs and runs[-1][1] <= objective.floor:
             break
-        steps = ft._lm_steps(x0, lo, hi, problem.max_iterations, problem.tolerance,
-                             objective.floor)
-        runs += ft._lockstep(objective.residuals, [steps])
+        runs.append(ft._lm(objective.residuals, x0, lo, hi, problem.max_iterations,
+                           problem.tolerance, objective.floor))
     assert len(runs) == {0: 1, 27: 3, 31: 4, "mask": 3}[trial]
     assert all(f > objective.floor for _, f, _, _ in runs[:-1])
     best = min(runs, key=lambda run: run[1])  # the first of equal costs, as fit keeps

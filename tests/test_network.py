@@ -353,6 +353,18 @@ def test_reference_ladder_cascade_reciprocal():
     assert float(np.abs(det - 1).max()) <= 1e-9
 
 
+
+def test_cascade_determinant_is_the_section_determinants_multiplied_in_order():
+    freqs = nw.SweepGrid(0.1e9, 6e9, 1201).frequencies()
+    w = 2.0 * np.pi * freqs
+    for net in (reference_ladder(), Netlist(50.0, 4.5)):
+        product = 1.0  # the identity's, for no sections
+        for k, s in enumerate(net.sections):
+            m = nw.AbcdMatrix(*nw._section_entries(s.topology, s.params, w))
+            product = m.determinant() if k == 0 else product * m.determinant()
+        _, det = nw.netlist_abcd_array(net, freqs)
+        assert det.tolist() == np.broadcast_to(product, freqs.shape).tolist()
+
 def test_scalar_cascade_of_examples_reciprocal():
     # ladder-scale cascades keep even the raw determinant within the bound
     sections = [
