@@ -58,9 +58,11 @@ class Mask:
 
     def __post_init__(self):
         prev_hi = None
-        for lo, hi, _ in self.intervals:
+        for lo, hi, ceiling in self.intervals:
             if not lo < hi:
                 raise InvalidBounds(f"mask interval ({lo}, {hi}) is empty")
+            if not math.isfinite(ceiling):
+                raise InvalidBounds(f"mask ceiling {ceiling} is not finite")
             if prev_hi is not None and lo <= prev_hi:
                 raise InvalidBounds("mask intervals must be disjoint and sorted")
             prev_hi = hi
@@ -128,6 +130,8 @@ class FitProblem:
                 raise InvalidBounds(f"bounds ({lo}, {hi}) must satisfy 0 < low < high < inf")
         if min(self.max_iterations, self.restarts, self.seed) < 0:
             raise InputError("max_iterations, restarts and seed must not be negative")
+        if isinstance(self.target, SParameterTrace) and not np.isfinite(self.target.s11).all():
+            raise InputError("target trace has a non-finite s11 sample")
         for k, (sname, pname) in enumerate(self.free_parameters):
             try:
                 section = self.netlist.section(sname)
@@ -345,9 +349,9 @@ def fit(problem: FitProblem) -> FitResult:
     hi = np.log(hi_values)
     x0 = np.clip(np.log(start_values), lo, hi)
     rng = np.random.default_rng(problem.seed)
-    starts = [x0] + [rng.uniform(lo, hi) for _ in range(problem.restarts)]
     runs = []
-    for start in starts:
+    for k in range(problem.restarts + 1):
+        start = rng.uniform(lo, hi) if k else x0  # drawn as its run begins
         runs.append(_lm(objective.residuals, start, lo, hi, problem.max_iterations,
                         problem.tolerance, objective.floor))
         if runs[-1][1] <= objective.floor:  # rounding sets the residuals: no start does better

@@ -90,6 +90,16 @@ class MalformedLine(LocatedError, GeometryError):
     pass
 
 
+# the value a quantity must exceed: 1 for a relative permittivity, 0 for every other name
+_LOWER_BOUND = {"er": 1, "relative_permittivity": 1}
+
+
+def _check_bound(name: str, value, line: int | None = None) -> None:
+    """Raise NonPositiveValue unless `value` is finite and above its bound."""
+    if not _LOWER_BOUND.get(name, 0) < value < math.inf:
+        raise NonPositiveValue(name, line)
+
+
 @dataclass(frozen=True)
 class Substrate:
     """Dielectric slab the patch is printed on.
@@ -104,10 +114,8 @@ class Substrate:
     vacuum_permeability: float = field(default=VACUUM_PERMEABILITY, init=False)
 
     def __post_init__(self):
-        if not (self.relative_permittivity > 1 and math.isfinite(self.relative_permittivity)):
-            raise NonPositiveValue("relative_permittivity")
-        if not (self.thickness > 0 and math.isfinite(self.thickness)):
-            raise NonPositiveValue("thickness")
+        _check_bound("relative_permittivity", self.relative_permittivity)
+        _check_bound("thickness", self.thickness)
 
 
 @dataclass(frozen=True)
@@ -124,8 +132,7 @@ class AntennaGeometry:
         for key, value in self.dimensions.items():
             if key not in DIMENSION_KEYS:
                 raise UnknownKey(key)
-            if not (value > 0 and math.isfinite(value)):
-                raise NonPositiveValue(key)
+            _check_bound(key, value)
 
 
 @dataclass(frozen=True)
@@ -142,9 +149,7 @@ class Cavity:
         if self.index < 0:
             raise NonPositiveValue("index")
         for name in ("width", "length", "thickness"):
-            value = getattr(self, name)
-            if not (value > 0 and math.isfinite(value)):
-                raise NonPositiveValue(name)
+            _check_bound(name, getattr(self, name))
         if self.block_factor < 1:
             raise NonPositiveValue("block_factor")
 
@@ -179,6 +184,16 @@ class GeometryDocument:
     cavities: tuple[Cavity, ...]
 
 
+_UNIT_EXPONENT = {"mm": -3, "m": 0}
+
+
+def _scaled(text: str, exponent: int, lineno: int, message: str) -> float:
+    try:
+        return sinum.parse_scaled(text, exponent)
+    except ValueError:
+        raise MalformedLine(message, lineno) from None
+
+
 def _parse_length(text: str, name: str, lineno: int) -> float:
     """Parse a value with an attached mm/m unit; bare numbers mean mm."""
     if text.endswith("mm"):
@@ -187,39 +202,31 @@ def _parse_length(text: str, name: str, lineno: int) -> float:
         body, exponent = text[:-1], 0
     else:
         body, exponent = text, -3
-    try:
-        return sinum.parse_scaled(body, exponent)
-    except ValueError:
-        raise MalformedLine(f"bad number for {name!r}: {text!r}", lineno) from None
+    return _scaled(body, exponent, lineno, f"bad number for {name!r}: {text!r}")
 
 
-def _parse_cavity_line(tokens: list[str], lineno: int, overrides: dict) -> None:
+def _parse_cavity_line(tokens: list[str], lineno: int, cavities: list[dict]) -> None:
     if len(tokens) < 3:
         raise MalformedLine("cavity line needs an index and at least one field", lineno)
     try:
         index = int(tokens[1])
     except ValueError:
         raise MalformedLine(f"bad cavity index {tokens[1]!r}", lineno) from None
-    if not 0 <= index < len(_CANONICAL_CAVITIES_MM):
+    if not 0 <= index < len(cavities):
         raise MalformedLine(f"cavity index {index} outside the canonical table", lineno)
-    fields = {}
     for token in tokens[2:]:
         key, sep, raw = token.partition("=")
         if not sep or key not in ("W", "d", "n"):
             raise MalformedLine(f"bad cavity field {token!r}", lineno)
         if key == "n":
             try:
-                fields["n"] = int(raw)
+                value = int(raw)
             except ValueError:
                 raise MalformedLine(f"bad block factor {raw!r}", lineno) from None
-            if fields["n"] < 1:
-                raise NonPositiveValue("n", lineno)
         else:
             value = _parse_length(raw, key, lineno)
-            if not value > 0:
-                raise NonPositiveValue(key, lineno)
-            fields[key] = value
-    overrides.setdefault(index, {}).update(fields)
+        _check_bound(key, value, lineno)
+        cavities[index][key] = value
 
 
 def parse_geometry_file(text: str) -> GeometryDocument:
@@ -228,15 +235,15 @@ def parse_geometry_file(text: str) -> GeometryDocument:
     Grammar per line (``#`` starts a comment):
       - ``<name> = <value> <unit>`` with unit mm or m, for the dimension
         names and the substrate thickness ``h``;
-      - ``er = <value>`` (dimensionless relative permittivity);
+      - ``er = <value>`` (dimensionless relative permittivity, written
+        with the same numbers as lengths);
       - ``cavity <idx> W=<v> d=<v> n=<int>`` overriding the canonical
         cavity table (W/d in mm unless an mm/m unit is attached).
-    Every dimension name plus er and h must be present exactly once.
+    Every dimension name plus er and h must be present exactly once: an
+    entry's second line is a ``duplicate entry`` error, whatever its value.
     """
-    dims: dict[str, float] = {}
-    er: float | None = None
-    h: float | None = None
-    overrides: dict[int, dict] = {}
+    entries: dict[str, float] = {}
+    cavities = [{"W": _from_mm(w), "d": _from_mm(d), "n": 1} for w, d in _CANONICAL_CAVITIES_MM]
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -244,7 +251,7 @@ def parse_geometry_file(text: str) -> GeometryDocument:
             continue
         tokens = line.split()
         if tokens[0] == "cavity":
-            _parse_cavity_line(tokens, lineno, overrides)
+            _parse_cavity_line(tokens, lineno, cavities)
             continue
         if len(tokens) < 3 or tokens[1] != "=":
             raise MalformedLine(f"expected 'name = value [unit]', got {line!r}", lineno)
@@ -252,56 +259,28 @@ def parse_geometry_file(text: str) -> GeometryDocument:
         if name == "er":
             if len(tokens) != 3:
                 raise MalformedLine("er takes a single dimensionless value", lineno)
-            if er is not None:
-                raise MalformedLine("duplicate entry 'er'", lineno)
-            try:
-                er = float(tokens[2])
-            except ValueError:
-                raise MalformedLine(f"bad number {tokens[2]!r}", lineno) from None
-            if not (er > 1 and math.isfinite(er)):
-                raise NonPositiveValue("er", lineno)
-            continue
-        if name != "h" and name not in DIMENSION_KEYS:
-            raise UnknownKey(name, lineno)
-        if len(tokens) != 4 or tokens[3] not in ("mm", "m"):
-            raise MalformedLine(f"{name} needs 'value unit' with unit mm or m", lineno)
-        try:
-            value = sinum.parse_scaled(tokens[2], -3 if tokens[3] == "mm" else 0)
-        except ValueError:
-            raise MalformedLine(f"bad number {tokens[2]!r}", lineno) from None
-        if not (value > 0 and math.isfinite(value)):
-            raise NonPositiveValue(name, lineno)
-        if name == "h":
-            if h is not None:
-                raise MalformedLine("duplicate entry 'h'", lineno)
-            h = value
+            exponent = 0
+        elif name == "h" or name in DIMENSION_KEYS:
+            if len(tokens) != 4 or tokens[3] not in _UNIT_EXPONENT:
+                raise MalformedLine(f"{name} needs 'value unit' with unit mm or m", lineno)
+            exponent = _UNIT_EXPONENT[tokens[3]]
         else:
-            if name in dims:
-                raise MalformedLine(f"duplicate entry {name!r}", lineno)
-            dims[name] = value
+            raise UnknownKey(name, lineno)
+        if name in entries:
+            raise MalformedLine(f"duplicate entry {name!r}", lineno)
+        value = _scaled(tokens[2], exponent, lineno, f"bad number {tokens[2]!r}")
+        _check_bound(name, value, lineno)
+        entries[name] = value
 
-    if er is None:
-        raise MissingDimension("er")
-    if h is None:
-        raise MissingDimension("h")
-    for key in DIMENSION_KEYS:
-        if key not in dims:
-            raise MissingDimension(key)
-
-    geometry = AntennaGeometry(dims, Substrate(er, h))
-    cavities = []
-    for i, (w_mm, d_mm) in enumerate(_CANONICAL_CAVITIES_MM):
-        over = overrides.get(i, {})
-        cavities.append(
-            Cavity(
-                i,
-                over.get("W", _from_mm(w_mm)),
-                over.get("d", _from_mm(d_mm)),
-                h,
-                over.get("n", 1),
-            )
-        )
-    return GeometryDocument(geometry, tuple(cavities))
+    for name in ("er", "h"):
+        if name not in entries:
+            raise MissingDimension(name)
+    er, h = entries.pop("er"), entries.pop("h")
+    # AntennaGeometry reports the first missing dimension in DIMENSION_KEYS order
+    geometry = AntennaGeometry(entries, Substrate(er, h))
+    return GeometryDocument(
+        geometry, tuple(Cavity(i, c["W"], c["d"], h, c["n"]) for i, c in enumerate(cavities))
+    )
 
 
 def load_geometry(text: str) -> AntennaGeometry:

@@ -178,8 +178,7 @@ def parse(text: str) -> Netlist:
     one ``port out`` are required; sections cascade in file order from
     the input port to the output port.
     """
-    in_z: float | None = None
-    out_z: float | None = None
+    ports: dict[str, float] = {}
     sections: list[Section] = []
     names: set[str] = set()
 
@@ -192,16 +191,11 @@ def parse(text: str) -> Netlist:
             if len(tokens) != 3 or tokens[1] not in ("in", "out") or not tokens[2].startswith("z0="):
                 raise MalformedLine(f"expected 'port in|out z0=<value>', got {line!r}", lineno)
             value = _parse_number(tokens[2][3:], lineno)
-            if not (math.isfinite(value) and value > 0):
+            if not value > 0:
                 raise NonPositiveParameter("z0", lineno)
-            if tokens[1] == "in":
-                if in_z is not None:
-                    raise DuplicatePort("in", lineno)
-                in_z = value
-            else:
-                if out_z is not None:
-                    raise DuplicatePort("out", lineno)
-                out_z = value
+            if tokens[1] in ports:
+                raise DuplicatePort(tokens[1], lineno)
+            ports[tokens[1]] = value
         elif tokens[0] == "section":
             if len(tokens) < 3 or not tokens[2].startswith("topology="):
                 raise MalformedLine(
@@ -227,11 +221,10 @@ def parse(text: str) -> Netlist:
         else:
             raise MalformedLine(f"unrecognized line {line!r}", lineno)
 
-    if in_z is None:
-        raise MissingPort("in")
-    if out_z is None:
-        raise MissingPort("out")
-    return Netlist(in_z, out_z, tuple(sections))
+    for which in ("in", "out"):
+        if which not in ports:
+            raise MissingPort(which)
+    return Netlist(ports["in"], ports["out"], tuple(sections))
 
 
 def serialize(netlist: Netlist) -> str:

@@ -32,17 +32,10 @@ class NonFiniteValue(NumericalError):
 
 
 # Descending scan order for suffix selection (mantissa lands in [1, 1000)).
-_SCALES = [
-    (1e9, 9, "G"),
-    (1e6, 6, "M"),
-    (1e3, 3, "k"),
-    (1.0, 0, ""),
-    (1e-3, -3, "m"),
-    (1e-6, -6, "u"),
-    (1e-9, -9, "n"),
-    (1e-12, -12, "p"),
-    (1e-15, -15, "f"),
-]
+_SCALES = sorted(
+    ((float(f"1e{e}"), e, suffix) for suffix, e in {**SUFFIX_EXPONENT, "": 0}.items()),
+    reverse=True,
+)
 
 
 def parse_value(text: str) -> float:

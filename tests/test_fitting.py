@@ -75,6 +75,9 @@ def test_mask_validation():
         ft.Mask(((2e9, 1e9, -10.0),))
     with pytest.raises(ft.InvalidBounds):
         ft.Mask(((1e9, 2e9, -10.0), (1.5e9, 3e9, -10.0)))
+    for ceiling in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ft.InvalidBounds, match="not finite"):
+            ft.Mask(((1e9, 2e9, -10.0), (3e9, 4e9, ceiling)))
 
 
 def test_problem_validation():
@@ -98,6 +101,11 @@ def test_problem_validation():
     for field in ("max_iterations", "restarts", "seed"):
         with pytest.raises(InputError):
             ft.FitProblem(net, (("s1", "L"),), ((1e-10, 1e-8),), target, GRID, **{field: -1})
+    s11 = target.s11.copy()
+    s11[7] = complex(math.nan, 0.0)
+    with pytest.raises(InputError, match="non-finite s11"):
+        ft.FitProblem(net, (("s1", "L"),), ((1e-10, 1e-8),),
+                      SParameterTrace(target.frequencies, s11), GRID)
     line = _tline()
     with pytest.raises(ft.InvalidBounds, match="t.eps_eff"):
         ft.FitProblem(line, (("t", "eps_eff"),), ((0.13, 13.0),), sweep(line, GRID), GRID)
@@ -519,6 +527,51 @@ def test_restart_runs_only_after_runs_above_the_floor(trial):
     assert result.final_cost == best[1] <= objective.floor
     assert list(result.parameters.values()) == np.exp(best[0]).tolist()
     assert result.iterations == sum(run[2] for run in runs)
+
+
+class _CountingGenerator:
+    """Wraps a numpy Generator and counts its `uniform` draws."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.draws = 0
+
+    def uniform(self, *args):
+        self.draws += 1
+        return self._rng.uniform(*args)
+
+
+@pytest.mark.parametrize("trial,draws", [(0, 0), (31, 3)])
+def test_fit_draws_each_restart_start_as_its_run_begins(trial, draws, monkeypatch):
+    # trial 0's first run reaches the floor, so none of its 3 restart starts is drawn
+    problem = recovery_problem(trial)[0]
+    assert problem.restarts == 3
+    generators, default_rng = [], np.random.default_rng
+
+    def counting_rng(seed):
+        generators.append(_CountingGenerator(default_rng(seed)))
+        return generators[-1]
+
+    monkeypatch.setattr(ft.np.random, "default_rng", counting_rng)
+    result = ft.fit(problem)
+    assert [g.draws for g in generators] == [draws]
+    assert (result.parameters, result.final_cost, result.iterations, result.converged) == (
+        CRITERION_10_PINNED[trial])
+
+
+def test_fit_keeps_the_first_of_equal_costs(monkeypatch):
+    problem = dataclasses.replace(_recovery_problem(), restarts=3)
+    initial_cost = ft.fit(dataclasses.replace(problem, max_iterations=0)).initial_cost
+    lo = np.log([low for low, _ in problem.bounds])
+    # runs 1 and 2 tie below run 0, all above the floor, so run 3 also runs
+    canned = [(lo + 0.1, initial_cost / 2, 3, "step"), (lo + 0.2, initial_cost / 4, 5, "damping"),
+              (lo + 0.3, initial_cost / 4, 7, "tolerance"), (lo + 0.4, initial_cost / 3, 11, "step")]
+    monkeypatch.setattr(ft, "_lm", lambda *args: canned.pop(0))
+    result = ft.fit(problem)
+    assert not canned
+    assert list(result.parameters.values()) == np.exp(lo + 0.2).tolist()
+    assert (result.final_cost, result.iterations, result.stop_reason) == (
+        initial_cost / 4, 26, "damping")
 
 
 def test_lm_probe_past_overflow_raises_non_finite():

@@ -162,6 +162,43 @@ def test_non_positive_value(geometry):
     assert err.value.name == "W1"
 
 
+@pytest.mark.parametrize(
+    "line,name",
+    [
+        ("er = 1", "er"),
+        ("er = 1e-400", "er"),  # rounds to 0
+        ("h = 0 mm", "h"),
+        ("Wa = -0.1 m", "Wa"),
+        ("cavity 1 W=0", "W"),
+        ("cavity 1 W=20 d=-1mm", "d"),
+        ("cavity 1 n=0", "n"),
+    ],
+)
+def test_value_below_its_bound_carries_name_and_line(geometry, line, name):
+    kept = [ln for ln in geo.serialize_geometry(geometry).splitlines()
+            if ln.split()[0] != line.split()[0]]
+    text = "\n".join(kept + [line]) + "\n"
+    with pytest.raises(geo.NonPositiveValue) as err:
+        geo.parse_geometry_file(text)
+    assert (err.value.name, err.value.line) == (name, len(kept) + 1)
+
+
+@pytest.mark.parametrize("value", ["nan", "-inf", "Infinity", "1e400", "4.4x"])
+def test_er_takes_the_numbers_lengths_take(geometry, value):
+    text = geo.serialize_geometry(geometry).replace("er = 4.4", f"er = {value}")
+    with pytest.raises(geo.MalformedLine, match=f"^line 1: bad number '{value}'$"):
+        geo.parse_geometry_file(text)
+    assert geo.load_geometry(text.replace(f"er = {value}", "er = 44e-1")) == geometry
+
+
+@pytest.mark.parametrize("line", ["er = 4.4", "er = nan", "h = x mm", "h = 0 mm", "W1 = inf m"])
+def test_a_repeated_entry_is_a_duplicate_whatever_its_value(geometry, line):
+    text = geo.serialize_geometry(geometry) + line + "\n"
+    name = line.split()[0]
+    with pytest.raises(geo.MalformedLine, match=f"^line 29: duplicate entry '{name}'$"):
+        geo.parse_geometry_file(text)
+
+
 def test_unknown_key(geometry):
     text = geo.serialize_geometry(geometry) + "Zz = 4 mm\n"
     with pytest.raises(geo.UnknownKey) as err:
@@ -201,11 +238,17 @@ def test_substrate_validation():
         geo.Substrate(0.9, 1.7e-3)
     with pytest.raises(geo.NonPositiveValue):
         geo.Substrate(4.4, 0.0)
+    with pytest.raises(geo.NonPositiveValue):
+        geo.Substrate(math.inf, 1.7e-3)
+    with pytest.raises(geo.NonPositiveValue):
+        geo.Substrate(4.4, math.nan)
 
 
 def test_cavity_validation():
     with pytest.raises(geo.NonPositiveValue):
         geo.Cavity(0, -1.0, 0.06, 1.7e-3)
+    with pytest.raises(geo.NonPositiveValue):
+        geo.Cavity(0, 0.0032, math.inf, 1.7e-3)
     with pytest.raises(geo.NonPositiveValue):
         geo.Cavity(0, 0.0032, 0.06, 1.7e-3, block_factor=0)
     with pytest.raises(geo.NonPositiveValue):
@@ -223,5 +266,8 @@ def test_geometry_type_rejects_bad_maps(geometry):
         geo.AntennaGeometry(extra, geometry.substrate)
     negative = dict(geometry.dimensions)
     negative["Wa"] = -1.0
+    with pytest.raises(geo.NonPositiveValue):
+        geo.AntennaGeometry(negative, geometry.substrate)
+    negative["Wa"] = math.inf
     with pytest.raises(geo.NonPositiveValue):
         geo.AntennaGeometry(negative, geometry.substrate)

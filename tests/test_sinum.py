@@ -53,6 +53,7 @@ def test_parse_value_rejects_junk(text):
         (0.06, "60m"),
         (3.3, "3.3"),
         (1.0, "1"),
+        (1e-6, "1u"),  # also inside the n range: 1e-9 * 1000 rounds above 1e-6
         (999.9e9, "999.9G"),
         (1e-17, "1e-17"),
         (0.0, "0"),
