@@ -30,7 +30,7 @@ def _read_input(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     print(f"input {path} sha256={digest}", file=sys.stderr)
@@ -38,21 +38,20 @@ def _read_input(path: str) -> str:
 
 
 def _write_output(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".rfladder-")
-    except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc}") from None
     umask = os.umask(0)
     os.umask(umask)
+    tmp = None
     try:
-        os.fchmod(fd, 0o666 & ~umask)  # mkstemp made it 0600; use open()'s mode
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".rfladder-")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            os.fchmod(fd, 0o666 & ~umask)  # mkstemp made it 0600; use open()'s mode
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None:
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise InputError(f"cannot write {path}: {exc}") from None
         raise
 
 
@@ -275,9 +274,6 @@ def main(argv=None) -> int:
     print(f"rfladder {__version__}", file=sys.stderr)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -252,9 +252,9 @@ def elements_from_csv(text: str) -> list[ElementRow]:
         if not line.strip():
             continue
         fields = line.split(",")
-        if len(fields) != 7:
-            raise MalformedElementsRow("expected 7 comma-separated fields", lineno)
         try:
+            if len(fields) != 7:
+                raise ExtractionError("expected 7 comma-separated fields")
             index = int(fields[0])
             width = sinum.parse_scaled(fields[1], 0)
             length = sinum.parse_scaled(fields[2], 0)
@@ -265,6 +265,10 @@ def elements_from_csv(text: str) -> list[ElementRow]:
             if not (width > 0 and length > 0):
                 raise NonPositiveDimension("W_m and d_m")
             lumped = LumpedElements(c, l, r, index)
+            if index < 0:  # the geometry file's cavity rules, after the value checks
+                raise ExtractionError(f"cavity index {index} is negative")
+            if n < 1:
+                raise NonPositiveElement("n")
         except (ValueError, ExtractionError) as exc:
             raise MalformedElementsRow(str(exc), lineno) from None
         rows.append(ElementRow(index, width, length, n, lumped))

@@ -150,7 +150,7 @@ class Cavity:
             raise NonPositiveValue("index")
         for name in ("width", "length", "thickness"):
             _check_bound(name, getattr(self, name))
-        if self.block_factor < 1:
+        if not 1 <= self.block_factor < math.inf:
             raise NonPositiveValue("block_factor")
 
 

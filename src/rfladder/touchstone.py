@@ -58,31 +58,29 @@ class MalformedRow(LocatedError, TouchstoneError):
 
 
 def _parse_option_line(line: str, lineno: int):
-    tokens = line[1:].split()
     unit = "ghz"
     fmt = "ma"
     resistance = 50.0
     parameter = "s"
-    i = 0
-    while i < len(tokens):
-        token = tokens[i].lower()
-        if token in FREQUENCY_UNITS:
-            unit = token
-        elif token in ("s", "y", "z", "g", "h"):
-            parameter = token
-        elif token in ("ri", "ma", "db"):
-            fmt = token
-        elif token == "r":
-            if i + 1 >= len(tokens):
+    tokens = iter(line[1:].split())
+    for token in tokens:
+        lowered = token.lower()
+        if lowered in FREQUENCY_UNITS:
+            unit = lowered
+        elif lowered in ("s", "y", "z", "g", "h"):
+            parameter = lowered
+        elif lowered in ("ri", "ma", "db"):
+            fmt = lowered
+        elif lowered == "r":
+            value = next(tokens, None)
+            if value is None:
                 raise BadOptionLine("R needs a resistance value", lineno)
             try:
-                resistance = float(tokens[i + 1])
+                resistance = float(value)
             except ValueError:
-                raise BadOptionLine(f"bad reference resistance {tokens[i + 1]!r}", lineno) from None
-            i += 1
+                raise BadOptionLine(f"bad reference resistance {value!r}", lineno) from None
         else:
-            raise BadOptionLine(f"unknown option token {tokens[i]!r}", lineno)
-        i += 1
+            raise BadOptionLine(f"unknown option token {token!r}", lineno)
     if parameter != "s":
         raise BadOptionLine(f"only S-parameter files are supported, got {parameter!r}", lineno)
     if not (resistance > 0 and math.isfinite(resistance)):
@@ -92,19 +90,17 @@ def _parse_option_line(line: str, lineno: int):
 
 def read_touchstone(text: str) -> SParameterTrace:
     """Parse one-port or two-port version-1 text into a trace; errors name their line."""
+    lines = text.splitlines()
     rows, linenos = [], []
-    failure = None
     try:
-        options, port2_ref, option_lineno = _sort_lines(text.splitlines(), rows, linenos)
-    except TouchstoneError as error:
-        failure = error
-    data = _data(text, rows, linenos)  # a bad row above the failed line comes first
-    if failure is not None:
-        raise failure
+        options, port2_ref, option_lineno = _sort_lines(lines, rows, linenos)
+    except TouchstoneError:
+        _data(lines, rows, linenos)  # a bad row above the failed line comes first
+        raise
+    data = _data(lines, rows, linenos).T
     unit, fmt, resistance = options
     if not linenos:
         raise MalformedRow("no data rows", option_lineno)
-    data = data.T
     x, y = data[1::2], data[2::2]  # one row per port, in file order: S11 (S21 S12 S22)
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
         freqs = data[0] * FREQUENCY_UNITS[unit]
@@ -167,7 +163,7 @@ def _sort_lines(lines, rows, linenos):
     return options, port2_ref, option_lineno
 
 
-def _data(text, rows, linenos) -> np.ndarray:
+def _data(lines, rows, linenos) -> np.ndarray:
     """The data rows as one `(rows, width)` array, checked a whole column at a time.
 
     A row must have 3 or 9 numbers, as many as the first row, all finite,
@@ -183,12 +179,11 @@ def _data(text, rows, linenos) -> np.ndarray:
         f = data[:, 0]
         if np.isfinite(flat).all() and (f[1:] > f[:-1]).all() and (f[:1] > 0).all():
             return data
-    _raise_first_bad_row(text, rows, linenos)
+    _raise_first_bad_row(lines, rows, linenos)
 
 
-def _raise_first_bad_row(text, rows, linenos):
+def _raise_first_bad_row(lines, rows, linenos):
     """Raise the error of the first data row that fails a check, checks in order."""
-    lines = text.splitlines()
     width = previous = None
     for row, lineno in zip(rows, linenos):
         if not all(map(math.isfinite, row)):

@@ -235,6 +235,11 @@ def test_compare_no_overlap():
     b = flat_trace(-12.0, 3e9, 4e9)
     with pytest.raises(an.NoOverlap):
         an.compare_traces(a, b, -10.0)
+    # the spans overlap, but no point of a's grid lies inside the overlap
+    a = flat_trace(-12.0, 1e9, 3e9, 2)
+    b = flat_trace(-12.0, 1.5e9, 2.5e9)
+    with pytest.raises(an.NoOverlap, match="no grid points of the first trace"):
+        an.compare_traces(a, b, -10.0)
 
 
 def test_band_report_flat_m15():

@@ -159,6 +159,27 @@ def test_input_errors_exit_2(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_non_utf8_input_exits_2_naming_the_path(tmp_path, capsys):
+    utf16 = tmp_path / "utf16.net"
+    utf16.write_bytes("port in z0=50\n".encode("utf-16"))
+    assert run(["simulate", "--netlist", utf16, "--out", tmp_path / "x.s1p"]) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot read {utf16}: " in err
+    assert "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["utf16.net"]
+
+
+def test_output_path_that_is_a_directory_exits_2_naming_the_path(tmp_path, capsys):
+    directory = tmp_path / "out"
+    directory.mkdir()
+    assert run(["extract", "--out", directory]) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot write {directory}: " in err
+    assert "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    assert not list(directory.iterdir())
+
+
 def test_numerical_errors_exit_3(tmp_path, capsys):
     # total reflection with threshold 0 drives the VSWR out of its domain
     full = tmp_path / "full.s1p"

@@ -229,6 +229,12 @@ def test_elements_csv_round_trip(cavities, substrate):
     assert [p.block_factor for p in parsed] == [c.block_factor for c in cavities]
 
 
+def test_elements_csv_rejects_lists_of_different_lengths(cavities, substrate):
+    rows = el.extract_all(cavities, substrate, 2.5e9)
+    with pytest.raises(el.ExtractionError, match="differ in length"):
+        el.elements_to_csv(cavities, rows[:-1])
+
+
 def test_elements_csv_empty_fields_for_feed(cavities, substrate):
     rows = el.extract_all(cavities, substrate, 2.5e9)
     line = el.elements_to_csv(cavities, rows).splitlines()[1]
@@ -238,6 +244,8 @@ def test_elements_csv_empty_fields_for_feed(cavities, substrate):
 def test_elements_csv_errors():
     with pytest.raises(el.MalformedElementsRow):
         el.elements_from_csv("not,a,header\n")
+    with pytest.raises(el.MalformedElementsRow, match="^line 1: no data rows$"):
+        el.elements_from_csv(el.ELEMENTS_CSV_HEADER + "\n")
     good = el.ELEMENTS_CSV_HEADER + "\n0,0.0032,0.06,1,1e-15,,\n"
     el.elements_from_csv(good)
     with pytest.raises(el.MalformedElementsRow) as err:
@@ -255,6 +263,9 @@ def test_elements_csv_errors():
         "1,0,0.007,1,1e-12,2e-9,3",  # zero width
         "1,0.018,-0.007,1,1e-12,2e-9,3",  # negative length
         "1,0.018,0.007,1,-1e-12,2e-9,3",  # negative capacitance
+        "1,0.018,0.007,0,1e-12,2e-9,3",  # no blocks
+        "1,0.018,0.007,-5,1e-12,2e-9,3",  # negative block count
+        "-1,0.018,0.007,1,1e-12,2e-9,3",  # negative cavity index
     ):
         with pytest.raises(el.MalformedElementsRow) as err:
             el.elements_from_csv(good + bad + "\n")

@@ -7,6 +7,7 @@ that each failure mode is reached in a few examples.
 """
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -37,11 +38,17 @@ SMALL_NETLIST = (
 )
 
 
+# a value field: what follows a '=' (with or without spaces), or any CSV field
+VALUE_FIELDS = {" ": re.compile(r"=\s*(\S*)"), ",": re.compile(r"(?:^|,)([^,]*)")}
+
+
 @st.composite
 def mutated(draw, text, sep):
     """`text` with one to three lines dropped, doubled, replaced by noise,
-    or with one field's value swapped for a drawn token; the rest stays
-    well-formed, so most examples parse and reach the code behind it."""
+    or with one value field swapped for a drawn token; the rest stays
+    well-formed. Few parse and so reach the code behind the parser: of
+    the distinct texts in 3,000 draws, 5 % of the geometry files, 9 % of
+    the netlists and 14 % of the elements CSVs."""
     lines = text.splitlines()
     for _ in range(draw(st.integers(1, 3))):
         k = draw(st.integers(0, len(lines) - 1))
@@ -53,11 +60,10 @@ def mutated(draw, text, sep):
         elif action == "noise":
             lines[k] = sep.join(draw(st.lists(TOKENS, max_size=5)))
         else:
-            fields = lines[k].split(sep)
-            j = draw(st.integers(0, len(fields) - 1))
-            key, eq, _ = fields[j].rpartition("=")
-            fields[j] = key + eq + draw(TOKENS)
-            lines[k] = sep.join(fields)
+            values = list(VALUE_FIELDS[sep].finditer(lines[k]))
+            if values:
+                start, end = draw(st.sampled_from(values)).span(1)
+                lines[k] = lines[k][:start] + draw(TOKENS) + lines[k][end:]
         if not lines:
             break
     return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
@@ -94,10 +100,17 @@ def test_fuzz_elements_csv_parse_and_build(text):
         pass
 
 
+NOT_UTF8 = "utf16.txt"
+DIRECTORY = "outdir"
+
+
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
-    """Small valid input files for every subcommand, written once."""
+    """Small valid input files for every subcommand, written once, plus a
+    file that is not UTF-8 and a directory where an output file may be named."""
     root = tmp_path_factory.mktemp("fuzz")
+    (root / NOT_UTF8).write_bytes("# Hz S RI R 50\n".encode("utf-16"))
+    (root / DIRECTORY).mkdir()
     (root / "elements.csv").write_text(CANONICAL_ELEMENTS)
     (root / "ladder.net").write_text(SMALL_NETLIST)
     start = SMALL_NETLIST.replace("L=3n", "L=3.9n").replace("C=1p", "C=1.3p")
@@ -128,14 +141,19 @@ def command(name, *parts):
 
 
 def argv_for(root):
-    path = lambda name: st.just(str(root / name))
+    def path(flag, *names, odd):
+        """``[flag, path]`` to one of `names`, or one draw in four to `odd`."""
+        choices = names * 3 + (odd,) * len(names)
+        return st.sampled_from(choices).map(lambda name: [flag, str(root / name)])
+
     fuzzed_geometry = st.tuples(st.sampled_from("Wd"), st.integers(0, len(NUMBER_VALUES) - 1))
+    geometry_file = fuzzed_geometry.map(lambda t: f"{t[0]}{t[1]}.geo") | st.just(NOT_UTF8)
     return {
         "extract": command(
             "extract",
-            option("--geometry", fuzzed_geometry.map(lambda t: str(root / f"{t[0]}{t[1]}.geo"))),
+            option("--geometry", geometry_file.map(lambda name: str(root / name))),
             option("--frequency", NUMBERS),
-            st.just(["--out", str(root / "out.csv")]),
+            path("--out", "out.csv", odd=DIRECTORY),
         ),
         "microstrip": command(
             "microstrip",
@@ -145,37 +163,37 @@ def argv_for(root):
         ),
         "build": command(
             "build",
-            path("elements.csv").map(lambda p: ["--elements", p]),
+            path("--elements", "elements.csv", odd=NOT_UTF8),
             option("--ports", st.tuples(NUMBERS, NUMBERS).map(",".join)),
             option("--er", NUMBERS),
             option("--height", NUMBERS),
             option("--feed-len", NUMBERS),
-            st.just(["--out", str(root / "out.net")]),
+            path("--out", "out.net", odd=DIRECTORY),
         ),
         "simulate": command(
             "simulate",
-            path("ladder.net").map(lambda p: ["--netlist", p]),
+            path("--netlist", "ladder.net", odd=NOT_UTF8),
             option("--fstart", NUMBERS),
             option("--fstop", NUMBERS),
             option("--points", POINTS),
             option("--format", st.sampled_from(touchstone.VALUE_FORMATS)),
-            st.sampled_from(["out.s1p", "out.s2p"]).map(lambda n: ["--out", str(root / n)]),
+            path("--out", "out.s1p", "out.s2p", odd=DIRECTORY),
         ),
         "bandwidth": command(
             "bandwidth",
-            st.sampled_from(["target.s1p", "exact.s1p"]).map(lambda n: ["--input", str(root / n)]),
+            path("--input", "target.s1p", "exact.s1p", odd=NOT_UTF8),
             option("--threshold", NUMBERS),
         ),
         "compare": command(
             "compare",
-            st.sampled_from(["target.s1p", "exact.s1p"]).map(lambda n: ["--a", str(root / n)]),
-            st.sampled_from(["target.s1p", "exact.s1p"]).map(lambda n: ["--b", str(root / n)]),
+            path("--a", "target.s1p", "exact.s1p", odd=NOT_UTF8),
+            path("--b", "target.s1p", "exact.s1p", odd=NOT_UTF8),
             option("--threshold", NUMBERS),
         ),
         "fit": command(
             "fit",
-            path("start.net").map(lambda p: ["--netlist", p]),
-            path("target.s1p").map(lambda p: ["--target", p]),
+            path("--netlist", "start.net", odd=NOT_UTF8),
+            path("--target", "target.s1p", odd=NOT_UTF8),
             st.sampled_from(["s1.L,s1.C", "s2.R"]).map(lambda v: ["--vary", v]),
             st.sampled_from(["-1", "0", "1", "5"]).map(lambda v: ["--max-iter", v]),
             option("--restarts", SMALL_INTS),
@@ -185,7 +203,7 @@ def argv_for(root):
             option("--fstart", NUMBERS),
             option("--fstop", NUMBERS),
             option("--points", POINTS),
-            st.just(["--out", str(root / "fitted.net")]),
+            path("--out", "fitted.net", odd=DIRECTORY),
         ),
     }
 
@@ -203,3 +221,4 @@ def test_fuzz_cli_exit_codes(inputs, name, data):
         assert exc.code == 2, argv
         return
     assert code in (0, 2, 3, 4), argv
+    assert not list(inputs.glob(".rfladder-*")), argv

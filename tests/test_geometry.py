@@ -199,6 +199,12 @@ def test_a_repeated_entry_is_a_duplicate_whatever_its_value(geometry, line):
         geo.parse_geometry_file(text)
 
 
+def test_er_takes_a_single_value(geometry):
+    text = geo.serialize_geometry(geometry).replace("er = 4.4", "er = 4.4 5")
+    with pytest.raises(geo.MalformedLine, match="^line 1: er takes a single dimensionless value$"):
+        geo.parse_geometry_file(text)
+
+
 def test_unknown_key(geometry):
     text = geo.serialize_geometry(geometry) + "Zz = 4 mm\n"
     with pytest.raises(geo.UnknownKey) as err:
@@ -216,6 +222,7 @@ def test_unknown_key(geometry):
         "cavity x W=3",  # bad cavity index
         "cavity 9 W=3",  # index outside table
         "cavity 1 Q=3",  # unknown cavity field
+        "cavity 1",  # no field
         "what even is this",
     ],
 )
@@ -253,6 +260,10 @@ def test_cavity_validation():
         geo.Cavity(0, 0.0032, 0.06, 1.7e-3, block_factor=0)
     with pytest.raises(geo.NonPositiveValue):
         geo.Cavity(-1, 0.0032, 0.06, 1.7e-3)
+    for factor in (math.nan, math.inf):
+        with pytest.raises(geo.NonPositiveValue) as err:
+            geo.Cavity(1, 0.018, 0.007, 1.7e-3, block_factor=factor)
+        assert err.value.name == "block_factor"
 
 
 def test_geometry_type_rejects_bad_maps(geometry):

@@ -187,6 +187,8 @@ def test_netlist_type_validation():
     b = nl.Section("dup", "series_rlc", {"R": 2.0})
     with pytest.raises(nl.DuplicateSectionName):
         nl.Netlist(50.0, 50.0, (a, b))
+    with pytest.raises(nl.MalformedLine, match="bad section name '1a'"):
+        nl.Section("1a", "series_rlc", {"R": 1.0})
 
 
 def test_section_lookup():

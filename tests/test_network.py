@@ -150,6 +150,14 @@ def test_abcd_to_s_series_fifty():
     assert abs(s22 - 1 / 3) <= 1e-12
 
 
+def test_abcd_to_s_rejects_bad_references_and_a_vanishing_denominator():
+    with pytest.raises(nw.DegenerateDenominator, match="conversion denominator vanished"):
+        nw.abcd_to_s(nw.AbcdMatrix(0, 0, 0, 0), 50.0, 50.0)
+    for z01, z02 in ((0.0, 50.0), (50.0, -1.0)):
+        with pytest.raises(nw.NonPositiveImpedance):
+            nw.abcd_to_s(nw.IDENTITY, z01, z02)
+
+
 def test_abcd_to_s_impedance_step():
     s11, _, _, s22 = nw.abcd_to_s(nw.IDENTITY, 50.0, 4.5)
     assert s11 == approx_c(REFL_STEP)
@@ -239,6 +247,8 @@ def test_trace_validation():
         nw.SParameterTrace(np.array([2e9, 1e9]), np.array([0j, 0j]))
     with pytest.raises(InputError):
         nw.SParameterTrace(np.array([-1e9, 1e9]), np.array([0j, 0j]))
+    with pytest.raises(InputError, match="^s21 length differs"):
+        nw.SParameterTrace(np.array([1e9, 2e9]), np.array([0j, 0j]), np.array([0j]))
 
 
 def test_magnitude_db_clamps_zero():

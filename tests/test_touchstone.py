@@ -152,6 +152,8 @@ def test_bad_option_line():
         ts.read_touchstone("1.0 0.1 0\n")  # data before option line
     with pytest.raises(ts.BadOptionLine):
         ts.read_touchstone("")
+    with pytest.raises(ts.BadOptionLine, match="^line 1: bad reference resistance 'abc'$"):
+        ts.read_touchstone("# Hz S RI R abc\n1.0 0.1 0\n")
 
 
 def test_non_monotone_frequency():
