@@ -10,7 +10,7 @@ lie between those two samples. Each report reads one dB array per trace.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -177,21 +177,14 @@ def band_report(trace: SParameterTrace, threshold_db: float) -> BandReport:
 
 def band_report_text(report: BandReport) -> str:
     """Flat key=value rendering of a band report."""
-    lines = [
-        f"threshold_db = {sinum.format_bare(report.threshold_db)}",
-        f"bands = {len(report.bands)}",
-    ]
+    pairs = [("threshold_db", report.threshold_db), ("bands", len(report.bands))]
     for k, (lo, hi) in enumerate(report.bands):
-        lines.append(f"band{k}_low_hz = {sinum.format_bare(lo)}")
-        lines.append(f"band{k}_high_hz = {sinum.format_bare(hi)}")
+        pairs += [(f"band{k}_low_hz", lo), (f"band{k}_high_hz", hi)]
     if report.widest_band is not None:
-        lines.append(f"widest_band = {report.widest_band}")
-        lines.append(
-            "mismatch_efficiency_percent = "
-            f"{sinum.format_bare(report.mismatch_efficiency_percent)}"
-        )
-        lines.append(f"max_vswr_in_band = {sinum.format_bare(report.max_vswr_in_band)}")
-    return "\n".join(lines) + "\n"
+        pairs += [("widest_band", report.widest_band),
+                  ("mismatch_efficiency_percent", report.mismatch_efficiency_percent),
+                  ("max_vswr_in_band", report.max_vswr_in_band)]
+    return sinum.key_value_text(pairs)
 
 
 def bands_csv(report: BandReport) -> str:
@@ -204,8 +197,4 @@ def bands_csv(report: BandReport) -> str:
 
 def similarity_text(report: SimilarityReport) -> str:
     """Flat key=value rendering of a similarity report."""
-    return (
-        f"band_agreement_percent = {sinum.format_bare(report.band_agreement_percent)}\n"
-        f"mean_abs_db_deviation = {sinum.format_bare(report.mean_abs_db_deviation)}\n"
-        f"common_grid_points = {report.common_grid_points}\n"
-    )
+    return sinum.key_value_text(asdict(report).items())

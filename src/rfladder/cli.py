@@ -27,13 +27,14 @@ EXIT_NO_BAND = 4
 
 
 def _read_input(path: str) -> str:
+    """The file's text, a leading byte-order mark dropped; logs the digest of its bytes."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
+        text = data.decode("utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    print(f"input {path} sha256={digest}", file=sys.stderr)
+    print(f"input {path} sha256={hashlib.sha256(data).hexdigest()}", file=sys.stderr)
     return text
 
 
@@ -84,11 +85,11 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_microstrip(args) -> int:
-    result = elements.microstrip(args.width, args.height, args.er)
-    print(f"eps_eff = {result.effective_permittivity!r}")
-    print(f"z0_ohm = {result.characteristic_impedance!r}")
-    print(f"width_to_height = {result.width_to_height!r}")
-    print(f"branch = {result.branch}")
+    line = elements.microstrip(args.width, args.height, args.er)
+    sys.stdout.write(sinum.key_value_text([
+        ("eps_eff", line.effective_permittivity), ("z0_ohm", line.characteristic_impedance),
+        ("width_to_height", line.width_to_height), ("branch", line.branch),
+    ]))
     return EXIT_OK
 
 

@@ -367,12 +367,8 @@ def fit(problem: FitProblem) -> FitResult:
 
 def fit_result_text(result: FitResult) -> str:
     """Flat key=value rendering of a fit result."""
-    lines = [
-        f"initial_cost = {sinum.format_bare(result.initial_cost)}",
-        f"final_cost = {sinum.format_bare(result.final_cost)}",
-        f"iterations = {result.iterations}",
-        f"converged = {str(result.converged).lower()}",
-    ]
-    for key, value in result.parameters.items():
-        lines.append(f"{key} = {sinum.format_bare(value)}")
-    return "\n".join(lines) + "\n"
+    return sinum.key_value_text([
+        ("initial_cost", result.initial_cost), ("final_cost", result.final_cost),
+        ("iterations", result.iterations), ("converged", str(result.converged).lower()),
+        *result.parameters.items(),
+    ])

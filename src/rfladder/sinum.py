@@ -4,7 +4,9 @@ Suffixes are case-sensitive (m = milli, M = mega). A suffixed literal
 is parsed by shifting the decimal exponent before the single
 decimal-to-float rounding, so ``2.39n`` means exactly ``float("2.39e-9")``;
 formatting inverts that, picking the shortest mantissa that parses back
-to the identical float. Round trips are therefore bit-exact.
+to the identical float. Round trips are therefore bit-exact. Every report
+the command line prints is ``key = value`` lines from `key_value_text`:
+floats through `format_bare` (``2``, not ``2.0``), anything else through `str`.
 """
 
 from __future__ import annotations
@@ -92,6 +94,11 @@ def format_bare_column(values) -> list[str]:
     for i in np.flatnonzero((column == np.trunc(column)) & (np.abs(column) < 1e16)).tolist():
         texts[i] = str(int(items[i]))
     return texts
+
+
+def key_value_text(pairs) -> str:
+    """One ``key = value`` line per pair: floats through `format_bare`, the rest through `str`."""
+    return "".join(f"{k} = {format_bare(v) if isinstance(v, float) else v}\n" for k, v in pairs)
 
 
 def format_with_exponent(value: float, exponent: int) -> str:

@@ -14,19 +14,22 @@ every error keeps the line and message of the first bad line. The
 writer renders the values in blocks of rows with
 `sinum.format_bare_column`, one `repr` per block. Numbers are written
 as the shortest decimal that parses back to the identical float, which
-makes output byte-stable and RI round trips exact.
+makes output byte-stable and RI round trips exact. MA and DB columns
+come from the same numpy formulas as the analysis (`np.abs`,
+`network.magnitude_db` with its -300 dB floor, `np.angle` in degrees and
+0 for a zero sample), so they may differ in the last digit from files
+that earlier per-sample versions wrote; RI output is unchanged.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from itertools import chain
 
 import numpy as np
 
 from .errors import InputError, LocatedError
-from .network import DB_FLOOR, SParameterTrace
+from .network import SParameterTrace, magnitude_db
 from .sinum import format_bare, format_bare_column
 
 FREQUENCY_UNITS = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
@@ -207,13 +210,10 @@ def _columns(samples: np.ndarray, fmt: str) -> tuple[np.ndarray, np.ndarray]:
     """One port's samples as the format's two field columns."""
     if fmt == "RI":
         return samples.real, samples.imag
-    values = samples.tolist()
-    mags = [abs(v) for v in values]
-    # per-sample libm calls: numpy's abs/arctan2/log10 differ in the last ulp
-    angles = [math.degrees(cmath.phase(v)) if m else 0.0 for v, m in zip(values, mags)]
-    if fmt == "DB":
-        mags = [max(20.0 * math.log10(m), DB_FLOOR) if m else DB_FLOOR for m in mags]
-    return np.array(mags), np.array(angles)
+    with np.errstate(over="ignore"):  # an overflowing magnitude is refused as non-finite
+        magnitude = np.abs(samples)
+        values = magnitude if fmt == "MA" else magnitude_db(samples)
+    return values, np.where(magnitude == 0, 0.0, np.angle(samples, deg=True))
 
 
 def write_touchstone(trace: SParameterTrace, fmt: str = "RI") -> str:

@@ -1,10 +1,11 @@
+import hashlib
 import os
 
 import numpy as np
 import pytest
 
-from rfladder import cli, geometry, netlist, touchstone
-from rfladder.network import SParameterTrace
+from rfladder import cli, fitting, geometry, netlist, sinum, touchstone
+from rfladder.network import SParameterTrace, SweepGrid
 
 
 @pytest.fixture
@@ -25,6 +26,11 @@ def test_microstrip_command(capsys):
     assert "eps_eff = 4.1746" in out
     assert "z0_ohm = 4.5798" in out
     assert "branch = wide" in out
+
+
+def test_microstrip_prints_integral_values_without_a_fraction(capsys):
+    assert run(["microstrip", "--width", "2e-3", "--height", "1e-3", "--er", "4.4"]) == 0
+    assert "width_to_height = 2\n" in capsys.readouterr().out
 
 
 def test_version_and_digest_logging(tmp_path, geometry_file, capsys):
@@ -146,6 +152,79 @@ def test_fit_command(tmp_path, capsys):
     result = netlist.parse(fitted.read_text())
     assert result.section("s1").params["L"] == pytest.approx(3e-9, rel=0.05)
     assert result.section("s1").params["C"] == pytest.approx(1e-12, rel=0.05)
+
+
+def test_fit_explicit_grid_scores_on_that_grid(tmp_path, capsys):
+    net = tmp_path / "n.net"
+    net.write_text("port in z0=50\nport out z0=4.5\n"
+                   "section s1 topology=series_rl_shunt_c R=5 L=3n C=1p\n")
+    target = tmp_path / "t.s1p"
+    assert run(["simulate", "--netlist", net, "--fstart", "0.5e9", "--fstop", "6e9",
+                "--points", "201", "--format", "DB", "--out", target]) == 0
+    start = tmp_path / "start.net"
+    start.write_text(net.read_text().replace("L=3n", "L=3.9n"))
+    capsys.readouterr()
+    assert run(["fit", "--netlist", start, "--target", target, "--vary", "s1.L",
+                "--max-iter", "0", "--fstart", "1e9", "--fstop", "3e9", "--points", "41",
+                "--out", tmp_path / "o.net"]) == 0
+    expected = fitting.cost(netlist.parse(start.read_text()),
+                            touchstone.read_touchstone(target.read_text()),
+                            SweepGrid(1e9, 3e9, 41))
+    assert f"initial_cost = {sinum.format_bare(expected)}\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["antenna.geo", "ladder.net", "trace.s1p"])
+def test_digest_is_of_the_file_bytes(tmp_path, geometry_file, capsys, name):
+    texts = {
+        "antenna.geo": geometry_file.read_text(),
+        "ladder.net": "port in z0=50\nport out z0=4.5\n",
+        "trace.s1p": "# Hz S RI R 50\n1e9 0.1 0\n2e9 0.2 0\n",
+    }
+    path = tmp_path / name
+    path.write_bytes(texts[name].replace("\n", "\r\n").encode())
+    command = {
+        "antenna.geo": ["extract", "--geometry", path, "--out", tmp_path / "e.csv"],
+        "ladder.net": ["simulate", "--netlist", path, "--points", "11",
+                       "--out", tmp_path / "x.s1p"],
+        "trace.s1p": ["bandwidth", "--input", path, "--threshold", "-3"],
+    }[name]
+    assert run(command) == 0
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert f"input {path} sha256={digest}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["trace.s1p", "ladder.net"])
+def test_byte_order_mark_is_accepted(tmp_path, capsys, name):
+    text = {
+        "trace.s1p": "# Hz S RI R 50\n1e9 0.1 0\n2e9 0.2 0\n",
+        "ladder.net": "port in z0=50\nport out z0=4.5\n"
+                      "section s1 topology=series_rl_shunt_c R=5 L=3n C=1p\n",
+    }[name]
+    outputs = []
+    for prefix in (b"", b"\xef\xbb\xbf"):
+        directory = tmp_path / ("bom" if prefix else "plain")
+        directory.mkdir()
+        path = directory / name
+        path.write_bytes(prefix + text.encode())
+        if name == "trace.s1p":
+            assert run(["bandwidth", "--input", path, "--threshold", "-3"]) == 0
+            written = b""
+        else:
+            out = directory / "x.s2p"
+            assert run(["simulate", "--netlist", path, "--points", "21", "--out", out]) == 0
+            written = out.read_bytes()
+        captured = capsys.readouterr()
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert f"input {path} sha256={digest}\n" in captured.err
+        outputs.append((captured.out, written))
+    assert outputs[0] == outputs[1]
+
+
+def test_byte_order_mark_before_non_utf8_bytes_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.s1p"
+    bad.write_bytes(b"\xef\xbb\xbf# Hz S RI R 50\n1e9 0.1 0\xff\n")
+    assert run(["bandwidth", "--input", bad]) == 2
+    assert f"error: cannot read {bad}: " in capsys.readouterr().err
 
 
 def test_input_errors_exit_2(tmp_path, capsys):

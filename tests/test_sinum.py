@@ -134,3 +134,11 @@ def test_parse_scaled_single_rounding():
     long = "1.00000000000000011102230246251565404236306680908203125"
     assert sinum.parse_scaled(long, 0) == float(long) == 1.0
     assert sinum.parse_scaled(long, -3) == float(long + "e-3")
+
+
+def test_key_value_text_formats_floats_bare_and_the_rest_with_str():
+    pairs = [("a", 2.0), ("b", 0.1), ("c", 3), ("d", "wide"), ("e", np.float64(-1e20))]
+    assert sinum.key_value_text(pairs) == "a = 2\nb = 0.1\nc = 3\nd = wide\ne = -1e+20\n"
+    assert sinum.key_value_text([]) == ""
+    with pytest.raises(sinum.NonFiniteValue):
+        sinum.key_value_text([("x", math.inf)])

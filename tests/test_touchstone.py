@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 
 from rfladder import cli, geometry, netlist
 from rfladder import touchstone as ts
-from rfladder.network import SParameterTrace, SweepGrid, sweep
-from rfladder.sinum import NonFiniteValue, format_bare
+from rfladder.network import SParameterTrace, SweepGrid, magnitude_db, sweep
+from rfladder.sinum import NonFiniteValue, format_bare, format_bare_column
 
 
 def random_trace(rng, points=101, two_port=False):
@@ -107,6 +108,30 @@ def test_db_zero_clamps():
     row = text.splitlines()[-1].split()
     assert row[1] == "-300"
     assert row[2] == "0"
+
+
+@pytest.mark.parametrize("zero", [0j, complex(-0.0, 0.0), complex(-0.0, -0.0)])
+def test_zero_samples_write_phase_0_and_the_db_floor(zero):
+    trace = SParameterTrace(np.array([1e9]), np.array([zero]))
+    assert ts.write_touchstone(trace, "MA").splitlines()[-1] == "1000000000 0 0"
+    assert ts.write_touchstone(trace, "DB").splitlines()[-1] == "1000000000 -300 0"
+
+
+def test_overflowing_magnitude_is_refused_as_non_finite():
+    trace = SParameterTrace(np.array([1e9]), np.array([complex(1.7e308, 1.7e308)]))
+    for fmt in ("MA", "DB"):
+        with pytest.raises(NonFiniteValue):
+            ts.write_touchstone(trace, fmt)
+
+
+def test_option_line_r_without_a_value_rejected():
+    with pytest.raises(ts.BadOptionLine, match="^line 2: R needs a resistance value$"):
+        ts.read_touchstone("! no reference\n# Hz S RI R\n1.0 0.1 0\n")
+
+
+def test_non_numeric_port2_reference_comment_rejected_at_its_line():
+    with pytest.raises(ts.MalformedRow, match="^line 3: bad PORT2_REF_OHMS comment$"):
+        ts.read_touchstone("# Hz S RI R 50\n1e9 0.1 0\n! PORT2_REF_OHMS abc\n2e9 0.1 0\n")
 
 
 def test_unit_round_trip_preserves_samples():
@@ -445,6 +470,40 @@ def test_criterion_9_sweep_bytes_equal_value_by_value_rendering(criterion_9_swee
     text = ts.write_touchstone(trace, fmt)
     assert text == value_by_value_writer(trace, fmt)
     assert len(text.splitlines()) == 2 + 1201  # the port-2 comment, the option line
+
+
+@pytest.mark.parametrize("fmt", ["MA", "DB"])
+def test_polar_columns_are_the_analysis_magnitude_and_db(criterion_9_sweep, fmt):
+    """MA writes `np.abs`, DB writes `magnitude_db`: one dB formula, one floor."""
+    trace = criterion_9_sweep
+    rows = [line.split() for line in ts.write_touchstone(trace, fmt).splitlines()[2:]]
+    value = np.abs if fmt == "MA" else magnitude_db
+    ports = [trace.s11, trace.s21, trace.s12, trace.s22]
+    for k, samples in enumerate(ports):
+        assert [row[1 + 2 * k] for row in rows] == format_bare_column(value(samples))
+        degrees = np.angle(samples, deg=True)
+        assert [row[2 + 2 * k] for row in rows] == format_bare_column(degrees)
+
+
+def per_sample_columns(samples, fmt):
+    """MA/DB columns evaluated one sample at a time with `cmath` and `math`."""
+    values = samples.tolist()
+    mags = [abs(v) for v in values]
+    angles = [math.degrees(cmath.phase(v)) if m else 0.0 for v, m in zip(values, mags)]
+    if fmt == "DB":
+        mags = [max(20.0 * math.log10(m), -300.0) if m else -300.0 for m in mags]
+    return np.array(mags), np.array(angles)
+
+
+@pytest.mark.parametrize("fmt", ["MA", "DB"])
+def test_polar_columns_agree_with_per_sample_libm_values(criterion_9_sweep, fmt):
+    rng = np.random.default_rng(11)
+    scales = 10.0 ** rng.uniform(-17, 0, 2000)  # down past the -300 dB floor
+    scattered = (rng.normal(size=2000) + 1j * rng.normal(size=2000)) * scales
+    zeros = np.array([0j, complex(-0.0, 0.0), complex(-0.0, -0.0)])
+    for samples in (criterion_9_sweep.s11, criterion_9_sweep.s21, scattered, zeros):
+        for column, reference in zip(ts._columns(samples, fmt), per_sample_columns(samples, fmt)):
+            np.testing.assert_allclose(column, reference, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("fmt", ts.VALUE_FORMATS)
