@@ -5,12 +5,15 @@ Exit codes: 0 success, 2 input or parse error, 3 numerical failure,
 4 no band found (``bandwidth`` with an empty report). Every run prints
 the tool version and a SHA-256 digest of each input file to stderr so
 results can be traced back to their exact inputs. Output files are
-written atomically (temp file, then rename).
+written atomically (temp file, then rename). The argument parser is
+built once per process, on the first `main` call, and reused by every
+later call; argparse keeps no parsed values in it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import os
 import sys
@@ -188,6 +191,7 @@ def _cmd_fit(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rfladder",

@@ -77,6 +77,13 @@ def format_bare(value: float) -> str:
     return repr(float(value))
 
 
+def check_finite(values: np.ndarray) -> None:
+    """Raise `format_bare`'s `NonFiniteValue` for the first non-finite entry of a flat array."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        format_bare(values[finite.argmin()].item())  # raises with its message
+
+
 def format_bare_column(values) -> list[str]:
     """`[format_bare(v) for v in values]`, checked and rendered a column at a time.
 
@@ -84,9 +91,7 @@ def format_bare_column(values) -> list[str]:
     only the integral entries below 1e16 are then rewritten as integers.
     """
     column = np.asarray(values, dtype=float)
-    finite = np.isfinite(column)
-    if not finite.all():
-        format_bare(column[finite.argmin()].item())  # raises with its message
+    check_finite(column)
     items = column.tolist()
     if not items:
         return []

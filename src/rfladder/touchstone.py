@@ -4,14 +4,17 @@ One-port (.s1p) and two-port (.s2p) files are supported in RI, MA and
 DB value formats. Version 1 carries a single reference resistance, so
 a run with a different output-port reference records it in a structured
 comment (``! PORT2_REF_OHMS <value>``) that the reader honors.
-Both directions work on whole columns. The reader's line loop only
-sorts lines into comments, the option line and data lines, converting
-each data line's fields to a tuple of floats; one pass puts them all in
-one `(rows, width)` array, and the row checks (3 or 9 numbers, one
-width, finite, positive increasing frequencies) run as array masks over
-it. Only when one fails are the rows checked again one at a time, so
-every error keeps the line and message of the first bad line. The
-writer renders the values in blocks of rows with
+Both directions work on whole columns. The reader sorts the lines up to
+the option line into comments and the option line; the data lines after
+it are parsed in one C-level pass (`np.loadtxt`) into one `(rows, width)`
+array, and the row checks (3 or 9 numbers, one width, finite, positive
+increasing frequencies) run as array masks over it. Text the one pass
+refuses (a failed check, a blank line, a comment or option line among
+the data, a field `float` takes and `loadtxt` does not, such as ``1_0``)
+goes through the line loop instead, which converts each data line's
+fields to a tuple of floats and, when a check fails, checks the rows
+again one at a time, so every error keeps the line and message of the
+first bad line. The writer renders the values in blocks of rows with
 `sinum.format_bare_column`, one `repr` per block. Numbers are written
 as the shortest decimal that parses back to the identical float, which
 makes output byte-stable and RI round trips exact. MA and DB columns
@@ -30,7 +33,7 @@ import numpy as np
 
 from .errors import InputError, LocatedError
 from .network import SParameterTrace, magnitude_db
-from .sinum import format_bare, format_bare_column
+from .sinum import check_finite, format_bare, format_bare_column
 
 FREQUENCY_UNITS = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
 VALUE_FORMATS = ("RI", "MA", "DB")
@@ -94,16 +97,60 @@ def _parse_option_line(line: str, lineno: int):
 def read_touchstone(text: str) -> SParameterTrace:
     """Parse one-port or two-port version-1 text into a trace; errors name their line."""
     lines = text.splitlines()
+    # the line rules up to the first line with fields, the option line if the text is good
+    head = next((k for k, raw in enumerate(lines, 1) if raw.partition("!")[0].split()), len(lines))
+    options, port2_ref, _ = _sort_lines(lines[:head], [], [])
+    data = _one_pass(lines[head:])
+    if data is None:
+        return _read_line_by_line(lines)
+    return _trace(data, range(head + 1, len(lines) + 1), options, port2_ref)
+
+
+def _read_line_by_line(lines) -> SParameterTrace:
+    """The reader for text the one pass refuses: the same checks, and errors at their line."""
     rows, linenos = [], []
     try:
         options, port2_ref, option_lineno = _sort_lines(lines, rows, linenos)
     except TouchstoneError:
         _data(lines, rows, linenos)  # a bad row above the failed line comes first
         raise
-    data = _data(lines, rows, linenos).T
-    unit, fmt, resistance = options
+    data = _data(lines, rows, linenos)
     if not linenos:
         raise MalformedRow("no data rows", option_lineno)
+    return _trace(data, linenos, options, port2_ref)
+
+
+def _one_pass(lines) -> np.ndarray | None:
+    """The data lines as one checked `(rows, width)` array, or None for the line loop.
+
+    None when a line is blank (the array would lose its line numbers), a
+    field is not a number to `loadtxt` (a comment, an option line, text
+    `float` takes but `loadtxt` refuses) or a check fails.
+    """
+    if not (lines and lines[-1].strip()):  # loadtxt warns when every line is blank
+        return None
+    try:
+        data = np.loadtxt(lines, ndmin=2, comments=None)
+    except ValueError:
+        return None
+    return data if len(data) == len(lines) and _rows_pass(data) else None
+
+
+def _rows_pass(data: np.ndarray) -> bool:
+    """Whether every row has 3 or 9 finite numbers and a positive frequency above the last."""
+    f = data[:, 0]
+    return bool(
+        data.shape[1] in (3, 9)
+        and np.isfinite(data).all()
+        and (f[1:] > f[:-1]).all()
+        and (f[:1] > 0).all()
+    )
+
+
+def _trace(data: np.ndarray, linenos, options, port2_ref) -> SParameterTrace:
+    """The trace of checked data rows, converted to Hz and complex samples."""
+    unit, fmt, resistance = options
+    data = data.T
     x, y = data[1::2], data[2::2]  # one row per port, in file order: S11 (S21 S12 S22)
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
         freqs = data[0] * FREQUENCY_UNITS[unit]
@@ -177,10 +224,9 @@ def _data(lines, rows, linenos) -> np.ndarray:
     widths = list(map(len, rows))
     width = widths[0] if rows else 3
     flat = np.fromiter(chain.from_iterable(rows), float, sum(widths))
-    if width in (3, 9) and widths.count(width) == len(rows):
+    if widths.count(width) == len(rows):
         data = flat.reshape(len(rows), width)
-        f = data[:, 0]
-        if np.isfinite(flat).all() and (f[1:] > f[:-1]).all() and (f[:1] > 0).all():
+        if _rows_pass(data):
             return data
     _raise_first_bad_row(lines, rows, linenos)
 
@@ -244,9 +290,10 @@ def write_touchstone(trace: SParameterTrace, fmt: str = "RI") -> str:
 
 
 def write_trace_csv(trace: SParameterTrace) -> str:
-    """CSV with 9 significant digits: freq_hz, s11_re, s11_im, s11_db."""
-    columns = (trace.frequencies, trace.s11.real, trace.s11.imag, trace.s11_db())
-    lines = [CSV_HEADER]
-    for f, re, im, db in zip(*(column.tolist() for column in columns)):
-        lines.append(f"{f:.9g},{re:.9g},{im:.9g},{db:.9g}")
-    return "\n".join(lines) + "\n"
+    """CSV with 9 significant digits: freq_hz, s11_re, s11_im, s11_db; refuses non-finite values."""
+    with np.errstate(over="ignore"):  # an overflowing dB value is refused as non-finite
+        db = trace.s11_db()
+    table = np.column_stack((trace.frequencies, trace.s11.real, trace.s11.imag, db))
+    values = table.ravel()  # row order, so the first non-finite value is the one a row loop meets
+    check_finite(values)
+    return CSV_HEADER + "\n" + "%.9g,%.9g,%.9g,%.9g\n" * len(table) % tuple(values.tolist())

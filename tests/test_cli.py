@@ -1,10 +1,11 @@
+import argparse
 import hashlib
 import os
 
 import numpy as np
 import pytest
 
-from rfladder import cli, fitting, geometry, netlist, sinum, touchstone
+from rfladder import __version__, cli, fitting, geometry, netlist, sinum, touchstone
 from rfladder.network import SParameterTrace, SweepGrid
 
 
@@ -452,3 +453,59 @@ def test_outputs_byte_stable(tmp_path, geometry_file):
     run(["extract", "--geometry", geometry_file, "--out", first])
     run(["extract", "--geometry", geometry_file, "--out", second])
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_a_call_sees_none_of_an_earlier_calls_options(tmp_path, capsys):
+    net = tmp_path / "step.net"
+    net.write_text("port in z0=50\nport out z0=4.5\n")
+    sim, csv = tmp_path / "step.s1p", tmp_path / "step.csv"
+    assert run(["simulate", "--netlist", net, "--points", "11", "--out", sim, "--csv", csv]) == 0
+    csv.unlink()
+    assert run(["simulate", "--netlist", net, "--points", "11", "--out", sim]) == 0
+    assert not csv.exists()
+    capsys.readouterr()
+    assert run(["bandwidth", "--input", sim, "--threshold", "-6"]) == 4
+    assert "threshold_db = -6\n" in capsys.readouterr().out
+    assert run(["bandwidth", "--input", sim]) == 4
+    assert "threshold_db = -10\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv", [["bandwidth"], ["bandwidth", "--input", "x.s1p", "--threshold", "nan"], ["nosuch"]]
+)
+def test_usage_errors_match_a_freshly_built_parser(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        cli.build_parser.__wrapped__().parse_args(argv)
+    assert err.value.code == 2
+    fresh = capsys.readouterr()
+    for _ in range(2):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
+        assert capsys.readouterr() == fresh
+
+
+def test_version_option_prints_the_tool_version(capsys):
+    for _ in range(2):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["--version"])
+        assert err.value.code == 0
+        assert capsys.readouterr().out == f"rfladder {__version__}\n"
+
+
+def test_parser_is_built_once_across_calls(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.prog == "rfladder":  # not the sub-parsers
+            built.append(self)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    for _ in range(3):
+        assert run(["microstrip", "--width", "2e-3", "--height", "1e-3", "--er", "4.4"]) == 0
+    with pytest.raises(SystemExit):
+        cli.main(["--version"])
+    assert len(built) == 1

@@ -201,6 +201,13 @@ def test_malformed_row():
     assert err.value.line == 3
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("blank", ["\n", "\n \n\t\n", "\n\xa0\n"])
+def test_blank_lines_after_the_option_line_are_no_data_and_no_warning(blank):
+    with pytest.raises(ts.MalformedRow, match="^line 1: no data rows$"):
+        ts.read_touchstone(f"# Hz S RI R 50\n{blank}")
+
+
 @pytest.mark.parametrize(
     "row",
     ["1e9 nan 0", "1e9 0.1 inf", "nan 0.1 0", "inf 0.1 0", "1e9 0.1 -inf"],
@@ -393,8 +400,39 @@ def _outcome(read, text):
 @example("# RI\n0 0.1 0\n")
 @example("# RI\n1 0.1 0\n1 0.2 0\n")
 @example("# DB\n1 7000 0\n2 nan 0\n")
+# text the one-pass parse refuses, which the line loop reads or rejects
+@example("# RI\n1_0 0.1 0\n")
+@example("# RI\n1 \u0967 0\n")
+@example("# RI\n1 0.1 0 0.2 0 0.2 0 0.1 0\n! PORT2_REF_OHMS 4.5\n2 0.1 0 0.2 0 0.2 0 0.1 0\n")
+@example("# RI\n1 0.1 0 ! note\n2 0.1 0\n")
+@example("# RI\n1 0.1 0\n\n2 0.1 0\n")
+@example("# DB\n1 -3 0\n\n2 7000 0\n")  # the overflow names its line past a blank one
+@example("# RI\n1\xa00.1\u20030\n2 0.1 0\n")
+@example("# RI\n1 infinity 0\n")
+@example("# RI\n1 0.1 0\n# GHz\n")
+@example("# RI\n1 0.1 0 # GHz\n")
 def test_differential_reader_matches_line_by_line_reader(text):
     assert _outcome(ts.read_touchstone, text) == _outcome(line_by_line_reader, text)
+
+
+@pytest.mark.parametrize("two_port", [False, True])
+@pytest.mark.parametrize("fmt", ts.VALUE_FORMATS)
+def test_written_files_are_read_in_one_pass(criterion_9_sweep, monkeypatch, fmt, two_port):
+    def refused(lines):
+        raise AssertionError("the line loop ran")
+
+    rng = np.random.default_rng(5)
+    traces = [criterion_9_sweep, random_trace(rng, 101, two_port)]
+    if not two_port:
+        # as `simulate` writes an .s1p: the port-2 reference in a comment above the option line
+        traces[0] = SParameterTrace(
+            traces[0].frequencies, traces[0].s11,
+            reference_impedances=traces[0].reference_impedances,
+        )
+    texts = [ts.write_touchstone(trace, fmt) for trace in traces]
+    expected = [_outcome(ts.read_touchstone, text) for text in texts]
+    monkeypatch.setattr(ts, "_read_line_by_line", refused)
+    assert [_outcome(ts.read_touchstone, text) for text in texts] == expected
 
 
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
@@ -537,3 +575,63 @@ def test_trace_csv_format():
     assert float(re) == 0.5 and float(im) == 0.25
     assert float(db) == pytest.approx(20 * np.log10(abs(0.5 + 0.25j)), rel=1e-8)
     assert lines[2].split(",")[3] == "-300"
+
+
+def row_by_row_csv(trace):
+    """`write_trace_csv` as per-row f-strings, refusing the first non-finite value in row order."""
+    with np.errstate(over="ignore"):
+        db = trace.s11_db()
+    lines = [ts.CSV_HEADER]
+    for row in zip(trace.frequencies.tolist(), trace.s11.real.tolist(),
+                   trace.s11.imag.tolist(), db.tolist()):
+        for value in row:
+            if not math.isfinite(value):
+                format_bare(value)  # raises
+        f, re, im, db_value = row
+        lines.append(f"{f:.9g},{re:.9g},{im:.9g},{db_value:.9g}")
+    return "\n".join(lines) + "\n"
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+# a finite sample's dB value can only overflow to +inf: NaN and -inf there come with a bad sample
+@pytest.mark.parametrize(
+    "column,bad",
+    [(c, v) for c in ("freq", "re", "im") for v in NON_FINITE] + [("db", math.inf)],
+)
+def test_trace_csv_refuses_the_first_non_finite_value(column, bad):
+    trace = SParameterTrace(np.array([1e9, 2e9, 3e9]), np.full(3, 0.5 + 0.25j))
+    if column == "freq":
+        trace.frequencies[1] = bad
+    elif column == "db":
+        trace.s11[1] = complex(1.7e308, 1.7e308)  # the magnitude overflows
+    else:
+        trace.s11[1] = complex(bad, 0.25) if column == "re" else complex(0.5, bad)
+    trace.s11[2] = complex(math.nan, math.nan)  # a later row, an earlier column
+    with pytest.raises(NonFiniteValue) as expected:
+        row_by_row_csv(trace)
+    with pytest.raises(NonFiniteValue) as err:
+        ts.write_trace_csv(trace)
+    assert str(err.value) == str(expected.value) == f"cannot write non-finite value {bad!r}"
+
+
+CSV_FLOATS = st.floats(-1e300, 1e300) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e300, 1e300]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(POSITIVE | st.sampled_from([5e-324, 1e-300, 1e300]), min_size=1, max_size=12,
+             unique=True),
+    st.data(),
+)
+def test_property_trace_csv_equals_row_by_row_rendering(freqs, data):
+    freqs = sorted(freqs)
+    re, im = (data.draw(st.lists(CSV_FLOATS, min_size=len(freqs), max_size=len(freqs)))
+              for _ in range(2))
+    s11 = np.array(re, dtype=complex)
+    s11.imag = im  # set, not added, so a -0.0 real part stays
+    trace = SParameterTrace(np.array(freqs), s11)
+    assert ts.write_trace_csv(trace) == row_by_row_csv(trace)
