@@ -7,7 +7,9 @@ the tool version and a SHA-256 digest of each input file to stderr so
 results can be traced back to their exact inputs. Output files are
 written atomically (temp file, then rename). The argument parser is
 built once per process, on the first `main` call, and reused by every
-later call; argparse keeps no parsed values in it.
+later call; argparse keeps no parsed values in it. Within one process, a
+Touchstone input with the same bytes as one of the last two read is not
+parsed again (its digest is still printed); the held traces are read-only.
 """
 
 from __future__ import annotations
@@ -29,16 +31,41 @@ EXIT_NUMERICAL = 3
 EXIT_NO_BAND = 4
 
 
-def _read_input(path: str) -> str:
-    """The file's text, a leading byte-order mark dropped; logs the digest of its bytes."""
+def _read(path: str) -> tuple[str, str]:
+    """The file's text, a leading byte-order mark dropped, and the logged digest of its bytes."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
         text = data.decode("utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    print(f"input {path} sha256={hashlib.sha256(data).hexdigest()}", file=sys.stderr)
-    return text
+    digest = hashlib.sha256(data).hexdigest()
+    print(f"input {path} sha256={digest}", file=sys.stderr)
+    return text, digest
+
+
+def _read_input(path: str) -> str:
+    return _read(path)[0]
+
+
+# Parsed traces by the digest of their bytes, the most recently used last. Two
+# cover a batch of `compare` runs: the current design's file and the shared reference.
+_TRACES: dict[str, touchstone.SParameterTrace] = {}
+
+
+def _read_trace(path: str) -> touchstone.SParameterTrace:
+    """The Touchstone file's trace, parsed only if its bytes differ from the last two read."""
+    text, digest = _read(path)
+    trace = _TRACES.pop(digest, None)
+    if trace is None:
+        trace = touchstone.read_touchstone(text)
+        for array in (trace.frequencies, trace.s11, trace.s21, trace.s12, trace.s22):
+            if array is not None:
+                array.flags.writeable = False  # a command cannot change what a later one reads
+    _TRACES[digest] = trace
+    if len(_TRACES) > 2:
+        del _TRACES[next(iter(_TRACES))]
+    return trace
 
 
 def _write_output(path: str, text: str) -> None:
@@ -127,7 +154,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_bandwidth(args) -> int:
-    trace = touchstone.read_touchstone(_read_input(args.input))
+    trace = _read_trace(args.input)
     report = analysis.band_report(trace, args.threshold)
     sys.stdout.write(analysis.band_report_text(report))
     if args.csv:
@@ -136,8 +163,8 @@ def _cmd_bandwidth(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    trace_a = touchstone.read_touchstone(_read_input(args.a))
-    trace_b = touchstone.read_touchstone(_read_input(args.b))
+    trace_a = _read_trace(args.a)
+    trace_b = _read_trace(args.b)
     report = analysis.compare_traces(trace_a, trace_b, args.threshold)
     sys.stdout.write(analysis.similarity_text(report))
     return EXIT_OK
@@ -155,7 +182,7 @@ def _parse_vary(text: str) -> tuple[tuple[str, str], ...]:
 
 def _cmd_fit(args) -> int:
     ladder = netlist.parse(_read_input(args.netlist))
-    target = touchstone.read_touchstone(_read_input(args.target))
+    target = _read_trace(args.target)
     free = _parse_vary(args.vary)
     if not args.bounds_factor > 1:
         raise InputError("--bounds-factor must be greater than 1")
@@ -170,6 +197,8 @@ def _cmd_fit(args) -> int:
         raise InputError("--fstart and --fstop must be given together")
     if args.fstart is not None:
         grid = SweepGrid(args.fstart, args.fstop, args.points)
+    elif len(target) == 1:
+        raise InputError(f"target {args.target} has one sample; --fstart and --fstop are needed")
     else:
         grid = SweepGrid(
             float(target.frequencies[0]), float(target.frequencies[-1]), len(target)

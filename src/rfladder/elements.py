@@ -32,9 +32,9 @@ class ExtractionError(InputError):
 
 
 class NonPositiveDimension(ExtractionError):
-    def __init__(self, name: str):
+    def __init__(self, name: str, rule: str = "strictly positive"):
         self.name = name
-        super().__init__(f"{name} must be strictly positive")
+        super().__init__(f"{name} must be {rule}")
 
 
 class NonPositiveElement(ExtractionError):
@@ -144,7 +144,7 @@ def eps_eff(width: float, height: float, relative_permittivity: float) -> float:
     if not height > 0:
         raise NonPositiveDimension("height")
     if not relative_permittivity > 1:
-        raise NonPositiveDimension("relative_permittivity")
+        raise NonPositiveDimension("relative_permittivity", "greater than 1")
     er = relative_permittivity
     ratio = width / height
     term = (1.0 + 12.0 / ratio) ** -0.5

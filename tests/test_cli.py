@@ -509,3 +509,143 @@ def test_parser_is_built_once_across_calls(monkeypatch, capsys):
     with pytest.raises(SystemExit):
         cli.main(["--version"])
     assert len(built) == 1
+
+
+def test_permittivity_at_most_1_exits_2_stating_the_rule(tmp_path, capsys):
+    elements_csv = tmp_path / "e.csv"
+    assert run(["extract", "--out", elements_csv]) == 0
+    for argv in (["microstrip", "--width", "1", "--height", "1", "--er", "1"],
+                 ["build", "--elements", elements_csv, "--er", "0.5", "--out", tmp_path / "l.net"]):
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert "error: relative_permittivity must be greater than 1\n" in capsys.readouterr().err
+    assert not (tmp_path / "l.net").exists()
+
+
+def test_fit_on_a_one_sample_target_needs_an_explicit_grid(tmp_path, capsys):
+    net = tmp_path / "n.net"
+    net.write_text("port in z0=50\nport out z0=4.5\nsection s1 topology=series_rl_shunt_c L=3n C=1p\n")
+    target = tmp_path / "t.s1p"
+    target.write_text("# Hz S RI R 50\n2.4e9 0.1 0.2\n")
+    argv = ["fit", "--netlist", net, "--target", target, "--vary", "s1.L",
+            "--out", tmp_path / "o.net"]
+    assert run(argv) == 2
+    assert (f"error: target {target} has one sample; --fstart and --fstop are needed\n"
+            in capsys.readouterr().err)
+    assert run(argv + ["--fstart", "1e9", "--fstop", "3e9"]) == 0
+
+
+BAND_AT_2GHZ = "# Hz S RI R 50\n1e9 0.5 0\n2e9 0.1 0\n3e9 0.5 0\n"
+BAND_AT_3GHZ = "# Hz S RI R 50\n1e9 0.5 0\n2e9 0.5 0\n3e9 0.1 0\n"
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The texts that reach the Touchstone parser, with no trace held at the start."""
+    monkeypatch.setattr(cli, "_TRACES", {})
+    texts = []
+    parse = touchstone.read_touchstone
+
+    def counting(text):
+        texts.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(touchstone, "read_touchstone", counting)
+    return texts
+
+
+def test_the_same_bytes_at_two_paths_are_parsed_once(tmp_path, capsys, parses):
+    a, b = tmp_path / "a.s1p", tmp_path / "b.s1p"
+    a.write_text(BAND_AT_2GHZ)
+    b.write_text(BAND_AT_2GHZ)
+    assert run(["compare", "--a", a, "--b", b]) == 0
+    assert parses == [BAND_AT_2GHZ]
+    assert "band_agreement_percent = 100\n" in capsys.readouterr().out
+
+
+def test_a_file_rewritten_with_new_bytes_is_parsed_again(tmp_path, capsys, parses):
+    path = tmp_path / "sim.s1p"
+    path.write_text(BAND_AT_2GHZ)
+    assert run(["bandwidth", "--input", path]) == 0
+    assert "band0_high_hz = 3000000000" not in capsys.readouterr().out
+    path.write_text(BAND_AT_3GHZ)
+    assert run(["bandwidth", "--input", path]) == 0
+    assert "band0_high_hz = 3000000000\n" in capsys.readouterr().out
+    assert parses == [BAND_AT_2GHZ, BAND_AT_3GHZ]
+
+
+def test_a_file_that_fails_to_parse_fails_alike_on_every_read(tmp_path, capsys, parses):
+    bad = tmp_path / "nan.s1p"
+    bad.write_text("# Hz S RI R 50\n1e9 nan 0\n2e9 0.1 0\n")
+    errors = []
+    for _ in range(3):
+        assert run(["bandwidth", "--input", bad]) == 2
+        errors.append(capsys.readouterr().err)
+    assert len(parses) == 3 and not cli._TRACES
+    assert errors[0].endswith("error: line 2: non-finite field in '1e9 nan 0'\n")
+    assert errors == errors[:1] * 3
+
+
+def test_the_digest_is_printed_on_a_hit(tmp_path, capsys, parses):
+    path = tmp_path / "sim.s1p"
+    path.write_text(BAND_AT_2GHZ)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    for _ in range(2):
+        assert run(["bandwidth", "--input", path]) == 0
+        assert capsys.readouterr().err == f"rfladder {__version__}\ninput {path} sha256={digest}\n"
+    assert len(parses) == 1
+
+
+def test_the_last_two_traces_read_are_held(tmp_path, capsys, parses):
+    paths = []
+    for k, text in enumerate((BAND_AT_2GHZ, BAND_AT_3GHZ, BAND_AT_2GHZ.replace("0.5", "0.4"))):
+        paths.append(tmp_path / f"{k}.s1p")
+        paths[-1].write_text(text)
+    first, second, third = paths
+    for path in (first, second, first, third):  # the hit on `first` keeps it over `second`
+        assert run(["bandwidth", "--input", path]) == 0
+    assert len(parses) == 3
+    assert list(cli._TRACES) == [
+        hashlib.sha256(p.read_bytes()).hexdigest() for p in (first, third)
+    ]
+    assert run(["bandwidth", "--input", second]) == 0
+    assert len(parses) == 4
+
+
+def test_a_held_trace_refuses_writes(tmp_path, parses):
+    path = tmp_path / "sim.s2p"
+    freqs = np.linspace(1e9, 3e9, 5)
+    s = np.full(5, 0.1 + 0.2j)
+    path.write_text(touchstone.write_touchstone(SParameterTrace(freqs, s, s, s, s)))
+    assert run(["bandwidth", "--input", path]) == 0
+    (trace,) = cli._TRACES.values()
+    for array in (trace.frequencies, trace.s11, trace.s21, trace.s12, trace.s22):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+@pytest.mark.parametrize("command", ["bandwidth", "compare", "fit"])
+def test_a_hit_prints_what_a_miss_prints(tmp_path, capsys, parses, command):
+    target = tmp_path / "t.s1p"
+    truth = "port in z0=50\nport out z0=4.5\nsection s1 topology=series_rl_shunt_c R=5 L=3n C=1p\n"
+    (tmp_path / "truth.net").write_text(truth)
+    assert run(["simulate", "--netlist", tmp_path / "truth.net", "--fstart", "0.5e9",
+                "--fstop", "6e9", "--points", "101", "--out", target]) == 0
+    (tmp_path / "start.net").write_text(truth.replace("L=3n", "L=3.6n"))
+    other = tmp_path / "other.s1p"
+    other.write_text(BAND_AT_2GHZ)
+    argv = {
+        "bandwidth": ["bandwidth", "--input", target, "--csv", tmp_path / "out"],
+        "compare": ["compare", "--a", target, "--b", other],
+        "fit": ["fit", "--netlist", tmp_path / "start.net", "--target", target,
+                "--vary", "s1.L", "--out", tmp_path / "out"],
+    }[command]
+    outputs = []
+    for _ in range(2):
+        capsys.readouterr()
+        code = run(argv)
+        out = tmp_path / "out"
+        outputs.append((code, capsys.readouterr(), out.read_bytes() if out.exists() else None))
+    assert len(parses) == (2 if command == "compare" else 1)
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1].out
