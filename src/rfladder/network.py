@@ -5,8 +5,11 @@ left-to-right matrix product with the input side first. S-parameters
 use real, possibly distinct, reference impedances at the two ports.
 The engine carries the four chain entries as scalars or as arrays over
 frequency, so a single-frequency call and a sweep share one section
-formula, one chain recurrence and one S conversion. The sweep evaluates
-all frequencies in one vectorized pass and returns samples in grid order.
+formula, one chain recurrence and one S conversion. The sweep fills one
+(4, F) result 4,096 frequencies at a time, vectorized within each block:
+whole-grid temporaries of a long grid cost more in allocation and page
+faults than in arithmetic, while blocks of this size are reused from the
+heap. Samples come in grid order.
 A parameter may also be a `(K, 1)` column of values, which adds a leading
 axis of K parameter sets to every array; the fitter scores its
 candidates that way, through the same formulas and the same checks,
@@ -150,21 +153,26 @@ def reflection(z_in: complex, z_ref: float) -> complex:
     return (z_in - z_ref) / denom
 
 
-def _s11(m: AbcdMatrix, z01: float, z02: float):
-    """s11 of chain entries, and the conversion denominator, checked to be nonzero."""
-    denom = m.a * z02 + m.b + m.c * z01 * z02 + m.d * z01
+def _terms(m: AbcdMatrix, z01: float, z02: float):
+    """a*z02, c*z01*z02, d*z01 and the conversion denominator, checked to be nonzero."""
+    az, czz, dz = m.a * z02, m.c * z01 * z02, m.d * z01
+    denom = az + m.b + czz + dz
     if np.any(denom == 0):
         raise DegenerateDenominator("conversion denominator vanished")
-    return (m.a * z02 + m.b - m.c * z01 * z02 - m.d * z01) / denom, denom
+    return az, czz, dz, denom
+
+
+def _s11(m: AbcdMatrix, z01: float, z02: float):
+    """s11 of chain entries."""
+    az, czz, dz, denom = _terms(m, z01, z02)
+    return (az + m.b - czz - dz) / denom
 
 
 def _abcd_to_s(m: AbcdMatrix, det, z01: float, z02: float):
     """(s11, s12, s21, s22) of chain entries with determinant `det`."""
-    s11, denom = _s11(m, z01, z02)
+    az, czz, dz, denom = _terms(m, z01, z02)
     s21 = 2.0 * math.sqrt(z01 * z02) / denom
-    s12 = s21 * det
-    s22 = (-m.a * z02 + m.b - m.c * z01 * z02 + m.d * z01) / denom
-    return s11, s12, s21, s22
+    return (az + m.b - czz - dz) / denom, s21 * det, s21, (-az + m.b - czz + dz) / denom
 
 
 def abcd_to_s(m: AbcdMatrix, z01: float, z02: float):
@@ -200,7 +208,10 @@ class SweepGrid:
             raise InvalidGrid("need at least 2 points")
 
     def frequencies(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, self.points)
+        try:
+            return np.linspace(self.start, self.stop, self.points)
+        except (MemoryError, ValueError):  # numpy refuses the size before allocating
+            raise InvalidGrid(f"{self.points} points do not fit in memory") from None
 
 
 DB_FLOOR = -300.0  # reported dB of an exact-zero reflection
@@ -282,14 +293,14 @@ def netlist_abcd_array(netlist: Netlist, frequencies: np.ndarray):
 
 
 def _checked_s(convert):
-    """The S-parameters `convert()` returns, every one of them finite.
+    """The S-parameter array `convert()` returns, every entry of it finite.
 
     Overflow inside the chain or the conversion shows up as a non-finite
     S-parameter, which is reported here instead of as numpy warnings.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         s = convert()
-    if not all(np.isfinite(x).all() for x in s):
+    if not np.isfinite(s).all():
         raise NonFiniteResult("S-parameters are not finite; a section value overflows")
     return s
 
@@ -301,7 +312,10 @@ def _batch_s11(sections, w, z01: float, z02: float) -> np.ndarray:
     product are not computed.
     """
     matrices = (AbcdMatrix(*_section_entries(t, p, w)) for t, p in sections)
-    return _checked_s(lambda: _s11(_cascade(matrices, w), z01, z02)[:1])[0]
+    return _checked_s(lambda: _s11(_cascade(matrices, w), z01, z02))
+
+
+_SWEEP_BLOCK = 4096  # frequencies per pass of `sweep`, keeping its temporaries small
 
 
 def sweep(netlist: Netlist, grid: SweepGrid) -> SParameterTrace:
@@ -309,7 +323,15 @@ def sweep(netlist: Netlist, grid: SweepGrid) -> SParameterTrace:
     freqs = grid.frequencies()
     z01 = netlist.input_port_impedance
     z02 = netlist.output_port_impedance
-    s11, s12, s21, s22 = _checked_s(
-        lambda: _abcd_to_s(*netlist_abcd_array(netlist, freqs), z01, z02)
-    )
+    s = np.empty((4, len(freqs)), dtype=complex)
+
+    def convert():
+        for k in range(0, len(freqs), _SWEEP_BLOCK):
+            block = slice(k, k + _SWEEP_BLOCK)
+            terms = _abcd_to_s(*netlist_abcd_array(netlist, freqs[block]), z01, z02)
+            for row, term in zip(s[:, block], terms):
+                row[...] = term
+        return s
+
+    s11, s12, s21, s22 = _checked_s(convert)
     return SParameterTrace(freqs, s11, s21, s12, s22, (z01, z02))

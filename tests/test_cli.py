@@ -371,6 +371,23 @@ def test_simulate_overflow_exits_3_without_traceback(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "fit"])
+def test_a_point_count_beyond_memory_exits_2_naming_it(tmp_path, capsys, command):
+    # numpy refuses 10**13 float64 samples (80 TB) before allocating any of them
+    net = tmp_path / "n.net"
+    net.write_text("port in z0=50\nport out z0=4.5\nsection s1 topology=series_rl_shunt_c L=3n C=1p\n")
+    target = tmp_path / "t.s1p"
+    target.write_text("# Hz S RI R 50\n1e9 0.5 0\n2e9 0.5 0\n")
+    out = tmp_path / ("o.s2p" if command == "simulate" else "o.net")
+    extra = ["--vary", "s1.L", "--target", target] if command == "fit" else []
+    assert run([command, "--netlist", net, *extra, "--fstart", "1e9", "--fstop", "2e9",
+                "--points", str(10**13), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith("\nerror: 10000000000000 points do not fit in memory\n")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_bandwidth_non_finite_sample_exits_2(tmp_path, capsys):
     bad = tmp_path / "nan.s1p"
     bad.write_text("# Hz S RI R 50\n1e9 nan 0\n2e9 0.1 0\n")

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -202,6 +203,111 @@ def test_sweep_grid_validation():
     for start, stop in ((1e9, math.inf), (1e9, math.nan), (math.nan, 2e9)):
         with pytest.raises(nw.InvalidGrid):
             nw.SweepGrid(start, stop, 10)
+
+
+def test_a_grid_beyond_memory_is_refused_naming_its_points():
+    # numpy refuses both sizes before allocating anything
+    for points in (10**13, 10**19):
+        with pytest.raises(nw.InvalidGrid, match=f"^{points} points do not fit in memory$"):
+            nw.SweepGrid(1e9, 2e9, points).frequencies()
+
+
+def _whole_grid_s(net, f):
+    """The S set of one pass over the whole grid: what the blocked sweep must equal."""
+    z01, z02 = net.input_port_impedance, net.output_port_impedance
+    return nw._abcd_to_s(*nw.netlist_abcd_array(net, f), z01, z02)
+
+
+@pytest.mark.parametrize("points", [2, 4095, 4096, 4097, 12289, 100_001])
+def test_blocked_sweep_is_bit_identical_to_one_whole_grid_pass(points):
+    rng = np.random.default_rng(points)
+    grid = nw.SweepGrid(0.1e9, 6e9, points)
+    f = grid.frequencies()
+    for net in (reference_ladder(), random_netlist(rng, True), random_netlist(rng, False)):
+        trace = nw.sweep(net, grid)
+        assert trace.frequencies.tobytes() == f.tobytes()
+        got = (trace.s11, trace.s12, trace.s21, trace.s22)
+        for name, a, b in zip(("s11", "s12", "s21", "s22"), got, _whole_grid_s(net, f)):
+            assert a.tobytes() == b.tobytes(), name
+
+
+def test_s_conversion_shares_its_terms_without_reordering_them():
+    # each S-parameter written out in full: sharing a*z02, c*z01*z02 and d*z01
+    # between them must leave every bit of every result as it was
+    rng = np.random.default_rng(8)
+    f = nw.SweepGrid(0.1e9, 6e9, 1201).frequencies()
+    for net in (reference_ladder(), random_netlist(rng, True), random_netlist(rng, False)):
+        z01, z02 = net.input_port_impedance, net.output_port_impedance
+        m, det = nw.netlist_abcd_array(net, f)
+        denom = m.a * z02 + m.b + m.c * z01 * z02 + m.d * z01
+        s21 = 2.0 * math.sqrt(z01 * z02) / denom
+        written_out = (
+            (m.a * z02 + m.b - m.c * z01 * z02 - m.d * z01) / denom,
+            s21 * det,
+            s21,
+            (-m.a * z02 + m.b - m.c * z01 * z02 + m.d * z01) / denom,
+        )
+        for a, b in zip(nw._abcd_to_s(m, det, z01, z02), written_out):
+            assert a.tobytes() == b.tobytes()
+        assert nw._s11(m, z01, z02).tobytes() == written_out[0].tobytes()
+
+
+def _identity_blocks(monkeypatch, crafted):
+    """Replace the chain with identity blocks; `crafted(k, entries)` edits the k-th.
+
+    Returns the lengths of the blocks the sweep asked for.
+    """
+    lengths = []
+
+    def blocks(net, f):
+        entries = [np.full(len(f), x, complex) for x in (1, 0, 0, 1)]
+        crafted(len(lengths), entries)
+        lengths.append(len(f))
+        return nw.AbcdMatrix(*entries), np.ones(len(f), complex)
+
+    monkeypatch.setattr(nw, "netlist_abcd_array", blocks)
+    return lengths
+
+
+BLOCKED_GRID = nw.SweepGrid(1e9, 2e9, 3 * nw._SWEEP_BLOCK + 1)
+BLOCK_LENGTHS = [nw._SWEEP_BLOCK] * 3 + [1]
+
+
+def test_an_overflow_in_the_last_block_alone_is_not_finite(monkeypatch):
+    def crafted(k, entries):
+        if k == 3:
+            entries[0][:] = np.inf
+
+    lengths = _identity_blocks(monkeypatch, crafted)
+    with pytest.raises(nw.NonFiniteResult):
+        nw.sweep(reference_ladder(), BLOCKED_GRID)
+    assert lengths == BLOCK_LENGTHS
+
+
+def test_a_vanishing_denominator_in_any_block_comes_before_an_earlier_overflow(monkeypatch):
+    def crafted(k, entries):
+        if k == 0:
+            entries[0][:] = np.inf
+        if k == 2:
+            entries[0][5] = entries[3][5] = 0  # a, b, c, d all zero: the denominator too
+
+    lengths = _identity_blocks(monkeypatch, crafted)
+    with pytest.raises(nw.DegenerateDenominator):
+        nw.sweep(reference_ladder(), BLOCKED_GRID)
+    assert lengths == BLOCK_LENGTHS[:3]
+
+
+def test_sweep_peaks_below_one_and_a_half_times_its_trace():
+    grid = nw.SweepGrid(0.1e9, 6e9, 100_001)
+    net = reference_ladder()
+    tracemalloc.start()
+    try:
+        trace = nw.sweep(net, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = (trace.frequencies, trace.s11, trace.s12, trace.s21, trace.s22)
+    assert peak < 1.5 * sum(a.nbytes for a in arrays)
 
 
 def test_sweep_rejects_non_finite_results():
