@@ -4,21 +4,18 @@ One-port (.s1p) and two-port (.s2p) files are supported in RI, MA and
 DB value formats. Version 1 carries a single reference resistance, so
 a run with a different output-port reference records it in a structured
 comment (``! PORT2_REF_OHMS <value>``) that the reader honors.
-Both directions work on whole columns. The reader sorts the lines up to
-the option line into comments and the option line; the data lines after
-it are parsed in one C-level pass (`np.loadtxt`) into one `(rows, width)`
-array, and the row checks (3 or 9 numbers, one width, finite, positive
-increasing frequencies) run as array masks over it. Text the one pass
-refuses (a failed check, a blank line, a comment or option line among
-the data, a field `float` takes and `loadtxt` does not, such as ``1_0``)
-goes through the line loop instead, which converts each data line's
-fields to a tuple of floats and, when a check fails, checks the rows
-again one at a time, so every error keeps the line and message of the
-first bad line. The writer renders the values in blocks of rows with
-`sinum.format_bare_column`, one `repr` per block. Numbers are written
-as the shortest decimal that parses back to the identical float, which
-makes output byte-stable and RI round trips exact. MA and DB columns
-come from the same numpy formulas as the analysis (`np.abs`,
+Both directions work on whole columns. The reader sorts every line once
+into comments, the option line and data rows (a line's text before any
+``!``), converts all rows in one C-level pass (`np.loadtxt`) and checks
+them as array masks: 3 or 9 numbers, one width, finite, positive
+increasing frequencies. Only a failed check, or a field `loadtxt` refuses
+and `float` may take (such as ``1_0``), sends the rows to the per-row
+checker, which converts them with `float` one at a time and raises the
+error of the first bad line. The writer renders the values in blocks of
+rows with `sinum.format_bare_column`, one `repr` per block. Numbers are
+written as the shortest decimal that parses back to the identical float,
+which makes output byte-stable and RI round trips exact. MA and DB
+columns come from the same numpy formulas as the analysis (`np.abs`,
 `network.magnitude_db` with its -300 dB floor, `np.angle` in degrees and
 0 for a zero sample), so they may differ in the last digit from files
 that earlier per-sample versions wrote; RI output is unchanged.
@@ -27,7 +24,6 @@ that earlier per-sample versions wrote; RI output is unchanged.
 from __future__ import annotations
 
 import math
-from itertools import chain
 
 import numpy as np
 
@@ -96,44 +92,21 @@ def _parse_option_line(line: str, lineno: int):
 
 def read_touchstone(text: str) -> SParameterTrace:
     """Parse one-port or two-port version-1 text into a trace; errors name their line."""
-    lines = text.splitlines()
-    # the line rules up to the first line with fields, the option line if the text is good
-    head = next((k for k, raw in enumerate(lines, 1) if raw.partition("!")[0].split()), len(lines))
-    options, port2_ref, _ = _sort_lines(lines[:head], [], [])
-    data = _one_pass(lines[head:])
-    if data is None:
-        return _read_line_by_line(lines)
-    return _trace(data, range(head + 1, len(lines) + 1), options, port2_ref)
-
-
-def _read_line_by_line(lines) -> SParameterTrace:
-    """The reader for text the one pass refuses: the same checks, and errors at their line."""
     rows, linenos = [], []
     try:
-        options, port2_ref, option_lineno = _sort_lines(lines, rows, linenos)
+        options, port2_ref, option_lineno = _sort_lines(text.splitlines(), rows, linenos)
     except TouchstoneError:
-        _data(lines, rows, linenos)  # a bad row above the failed line comes first
+        _check_each_row(rows, linenos)  # a bad row above the failed line comes first
         raise
-    data = _data(lines, rows, linenos)
-    if not linenos:
+    if not rows:
         raise MalformedRow("no data rows", option_lineno)
-    return _trace(data, linenos, options, port2_ref)
-
-
-def _one_pass(lines) -> np.ndarray | None:
-    """The data lines as one checked `(rows, width)` array, or None for the line loop.
-
-    None when a line is blank (the array would lose its line numbers), a
-    field is not a number to `loadtxt` (a comment, an option line, text
-    `float` takes but `loadtxt` refuses) or a check fails.
-    """
-    if not (lines and lines[-1].strip()):  # loadtxt warns when every line is blank
-        return None
     try:
-        data = np.loadtxt(lines, ndmin=2, comments=None)
-    except ValueError:
-        return None
-    return data if len(data) == len(lines) and _rows_pass(data) else None
+        data = np.loadtxt(rows, ndmin=2, comments=None)
+    except ValueError:  # a field loadtxt refuses; `float` may still take it, as ``1_0``
+        data = None
+    if data is None or len(data) != len(rows) or not _rows_pass(data):
+        data = _check_each_row(rows, linenos)
+    return _trace(data, linenos, options, port2_ref)
 
 
 def _rows_pass(data: np.ndarray) -> bool:
@@ -173,10 +146,9 @@ def _trace(data: np.ndarray, linenos, options, port2_ref) -> SParameterTrace:
 def _sort_lines(lines, rows, linenos):
     """Sort lines into comments, the option line and data lines.
 
-    Appends the numbers of each data line to `rows` as a tuple and the
-    line's number to `linenos`, and returns the options, the port-2
-    reference and the option line's number. A data line is converted as
-    it is split, so the text of its fields is not kept.
+    Appends each data line's text before any ``!`` to `rows`, stripped,
+    and its number to `linenos`; returns the options, the port-2
+    reference and the option line's number.
     """
     options = port2_ref = option_lineno = None
     for lineno, raw in enumerate(lines, start=1):
@@ -190,53 +162,38 @@ def _sort_lines(lines, rows, linenos):
                     port2_ref = math.nan
                 if not (port2_ref > 0 and math.isfinite(port2_ref)):
                     raise MalformedRow(f"bad {PORT2_REF_COMMENT} comment", lineno)
-        fields = line.split()
-        if not fields:
+        line = line.strip()
+        if not line:
             continue
-        if fields[0][0] == "#":
+        if line[0] == "#":
             if options is not None:
                 raise BadOptionLine("second option line", lineno)
-            options = _parse_option_line(line.strip(), lineno)
+            options = _parse_option_line(line, lineno)
             option_lineno = lineno
             continue
         if options is None:
             raise BadOptionLine("data before the option line", lineno)
-        try:
-            # a tuple per row: one flat list grown to a whole 1,201-row two-port
-            # file raised the CLI pipeline's peak resident memory by 0.5-0.9 MB
-            rows.append(tuple(map(float, fields)))
-        except ValueError:
-            raise MalformedRow(f"non-numeric field in {line.strip()!r}", lineno) from None
+        rows.append(line)
         linenos.append(lineno)
     if options is None:
         raise BadOptionLine("missing option line", 1)
     return options, port2_ref, option_lineno
 
 
-def _data(lines, rows, linenos) -> np.ndarray:
-    """The data rows as one `(rows, width)` array, checked a whole column at a time.
+def _check_each_row(rows, linenos) -> np.ndarray:
+    """The rows converted with `float` one at a time, as a `(rows, width)` array.
 
-    A row must have 3 or 9 numbers, as many as the first row, all finite,
-    and a positive frequency above the previous row's. When a check
-    fails, the rows are checked again one at a time, so the error raised
-    is the one a line-by-line reader meets first.
+    Raises the error of the first row that fails a check, checks in
+    order: numeric, finite, 3 or 9 numbers, the first row's width, a
+    frequency above the previous row's, a positive frequency.
     """
-    widths = list(map(len, rows))
-    width = widths[0] if rows else 3
-    flat = np.fromiter(chain.from_iterable(rows), float, sum(widths))
-    if widths.count(width) == len(rows):
-        data = flat.reshape(len(rows), width)
-        if _rows_pass(data):
-            return data
-    _raise_first_bad_row(lines, rows, linenos)
-
-
-def _raise_first_bad_row(lines, rows, linenos):
-    """Raise the error of the first data row that fails a check, checks in order."""
-    width = previous = None
-    for row, lineno in zip(rows, linenos):
+    values, width, previous = [], None, None
+    for line, lineno in zip(rows, linenos):
+        try:
+            row = tuple(map(float, line.split()))
+        except ValueError:
+            raise MalformedRow(f"non-numeric field in {line!r}", lineno) from None
         if not all(map(math.isfinite, row)):
-            line = lines[lineno - 1].partition("!")[0].strip()
             raise MalformedRow(f"non-finite field in {line!r}", lineno)
         if len(row) not in (3, 9):
             raise MalformedRow(
@@ -249,7 +206,8 @@ def _raise_first_bad_row(lines, rows, linenos):
         if not row[0] > 0:
             raise MalformedRow(f"frequency {row[0]} must be > 0", lineno)
         width, previous = len(row), row[0]
-    raise AssertionError("a data check failed, but no row fails it")
+        values.append(row)
+    return np.array(values)
 
 
 def _columns(samples: np.ndarray, fmt: str) -> tuple[np.ndarray, np.ndarray]:

@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from rfladder import fitting
-from rfladder.geometry import canonical_cavities, canonical_geometry
-from rfladder.netlist import Netlist, Section
+from rfladder import cli, fitting
+from rfladder.geometry import canonical_cavities, canonical_geometry, serialize_geometry
+from rfladder.netlist import Netlist, Section, parse
 from rfladder.network import SweepGrid, sweep
 
 RLC_TOPOLOGIES = (
@@ -37,6 +37,20 @@ def geometry():
 @pytest.fixture
 def cavities():
     return canonical_cavities()
+
+
+@pytest.fixture(scope="session")
+def criterion_9_sweep(tmp_path_factory):
+    """The criterion-9 ladder (extracted from the canonical geometry) over 1,201 points."""
+    path = tmp_path_factory.mktemp("criterion_9")
+    (path / "antenna.geo").write_text(
+        serialize_geometry(canonical_geometry(), canonical_cavities())
+    )
+    assert cli.main(["extract", "--geometry", str(path / "antenna.geo"),
+                     "--frequency", "2.5e9", "--out", str(path / "elements.csv")]) == 0
+    assert cli.main(["build", "--elements", str(path / "elements.csv"),
+                     "--ports", "50,4.5", "--out", str(path / "ladder.net")]) == 0
+    return sweep(parse((path / "ladder.net").read_text()), SweepGrid(0.1e9, 6e9, 1201))
 
 
 def reference_ladder() -> Netlist:

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import random_netlist, reference_ladder
 from rfladder import network as nw
+from rfladder import touchstone as ts
 from rfladder.errors import NonPositiveFrequency
 from rfladder.netlist import Netlist, Section
 
@@ -308,6 +309,18 @@ def test_sweep_peaks_below_one_and_a_half_times_its_trace():
         tracemalloc.stop()
     arrays = (trace.frequencies, trace.s11, trace.s12, trace.s21, trace.s22)
     assert peak < 1.5 * sum(a.nbytes for a in arrays)
+
+
+@pytest.mark.parametrize("fmt", ["RI", "DB"])
+def test_touchstone_read_peaks_below_four_times_its_text(criterion_9_sweep, fmt):
+    text = ts.write_touchstone(criterion_9_sweep, fmt)
+    tracemalloc.start()
+    try:
+        ts.read_touchstone(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * len(text.encode())
 
 
 def test_sweep_rejects_non_finite_results():

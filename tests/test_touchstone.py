@@ -6,9 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rfladder import cli, geometry, netlist
 from rfladder import touchstone as ts
-from rfladder.network import SParameterTrace, SweepGrid, magnitude_db, sweep
+from rfladder.network import SParameterTrace, magnitude_db
 from rfladder.sinum import NonFiniteValue, format_bare, format_bare_column
 
 
@@ -400,7 +399,7 @@ def _outcome(read, text):
 @example("# RI\n0 0.1 0\n")
 @example("# RI\n1 0.1 0\n1 0.2 0\n")
 @example("# DB\n1 7000 0\n2 nan 0\n")
-# text the one-pass parse refuses, which the line loop reads or rejects
+# fields `loadtxt` refuses, and comments, blank lines and odd whitespace among the rows
 @example("# RI\n1_0 0.1 0\n")
 @example("# RI\n1 \u0967 0\n")
 @example("# RI\n1 0.1 0 0.2 0 0.2 0 0.1 0\n! PORT2_REF_OHMS 4.5\n2 0.1 0 0.2 0 0.2 0 0.1 0\n")
@@ -411,16 +410,27 @@ def _outcome(read, text):
 @example("# RI\n1 infinity 0\n")
 @example("# RI\n1 0.1 0\n# GHz\n")
 @example("# RI\n1 0.1 0 # GHz\n")
+# text the strategy never draws
+@example("# RI\n1 0.1 0\n2 0.1 0\n\n\n")
+@example("  # RI\n \t1 0.1 0\n")
+@example("# RI\n1 0.1 0!x\n")
+@example("# RI\n1 0.1 0\x0c2 0.1 0\n")
+@example("# RI\n1 0.1 0\x1c0 0.1 0\n")
+@example("# RI\n1 0.1 x\n\n# GHz\n")
 def test_differential_reader_matches_line_by_line_reader(text):
     assert _outcome(ts.read_touchstone, text) == _outcome(line_by_line_reader, text)
+
+
+def _refuse_the_row_checker(monkeypatch):
+    def refused(rows, linenos):
+        raise AssertionError("the per-row checker ran")
+
+    monkeypatch.setattr(ts, "_check_each_row", refused)
 
 
 @pytest.mark.parametrize("two_port", [False, True])
 @pytest.mark.parametrize("fmt", ts.VALUE_FORMATS)
 def test_written_files_are_read_in_one_pass(criterion_9_sweep, monkeypatch, fmt, two_port):
-    def refused(lines):
-        raise AssertionError("the line loop ran")
-
     rng = np.random.default_rng(5)
     traces = [criterion_9_sweep, random_trace(rng, 101, two_port)]
     if not two_port:
@@ -431,8 +441,32 @@ def test_written_files_are_read_in_one_pass(criterion_9_sweep, monkeypatch, fmt,
         )
     texts = [ts.write_touchstone(trace, fmt) for trace in traces]
     expected = [_outcome(ts.read_touchstone, text) for text in texts]
-    monkeypatch.setattr(ts, "_read_line_by_line", refused)
+    _refuse_the_row_checker(monkeypatch)
     assert [_outcome(ts.read_touchstone, text) for text in texts] == expected
+
+
+def test_comments_and_blank_lines_among_the_data_are_read_in_one_pass(
+    criterion_9_sweep, monkeypatch
+):
+    clean = ts.write_touchstone(criterion_9_sweep, "RI")
+    lines = clean.splitlines()
+    option = next(k for k, line in enumerate(lines) if line.startswith("#"))
+    lines[option + 3] += " ! note"
+    lines.insert(option + 2, "! a comment between rows")
+    lines.insert(option + 5, "")
+    z2 = format_bare(criterion_9_sweep.reference_impedances[1])
+    noisy = "\n".join(lines) + f"\n\n! {ts.PORT2_REF_COMMENT} {z2}\n\n\n"
+    expected = _outcome(ts.read_touchstone, clean)
+    _refuse_the_row_checker(monkeypatch)
+    assert _outcome(ts.read_touchstone, noisy) == expected
+
+
+def test_a_short_loadtxt_result_goes_to_the_row_checker(criterion_9_sweep, monkeypatch):
+    text = ts.write_touchstone(criterion_9_sweep, "RI")
+    expected = _outcome(ts.read_touchstone, text)
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda rows, **kwargs: loadtxt(rows[:-1], **kwargs))
+    assert _outcome(ts.read_touchstone, text) == expected
 
 
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
@@ -462,21 +496,6 @@ def test_property_ri_round_trip_exact(trace):
         original, parsed = getattr(trace, name), getattr(back, name)
         assert (parsed is None) == (original is None)
         assert original is None or np.array_equal(parsed, original)
-
-
-@pytest.fixture(scope="module")
-def criterion_9_sweep(tmp_path_factory):
-    """The criterion-9 ladder (extracted from the canonical geometry) over 1,201 points."""
-    path = tmp_path_factory.mktemp("criterion_9")
-    (path / "antenna.geo").write_text(
-        geometry.serialize_geometry(geometry.canonical_geometry(), geometry.canonical_cavities())
-    )
-    assert cli.main(["extract", "--geometry", str(path / "antenna.geo"),
-                     "--frequency", "2.5e9", "--out", str(path / "elements.csv")]) == 0
-    assert cli.main(["build", "--elements", str(path / "elements.csv"),
-                     "--ports", "50,4.5", "--out", str(path / "ladder.net")]) == 0
-    ladder = netlist.parse((path / "ladder.net").read_text())
-    return sweep(ladder, SweepGrid(0.1e9, 6e9, 1201))
 
 
 def value_by_value_writer(trace, fmt):
