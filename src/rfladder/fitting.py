@@ -130,6 +130,8 @@ class FitProblem:
                 raise InvalidBounds(f"bounds ({lo}, {hi}) must satisfy 0 < low < high < inf")
         if min(self.max_iterations, self.restarts, self.seed) < 0:
             raise InputError("max_iterations, restarts and seed must not be negative")
+        if not 0 <= self.tolerance < math.inf:
+            raise InputError(f"tolerance {self.tolerance} must be finite and not negative")
         if isinstance(self.target, SParameterTrace) and not np.isfinite(self.target.s11).all():
             raise InputError("target trace has a non-finite s11 sample")
         for k, (sname, pname) in enumerate(self.free_parameters):

@@ -5,14 +5,19 @@ left-to-right matrix product with the input side first. S-parameters
 use real, possibly distinct, reference impedances at the two ports.
 The engine carries the four chain entries as scalars or as arrays over
 frequency, so a single-frequency call and a sweep share one section
-formula, one chain recurrence and one S conversion. The sweep fills one
-(4, F) result 4,096 frequencies at a time, vectorized within each block:
-whole-grid temporaries of a long grid cost more in allocation and page
-faults than in arithmetic, while blocks of this size are reused from the
-heap. Samples come in grid order.
+formula, one chain recurrence and one S conversion. One walk over the
+sections, `_cascade`, serves the sweep and the fitter alike: it builds
+each section's entries only when the chain reaches it.
+Every section topology is reciprocal (AD - BC = 1), so the sweep takes
+s12 = s21; the public scalar `abcd_to_s` keeps s12 = s21 * det for any
+matrix a caller passes. The sweep fills one (4, F) result 4,096
+frequencies at a time, vectorized within each block: whole-grid
+temporaries of a long grid cost more in allocation and page faults than
+in arithmetic, while blocks of this size are reused from the heap.
+Samples come in grid order.
 A parameter may also be a `(K, 1)` column of values, which adds a leading
 axis of K parameter sets to every array; the fitter scores its
-candidates that way, through the same formulas and the same checks,
+candidates that way, through the same walk and the same checks,
 converting the chain to s11 alone.
 """
 
@@ -168,18 +173,22 @@ def _s11(m: AbcdMatrix, z01: float, z02: float):
     return (az + m.b - czz - dz) / denom
 
 
-def _abcd_to_s(m: AbcdMatrix, det, z01: float, z02: float):
-    """(s11, s12, s21, s22) of chain entries with determinant `det`."""
+def _abcd_to_s(m: AbcdMatrix, z01: float, z02: float):
+    """(s11, s21, s22) of chain entries."""
     az, czz, dz, denom = _terms(m, z01, z02)
     s21 = 2.0 * math.sqrt(z01 * z02) / denom
-    return (az + m.b - czz - dz) / denom, s21 * det, s21, (-az + m.b - czz + dz) / denom
+    return (az + m.b - czz - dz) / denom, s21, (-az + m.b - czz + dz) / denom
 
 
 def abcd_to_s(m: AbcdMatrix, z01: float, z02: float):
-    """Convert a chain matrix to (s11, s12, s21, s22) with real references."""
+    """Convert a chain matrix to (s11, s12, s21, s22) with real references.
+
+    s12 = s21 * det, so a non-reciprocal matrix converts correctly too.
+    """
     if not z01 > 0 or not z02 > 0:
         raise NonPositiveImpedance("reference impedances must be > 0")
-    return _abcd_to_s(m, m.determinant(), z01, z02)
+    s11, s21, s22 = _abcd_to_s(m, z01, z02)
+    return s11, s21 * m.determinant(), s21, s22
 
 
 def vswr(s11_magnitude: float) -> float:
@@ -258,38 +267,21 @@ class SParameterTrace:
         return magnitude_db(self.s11)
 
 
-def _cascade(matrices, w):
-    """Left-to-right product of section matrices, its entries broadcast against `w`.
+def _cascade(sections, w) -> AbcdMatrix:
+    """Chain product of (topology, params) pairs at angular frequencies `w`.
 
-    A parameter column of K sets gives `(K, F)` arrays.
+    Each section's entries are built only when the chain reaches it. The
+    product's entries are broadcast against `w`; a parameter column of K
+    sets gives `(K, F)` arrays.
     """
-    total = _chain(matrices)
+    total = _chain(AbcdMatrix(*_section_entries(t, p, w)) for t, p in sections)
     return AbcdMatrix(*np.broadcast_arrays(total.a, total.b, total.c, total.d, w)[:4])
 
 
-def netlist_abcd_array(netlist: Netlist, frequencies: np.ndarray):
-    """Cascaded ABCD over frequency plus the product of section determinants.
-
-    The determinant product tracks reciprocity exactly: each section's
-    determinant is 1 up to a rounding term, while the determinant of
-    the multiplied-out cascade loses accuracy when entries are large.
-    Each section's entries are built only when the chain reaches it, and
-    its determinant joins the product then.
-    """
+def netlist_abcd_array(netlist: Netlist, frequencies: np.ndarray) -> AbcdMatrix:
+    """Cascaded ABCD of the netlist over frequency, by the walk the fitter uses too."""
     w = 2.0 * np.pi * np.asarray(frequencies, dtype=float)
-    det = None
-
-    def matrices():
-        nonlocal det
-        for s in netlist.sections:
-            m = AbcdMatrix(*_section_entries(s.topology, s.params, w))
-            det = m.determinant() if det is None else det * m.determinant()
-            yield m
-
-    total = _cascade(matrices(), w)
-    if det is None:  # no sections: the identity's
-        det = IDENTITY.determinant()
-    return total, np.broadcast_to(det, total.a.shape)
+    return _cascade(((s.topology, s.params) for s in netlist.sections), w)
 
 
 def _checked_s(convert):
@@ -308,18 +300,20 @@ def _checked_s(convert):
 def _batch_s11(sections, w, z01: float, z02: float) -> np.ndarray:
     """Checked s11 of (topology, params) pairs whose parameters may be (K, 1) columns.
 
-    The fitter reads s11 alone, so s12, s21, s22 and the determinant
-    product are not computed.
+    The same section walk as the sweep's; the fitter reads s11 alone, so
+    s21 and s22 are not computed.
     """
-    matrices = (AbcdMatrix(*_section_entries(t, p, w)) for t, p in sections)
-    return _checked_s(lambda: _s11(_cascade(matrices, w), z01, z02))
+    return _checked_s(lambda: _s11(_cascade(sections, w), z01, z02))
 
 
 _SWEEP_BLOCK = 4096  # frequencies per pass of `sweep`, keeping its temporaries small
 
 
 def sweep(netlist: Netlist, grid: SweepGrid) -> SParameterTrace:
-    """Simulate the netlist over the grid, returning the full S set."""
+    """Simulate the netlist over the grid, returning the full S set.
+
+    s12 is a copy of s21 in a row of its own: every section is reciprocal.
+    """
     freqs = grid.frequencies()
     z01 = netlist.input_port_impedance
     z02 = netlist.output_port_impedance
@@ -328,9 +322,8 @@ def sweep(netlist: Netlist, grid: SweepGrid) -> SParameterTrace:
     def convert():
         for k in range(0, len(freqs), _SWEEP_BLOCK):
             block = slice(k, k + _SWEEP_BLOCK)
-            terms = _abcd_to_s(*netlist_abcd_array(netlist, freqs[block]), z01, z02)
-            for row, term in zip(s[:, block], terms):
-                row[...] = term
+            s11, s21, s22 = _abcd_to_s(netlist_abcd_array(netlist, freqs[block]), z01, z02)
+            s[0, block], s[1, block], s[2, block], s[3, block] = s11, s21, s21, s22
         return s
 
     s11, s12, s21, s22 = _checked_s(convert)

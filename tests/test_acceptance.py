@@ -113,7 +113,7 @@ def test_criterion_6_network_property_suite():
             if lossless:
                 power = np.abs(trace.s11) ** 2 + np.abs(trace.s21) ** 2
                 worst_unitarity = max(worst_unitarity, float(np.abs(power - 1).max()))
-            total, _ = netlist_abcd_array(net, freqs)
+            total = netlist_abcd_array(net, freqs)
             zin = (total.a * net.output_port_impedance + total.b) / (
                 total.c * net.output_port_impedance + total.d
             )

@@ -334,7 +334,7 @@ def test_microstrip_zero_height_exits_2(capsys):
 
 @pytest.mark.parametrize(
     "option", [["--bounds-factor", "0"], ["--bounds-factor", "1"], ["--restarts", "-1"],
-               ["--max-iter", "-1"], ["--seed", "-1"]],
+               ["--max-iter", "-1"], ["--seed", "-1"], ["--tol", "-1"]],
 )
 def test_fit_rejects_out_of_range_options(tmp_path, capsys, option):
     net = tmp_path / "n.net"
@@ -344,7 +344,9 @@ def test_fit_rejects_out_of_range_options(tmp_path, capsys, option):
     out = tmp_path / "o.net"
     assert run(["fit", "--netlist", net, "--target", target, "--vary", "s1.L",
                 *option, "--out", out]) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert sum("error:" in line for line in err.splitlines()) == 1
+    assert "Traceback" not in err
     assert not out.exists()
 
 

@@ -101,6 +101,10 @@ def test_problem_validation():
     for field in ("max_iterations", "restarts", "seed"):
         with pytest.raises(InputError):
             ft.FitProblem(net, (("s1", "L"),), ((1e-10, 1e-8),), target, GRID, **{field: -1})
+    for tolerance in (math.nan, math.inf, -1.0):
+        with pytest.raises(InputError, match="tolerance .* must be finite and not negative"):
+            ft.FitProblem(net, (("s1", "L"),), ((1e-10, 1e-8),), target, GRID, tolerance=tolerance)
+    ft.FitProblem(net, (("s1", "L"),), ((1e-10, 1e-8),), target, GRID, tolerance=0.0)
     s11 = target.s11.copy()
     s11[7] = complex(math.nan, 0.0)
     with pytest.raises(InputError, match="non-finite s11"):
