@@ -79,6 +79,16 @@ def find_bands(trace: SParameterTrace, threshold_db: float) -> list[tuple[float,
     return _bands(trace.frequencies, _db(trace), threshold_db)
 
 
+def _interp(x: float, f: np.ndarray, db: np.ndarray) -> float:
+    """np.interp(x, f, db), read from the two samples around x.
+
+    np.interp copies a read-only `f` whole, as trace arrays are; its result
+    depends only on the bracketing pair, so the slices give the same bits.
+    """
+    j = max(0, min(int(np.searchsorted(f, x, side="right")), len(f) - 1) - 1)
+    return np.interp(x, f[j:j + 2], db[j:j + 2])
+
+
 def _band_samples(f: np.ndarray, db: np.ndarray, band: tuple[float, float]):
     """In-band frequencies and dB values, with interpolated edge points."""
     f_lo, f_hi = band
@@ -87,7 +97,7 @@ def _band_samples(f: np.ndarray, db: np.ndarray, band: tuple[float, float]):
     inner = (f > f_lo) & (f < f_hi)
     xs = np.concatenate(([f_lo], f[inner], [f_hi]))
     ys = np.concatenate(
-        ([np.interp(f_lo, f, db)], db[inner], [np.interp(f_hi, f, db)])
+        ([_interp(f_lo, f, db)], db[inner], [_interp(f_hi, f, db)])
     )
     return xs, ys
 

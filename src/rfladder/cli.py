@@ -9,7 +9,7 @@ written atomically (temp file, then rename). The argument parser is
 built once per process, on the first `main` call, and reused by every
 later call; argparse keeps no parsed values in it. Within one process, a
 Touchstone input with the same bytes as one of the last two read is not
-parsed again (its digest is still printed); the held traces are read-only.
+parsed again (its digest is still printed); traces are read-only.
 """
 
 from __future__ import annotations
@@ -59,9 +59,6 @@ def _read_trace(path: str) -> touchstone.SParameterTrace:
     trace = _TRACES.pop(digest, None)
     if trace is None:
         trace = touchstone.read_touchstone(text)
-        for array in (trace.frequencies, trace.s11, trace.s21, trace.s12, trace.s22):
-            if array is not None:
-                array.flags.writeable = False  # a command cannot change what a later one reads
     _TRACES[digest] = trace
     if len(_TRACES) > 2:
         del _TRACES[next(iter(_TRACES))]

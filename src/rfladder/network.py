@@ -8,13 +8,12 @@ frequency, so a single-frequency call and a sweep share one section
 formula, one chain recurrence and one S conversion. One walk over the
 sections, `_cascade`, serves the sweep and the fitter alike: it builds
 each section's entries only when the chain reaches it.
-Every section topology is reciprocal (AD - BC = 1), so the sweep takes
-s12 = s21; the public scalar `abcd_to_s` keeps s12 = s21 * det for any
-matrix a caller passes. The sweep fills one (4, F) result 4,096
-frequencies at a time, vectorized within each block: whole-grid
-temporaries of a long grid cost more in allocation and page faults than
-in arithmetic, while blocks of this size are reused from the heap.
-Samples come in grid order.
+Every section topology is reciprocal (AD - BC = 1), so the sweep's s12
+is its s21, one read-only array; the public scalar `abcd_to_s` keeps
+s12 = s21 * det for any matrix a caller passes. The sweep fills one
+(3, F) result of s11, s21 and s22, in grid order, 4,096 frequencies at
+a time: whole-grid temporaries cost more in allocation and page faults
+than in arithmetic, while blocks this size are reused from the heap.
 A parameter may also be a `(K, 1)` column of values, which adds a leading
 axis of K parameter sets to every array; the fitter scores its
 candidates that way, through the same walk and the same checks,
@@ -23,6 +22,7 @@ converting the chain to s11 alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -204,7 +204,7 @@ class InvalidGrid(InputError):
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Linear frequency grid, hertz."""
+    """Linear frequency grid, hertz; one read-only frequency array serves all its sweeps."""
 
     start: float
     stop: float
@@ -217,10 +217,16 @@ class SweepGrid:
             raise InvalidGrid("need at least 2 points")
 
     def frequencies(self) -> np.ndarray:
+        return self._frequencies
+
+    @functools.cached_property
+    def _frequencies(self) -> np.ndarray:
         try:
-            return np.linspace(self.start, self.stop, self.points)
+            f = np.linspace(self.start, self.stop, self.points)
         except (MemoryError, ValueError):  # numpy refuses the size before allocating
             raise InvalidGrid(f"{self.points} points do not fit in memory") from None
+        f.flags.writeable = False
+        return f
 
 
 DB_FLOOR = -300.0  # reported dB of an exact-zero reflection
@@ -234,7 +240,7 @@ def magnitude_db(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SParameterTrace:
-    """Reflection (and optionally transmission) samples over frequency."""
+    """Samples over frequency, held in read-only views of the caller's arrays where the dtype fits."""
 
     frequencies: np.ndarray
     s11: np.ndarray
@@ -244,21 +250,26 @@ class SParameterTrace:
     reference_impedances: tuple[float, float] = (50.0, 50.0)
 
     def __post_init__(self):
-        f = np.asarray(self.frequencies, dtype=float)
-        object.__setattr__(self, "frequencies", f)
-        object.__setattr__(self, "s11", np.asarray(self.s11, dtype=complex))
-        for name in ("s21", "s12", "s22"):
+        for name in ("frequencies", "s11", "s21", "s12", "s22"):
             value = getattr(self, name)
             if value is not None:
-                object.__setattr__(self, name, np.asarray(value, dtype=complex))
-                if len(getattr(self, name)) != len(f):
-                    raise InputError(f"{name} length differs from frequency length")
-        if len(self.s11) != len(f):
-            raise InputError("s11 length differs from frequency length")
+                value = np.asarray(value, float if name == "frequencies" else complex).view()
+                value.flags.writeable = False  # the caller's array keeps its own flags
+                if value.ndim != 1:
+                    raise InputError(f"{name} must be one-dimensional")
+                object.__setattr__(self, name, value)
+        f = self.frequencies
+        for name in ("s21", "s12", "s22", "s11"):
+            if getattr(self, name) is not None and len(getattr(self, name)) != len(f):
+                raise InputError(f"{name} length differs from frequency length")
         if len(f) and not f[0] > 0:
             raise InputError("frequencies must be positive")
         if len(f) > 1 and not np.all(np.diff(f) > 0):
             raise InputError("frequencies must be strictly increasing")
+        if len(f) and not math.isfinite(f[-1]):  # increasing, so only the last can be infinite
+            raise InputError("frequencies must be finite")
+        if not all(0 < z < math.inf for z in self.reference_impedances):
+            raise InputError("reference impedances must be finite and > 0")
 
     def __len__(self) -> int:
         return len(self.frequencies)
@@ -287,13 +298,17 @@ def netlist_abcd_array(netlist: Netlist, frequencies: np.ndarray) -> AbcdMatrix:
 def _checked_s(convert):
     """The S-parameter array `convert()` returns, every entry of it finite.
 
-    Overflow inside the chain or the conversion shows up as a non-finite
-    S-parameter, which is reported here instead of as numpy warnings.
+    Overflow inside the chain or the conversion, and a branch impedance or
+    admittance of exactly zero, show up as a non-finite S-parameter, which
+    is reported here instead of as numpy warnings.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         s = convert()
     if not np.isfinite(s).all():
-        raise NonFiniteResult("S-parameters are not finite; a section value overflows")
+        raise NonFiniteResult(
+            "S-parameters are not finite; a section value overflows"
+            " or a branch impedance or admittance is zero"
+        )
     return s
 
 
@@ -312,19 +327,21 @@ _SWEEP_BLOCK = 4096  # frequencies per pass of `sweep`, keeping its temporaries 
 def sweep(netlist: Netlist, grid: SweepGrid) -> SParameterTrace:
     """Simulate the netlist over the grid, returning the full S set.
 
-    s12 is a copy of s21 in a row of its own: every section is reciprocal.
+    Every section is reciprocal, so s12 is s21: the trace's s12 and s21
+    share one read-only array.
     """
     freqs = grid.frequencies()
     z01 = netlist.input_port_impedance
     z02 = netlist.output_port_impedance
-    s = np.empty((4, len(freqs)), dtype=complex)
+    s = np.empty((3, len(freqs)), dtype=complex)
 
     def convert():
         for k in range(0, len(freqs), _SWEEP_BLOCK):
             block = slice(k, k + _SWEEP_BLOCK)
-            s11, s21, s22 = _abcd_to_s(netlist_abcd_array(netlist, freqs[block]), z01, z02)
-            s[0, block], s[1, block], s[2, block], s[3, block] = s11, s21, s21, s22
+            s[0, block], s[1, block], s[2, block] = _abcd_to_s(
+                netlist_abcd_array(netlist, freqs[block]), z01, z02
+            )
         return s
 
-    s11, s12, s21, s22 = _checked_s(convert)
-    return SParameterTrace(freqs, s11, s21, s12, s22, (z01, z02))
+    s11, s21, s22 = _checked_s(convert)
+    return SParameterTrace(freqs, s11, s21, s21, s22, (z01, z02))

@@ -29,6 +29,19 @@ REFERENCE_ELEMENTS = (
 )
 
 
+# Well-formed netlists with a branch of exactly zero impedance or admittance on their
+# grid, as (netlist text, fstart, fstop, points): the series LC of the first resonates
+# at exactly 1 GHz, and j*w*L of the second underflows to 0 at its first frequency.
+ZERO_BRANCH_CASES = (
+    pytest.param("port in z0=50\nport out z0=50\n"
+                 "section s topology=shunt_series_rlc L=1n C=25.330295910584442p\n",
+                 1e9, 2e9, 2, id="resonance"),
+    pytest.param("port in z0=50\nport out z0=50\n"
+                 "section p topology=shunt_parallel_rlc L=1n C=1p\n",
+                 5e-324, 6e9, 1201, id="underflow"),
+)
+
+
 @pytest.fixture
 def geometry():
     return canonical_geometry()

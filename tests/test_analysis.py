@@ -311,3 +311,19 @@ def test_similarity_text():
     text = an.similarity_text(an.compare_traces(trace, trace, -10.0))
     assert "band_agreement_percent = 100" in text
     assert "common_grid_points = 31" in text
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=12),
+    st.lists(st.floats(-1e3, 1e3), min_size=12, max_size=12),
+    st.floats(0.0, 1e5),
+)
+def test_interp_from_the_bracketing_pair_is_np_interp(steps, values, x):
+    # band edges are interpolated from two samples, since np.interp copies a
+    # read-only xp whole; the bits must be np.interp's over the whole trace
+    f = np.cumsum(steps)
+    f.flags.writeable = False
+    db = np.array(values[: len(f)])
+    for at in (x, *f, f[0] - 1.0, f[-1] + 1.0, *(f[:-1] + np.diff(f) / 3)):
+        assert an._interp(at, f, db).tobytes() == np.interp(at, f, db).tobytes()

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from conftest import ZERO_BRANCH_CASES
 from rfladder import __version__, cli, fitting, geometry, netlist, sinum, touchstone
 from rfladder.network import SParameterTrace, SweepGrid
 
@@ -359,6 +360,22 @@ def test_fit_rejects_a_repeated_free_parameter(tmp_path, capsys):
     assert run(["fit", "--netlist", net, "--target", target, "--vary", "s1.C,s1.C",
                 "--out", out]) == 2
     assert "error: free parameter s1.C is given more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text,fstart,fstop,points", ZERO_BRANCH_CASES)
+def test_simulate_a_zero_branch_exits_3_with_no_warning(tmp_path, capsys, text, fstart, fstop,
+                                                        points):
+    net = tmp_path / "zero.net"
+    net.write_text(text)
+    out = tmp_path / "zero.s1p"
+    assert run(["simulate", "--netlist", net, "--fstart", fstart, "--fstop", fstop,
+                "--points", points, "--out", out]) == 3
+    digest = hashlib.sha256(net.read_bytes()).hexdigest()
+    assert capsys.readouterr().err == (
+        f"rfladder {__version__}\ninput {net} sha256={digest}\nnumerical error: S-parameters"
+        " are not finite; a section value overflows or a branch impedance or admittance is zero\n"
+    )
     assert not out.exists()
 
 

@@ -5,11 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import random_netlist, recovery_problem, reference_ladder
+from conftest import ZERO_BRANCH_CASES, random_netlist, recovery_problem, reference_ladder
 from rfladder import fitting as ft
 from rfladder.analysis import NoOverlap, band_report
 from rfladder.errors import InputError, NonFiniteResult, RfLadderError
-from rfladder.netlist import Netlist, NonPositiveParameter, Section
+from rfladder.netlist import Netlist, NonPositiveParameter, Section, parse
 from rfladder.network import SParameterTrace, SweepGrid, sweep
 
 GRID = SweepGrid(0.5e9, 6e9, 201)
@@ -576,6 +576,17 @@ def test_fit_keeps_the_first_of_equal_costs(monkeypatch):
     assert list(result.parameters.values()) == np.exp(lo + 0.2).tolist()
     assert (result.final_cost, result.iterations, result.stop_reason) == (
         initial_cost / 4, 26, "damping")
+
+
+@pytest.mark.parametrize("text,fstart,fstop,points", ZERO_BRANCH_CASES)
+def test_fit_of_a_zero_branch_is_not_finite(text, fstart, fstop, points):
+    net = parse(text)
+    (section,) = net.sections
+    grid = SweepGrid(fstart, fstop, points)
+    target = SParameterTrace(grid.frequencies(), np.full(points, 0.5 + 0j))
+    problem = ft.FitProblem(net, ((section.name, "L"),), ((1e-10, 1e-8),), target, grid)
+    with pytest.raises(NonFiniteResult, match="impedance or admittance is zero"):
+        ft.fit(problem)
 
 
 def test_lm_probe_past_overflow_raises_non_finite():

@@ -5,11 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_netlist, reference_ladder
+from conftest import ZERO_BRANCH_CASES, random_netlist, reference_ladder
 from rfladder import network as nw
 from rfladder import touchstone as ts
 from rfladder.errors import NonPositiveFrequency
-from rfladder.netlist import Netlist, Section
+from rfladder.netlist import Netlist, Section, parse
 
 # Frozen oracle values (50-digit evaluation, 12 significant digits).
 RESONATOR_A_1GHZ = 0.960654624663
@@ -212,6 +212,18 @@ def test_sweep_grid_validation():
             nw.SweepGrid(start, stop, 10)
 
 
+def test_a_grid_holds_one_read_only_frequency_array_for_all_its_sweeps():
+    grid = nw.SweepGrid(1e9, 4e9, 301)
+    freqs = grid.frequencies()
+    assert grid.frequencies() is freqs
+    assert freqs.tobytes() == np.linspace(1e9, 4e9, 301).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        freqs[0] = 0
+    for net in (reference_ladder(), reference_ladder()):
+        assert np.shares_memory(nw.sweep(net, grid).frequencies, freqs)
+    assert grid == nw.SweepGrid(1e9, 4e9, 301) and "freq" not in repr(grid)
+
+
 def test_a_grid_beyond_memory_is_refused_naming_its_points():
     # numpy refuses both sizes before allocating anything
     for points in (10**13, 10**19):
@@ -312,7 +324,8 @@ def test_sweep_peaks_below_one_and_a_half_times_its_trace():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    arrays = (trace.frequencies, trace.s11, trace.s12, trace.s21, trace.s22)
+    assert np.shares_memory(trace.s12, trace.s21)
+    arrays = (trace.frequencies, trace.s11, trace.s21, trace.s22)  # s12 is s21's memory
     assert peak < 1.5 * sum(a.nbytes for a in arrays)
 
 
@@ -332,6 +345,12 @@ def test_sweep_rejects_non_finite_results():
     net = Netlist(50.0, 50.0, (Section("s", "series_rlc", {"L": 1e300}),))
     with pytest.raises(nw.NonFiniteResult):
         nw.sweep(net, nw.SweepGrid(1e9, 4e9, 31))
+
+
+@pytest.mark.parametrize("text,fstart,fstop,points", ZERO_BRANCH_CASES)
+def test_sweep_of_a_zero_branch_is_not_finite(text, fstart, fstop, points):
+    with pytest.raises(nw.NonFiniteResult, match="impedance or admittance is zero"):
+        nw.sweep(parse(text), nw.SweepGrid(fstart, fstop, points))
 
 
 def test_sweep_of_frequency_independent_ladder_has_grid_length():
@@ -373,6 +392,42 @@ def test_trace_validation():
         nw.SParameterTrace(np.array([-1e9, 1e9]), np.array([0j, 0j]))
     with pytest.raises(InputError, match="^s21 length differs"):
         nw.SParameterTrace(np.array([1e9, 2e9]), np.array([0j, 0j]), np.array([0j]))
+    with pytest.raises(InputError, match="^s21 length differs"):  # before s11's
+        nw.SParameterTrace(np.array([1e9, 2e9]), np.array([0j]), np.array([0j]))
+    with pytest.raises(InputError, match="^frequencies must be finite"):
+        nw.SParameterTrace([1e9, 2e9, math.inf], np.zeros(3, complex))
+    for refs in ((-5.0, 50.0), (50.0, 0.0), (math.inf, 50.0), (50.0, math.nan)):
+        with pytest.raises(InputError, match="^reference impedances must be finite and > 0"):
+            nw.SParameterTrace([1e9, 2e9], [0j, 0j], reference_impedances=refs)
+    with pytest.raises(InputError, match="^frequencies must be one-dimensional"):
+        nw.SParameterTrace(np.array([[1e9, 2e9], [3e9, 4e9]]), np.zeros(2, complex))
+    with pytest.raises(InputError, match="^s22 must be one-dimensional"):
+        nw.SParameterTrace([1e9], [0j], [0j], [0j], 0j)
+
+
+def test_trace_arrays_refuse_writes_however_the_trace_was_built():
+    freqs, real, s = np.array([1e9, 2e9, 3e9]), np.array([0.1, 0.2, 0.3]), np.full(3, 0.4j)
+    from_complex = nw.SParameterTrace(freqs, s, s, s, s)
+    traces = [
+        nw.SParameterTrace([1e9, 2e9, 3e9], [0.1, 0.2j, 0], [1, 2, 3], [0j] * 3, [0.5] * 3),
+        nw.SParameterTrace(freqs, real, real, real, real),
+        from_complex,
+        nw.sweep(reference_ladder(), nw.SweepGrid(1e9, 3e9, 3)),
+        ts.read_touchstone(ts.write_touchstone(nw.SParameterTrace(freqs, s))),  # .s1p
+        ts.read_touchstone(ts.write_touchstone(from_complex)),  # .s2p
+    ]
+    assert traces[-2].s21 is None and traces[-1].s22 is not None
+    for trace in traces:
+        for array in (trace.frequencies, trace.s11, trace.s21, trace.s12, trace.s22):
+            if array is not None:
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0
+    # where no conversion is needed the trace views the caller's array, which stays writable
+    assert np.shares_memory(from_complex.frequencies, freqs)
+    assert np.shares_memory(from_complex.s11, s)
+    for array in (freqs, real, s):
+        assert array.flags.writeable
+        array[0] = 0
 
 
 def test_magnitude_db_clamps_zero():
@@ -478,17 +533,17 @@ def test_section_matrices_are_reciprocal():
 
 
 def test_reference_ladder_cascade_reciprocal():
-    # every section is reciprocal, so the sweep's s12 is its s21, bit for bit,
-    # held in an array of its own
+    # every section is reciprocal, so the sweep's s12 is its s21: one read-only array
     rng = np.random.default_rng(6)
     grid = nw.SweepGrid(0.1e9, 6e9, 201)
     nets = [reference_ladder()] + [random_netlist(rng, k % 2 == 0) for k in range(50)]
     for net in nets:
         trace = nw.sweep(net, grid)
         assert trace.s12.tobytes() == trace.s21.tobytes()
-        s21 = trace.s21.copy()
-        trace.s12[:] = 0
-        assert trace.s21.tobytes() == s21.tobytes()
+        assert np.shares_memory(trace.s12, trace.s21)
+        for array in (trace.s12, trace.s21):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
 
 
 def test_scalar_cascade_of_examples_reciprocal():

@@ -566,12 +566,12 @@ def test_polar_columns_agree_with_per_sample_libm_values(criterion_9_sweep, fmt)
 @pytest.mark.parametrize("fmt", ts.VALUE_FORMATS)
 @pytest.mark.parametrize("row", [0, 300])  # in the first block of rows, and in a later one
 def test_write_reports_the_first_non_finite_value_in_row_order(fmt, row):
+    s11, s22 = np.full(401, 0.5 + 0j), np.full(401, 0.2 + 0j)
+    s11[row + 1] = complex(math.nan, 0.0)  # a later row, but an earlier column
+    s22[row] = complex(0.0, -math.inf)
     trace = SParameterTrace(
-        np.arange(1.0, 402.0), np.full(401, 0.5 + 0j), np.full(401, 0.1 + 0j),
-        np.full(401, 0.1 + 0j), np.full(401, 0.2 + 0j),
+        np.arange(1.0, 402.0), s11, np.full(401, 0.1 + 0j), np.full(401, 0.1 + 0j), s22
     )
-    trace.s11[row + 1] = complex(math.nan, 0.0)  # a later row, but an earlier column
-    trace.s22[row] = complex(0.0, -math.inf)
     with pytest.raises(NonFiniteValue) as expected:
         value_by_value_writer(trace, fmt)
     with pytest.raises(NonFiniteValue) as err:
@@ -620,14 +620,15 @@ NON_FINITE = [math.nan, math.inf, -math.inf]
     [(c, v) for c in ("freq", "re", "im") for v in NON_FINITE] + [("db", math.inf)],
 )
 def test_trace_csv_refuses_the_first_non_finite_value(column, bad):
-    trace = SParameterTrace(np.array([1e9, 2e9, 3e9]), np.full(3, 0.5 + 0.25j))
+    freqs, s11 = np.array([1e9, 2e9, 3e9]), np.full(3, 0.5 + 0.25j)
+    trace = SParameterTrace(freqs, s11)  # read-only views of the two arrays
     if column == "freq":
-        trace.frequencies[1] = bad
+        freqs[1] = bad  # the constructor refuses such a grid, so write it through the view's base
     elif column == "db":
-        trace.s11[1] = complex(1.7e308, 1.7e308)  # the magnitude overflows
+        s11[1] = complex(1.7e308, 1.7e308)  # the magnitude overflows
     else:
-        trace.s11[1] = complex(bad, 0.25) if column == "re" else complex(0.5, bad)
-    trace.s11[2] = complex(math.nan, math.nan)  # a later row, an earlier column
+        s11[1] = complex(bad, 0.25) if column == "re" else complex(0.5, bad)
+    s11[2] = complex(math.nan, math.nan)  # a later row, an earlier column
     with pytest.raises(NonFiniteValue) as expected:
         row_by_row_csv(trace)
     with pytest.raises(NonFiniteValue) as err:
