@@ -3,11 +3,15 @@
 Every section maps to a 2x2 chain (ABCD) matrix; a cascade is the
 left-to-right matrix product with the input side first. S-parameters
 use real, possibly distinct, reference impedances at the two ports.
-The engine carries the four chain entries as scalars or as arrays over
-frequency, so a single-frequency call and a sweep share one section
-formula, one chain recurrence and one S conversion. One walk over the
-sections, `_cascade`, serves the sweep and the fitter alike: it builds
-each section's entries only when the chain reaches it.
+Each topology is one list of steps: a series impedance z, [[1, z],
+[0, 1]], changes only b and d of the chain so far; a shunt admittance
+y, [[1, 0], [y, 1]], only a and c; only a line takes a full 2x2
+product. The engine carries the four chain entries as scalars or as
+arrays over frequency, so a single-frequency call and a sweep share one
+step list per topology, one walk and one S conversion. The walk,
+`_cascade`, serves the sweep and the fitter alike. It starts from the
+identity's constants, which cost no array operation, so the first
+section's entries are taken as they are.
 Every section topology is reciprocal (AD - BC = 1), so the sweep's s12
 is its s21, one read-only array; the public scalar `abcd_to_s` keeps
 s12 = s21 * det for any matrix a caller passes. The sweep fills one
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,48 +71,97 @@ class AbcdMatrix:
         return self.a * self.d - self.b * self.c
 
 
-IDENTITY = AbcdMatrix(1.0, 0.0, 0.0, 1.0)
+_ONE, _ZERO = 1.0, 0.0  # the identity's entries: a walk skips them, costing no array operation
+IDENTITY = AbcdMatrix(_ONE, _ZERO, _ZERO, _ONE)
 
 
-def _section_entries(topology: str, params, w):
-    """Chain entries (a, b, c, d) of one section at angular frequencies `w`.
+def _plus(x, u, v):
+    """x + u*v, where x or u may be the identity's constant and cost nothing."""
+    if u is _ZERO:
+        return x
+    uv = v if u is _ONE else u * v
+    return uv if x is _ZERO else x + uv
 
-    Entries that do not vary with frequency are plain floats and broadcast;
-    so does a parameter given as a `(K, 1)` column, which adds a leading
-    batch axis of K parameter sets.
+
+def _times(u, v):
+    """u*v, where u may be the identity's constant and cost nothing."""
+    return _plus(_ZERO, u, v)
+
+
+def _product(m, n):
+    """Left-to-right product of two chain matrices, each given as (a, b, c, d)."""
+    a, b, c, d = m
+    na, nb, nc, nd = n
+    return (
+        _plus(_times(a, na), b, nc),
+        _plus(_times(a, nb), b, nd),
+        _plus(_times(c, na), d, nc),
+        _plus(_times(c, nb), d, nd),
+    )
+
+
+def _series(m, z):
+    """Chain `m` followed by a series impedance z, [[1, z], [0, 1]]."""
+    a, b, c, d = m
+    return a, _plus(b, a, z), c, _plus(d, c, z)
+
+
+def _shunt(m, y):
+    """Chain `m` followed by a shunt admittance y, [[1, 0], [y, 1]]."""
+    a, b, c, d = m
+    return _plus(a, b, y), b, _plus(c, d, y), d
+
+
+# each element's impedance and admittance at jw, in R, L, C order
+_IMPEDANCES = (
+    ("R", lambda r, jw: r), ("L", lambda l, jw: jw * l), ("C", lambda c, jw: 1.0 / (jw * c))
+)
+_ADMITTANCES = (
+    ("R", lambda r, jw: 1.0 / r), ("L", lambda l, jw: 1.0 / (jw * l)), ("C", lambda c, jw: jw * c)
+)
+
+
+def _branch(p, jw, forms):
+    """Sum of `forms` over the elements present in `p`, in order."""
+    return functools.reduce(operator.add, [form(p[key], jw) for key, form in forms if key in p])
+
+
+def _section_steps(topology: str, params, w, jw):
+    """One section as the steps of a chain walk at angular frequencies `w` (jw = 1j*w).
+
+    Each step is a (function, value) pair mapping the chain so far to the
+    chain through it. A parameter given as a `(K, 1)` column broadcasts,
+    adding a leading batch axis of K parameter sets.
     """
     p = params
+    if topology == "series_rl_shunt_c":
+        return (_series, _branch(p, jw, _IMPEDANCES[:2])), (_shunt, jw * p["C"])  # R + jwL, jwC
+    if topology == "series_rlc":
+        return ((_series, _branch(p, jw, _IMPEDANCES)),)
+    if topology == "shunt_series_rlc":
+        return ((_shunt, 1.0 / _branch(p, jw, _IMPEDANCES)),)
+    if topology == "shunt_parallel_rlc":
+        return ((_shunt, _branch(p, jw, _ADMITTANCES)),)
     if topology == "tline":
         theta = w * np.sqrt(p["eps_eff"]) * p["len"] / SPEED_OF_LIGHT
         z0 = p["z0"]
         cos, sin = np.cos(theta), np.sin(theta)
-        return cos, 1j * z0 * sin, 1j * sin / z0, cos
-    jw = 1j * w
-    if topology == "series_rl_shunt_c":
-        z = jw * p["L"] + p.get("R", 0.0)
-        y = jw * p["C"]
-        return 1.0 + z * y, z, y, 1.0
-    if topology == "shunt_parallel_rlc":
-        y = 0.0
-        if "R" in p:
-            y = y + 1.0 / p["R"]
-        if "L" in p:
-            y = y + 1.0 / (jw * p["L"])
-        if "C" in p:
-            y = y + jw * p["C"]
-        return 1.0, 0.0, y, 1.0
-    z = 0.0
-    if "R" in p:
-        z = z + p["R"]
-    if "L" in p:
-        z = z + jw * p["L"]
-    if "C" in p:
-        z = z + 1.0 / (jw * p["C"])
-    if topology == "series_rlc":
-        return 1.0, z, 0.0, 1.0
-    if topology == "shunt_series_rlc":
-        return 1.0, 0.0, 1.0 / z, 1.0
+        return ((_product, (cos, 1j * z0 * sin, 1j * sin / z0, cos)),)
     raise InputError(f"unknown topology {topology!r}")  # unreachable once validated
+
+
+def _walk(sections, w):
+    """Chain entries (a, b, c, d) of (topology, params) pairs, walked step by step.
+
+    The walk starts from the identity's constants, so the first step takes
+    its entries as they are, and entries no step has touched stay floats.
+    """
+    jw = 1j * w
+    m = (_ONE, _ZERO, _ZERO, _ONE)
+    for topology, params in sections:
+        for step, value in _section_steps(topology, params, w, jw):
+            m = step(m, value)
+    return m
 
 
 def section_abcd(section: Section, frequency: float) -> AbcdMatrix:
@@ -115,29 +169,15 @@ def section_abcd(section: Section, frequency: float) -> AbcdMatrix:
     if not (frequency > 0 and math.isfinite(frequency)):
         raise NonPositiveFrequency("frequency must be finite and > 0")
     w = 2.0 * np.pi * frequency
-    return AbcdMatrix(*map(complex, _section_entries(section.topology, section.params, w)))
-
-
-def _chain(matrices):
-    """Left-to-right product of chain matrices."""
-    matrices = iter(matrices)
-    total = next(matrices, IDENTITY)
-    for m in matrices:
-        total = AbcdMatrix(
-            total.a * m.a + total.b * m.c,
-            total.a * m.b + total.b * m.d,
-            total.c * m.a + total.d * m.c,
-            total.c * m.b + total.d * m.d,
-        )
-    return total
+    return AbcdMatrix(*map(complex, _walk([(section.topology, section.params)], w)))
 
 
 def cascade(matrices) -> AbcdMatrix:
     """Left-to-right product of chain matrices (input side first)."""
-    matrices = list(matrices)
+    matrices = [(m.a, m.b, m.c, m.d) for m in matrices]
     if not matrices:
         raise EmptyCascade("cascade of zero matrices")
-    return _chain(matrices)
+    return AbcdMatrix(*functools.reduce(_product, matrices))
 
 
 def input_impedance(m: AbcdMatrix, load: complex) -> complex:
@@ -159,25 +199,27 @@ def reflection(z_in: complex, z_ref: float) -> complex:
 
 
 def _terms(m: AbcdMatrix, z01: float, z02: float):
-    """a*z02, c*z01*z02, d*z01 and the conversion denominator, checked to be nonzero."""
+    """a*z02 + b, a*z02, c*z01*z02, d*z01 and the denominator, checked to be nonzero."""
     az, czz, dz = m.a * z02, m.c * z01 * z02, m.d * z01
-    denom = az + m.b + czz + dz
+    t = az + m.b
+    denom = t + czz + dz
     if np.any(denom == 0):
         raise DegenerateDenominator("conversion denominator vanished")
-    return az, czz, dz, denom
+    return t, az, czz, dz, denom
 
 
 def _s11(m: AbcdMatrix, z01: float, z02: float):
     """s11 of chain entries."""
-    az, czz, dz, denom = _terms(m, z01, z02)
-    return (az + m.b - czz - dz) / denom
+    t, _, czz, dz, denom = _terms(m, z01, z02)
+    return (t - czz - dz) / denom
 
 
-def _abcd_to_s(m: AbcdMatrix, z01: float, z02: float):
-    """(s11, s21, s22) of chain entries."""
-    az, czz, dz, denom = _terms(m, z01, z02)
-    s21 = 2.0 * math.sqrt(z01 * z02) / denom
-    return (az + m.b - czz - dz) / denom, s21, (-az + m.b - czz + dz) / denom
+def _abcd_to_s(m: AbcdMatrix, z01: float, z02: float, out=(None, None, None)):
+    """(s11, s21, s22) of chain entries, written into the three rows of `out` when given."""
+    t, az, czz, dz, denom = _terms(m, z01, z02)
+    s11 = np.divide(t - czz - dz, denom, out=out[0])
+    s21 = np.divide(2.0 * math.sqrt(z01 * z02), denom, out=out[1])
+    return s11, s21, np.divide(-az + m.b - czz + dz, denom, out=out[2])
 
 
 def abcd_to_s(m: AbcdMatrix, z01: float, z02: float):
@@ -279,14 +321,14 @@ class SParameterTrace:
 
 
 def _cascade(sections, w) -> AbcdMatrix:
-    """Chain product of (topology, params) pairs at angular frequencies `w`.
+    """Chain matrix of (topology, params) pairs at angular frequencies `w`.
 
-    Each section's entries are built only when the chain reaches it. The
-    product's entries are broadcast against `w`; a parameter column of K
-    sets gives `(K, F)` arrays.
+    Each section is walked as its steps: a series impedance updates b and
+    d, a shunt admittance a and c, and only a line takes a full 2x2
+    product. The entries are broadcast against `w`; a parameter column of
+    K sets gives `(K, F)` arrays.
     """
-    total = _chain(AbcdMatrix(*_section_entries(t, p, w)) for t, p in sections)
-    return AbcdMatrix(*np.broadcast_arrays(total.a, total.b, total.c, total.d, w)[:4])
+    return AbcdMatrix(*np.broadcast_arrays(*_walk(sections, w), w)[:4])
 
 
 def netlist_abcd_array(netlist: Netlist, frequencies: np.ndarray) -> AbcdMatrix:
@@ -338,9 +380,7 @@ def sweep(netlist: Netlist, grid: SweepGrid) -> SParameterTrace:
     def convert():
         for k in range(0, len(freqs), _SWEEP_BLOCK):
             block = slice(k, k + _SWEEP_BLOCK)
-            s[0, block], s[1, block], s[2, block] = _abcd_to_s(
-                netlist_abcd_array(netlist, freqs[block]), z01, z02
-            )
+            _abcd_to_s(netlist_abcd_array(netlist, freqs[block]), z01, z02, s[:, block])
         return s
 
     s11, s21, s22 = _checked_s(convert)

@@ -1,11 +1,14 @@
 import cmath
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import ZERO_BRANCH_CASES, random_netlist, reference_ladder
+from conftest import (
+    RLC_TOPOLOGIES, ZERO_BRANCH_CASES, log_uniform, random_netlist, reference_ladder,
+)
 from rfladder import network as nw
 from rfladder import touchstone as ts
 from rfladder.errors import NonPositiveFrequency
@@ -268,6 +271,112 @@ def test_s_conversion_shares_its_terms_without_reordering_them():
         for a, b in zip(nw._abcd_to_s(m, z01, z02), written_out):
             assert a.tobytes() == b.tobytes()
         assert nw._s11(m, z01, z02).tobytes() == written_out[0].tobytes()
+
+
+def full_product_cascade(sections, w):
+    """The chain walk as it was before steps: each section's full 2x2 matrix, multiplied in.
+
+    The oracle of the two tests below; it shares only `AbcdMatrix` and the
+    speed of light with `nw._cascade`.
+    """
+
+    def entries(topology, p):
+        if topology == "tline":
+            theta = w * np.sqrt(p["eps_eff"]) * p["len"] / nw.SPEED_OF_LIGHT
+            cos, sin = np.cos(theta), np.sin(theta)
+            return cos, 1j * p["z0"] * sin, 1j * sin / p["z0"], cos
+        jw = 1j * w
+        if topology == "series_rl_shunt_c":
+            z, y = jw * p["L"] + p.get("R", 0.0), jw * p["C"]
+            return 1.0 + z * y, z, y, 1.0
+        if topology == "shunt_parallel_rlc":
+            y = 0.0
+            y = y + 1.0 / p["R"] if "R" in p else y
+            y = y + 1.0 / (jw * p["L"]) if "L" in p else y
+            y = y + jw * p["C"] if "C" in p else y
+            return 1.0, 0.0, y, 1.0
+        z = 0.0
+        z = z + p["R"] if "R" in p else z
+        z = z + jw * p["L"] if "L" in p else z
+        z = z + 1.0 / (jw * p["C"]) if "C" in p else z
+        return (1.0, z, 0.0, 1.0) if topology == "series_rlc" else (1.0, 0.0, 1.0 / z, 1.0)
+
+    total = None
+    for topology, params in sections:
+        m = entries(topology, params)
+        if total is not None:
+            (ta, tb, tc, td), (a, b, c, d) = total, m
+            m = (ta * a + tb * c, ta * b + tb * d, tc * a + td * c, tc * b + td * d)
+        total = m
+    return nw.AbcdMatrix(*np.broadcast_arrays(*(total or (1.0, 0.0, 0.0, 1.0)), w)[:4])
+
+
+# every section form: each topology with each allowed set of its parameters
+SECTION_FORMS = (
+    ("tline", ("z0", "eps_eff", "len")),
+    ("series_rl_shunt_c", ("L", "C")),
+    ("series_rl_shunt_c", ("R", "L", "C")),
+) + tuple(
+    (topology, keys)
+    for topology in RLC_TOPOLOGIES if topology != "series_rl_shunt_c"
+    for n in (1, 2, 3) for keys in itertools.combinations("RLC", n)
+)
+_SPANS = {"R": (1.0, 50.0), "L": (1e-9, 2e-8), "C": (1e-15, 5e-12),
+          "z0": (4.5, 80.0), "eps_eff": (1.0, 4.4), "len": (1e-3, 0.1)}
+
+
+def _oracle_ladders():
+    """The empty ladder, each section form alone, random mixes of the forms with a
+    line first, in the middle and last, and random netlists."""
+    rng = np.random.default_rng(22)
+
+    def draw(forms):
+        sections = [Section(f"s{k}", t, {key: log_uniform(rng, *_SPANS[key]) for key in keys})
+                    for k, (t, keys) in enumerate(forms)]
+        return Netlist(log_uniform(rng, 5.0, 100.0), log_uniform(rng, 1.0, 100.0), tuple(sections))
+
+    ladders = [Netlist(50.0, 4.5)] + [draw([form]) for form in SECTION_FORMS]
+    for _ in range(60):
+        picks = rng.integers(1, len(SECTION_FORMS), int(rng.integers(2, 7)))  # any form but the line
+        mix = [SECTION_FORMS[k] for k in picks]
+        ladders += [draw(mix[:at] + [SECTION_FORMS[0]] + mix[at:])
+                    for at in (0, len(mix) // 2, len(mix))]
+    return ladders + [random_netlist(rng, k % 2 == 0) for k in range(60)]
+
+
+def _assert_close_to_oracle(got, expected):
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-15)
+
+
+def test_sweep_matches_the_full_product_cascade():
+    grid = nw.SweepGrid(0.1e9, 6e9, 2001)
+    w = 2.0 * np.pi * grid.frequencies()
+    for net in _oracle_ladders():
+        z01, z02 = net.input_port_impedance, net.output_port_impedance
+        pairs = [(s.topology, s.params) for s in net.sections]
+        trace = nw.sweep(net, grid)
+        expected = nw._abcd_to_s(full_product_cascade(pairs, w), z01, z02)
+        for got, want in zip((trace.s11, trace.s21, trace.s22), expected):
+            _assert_close_to_oracle(got, want)
+
+
+def test_batch_s11_matches_the_full_product_cascade():
+    # as the ladder is, then with a (K, 1) column of values on its first section and on its last
+    rng = np.random.default_rng(23)
+    w = 2.0 * np.pi * nw.SweepGrid(0.3e9, 6e9, 201).frequencies()
+    for net in _oracle_ladders():
+        z01, z02 = net.input_port_impedance, net.output_port_impedance
+        pairs = [(s.topology, s.params) for s in net.sections]
+        batches = [pairs]
+        for k in sorted({0, len(pairs) - 1}) if pairs else ():
+            topology, params = pairs[k]
+            key = sorted(params)[int(rng.integers(len(params)))]
+            column = params[key] * rng.uniform(0.5, 2.0, (5, 1))
+            batches.append(pairs[:k] + [(topology, {**params, key: column})] + pairs[k + 1:])
+        for batch in batches:
+            got = nw._batch_s11(batch, w, z01, z02)
+            assert got.shape == ((5, len(w)) if batch is not pairs else (len(w),))
+            _assert_close_to_oracle(got, nw._s11(full_product_cascade(batch, w), z01, z02))
 
 
 def _identity_blocks(monkeypatch, crafted):
