@@ -32,6 +32,10 @@ class NoOverlap(InputError):
     pass
 
 
+class ReferenceMismatch(InputError):
+    pass
+
+
 @dataclass(frozen=True)
 class BandReport:
     """Bands below threshold plus figures of merit over the widest one."""
@@ -162,7 +166,13 @@ def compare_traces(
 
     Agreement counts the grid points where both traces sit on the same
     side of the threshold; the deviation is the mean |dB difference|.
+    The two must share their port-1 reference, or their dB would compare
+    reflections against different resistances; port 2 is not compared, as
+    a one-port trace has none.
     """
+    za, zb = a.reference_impedances[0], b.reference_impedances[0]
+    if za != zb:
+        raise ReferenceMismatch(f"port-1 references differ: {za} ohm and {zb} ohm")
     f, db_a, db_b = _overlap(a, b)
     same_side = (db_a <= threshold_db) == (db_b <= threshold_db)
     return SimilarityReport(

@@ -17,11 +17,12 @@ forward-difference Jacobian.
 
 A problem is compiled once per fit: the angular frequencies, where each
 free parameter enters its section, and the residual map on the fit grid
-are fixed up front, and one objective call evaluates a batch of
-parameter sets in one vectorized sweep. A Levenberg-Marquardt iteration
-is one such call: the trial point and its n difference probes. The
-restarts run in seed order, each only while every earlier run ended
-above the float floor, the cost at which the residuals are rounding.
+are fixed up front, and one objective call evaluates a batch of K
+parameter sets in one blocked pass, 4096 // K frequencies a block. A
+Levenberg-Marquardt iteration is one such call: the trial point and its
+n difference probes. The restarts run in seed order, each only while
+every earlier run ended above the float floor, the cost at which the
+residuals are rounding.
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sinum
-from .analysis import _resample
+from .analysis import ReferenceMismatch, _resample
 from .errors import InputError
 from .netlist import Netlist, NetlistError, NonPositiveParameter, Section, in_domain
-from .network import SParameterTrace, SweepGrid, _batch_s11, magnitude_db, sweep
+from .network import SParameterTrace, SweepGrid, _batch_s11_db, sweep
 
 
 class InvalidBounds(InputError):
@@ -132,8 +133,15 @@ class FitProblem:
             raise InputError("max_iterations, restarts and seed must not be negative")
         if not 0 <= self.tolerance < math.inf:
             raise InputError(f"tolerance {self.tolerance} must be finite and not negative")
-        if isinstance(self.target, SParameterTrace) and not np.isfinite(self.target.s11).all():
-            raise InputError("target trace has a non-finite s11 sample")
+        if isinstance(self.target, SParameterTrace):
+            if not np.isfinite(self.target.s11).all():
+                raise InputError("target trace has a non-finite s11 sample")
+            z_target, z_in = self.target.reference_impedances[0], self.netlist.input_port_impedance
+            if z_target != z_in:  # port 1 only: a measured one-port trace has no port 2
+                raise ReferenceMismatch(
+                    f"target trace's port-1 reference {z_target} ohm differs from"
+                    f" the netlist's input port {z_in} ohm"
+                )
         for k, (sname, pname) in enumerate(self.free_parameters):
             try:
                 section = self.netlist.section(sname)
@@ -187,7 +195,6 @@ _MAX_DAMPING = 1e16  # damping, so relative, past which no step is left to try
 _FLOOR_ULPS = 64.0  # residual, in epsilons of 1 + |reference dB|, that counts as an exact fit
 # stop reasons of a search that ended by its own rule, not by the iteration limit
 _CONVERGED = ("tolerance", "step", "damping")
-_BATCH_ELEMENTS = 1 << 16  # rows x frequencies per sweep, bounding memory on long fit grids
 
 
 class _Objective:
@@ -230,14 +237,11 @@ class _Objective:
             if slots:
                 params = {**params, **{p: values[:, j, None] for p, j in slots}}
             sections.append((topology, params))
-        return magnitude_db(_batch_s11(sections, self._w, *self._ports))
+        return _batch_s11_db(sections, self._w, len(values), *self._ports)
 
     def residuals(self, x: np.ndarray) -> np.ndarray:
         """Residual rows, shape `(K, M)`, of K rows of log-parameters."""
-        rows = max(1, _BATCH_ELEMENTS // len(self._w))
-        return np.concatenate(
-            [self._residual(self.s11_db(np.exp(x[k : k + rows]))) for k in range(0, len(x), rows)]
-        )
+        return self._residual(self.s11_db(np.exp(x)))
 
 
 def _lm(residuals, x0, lo, hi, max_iterations, tolerance, floor):

@@ -255,9 +255,17 @@ def from_elements(elements, feed: FeedLine | None = None, ports=DEFAULT_PORTS) -
     Elements with an inductance become series R-L / shunt C resonator
     sections in order; an element without one (the feed cavity) becomes
     the tline section when `feed` is given, else a bare shunt capacitor.
+    One feed line describes one cavity, so with `feed` at most one element
+    may lack an inductance.
     """
     if not elements:
         raise NetlistError("element list is empty")
+    feeds = [el.source_cavity_index for el in elements if el.inductance is None]
+    if feed is not None and len(feeds) > 1:
+        raise NetlistError(
+            f"cavities {', '.join(map(str, feeds))} have no inductance;"
+            " only one feed cavity can become the feed line"
+        )
     sections = []
     for el in elements:
         name = f"c{el.source_cavity_index}"

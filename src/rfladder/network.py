@@ -14,14 +14,14 @@ identity's constants, which cost no array operation, so the first
 section's entries are taken as they are.
 Every section topology is reciprocal (AD - BC = 1), so the sweep's s12
 is its s21, one read-only array; the public scalar `abcd_to_s` keeps
-s12 = s21 * det for any matrix a caller passes. The sweep fills one
-(3, F) result of s11, s21 and s22, in grid order, 4,096 frequencies at
-a time: whole-grid temporaries cost more in allocation and page faults
-than in arithmetic, while blocks this size are reused from the heap.
-A parameter may also be a `(K, 1)` column of values, which adds a leading
-axis of K parameter sets to every array; the fitter scores its
-candidates that way, through the same walk and the same checks,
-converting the chain to s11 alone.
+s12 = s21 * det for any matrix a caller passes. A parameter may also
+be a `(K, 1)` column of values, which adds a leading axis of K parameter
+sets to every array; the fitter scores its candidates that way.
+Every evaluation fills one result in blocks of 4,096 chain entries, K
+times frequencies, with one finiteness check at the end: whole-grid
+temporaries cost more in allocation and page faults than in arithmetic,
+while blocks this size are reused from the heap. The sweep (K = 1) fills
+s11, s21 and s22; the fitter s11 dB alone.
 """
 
 from __future__ import annotations
@@ -150,26 +150,12 @@ def _section_steps(topology: str, params, w, jw):
     raise InputError(f"unknown topology {topology!r}")  # unreachable once validated
 
 
-def _walk(sections, w):
-    """Chain entries (a, b, c, d) of (topology, params) pairs, walked step by step.
-
-    The walk starts from the identity's constants, so the first step takes
-    its entries as they are, and entries no step has touched stay floats.
-    """
-    jw = 1j * w
-    m = (_ONE, _ZERO, _ZERO, _ONE)
-    for topology, params in sections:
-        for step, value in _section_steps(topology, params, w, jw):
-            m = step(m, value)
-    return m
-
-
 def section_abcd(section: Section, frequency: float) -> AbcdMatrix:
     """Chain matrix of one section at a single frequency."""
     if not (frequency > 0 and math.isfinite(frequency)):
         raise NonPositiveFrequency("frequency must be finite and > 0")
-    w = 2.0 * np.pi * frequency
-    return AbcdMatrix(*map(complex, _walk([(section.topology, section.params)], w)))
+    m = _cascade([(section.topology, section.params)], 2.0 * np.pi * frequency)
+    return AbcdMatrix(complex(m.a), complex(m.b), complex(m.c), complex(m.d))
 
 
 def cascade(matrices) -> AbcdMatrix:
@@ -325,10 +311,15 @@ def _cascade(sections, w) -> AbcdMatrix:
 
     Each section is walked as its steps: a series impedance updates b and
     d, a shunt admittance a and c, and only a line takes a full 2x2
-    product. The entries are broadcast against `w`; a parameter column of
-    K sets gives `(K, F)` arrays.
+    product. The entries are broadcast against `w`: a scalar gives 0-d
+    arrays, a parameter column of K sets `(K, F)` ones.
     """
-    return AbcdMatrix(*np.broadcast_arrays(*_walk(sections, w), w)[:4])
+    jw = 1j * w
+    m = (_ONE, _ZERO, _ZERO, _ONE)
+    for topology, params in sections:
+        for step, value in _section_steps(topology, params, w, jw):
+            m = step(m, value)
+    return AbcdMatrix(*np.broadcast_arrays(*m, w)[:4])
 
 
 def netlist_abcd_array(netlist: Netlist, frequencies: np.ndarray) -> AbcdMatrix:
@@ -337,33 +328,40 @@ def netlist_abcd_array(netlist: Netlist, frequencies: np.ndarray) -> AbcdMatrix:
     return _cascade(((s.topology, s.params) for s in netlist.sections), w)
 
 
-def _checked_s(convert):
-    """The S-parameter array `convert()` returns, every entry of it finite.
+_BLOCK = 4096  # chain entries, parameter sets x frequencies, per block of a blocked fill
+
+
+def _filled(out: np.ndarray, rows: int, fill) -> np.ndarray:
+    """`out`, filled by `fill(block, out[..., block])`, `_BLOCK // rows` frequencies a block.
 
     Overflow inside the chain or the conversion, and a branch impedance or
-    admittance of exactly zero, show up as a non-finite S-parameter, which
-    is reported here instead of as numpy warnings.
+    admittance of exactly zero, show up as a non-finite entry, which is
+    reported here instead of as numpy warnings.
     """
+    step = max(1, _BLOCK // rows)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        s = convert()
-    if not np.isfinite(s).all():
+        for k in range(0, out.shape[-1], step):
+            block = slice(k, k + step)
+            fill(block, out[..., block])
+    if not np.isfinite(out).all():
         raise NonFiniteResult(
             "S-parameters are not finite; a section value overflows"
             " or a branch impedance or admittance is zero"
         )
-    return s
+    return out
 
 
-def _batch_s11(sections, w, z01: float, z02: float) -> np.ndarray:
-    """Checked s11 of (topology, params) pairs whose parameters may be (K, 1) columns.
+def _batch_s11_db(sections, w, rows: int, z01: float, z02: float) -> np.ndarray:
+    """Checked s11 dB, `(rows, F)`, of (topology, params) pairs whose parameters may be columns.
 
     The same section walk as the sweep's; the fitter reads s11 alone, so
-    s21 and s22 are not computed.
+    s21 and s22 are not computed, and each block goes to dB as it is made.
     """
-    return _checked_s(lambda: _s11(_cascade(sections, w), z01, z02))
 
+    def fill(block, out):
+        out[:] = magnitude_db(_s11(_cascade(sections, w[block]), z01, z02))
 
-_SWEEP_BLOCK = 4096  # frequencies per pass of `sweep`, keeping its temporaries small
+    return _filled(np.empty((rows, len(w))), rows, fill)
 
 
 def sweep(netlist: Netlist, grid: SweepGrid) -> SParameterTrace:
@@ -375,13 +373,9 @@ def sweep(netlist: Netlist, grid: SweepGrid) -> SParameterTrace:
     freqs = grid.frequencies()
     z01 = netlist.input_port_impedance
     z02 = netlist.output_port_impedance
-    s = np.empty((3, len(freqs)), dtype=complex)
 
-    def convert():
-        for k in range(0, len(freqs), _SWEEP_BLOCK):
-            block = slice(k, k + _SWEEP_BLOCK)
-            _abcd_to_s(netlist_abcd_array(netlist, freqs[block]), z01, z02, s[:, block])
-        return s
+    def fill(block, out):
+        _abcd_to_s(netlist_abcd_array(netlist, freqs[block]), z01, z02, out)
 
-    s11, s21, s22 = _checked_s(convert)
+    s11, s21, s22 = _filled(np.empty((3, len(freqs)), complex), 1, fill)
     return SParameterTrace(freqs, s11, s21, s21, s22, (z01, z02))

@@ -198,6 +198,17 @@ def test_compare_identical_traces():
     assert report.common_grid_points == len(trace)
 
 
+def test_compare_rejects_traces_on_different_port_1_references():
+    f = np.linspace(1e9, 4e9, 31)
+    s11 = np.full(31, 0.1 + 0j)
+    at_50 = SParameterTrace(f, s11, reference_impedances=(50.0, 4.5))
+    with pytest.raises(an.ReferenceMismatch, match="50.0 ohm and 75.0 ohm"):
+        an.compare_traces(at_50, SParameterTrace(f, s11, reference_impedances=(75.0, 4.5)), -10.0)
+    # port 2 is not compared: a one-port trace has none
+    other_port_2 = SParameterTrace(f, s11, reference_impedances=(50.0, 50.0))
+    assert an.compare_traces(at_50, other_port_2, -10.0).band_agreement_percent == 100.0
+
+
 def test_compare_opposite_sides():
     report = an.compare_traces(flat_trace(-15.0), flat_trace(-5.0), -10.0)
     assert report.band_agreement_percent == 0.0

@@ -428,6 +428,43 @@ def test_build_non_finite_element_exits_2_with_line(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_build_two_cavities_without_inductance_exit_2_naming_them(tmp_path, capsys):
+    elements_csv = tmp_path / "elements.csv"
+    assert run(["extract", "--out", elements_csv]) == 0
+    lines = elements_csv.read_text().splitlines()
+    fields = lines[3].split(",")
+    fields[5] = fields[6] = ""  # cavity 2 loses its L and R, as the feed cavity has none
+    lines[3] = ",".join(fields)
+    elements_csv.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "ladder.net"
+    assert run(["build", "--elements", elements_csv, "--out", out]) == 2
+    assert "error: cavities 0, 2 have no inductance" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_and_compare_reject_a_different_port_1_reference(tmp_path, capsys):
+    ladder = "port out z0=4.5\nsection s1 topology=series_rl_shunt_c R=5 L=3n C=1p\n"
+    paths = {}
+    for z in (50, 75):
+        net, trace = tmp_path / f"z{z}.net", tmp_path / f"z{z}.s1p"
+        net.write_text(f"port in z0={z}\n" + ladder)
+        assert run(["simulate", "--netlist", net, "--fstart", "0.5e9", "--fstop", "6e9",
+                    "--points", "201", "--out", trace]) == 0
+        assert f"# Hz S RI R {z}\n" in trace.read_text()
+        paths[z] = net, trace
+    capsys.readouterr()
+    fitted = tmp_path / "fitted.net"
+    assert run(["fit", "--netlist", paths[50][0], "--target", paths[75][1],
+                "--vary", "s1.L", "--out", fitted]) == 2
+    assert "reference 75.0 ohm differs from the netlist's input port 50.0 ohm" in (
+        capsys.readouterr().err)
+    assert not fitted.exists()
+    assert run(["compare", "--a", paths[50][1], "--b", paths[75][1]]) == 2
+    captured = capsys.readouterr()
+    assert "error: port-1 references differ: 50.0 ohm and 75.0 ohm" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from conftest import ZERO_BRANCH_CASES, random_netlist, recovery_problem, reference_ladder
 from rfladder import fitting as ft
+from rfladder import network as nw
 from rfladder.analysis import NoOverlap, band_report
 from rfladder.errors import InputError, NonFiniteResult, RfLadderError
 from rfladder.netlist import Netlist, NonPositiveParameter, Section, parse
@@ -110,6 +112,12 @@ def test_problem_validation():
     with pytest.raises(InputError, match="non-finite s11"):
         ft.FitProblem(net, (("s1", "L"),), ((1e-10, 1e-8),),
                       SParameterTrace(target.frequencies, s11), GRID)
+    at_75 = SParameterTrace(target.frequencies, target.s11, reference_impedances=(75.0, 4.5))
+    with pytest.raises(InputError, match="port-1 reference 75.0 ohm differs .* input port 50.0"):
+        ft.FitProblem(net, (("s1", "L"),), ((1e-10, 1e-8),), at_75, GRID)
+    # port 2 is not compared: a measured one-port trace has none
+    at_50 = SParameterTrace(target.frequencies, target.s11, reference_impedances=(50.0, 50.0))
+    ft.FitProblem(net, (("s1", "L"),), ((1e-10, 1e-8),), at_50, GRID)
     line = _tline()
     with pytest.raises(ft.InvalidBounds, match="t.eps_eff"):
         ft.FitProblem(line, (("t", "eps_eff"),), ((0.13, 13.0),), sweep(line, GRID), GRID)
@@ -287,9 +295,12 @@ def test_compiled_objective_equals_cost_row_by_row(target_kind):
         bounds = tuple(
             (max(v / 3, 1.0) if p == "eps_eff" else v / 3, v * 3) for (_, p), v in zip(free, values)
         )
+        # another ladder's trace, taken from the same input port the fit sees
+        z_in = {"input_port_impedance": net.input_port_impedance}
         target = {
-            "same_grid": lambda: sweep(random_netlist(rng), GRID),
-            "other_grid": lambda: sweep(random_netlist(rng), SweepGrid(0.2e9, 4e9, 157)),
+            "same_grid": lambda: sweep(dataclasses.replace(random_netlist(rng), **z_in), GRID),
+            "other_grid": lambda: sweep(dataclasses.replace(random_netlist(rng), **z_in),
+                                        SweepGrid(0.2e9, 4e9, 157)),
             "mask": lambda: ft.Mask(((0.5e9, 2e9, -3.0), (2.5e9, 5.5e9, -6.0))),
         }[target_kind]()
         problem = ft.FitProblem(net, free, bounds, target, GRID)
@@ -307,7 +318,7 @@ def test_compiled_objective_splits_large_batches():
         _recovery_problem(), target=ft.Mask(((0.8e9, 2e9, -9.0), (2.5e9, 5.5e9, -3.0)))
     )
     objective = _objective_for(problem)
-    rows = _random_rows(np.random.default_rng(3), problem, 2 * ft._BATCH_ELEMENTS // GRID.points)
+    rows = _random_rows(np.random.default_rng(3), problem, 2 * nw._BLOCK // GRID.points + 1)
     residuals = objective.residuals(rows)
     assert residuals.tolist() == [objective.residuals(x[None])[0].tolist() for x in rows]
     assert np.all(residuals >= 0.0) and np.any(residuals > 0.0) and np.any(residuals == 0.0)
@@ -496,10 +507,28 @@ def test_lm_probes_stay_inside_bounds_narrower_than_the_step():
 def test_residuals_split_large_batches():
     problem = _recovery_problem()
     objective = _objective_for(problem)
-    rows = _random_rows(np.random.default_rng(3), problem, 2 * ft._BATCH_ELEMENTS // GRID.points)
+    rows = _random_rows(np.random.default_rng(3), problem, 2 * nw._BLOCK // GRID.points + 1)
     residuals = objective.residuals(rows)
     assert residuals.shape == (len(rows), GRID.points)
     assert residuals.tolist() == [objective.residuals(x[None])[0].tolist() for x in rows]
+
+
+def test_residuals_peak_below_three_times_their_rows():
+    # s11 dB is made a block at a time, so no (K, F) complex buffer outlives a block
+    grid = SweepGrid(0.5e9, 6e9, 20_001)
+    problem = dataclasses.replace(
+        _recovery_problem(), target=sweep(two_section_ladder(), grid), grid=grid
+    )
+    objective = _objective_for(problem)
+    rows = _random_rows(np.random.default_rng(5), problem, 16)
+    tracemalloc.start()
+    try:
+        residuals = objective.residuals(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert residuals.shape == (16, grid.points)
+    assert peak < 3 * residuals.nbytes
 
 
 def _restart_mask_problem():

@@ -246,3 +246,14 @@ def test_from_elements_zero_resistance_omitted():
 def test_from_elements_rejects_empty():
     with pytest.raises(nl.NetlistError):
         nl.from_elements([])
+
+
+def test_from_elements_with_a_feed_rejects_a_second_cavity_without_inductance():
+    feed = nl.FeedLine(50.7, 3.3, 0.06)
+    rows = _reference_elements()
+    rows[2] = LumpedElements(rows[2].capacitance, None, None, 2)
+    with pytest.raises(nl.NetlistError, match="cavities 0, 2 have no inductance"):
+        nl.from_elements(rows, feed)
+    # without a feed line, each such cavity is its own shunt capacitor
+    net = nl.from_elements(rows)
+    assert [s.topology for s in net.sections[:3:2]] == ["shunt_parallel_rlc"] * 2

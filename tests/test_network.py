@@ -360,23 +360,62 @@ def test_sweep_matches_the_full_product_cascade():
             _assert_close_to_oracle(got, want)
 
 
+_DB_OF_REL_1E_12 = 20.0 * math.log10(1.0 + 1e-12)  # |s11| within rel 1e-12, in dB
+
+
+def _assert_db_close_to_oracle(got, s11):
+    expected = np.broadcast_to(nw.magnitude_db(s11), got.shape)
+    np.testing.assert_allclose(got, expected, rtol=0.0, atol=_DB_OF_REL_1E_12)
+
+
+def _with_columns(pairs, rng, rows):
+    """The ladder as it is, then with a (rows, 1) column of values on its first
+    section and on its last."""
+    batches = [pairs]
+    for k in sorted({0, len(pairs) - 1}) if pairs else ():
+        topology, params = pairs[k]
+        key = sorted(params)[int(rng.integers(len(params)))]
+        column = params[key] * rng.uniform(0.5, 2.0, (rows, 1))
+        batches.append(pairs[:k] + [(topology, {**params, key: column})] + pairs[k + 1:])
+    return batches
+
+
 def test_batch_s11_matches_the_full_product_cascade():
-    # as the ladder is, then with a (K, 1) column of values on its first section and on its last
     rng = np.random.default_rng(23)
     w = 2.0 * np.pi * nw.SweepGrid(0.3e9, 6e9, 201).frequencies()
     for net in _oracle_ladders():
         z01, z02 = net.input_port_impedance, net.output_port_impedance
         pairs = [(s.topology, s.params) for s in net.sections]
-        batches = [pairs]
-        for k in sorted({0, len(pairs) - 1}) if pairs else ():
-            topology, params = pairs[k]
-            key = sorted(params)[int(rng.integers(len(params)))]
-            column = params[key] * rng.uniform(0.5, 2.0, (5, 1))
-            batches.append(pairs[:k] + [(topology, {**params, key: column})] + pairs[k + 1:])
-        for batch in batches:
-            got = nw._batch_s11(batch, w, z01, z02)
-            assert got.shape == ((5, len(w)) if batch is not pairs else (len(w),))
-            _assert_close_to_oracle(got, nw._s11(full_product_cascade(batch, w), z01, z02))
+        for batch in _with_columns(pairs, rng, 5):
+            rows = 1 if batch is pairs else 5
+            expected = nw._s11(full_product_cascade(batch, w), z01, z02)
+            _assert_close_to_oracle(nw._s11(nw._cascade(batch, w), z01, z02), expected)
+            got = nw._batch_s11_db(batch, w, rows, z01, z02)
+            assert got.shape == (rows, len(w))
+            _assert_db_close_to_oracle(got, expected)
+
+
+def test_batch_s11_fills_blocks_of_parameter_sets_times_frequencies(monkeypatch):
+    # 7 sets x 1,201 points: blocks of 4096 // 7 = 585 frequencies, the last one short
+    rng = np.random.default_rng(24)
+    w = 2.0 * np.pi * nw.SweepGrid(0.3e9, 6e9, 1201).frequencies()
+    step = nw._BLOCK // 7
+    lengths = []
+    walk = nw._cascade
+
+    def recorded(sections, w_block):
+        lengths.append(len(w_block))
+        return walk(sections, w_block)
+
+    monkeypatch.setattr(nw, "_cascade", recorded)
+    for net in _oracle_ladders()[-12:]:
+        z01, z02 = net.input_port_impedance, net.output_port_impedance
+        pairs = [(s.topology, s.params) for s in net.sections]
+        for batch in _with_columns(pairs, rng, 7)[1:]:
+            lengths.clear()
+            got = nw._batch_s11_db(batch, w, 7, z01, z02)
+            assert lengths == [step, step, len(w) - 2 * step]
+            _assert_db_close_to_oracle(got, nw._s11(full_product_cascade(batch, w), z01, z02))
 
 
 def _identity_blocks(monkeypatch, crafted):
@@ -396,8 +435,8 @@ def _identity_blocks(monkeypatch, crafted):
     return lengths
 
 
-BLOCKED_GRID = nw.SweepGrid(1e9, 2e9, 3 * nw._SWEEP_BLOCK + 1)
-BLOCK_LENGTHS = [nw._SWEEP_BLOCK] * 3 + [1]
+BLOCKED_GRID = nw.SweepGrid(1e9, 2e9, 3 * nw._BLOCK + 1)
+BLOCK_LENGTHS = [nw._BLOCK] * 3 + [1]
 
 
 def test_an_overflow_in_the_last_block_alone_is_not_finite(monkeypatch):
