@@ -18,7 +18,10 @@ forward-difference Jacobian.
 A problem is compiled once per fit: the angular frequencies, where each
 free parameter enters its section, and the residual map on the fit grid
 are fixed up front, and one objective call evaluates a batch of K
-parameter sets in one blocked pass, 4096 // K frequencies a block. A
+parameter sets in one blocked pass, 4096 // K frequencies a block.
+`cost` is the same objective at the netlist's own values, with no free
+parameters, after the target checks `FitProblem` makes, so a candidate
+is scored one way whether it is a fit's or a caller's. A
 Levenberg-Marquardt iteration is one such call: the trial point and its
 n difference probes. The restarts run in seed order, each only while
 every earlier run ended above the float floor, the cost at which the
@@ -36,7 +39,8 @@ from . import sinum
 from .analysis import ReferenceMismatch, _resample
 from .errors import InputError
 from .netlist import Netlist, NetlistError, NonPositiveParameter, Section, in_domain
-from .network import SParameterTrace, SweepGrid, _batch_s11_db, sweep
+from .network import SParameterTrace, SweepGrid, _batch_s11_db
+from .network import sweep  # unused here; benchmarks/tracing.py wraps fitting.sweep by name
 
 
 class InvalidBounds(InputError):
@@ -76,23 +80,28 @@ def _residual_map(target, f: np.ndarray):
     mask gives `max(0, db - ceiling)` at the M points its intervals
     cover, in grid order, which is interval order. Returns the map and
     the reference dB at those points: the target's dB or the ceiling.
-    Selections use `np.compress`, which keeps each row contiguous, so a
-    row sums in the same pairwise order as a single trace does and every
-    residual and cost is bit-identical whatever K is.
+    The map subtracts in place, into `db` itself on the trace's own grid,
+    else into the selection. Selections use `np.compress`, which keeps
+    each row contiguous, so a row sums in the same pairwise order as a
+    single trace does and every residual and cost is bit-identical
+    whatever K is.
     """
     if isinstance(target, Mask):
         ceiling = np.full(len(f), np.nan)
         for lo, hi, level in target.intervals:
             ceiling[(f >= lo) & (f <= hi)] = level
-        covered = ~np.isnan(ceiling)
-        ceiling = ceiling[covered]
-        return lambda db: np.maximum(np.compress(covered, db, axis=-1) - ceiling, 0.0), ceiling
-    keep, target_db = _resample(f, target)
+        keep = ~np.isnan(ceiling)
+        reference_db = ceiling[keep]
+    else:
+        keep, reference_db = _resample(f, target)
+    hinge = isinstance(target, Mask)
 
     def residual(db):
-        return (db if keep is None else np.compress(keep, db, axis=-1)) - target_db
+        r = db if keep is None else np.compress(keep, db, axis=-1)
+        r -= reference_db
+        return np.maximum(r, 0.0, out=r) if hinge else r
 
-    return residual, target_db
+    return residual, reference_db
 
 
 def _mean_square(residuals):
@@ -100,11 +109,26 @@ def _mean_square(residuals):
     return np.sum(residuals * residuals, axis=-1) / max(residuals.shape[-1], 1)
 
 
+def _check_target(netlist: Netlist, target) -> None:
+    """Refuse a trace target with a non-finite s11 or another port-1 reference."""
+    if isinstance(target, SParameterTrace):
+        if not np.isfinite(target.s11).all():
+            raise InputError("target trace has a non-finite s11 sample")
+        z_target, z_in = target.reference_impedances[0], netlist.input_port_impedance
+        if z_target != z_in:  # port 1 only: a measured one-port trace has no port 2
+            raise ReferenceMismatch(
+                f"target trace's port-1 reference {z_target} ohm differs from"
+                f" the netlist's input port {z_in} ohm"
+            )
+
+
 def cost(netlist: Netlist, target, grid: SweepGrid) -> float:
-    """Mean squared dB deviation from a trace, or mean squared mask violation."""
-    trace = sweep(netlist, grid)
-    residual, _ = _residual_map(target, trace.frequencies)
-    return float(_mean_square(residual(trace.s11_db()[None]))[0])
+    """Mean squared dB deviation from a trace, or mean squared mask violation.
+
+    The compiled objective with no free parameters, after `FitProblem`'s target checks.
+    """
+    _check_target(netlist, target)
+    return _Objective(netlist, (), target, grid, np.empty(0)).initial_cost
 
 
 @dataclass(frozen=True)
@@ -133,15 +157,7 @@ class FitProblem:
             raise InputError("max_iterations, restarts and seed must not be negative")
         if not 0 <= self.tolerance < math.inf:
             raise InputError(f"tolerance {self.tolerance} must be finite and not negative")
-        if isinstance(self.target, SParameterTrace):
-            if not np.isfinite(self.target.s11).all():
-                raise InputError("target trace has a non-finite s11 sample")
-            z_target, z_in = self.target.reference_impedances[0], self.netlist.input_port_impedance
-            if z_target != z_in:  # port 1 only: a measured one-port trace has no port 2
-                raise ReferenceMismatch(
-                    f"target trace's port-1 reference {z_target} ohm differs from"
-                    f" the netlist's input port {z_in} ohm"
-                )
+        _check_target(self.netlist, self.target)
         for k, (sname, pname) in enumerate(self.free_parameters):
             try:
                 section = self.netlist.section(sname)
@@ -207,21 +223,19 @@ class _Objective:
     below which rounding, not the parameters, sets the residuals.
     """
 
-    def __init__(self, problem: FitProblem, start_values: np.ndarray):
-        net = problem.netlist
-        self._ports = (net.input_port_impedance, net.output_port_impedance)
-        f = problem.grid.frequencies()
+    def __init__(self, netlist: Netlist, free, target, grid: SweepGrid, start_values: np.ndarray):
+        self._ports = (netlist.input_port_impedance, netlist.output_port_impedance)
+        f = grid.frequencies()
         self._w = 2.0 * np.pi * f
-        column = {slot: j for j, slot in enumerate(problem.free_parameters)}
+        column = {slot: j for j, slot in enumerate(free)}
         self._sections = []
-        for s in net.sections:
+        for s in netlist.sections:
             slots = [(p, column[s.name, p]) for p in s.params if (s.name, p) in column]
             self._sections.append((s.topology, s.params, slots))
         # in section and parameter order, the order Section validation meets them
         self._checks = [(p, j) for _, _, slots in self._sections for p, j in slots]
-        # sweep the start before resampling the target, so errors come in cost()'s order
         start_db = self.s11_db(start_values[None])
-        self._residual, reference_db = _residual_map(problem.target, f)
+        self._residual, reference_db = _residual_map(target, f)
         eps = np.finfo(float).eps
         self.floor = float(_mean_square(_FLOOR_ULPS * eps * (1.0 + np.abs(reference_db))))
         self.initial_cost = float(_mean_square(self._residual(start_db))[0])
@@ -334,7 +348,7 @@ def fit(problem: FitProblem) -> FitResult:
     start_values = np.clip(
         [start_netlist.section(s).params[p] for s, p in free], lo_values, hi_values
     )
-    objective = _Objective(problem, start_values)
+    objective = _Objective(start_netlist, free, problem.target, problem.grid, start_values)
     initial_cost = objective.initial_cost
 
     def result_for(values, final, iterations, reason):

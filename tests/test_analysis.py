@@ -158,6 +158,16 @@ def test_mismatch_efficiency_linear_power_oracle():
     assert value == pytest.approx(100.0 * (1.0 - 0.03), rel=1e-9)
 
 
+def test_mismatch_efficiency_is_the_exact_integral_on_a_non_uniform_grid():
+    # 1 - |s11|^2 linear in f: its mean over the span is its value at the midpoint,
+    # 45 %; a plain mean of these unevenly spaced samples gives 39.53 %
+    freqs = np.array([1.0e9, 1.1e9, 1.5e9, 2.7e9, 3.0e9, 4.2e9])
+    delivered = 0.2 + 0.5 * (freqs - 1e9) / 3.2e9
+    trace = SParameterTrace(freqs, np.sqrt(1.0 - delivered).astype(complex))
+    value = an.mismatch_efficiency(trace, (1.0e9, 4.2e9))
+    assert value == pytest.approx(45.0, rel=1e-12)
+
+
 def test_mismatch_efficiency_band_checks():
     trace = flat_trace(-15.0)
     with pytest.raises(an.BandOutsideTrace):

@@ -9,7 +9,7 @@ import pytest
 from conftest import ZERO_BRANCH_CASES, random_netlist, recovery_problem, reference_ladder
 from rfladder import fitting as ft
 from rfladder import network as nw
-from rfladder.analysis import NoOverlap, band_report
+from rfladder.analysis import NoOverlap, ReferenceMismatch, band_report
 from rfladder.errors import InputError, NonFiniteResult, RfLadderError
 from rfladder.netlist import Netlist, NonPositiveParameter, Section, parse
 from rfladder.network import SParameterTrace, SweepGrid, sweep
@@ -70,6 +70,20 @@ def test_cost_no_overlap():
     target = sweep(net, SweepGrid(8e9, 9e9, 11))
     with pytest.raises(NoOverlap):
         ft.cost(net, target, GRID)
+
+
+def test_cost_refuses_the_trace_targets_fit_problem_refuses():
+    # scored, a 75 ohm trace against a 50 ohm input gives a finite cost that compares
+    # nothing (0.161 dB^2 for the same ladder's), and a NaN sample gives a NaN cost
+    net = two_section_ladder()
+    at_75 = sweep(dataclasses.replace(net, input_port_impedance=75.0), GRID)
+    with pytest.raises(ReferenceMismatch, match="port-1 reference 75.0 ohm differs .* 50.0"):
+        ft.cost(net, at_75, GRID)
+    target = sweep(net, GRID)
+    s11 = target.s11.copy()
+    s11[7] = complex(math.nan, 0.0)
+    with pytest.raises(InputError, match="non-finite s11"):
+        ft.cost(net, SParameterTrace(target.frequencies, s11), GRID)
 
 
 def test_mask_validation():
@@ -283,6 +297,13 @@ def _random_rows(rng, problem, k):
     return rng.uniform(lo, hi, size=(k, len(lo)))
 
 
+def _swept_cost(netlist, target):
+    """The cost of a full sweep's s11 dB on GRID: the oracle the compiled objective must equal."""
+    trace = sweep(netlist, GRID)
+    residual, _ = ft._residual_map(target, trace.frequencies)
+    return float(ft._mean_square(residual(trace.s11_db()[None]))[0])
+
+
 @pytest.mark.parametrize("target_kind", ["same_grid", "other_grid", "mask"])
 def test_compiled_objective_equals_cost_row_by_row(target_kind):
     rng = np.random.default_rng(11)
@@ -304,12 +325,12 @@ def test_compiled_objective_equals_cost_row_by_row(target_kind):
             "mask": lambda: ft.Mask(((0.5e9, 2e9, -3.0), (2.5e9, 5.5e9, -6.0))),
         }[target_kind]()
         problem = ft.FitProblem(net, free, bounds, target, GRID)
-        objective = ft._Objective(problem, np.array(values))
-        assert objective.initial_cost == ft.cost(net, target, GRID)
+        objective = ft._Objective(net, free, target, GRID, np.array(values))
+        assert objective.initial_cost == ft.cost(net, target, GRID) == _swept_cost(net, target)
         rows = _random_rows(rng, problem, 7)
         batched = ft._mean_square(objective.residuals(rows))
         for x, value in zip(rows, batched):
-            assert value == ft.cost(ft._with_values(net, free, np.exp(x)), target, GRID)
+            assert value == _swept_cost(ft._with_values(net, free, np.exp(x)), target)
 
 
 def test_compiled_objective_splits_large_batches():
@@ -443,7 +464,8 @@ def test_fit_checks_each_candidate_against_its_domain():
 
 def _objective_for(problem):
     start = [problem.netlist.section(s).params[p] for s, p in problem.free_parameters]
-    return ft._Objective(problem, np.clip(start, *np.array(problem.bounds).T))
+    return ft._Objective(problem.netlist, problem.free_parameters, problem.target, problem.grid,
+                         np.clip(start, *np.array(problem.bounds).T))
 
 
 @pytest.mark.parametrize(
@@ -513,12 +535,20 @@ def test_residuals_split_large_batches():
     assert residuals.tolist() == [objective.residuals(x[None])[0].tolist() for x in rows]
 
 
-def test_residuals_peak_below_three_times_their_rows():
-    # s11 dB is made a block at a time, so no (K, F) complex buffer outlives a block
+@pytest.mark.parametrize("target_kind, bound", [
+    ("same_grid", 1.5), ("other_grid", 2.5), ("mask", 2.5),
+])
+def test_residuals_peak_below_their_bound(target_kind, bound):
+    # s11 dB is made a block at a time, so no (K, F) complex buffer outlives a block, and
+    # the residual map subtracts in place: into the dB rows on the fit's own grid, else
+    # into the one selection of them
     grid = SweepGrid(0.5e9, 6e9, 20_001)
-    problem = dataclasses.replace(
-        _recovery_problem(), target=sweep(two_section_ladder(), grid), grid=grid
-    )
+    target = {
+        "same_grid": lambda: sweep(two_section_ladder(), grid),
+        "other_grid": lambda: sweep(two_section_ladder(), SweepGrid(0.2e9, 7e9, 20_001)),
+        "mask": lambda: ft.Mask(((0.8e9, 2e9, -9.0), (2.5e9, 5.5e9, -3.0))),
+    }[target_kind]()
+    problem = dataclasses.replace(_recovery_problem(), target=target, grid=grid)
     objective = _objective_for(problem)
     rows = _random_rows(np.random.default_rng(5), problem, 16)
     tracemalloc.start()
@@ -527,8 +557,8 @@ def test_residuals_peak_below_three_times_their_rows():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert residuals.shape == (16, grid.points)
-    assert peak < 3 * residuals.nbytes
+    assert residuals.shape == (16, 15_273 if target_kind == "mask" else grid.points)
+    assert peak < bound * residuals.nbytes
 
 
 def _restart_mask_problem():

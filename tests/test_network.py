@@ -670,6 +670,47 @@ def test_property_corpus_small():
         assert float(np.abs(gamma - trace.s11).max()) <= 1e-12
 
 
+PORT_2_GRID = nw.SweepGrid(0.1e9, 6e9, 201)
+
+
+def _port_2_draws(lossless):
+    """200 seeded random netlists, some with a line, each with its sweep on PORT_2_GRID."""
+    rng = np.random.default_rng(27 + lossless)
+    nets = [random_netlist(rng, lossless) for _ in range(200)]
+    assert any(s.topology == "tline" for net in nets for s in net.sections)
+    return [(net, nw.sweep(net, PORT_2_GRID)) for net in nets]
+
+
+def test_lossless_port_2_conserves_power_and_is_orthogonal_to_port_1():
+    # the columns of a lossless S are orthonormal: |s12|^2 + |s22|^2 = 1, s11 s12* + s21 s22* = 0
+    for _, trace in _port_2_draws(lossless=True):
+        power = np.abs(trace.s12) ** 2 + np.abs(trace.s22) ** 2
+        assert float(np.abs(power - 1).max()) <= 1e-12
+        cross = trace.s11 * np.conj(trace.s12) + trace.s21 * np.conj(trace.s22)
+        assert float(np.abs(cross).max()) <= 1e-12
+
+
+def test_lossy_s_matrix_is_passive():
+    # I - S^H S is positive semidefinite: no port pair gives out more power than it takes in
+    for _, trace in _port_2_draws(lossless=False):
+        s = np.stack([[trace.s11, trace.s12], [trace.s21, trace.s22]]).transpose(2, 0, 1)
+        absorbed = np.eye(2) - np.conj(s.transpose(0, 2, 1)) @ s
+        assert float(np.linalg.eigvalsh(absorbed).min()) >= -1e-12
+
+
+def test_s22_is_the_s11_of_the_mirrored_ladder():
+    # seen from port 2 the ladder runs backwards: sections reversed, each [[d, b], [c, a]]
+    f = PORT_2_GRID.frequencies()
+    for net, trace in _port_2_draws(lossless=False):
+        z01, z02 = net.input_port_impedance, net.output_port_impedance
+        mirrored = []
+        for section in reversed(net.sections):
+            m = nw.netlist_abcd_array(Netlist(z01, z02, (section,)), f)
+            mirrored.append(nw.AbcdMatrix(m.d, m.b, m.c, m.a))
+        s11_of_mirror = nw.abcd_to_s(nw.cascade(mirrored or [nw.IDENTITY]), z02, z01)[0]
+        _assert_close_to_oracle(trace.s22, np.broadcast_to(s11_of_mirror, f.shape))
+
+
 def test_section_matrices_are_reciprocal():
     rng = np.random.default_rng(5)
     for _ in range(300):
