@@ -15,17 +15,25 @@ first derivative, zero where the ceiling is met, so one optimizer serves
 both: Levenberg-Marquardt (Levenberg 1944, Marquardt 1963) with a
 forward-difference Jacobian.
 
-A problem is compiled once per fit: the angular frequencies, where each
-free parameter enters its section, and the residual map on the fit grid
-are fixed up front, and one objective call evaluates a batch of K
-parameter sets in one blocked pass, 4096 // K frequencies a block.
-`cost` is the same objective at the netlist's own values, with no free
-parameters, after the target checks `FitProblem` makes, so a candidate
-is scored one way whether it is a fit's or a caller's. A
+A problem is compiled once per fit into an s11 plan
+(`network._S11Plan`) and the residual map on the fit grid. The plan
+walks the sections ahead of the first free parameter once and makes
+every other fixed section's steps once, over the whole grid; one
+objective call then makes only the steps of the sections that hold a
+free parameter, for a batch of K parameter sets in one blocked pass,
+4096 // K frequencies a block, and gives the dB a sweep would, bit for
+bit. `cost` is the same objective at the netlist's own values, with no
+free parameters, after the target checks `FitProblem` makes, so a
+candidate is scored one way whether it is a fit's or a caller's. A
 Levenberg-Marquardt iteration is one such call: the trial point and its
-n difference probes. The restarts run in seed order, each only while
-every earlier run ended above the float floor, the cost at which the
-residuals are rounding.
+n difference probes. Its n-vectors (the point, the bounds, the probes,
+the held set and the downhill direction) are Python floats, since n is
+a handful and a numpy call on so few entries costs more than its
+arithmetic; the mean square, the gradient, the normal matrix, the solve
+and the predicted decrease stay numpy. A refused step keeps the point,
+so it reuses that point's gradient and normal matrix. The restarts run
+in seed order, each only while every earlier run ended above the float
+floor, the cost at which the residuals are rounding.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ from . import sinum
 from .analysis import ReferenceMismatch, _resample
 from .errors import InputError
 from .netlist import Netlist, NetlistError, NonPositiveParameter, Section, in_domain
-from .network import SParameterTrace, SweepGrid, _batch_s11_db
+from .network import SParameterTrace, SweepGrid, _S11Plan
 from .network import sweep  # unused here; benchmarks/tracing.py wraps fitting.sweep by name
 
 
@@ -106,7 +114,7 @@ def _residual_map(target, f: np.ndarray):
 
 def _mean_square(residuals):
     # a row with no points (a mask that covers no grid point) costs 0
-    return np.sum(residuals * residuals, axis=-1) / max(residuals.shape[-1], 1)
+    return np.add.reduce(residuals * residuals, axis=-1) / max(residuals.shape[-1], 1)
 
 
 def _check_target(netlist: Netlist, target) -> None:
@@ -208,6 +216,7 @@ def _with_values(netlist: Netlist, free, values) -> Netlist:
 _FD_STEP = 2.0**-26  # forward-difference step in log space (~1.5e-8 in value)
 _DAMPING = 1e-3  # LM's first damping, relative to the largest diagonal entry of J^T J
 _MAX_DAMPING = 1e16  # damping, so relative, past which no step is left to try
+_TINY = np.finfo(float).tiny  # the damping's least value
 _FLOOR_ULPS = 64.0  # residual, in epsilons of 1 + |reference dB|, that counts as an exact fit
 # stop reasons of a search that ended by its own rule, not by the iteration limit
 _CONVERGED = ("tolerance", "step", "damping")
@@ -216,24 +225,25 @@ _CONVERGED = ("tolerance", "step", "damping")
 class _Objective:
     """A problem's residuals of K rows of log-parameters, compiled once.
 
-    Holds the angular frequencies, where each free column enters its
-    section, and the residual map. `residuals` checks every free column
+    Holds the s11 plan, which knows where each free column enters its
+    section, and the residual map. `s11_db` checks every free column
     against its parameter's domain, as building each candidate's
-    sections would, and maps all rows in one sweep. `floor` is the cost
+    sections would, and names the section and parameter that fails;
+    `residuals` maps all rows in one plan call. `floor` is the cost
     below which rounding, not the parameters, sets the residuals.
     """
 
     def __init__(self, netlist: Netlist, free, target, grid: SweepGrid, start_values: np.ndarray):
-        self._ports = (netlist.input_port_impedance, netlist.output_port_impedance)
         f = grid.frequencies()
-        self._w = 2.0 * np.pi * f
         column = {slot: j for j, slot in enumerate(free)}
-        self._sections = []
+        sections, self._checks = [], []
         for s in netlist.sections:
             slots = [(p, column[s.name, p]) for p in s.params if (s.name, p) in column]
-            self._sections.append((s.topology, s.params, slots))
-        # in section and parameter order, the order Section validation meets them
-        self._checks = [(p, j) for _, _, slots in self._sections for p, j in slots]
+            sections.append((s.topology, s.params, slots))
+            # in section and parameter order, the order Section validation meets them
+            self._checks += [(s.name, p, j) for p, j in slots]
+        self._plan = _S11Plan(sections, 2.0 * np.pi * f, netlist.input_port_impedance,
+                              netlist.output_port_impedance)
         start_db = self.s11_db(start_values[None])
         self._residual, reference_db = _residual_map(target, f)
         eps = np.finfo(float).eps
@@ -243,19 +253,29 @@ class _Objective:
     def s11_db(self, values: np.ndarray) -> np.ndarray:
         """s11 dB, shape `(K, F)`, of K rows of free-parameter values."""
         lows, highs = values.min(axis=0).tolist(), values.max(axis=0).tolist()
-        for pname, j in self._checks:
+        for sname, pname, j in self._checks:
             if not (in_domain(pname, lows[j]) and in_domain(pname, highs[j])):
-                raise NonPositiveParameter(pname)
-        sections = []
-        for topology, params, slots in self._sections:
-            if slots:
-                params = {**params, **{p: values[:, j, None] for p, j in slots}}
-            sections.append((topology, params))
-        return _batch_s11_db(sections, self._w, len(values), *self._ports)
+                raise NonPositiveParameter(f"{sname}.{pname}")
+        return self._plan(values)
 
     def residuals(self, x: np.ndarray) -> np.ndarray:
         """Residual rows, shape `(K, M)`, of K rows of log-parameters."""
         return self._residual(self.s11_db(np.exp(x)))
+
+
+def _model(x, bounds, r, jac):
+    """LM's model at x: gradient and normal matrix, the held indices and the downhill direction.
+
+    A parameter on a bound that the gradient pushes outward is held there
+    for the step, and its downhill entry is 0.
+    """
+    gradient = jac @ r
+    normal = jac @ jac.T
+    g = gradient.tolist()
+    held = [i for i, (v, (l, h), gi) in enumerate(zip(x, bounds, g))
+            if (v <= l and gi > 0) or (v >= h and gi < 0)]
+    downhill = [0.0 if i in held else -gi for i, gi in enumerate(g)]
+    return gradient, normal, held, downhill
 
 
 def _lm(residuals, x0, lo, hi, max_iterations, tolerance, floor):
@@ -278,65 +298,75 @@ def _lm(residuals, x0, lo, hi, max_iterations, tolerance, floor):
     lower cost, else "max_iterations".
     """
     n = len(x0)
+    bounds = list(zip(np.asarray(lo, float).tolist(), np.asarray(hi, float).tolist()))
+    eye = np.eye(n)
 
     def probed(x):
-        signs = np.where(x + _FD_STEP <= hi, 1.0, -1.0)
-        probes = np.clip(x + np.diag(signs * _FD_STEP), lo, hi)
-        rows = residuals(np.array([x, *probes]))
-        steps = np.diagonal(probes) - x
-        jac = np.divide(rows[1:] - rows[0], steps[:, None], out=np.zeros((n, rows.shape[1])),
-                        where=steps[:, None] != 0)  # transposed: one row per parameter
+        probes = [min(max(v + (_FD_STEP if v + _FD_STEP <= h else -_FD_STEP), l), h)
+                  for v, (l, h) in zip(x, bounds)]
+        flat = x * (n + 1)
+        flat[n::n + 1] = probes  # row 1 + i is x with its entry i probed
+        rows = residuals(np.array(flat).reshape(n + 1, n))
+        steps = [p - v for p, v in zip(probes, x)]
+        column = np.array(steps)[:, None]
+        jac = rows[1:] - rows[0]  # transposed: one row per parameter
+        if all(steps):
+            jac /= column
+        else:  # a probe that a bound held at x: its row has no slope
+            jac = np.divide(jac, column, out=np.zeros_like(jac), where=column != 0)
         return float(_mean_square(rows[:1])[0]), rows[0], jac
 
-    x = np.clip(np.array(x0, dtype=float), lo, hi)
+    x = [min(max(v, l), h) for v, (l, h) in zip(np.asarray(x0, float).tolist(), bounds)]
     f, r, jac = probed(x)
     damping = _DAMPING * np.max(np.sum(jac * jac, axis=1))
     growth = 2.0
     iterations = 0
     reason = "max_iterations"
+    moved = True  # a refused step leaves x, and so its model, as they were
     while iterations < max_iterations and f > floor:
-        gradient = jac @ r
-        normal = jac @ jac.T
-        # a parameter on a bound that the gradient pushes outward stays there
-        held = ((x <= lo) & (gradient > 0)) | ((x >= hi) & (gradient < 0))
-        downhill = np.where(held, 0.0, -gradient)
-        if not downhill.any():
-            reason = "step"  # no parameter left that can lower the cost
-            break
+        if moved:
+            gradient, normal, held, downhill = _model(x, bounds, r, jac)
+            if not any(downhill):
+                reason = "step"  # no parameter left that can lower the cost
+                break
+            moved = False
         iterations += 1
-        system = normal + damping * np.eye(n)
-        if held.any():
+        system = normal + damping * eye
+        if held:
             system[held] = system[:, held] = 0.0
             system[held, held] = 1.0
         try:
-            trial = np.clip(x + np.linalg.solve(system, downhill), lo, hi)
+            delta = np.linalg.solve(system, downhill).tolist()
+            trial = [min(max(v + d, l), h) for v, d, (l, h) in zip(x, delta, bounds)]
         except np.linalg.LinAlgError:  # singular to working precision: refuse, damp harder
             trial = x
-        step = trial - x
-        predicted = -step @ (2.0 * gradient + normal @ step) / len(r)
         f_t, r_t, jac_t = probed(trial)
         if f_t < f:
+            step = [t - v for t, v in zip(trial, x)]
+            s = np.array(step)
+            predicted = -s @ (2.0 * gradient + normal @ s) / len(r)
             decrease = f - f_t
             gain = decrease / predicted if decrease < predicted else 1.0
             factor = max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
-            damping = max(damping * factor, np.finfo(float).tiny)
+            damping = max(damping * factor, _TINY)
             growth = 2.0
             x, f, r, jac = trial, f_t, r_t, jac_t
+            moved = True
             if decrease <= tolerance * (f + decrease):
                 reason = "tolerance"
                 break
-            if np.max(np.abs(step)) <= tolerance:
+            if max(map(abs, step)) <= tolerance:
                 reason = "step"
                 break
         else:
             damping *= growth
             growth *= 2.0
-            if damping > _MAX_DAMPING * np.max(np.diagonal(normal)):
+            if damping > _MAX_DAMPING * normal.diagonal().max():
                 reason = "damping"
                 break
     if f <= floor:
         reason = "tolerance"
-    return x, f, iterations, reason
+    return np.array(x), f, iterations, reason
 
 
 def fit(problem: FitProblem) -> FitResult:

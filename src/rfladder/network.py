@@ -9,9 +9,12 @@ y, [[1, 0], [y, 1]], only a and c; only a line takes a full 2x2
 product. The engine carries the four chain entries as scalars or as
 arrays over frequency, so a single-frequency call and a sweep share one
 step list per topology, one walk and one S conversion. The walk,
-`_cascade`, serves the sweep and the fitter alike. It starts from the
-identity's constants, which cost no array operation, so the first
-section's entries are taken as they are.
+`_cascade`, serves the sweep. It starts from the identity's constants,
+which cost no array operation, so the first section's entries are taken
+as they are. The fitter's `_S11Plan` walks the same steps with the same
+functions, from the same constants, but walks its fixed sections once
+per fit and, at each call, makes only the steps of the sections that
+hold a free value.
 Every section topology is reciprocal (AD - BC = 1), so the sweep's s12
 is its s21, one read-only array; the public scalar `abcd_to_s` keeps
 s12 = s21 * det for any matrix a caller passes. A parameter may also
@@ -351,17 +354,67 @@ def _filled(out: np.ndarray, rows: int, fill) -> np.ndarray:
     return out
 
 
-def _batch_s11_db(sections, w, rows: int, z01: float, z02: float) -> np.ndarray:
-    """Checked s11 dB, `(rows, F)`, of (topology, params) pairs whose parameters may be columns.
+def _sliced(value, block):
+    """`value` cut to `block` along frequency: an array, or a tuple of step values and entries."""
+    if isinstance(value, tuple):
+        return tuple(_sliced(v, block) for v in value)
+    return value[block] if isinstance(value, np.ndarray) else value
 
-    The same section walk as the sweep's; the fitter reads s11 alone, so
-    s21 and s22 are not computed, and each block goes to dB as it is made.
+
+class _S11Plan:
+    """Checked s11 dB, `(K, F)`, of a ladder whose free parameters take K values per call.
+
+    Compiled once over angular frequencies `w`: `1j*w`, the chain through
+    the leading sections that hold no free parameter, and the steps of
+    every later fixed section, each over the whole grid and cut per
+    block. A call makes only the steps of the sections that hold a free
+    parameter and walks all steps with `_series`, `_shunt` and
+    `_product`, so every entry takes the arithmetic `_cascade` gives it
+    and the dB is bit-identical to a sweep's. The entries are not
+    broadcast: `_s11` and the dB broadcast them into each block of the
+    result, under `_filled`'s block rule and its finiteness check. The
+    fitter reads s11 alone, so s21 and s22 are not computed.
     """
 
-    def fill(block, out):
-        out[:] = magnitude_db(_s11(_cascade(sections, w[block]), z01, z02))
+    def __init__(self, sections, w: np.ndarray, z01: float, z02: float):
+        """`sections` are (topology, params, slots); a slot (parameter, j) takes column j."""
+        jw = 1j * w
+        head = (_ONE, _ZERO, _ZERO, _ONE)
+        self._sections = []  # the sections after the head
+        fixed = []  # and their steps over the whole grid, None where a section holds a free value
+        # as in `_filled`: a non-finite entry made here is reported by each call's check
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for topology, params, slots in sections:
+                steps = None if slots else _section_steps(topology, params, w, jw)
+                if steps is not None and not self._sections:
+                    for step, value in steps:
+                        head = step(head, value)
+                else:
+                    self._sections.append((topology, params, slots))
+                    fixed.append(steps)
+        self._whole = (w, jw, head, tuple(fixed))
+        self._ports = (z01, z02)
 
-    return _filled(np.empty((rows, len(w))), rows, fill)
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        """s11 dB of the K rows of `values`, shape `(K, n)`, one column per slot."""
+        free = [
+            (topology, {**params, **{p: values[:, j, None] for p, j in slots}}) if slots else None
+            for topology, params, slots in self._sections
+        ]
+        points = len(self._whole[0])
+
+        def fill(block, out):
+            spans = block.start == 0 and block.stop >= points  # nothing to cut
+            w, jw, m, fixed = self._whole if spans else _sliced(self._whole, block)
+            for section, steps in zip(free, fixed):
+                if steps is None:
+                    steps = _section_steps(*section, w, jw)
+                for step, value in steps:
+                    m = step(m, value)
+            out[:] = magnitude_db(_s11(AbcdMatrix(*m), *self._ports))
+
+        rows = len(values)
+        return _filled(np.empty((rows, points)), rows, fill)
 
 
 def sweep(netlist: Netlist, grid: SweepGrid) -> SParameterTrace:

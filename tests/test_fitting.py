@@ -333,6 +333,52 @@ def test_compiled_objective_equals_cost_row_by_row(target_kind):
             assert value == _swept_cost(ft._with_values(net, free, np.exp(x)), target)
 
 
+def _lined_ladder():
+    """Lines before, between and after three lumped sections, every kind of step."""
+    line = {"z0": 40.0, "eps_eff": 2.2, "len": 0.02}
+    return Netlist(50.0, 4.5, (
+        Section("t_in", "tline", dict(line)),
+        Section("r1", "series_rl_shunt_c", {"R": 5.0, "L": 3e-9, "C": 1e-12}),
+        Section("t_mid", "tline", {**line, "len": 0.011}),
+        Section("r2", "shunt_parallel_rlc", {"R": 80.0, "L": 6e-9, "C": 0.7e-12}),
+        Section("r3", "series_rlc", {"R": 9.0, "L": 2e-9, "C": 4e-12}),
+        Section("t_out", "tline", {**line, "z0": 12.0}),
+    ))
+
+
+@pytest.mark.parametrize("free", [
+    (("t_in", "len"), ("r1", "L")),  # the first sections: nothing walked ahead
+    (("r2", "C"), ("r2", "R")),  # a middle one: lines before and after
+    (("t_out", "eps_eff"),),  # the last
+    (("t_in", "z0"), ("r2", "L"), ("t_out", "len")),
+])
+def test_compiled_objective_equals_the_sweep(free):
+    # the plan walks fixed sections once, over the whole grid, and cuts them per block; every
+    # row must equal a sweep of its netlist: 1 row, 5 rows, and 41 rows in 3 blocks
+    net = _lined_ladder()
+    start = np.array([net.section(s).params[p] for s, p in free])
+    objective = ft._Objective(net, free, ft.Mask(((GRID.start, GRID.stop, -10.0),)), GRID, start)
+    rng = np.random.default_rng(30)
+    for rows in (1, 5, 2 * nw._BLOCK // GRID.points + 1):
+        values = start * rng.uniform(0.5, 2.0, (rows, len(free)))
+        got = objective.s11_db(values)
+        for row, value in zip(got, values):
+            want = sweep(ft._with_values(net, free, value), GRID).s11_db()
+            assert row.tobytes() == want.tobytes()
+
+
+def test_cost_equals_the_sweep_with_no_free_values():
+    # the whole ladder is walked ahead; past 4,096 points its one row is cut into blocks
+    net = _lined_ladder()
+    for grid in (GRID, SweepGrid(0.5e9, 6e9, 5001)):
+        target = sweep(two_section_ladder(), grid)
+        objective = ft._Objective(net, (), target, grid, np.empty(0))
+        swept = sweep(net, grid).s11_db()
+        assert objective.s11_db(np.empty((1, 0)))[0].tobytes() == swept.tobytes()
+        residual, _ = ft._residual_map(target, grid.frequencies())
+        assert ft.cost(net, target, grid) == float(ft._mean_square(residual(swept[None]))[0])
+
+
 def test_compiled_objective_splits_large_batches():
     # a mask's hinge rows, violations only, split across sweeps as a trace's rows do
     problem = dataclasses.replace(
@@ -458,7 +504,14 @@ def test_fit_checks_each_candidate_against_its_domain():
     mask = ft.Mask(((GRID.start, GRID.stop, -10.0),))
     problem = ft.FitProblem(line, (("t", "eps_eff"),), ((1.0, 13.0),), mask, GRID, restarts=2)
     object.__setattr__(problem, "bounds", ((0.13, 13.0),))
-    with pytest.raises(NonPositiveParameter, match="eps_eff"):
+    with pytest.raises(NonPositiveParameter, match=r"'t\.eps_eff'"):
+        ft.fit(problem)
+    # of two freed lines, the error names the one out of its domain
+    lines = Netlist(50.0, 50.0, (line.sections[0], dataclasses.replace(line.sections[0], name="u")))
+    free = (("t", "eps_eff"), ("u", "eps_eff"))
+    problem = ft.FitProblem(lines, free, ((1.0, 13.0),) * 2, mask, GRID, restarts=2)
+    object.__setattr__(problem, "bounds", ((1.0, 13.0), (0.13, 13.0)))
+    with pytest.raises(NonPositiveParameter, match=r"'u\.eps_eff'"):
         ft.fit(problem)
 
 
@@ -466,6 +519,60 @@ def _objective_for(problem):
     start = [problem.netlist.section(s).params[p] for s, p in problem.free_parameters]
     return ft._Objective(problem.netlist, problem.free_parameters, problem.target, problem.grid,
                          np.clip(start, *np.array(problem.bounds).T))
+
+
+def _calls_of_a_fit(problem, monkeypatch):
+    """`fit(problem)` and, in order, its residuals calls, as ("rows", shape, row-0 cost),
+    and its model calls, as ("model",)."""
+    events = []
+    residuals, model = ft._Objective.residuals, ft._model
+
+    def recorded_residuals(self, x):
+        rows = residuals(self, x)
+        events.append(("rows", x.shape, float(ft._mean_square(rows[:1])[0])))
+        return rows
+
+    def recorded_model(*args):
+        events.append(("model",))
+        return model(*args)
+
+    monkeypatch.setattr(ft._Objective, "residuals", recorded_residuals)
+    monkeypatch.setattr(ft, "_model", recorded_model)
+    return ft.fit(problem), events
+
+
+# criterion-10 trials 0-4, the `fit` benchmark's items: (iterations, residuals calls);
+# each is one run, since its first run reaches the float floor
+LM_CALLS_PINNED = {0: (14, 15), 1: (31, 32), 2: (18, 19), 3: (9, 10), 4: (18, 19)}
+
+
+def test_lm_makes_one_residuals_call_of_n_plus_1_rows_an_iteration(monkeypatch):
+    calls = 0
+    for trial, pinned in LM_CALLS_PINNED.items():
+        problem = recovery_problem(trial)[0]
+        result, events = _calls_of_a_fit(problem, monkeypatch)
+        shapes = [event[1] for event in events if event[0] == "rows"]
+        n = len(problem.free_parameters)
+        assert set(shapes) == {(n + 1, n)}
+        assert (result.iterations, len(shapes)) == pinned
+        calls += len(shapes)
+    assert calls == 95
+
+
+def test_lm_refused_step_reuses_its_model(monkeypatch):
+    # trial 4 refuses 4 of its 18 steps; the gradient and normal matrix are made once per
+    # point the search stands on, so a refused step goes straight to its next trial
+    result, events = _calls_of_a_fit(recovery_problem(4)[0], monkeypatch)
+    assert events[0][0] == "rows" and events[1] == ("model",)
+    cost, taken = events[0][2], []
+    for k, event in enumerate(events[1:-1], start=1):
+        if event[0] == "rows":
+            taken.append(event[2] < cost)
+            cost = min(cost, event[2])
+            assert events[k + 1][0] == ("model" if taken[-1] else "rows")
+    assert (taken.count(False), result.iterations) == (4, 18)
+    # one model at the start, then one after each taken step but the last, which ends the run
+    assert sum(event == ("model",) for event in events) == 1 + taken.count(True)
 
 
 @pytest.mark.parametrize(
@@ -646,6 +753,16 @@ def test_fit_of_a_zero_branch_is_not_finite(text, fstart, fstop, points):
     problem = ft.FitProblem(net, ((section.name, "L"),), ((1e-10, 1e-8),), target, grid)
     with pytest.raises(NonFiniteResult, match="impedance or admittance is zero"):
         ft.fit(problem)
+    # held fixed, ahead of a free section or behind one, the branch is made once, when the
+    # objective is compiled, and still reported only as the result's non-finite entries
+    free = Section("r", "series_rlc", {"R": 5.0})
+    for sections in ((section, free), (free, section)):
+        problem = ft.FitProblem(dataclasses.replace(net, sections=sections), (("r", "R"),),
+                                ((1.0, 10.0),), target, grid)
+        with pytest.raises(NonFiniteResult, match="impedance or admittance is zero"):
+            ft.fit(problem)
+    with pytest.raises(NonFiniteResult, match="impedance or admittance is zero"):
+        ft.cost(net, target, grid)
 
 
 def test_lm_probe_past_overflow_raises_non_finite():
