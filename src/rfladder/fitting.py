@@ -15,16 +15,13 @@ first derivative, zero where the ceiling is met, so one optimizer serves
 both: Levenberg-Marquardt (Levenberg 1944, Marquardt 1963) with a
 forward-difference Jacobian.
 
-A problem is compiled once per fit into an s11 plan
-(`network._S11Plan`) and the residual map on the fit grid. The plan
-walks the sections ahead of the first free parameter once and makes
-every other fixed section's steps once, over the whole grid; one
-objective call then makes only the steps of the sections that hold a
-free parameter, for a batch of K parameter sets in one blocked pass,
-4096 // K frequencies a block, and gives the dB a sweep would, bit for
-bit. `cost` is the same objective at the netlist's own values, with no
-free parameters, after the target checks `FitProblem` makes, so a
-candidate is scored one way whether it is a fit's or a caller's. A
+A problem is compiled once per fit: the angular frequencies, where each
+free parameter enters its section, and the residual map on the fit grid
+are fixed up front, and one objective call evaluates a batch of K
+parameter sets in one blocked pass, 4096 // K frequencies a block.
+`cost` is the same objective at the netlist's own values, with no free
+parameters, after the target checks `FitProblem` makes, so a candidate
+is scored one way whether it is a fit's or a caller's. A
 Levenberg-Marquardt iteration is one such call: the trial point and its
 n difference probes. Its n-vectors (the point, the bounds, the probes,
 the held set and the downhill direction) are Python floats, since n is
@@ -47,7 +44,7 @@ from . import sinum
 from .analysis import ReferenceMismatch, _resample
 from .errors import InputError
 from .netlist import Netlist, NetlistError, NonPositiveParameter, Section, in_domain
-from .network import SParameterTrace, SweepGrid, _S11Plan
+from .network import SParameterTrace, SweepGrid, _batch_s11_db
 from .network import sweep  # unused here; benchmarks/tracing.py wraps fitting.sweep by name
 
 
@@ -114,7 +111,7 @@ def _residual_map(target, f: np.ndarray):
 
 def _mean_square(residuals):
     # a row with no points (a mask that covers no grid point) costs 0
-    return np.add.reduce(residuals * residuals, axis=-1) / max(residuals.shape[-1], 1)
+    return np.sum(residuals * residuals, axis=-1) / max(residuals.shape[-1], 1)
 
 
 def _check_target(netlist: Netlist, target) -> None:
@@ -225,25 +222,25 @@ _CONVERGED = ("tolerance", "step", "damping")
 class _Objective:
     """A problem's residuals of K rows of log-parameters, compiled once.
 
-    Holds the s11 plan, which knows where each free column enters its
+    Holds the angular frequencies, where each free column enters its
     section, and the residual map. `s11_db` checks every free column
     against its parameter's domain, as building each candidate's
     sections would, and names the section and parameter that fails;
-    `residuals` maps all rows in one plan call. `floor` is the cost
+    `residuals` maps all rows in one sweep. `floor` is the cost
     below which rounding, not the parameters, sets the residuals.
     """
 
     def __init__(self, netlist: Netlist, free, target, grid: SweepGrid, start_values: np.ndarray):
+        self._ports = (netlist.input_port_impedance, netlist.output_port_impedance)
         f = grid.frequencies()
+        self._w = 2.0 * np.pi * f
         column = {slot: j for j, slot in enumerate(free)}
-        sections, self._checks = [], []
+        self._sections, self._checks = [], []
         for s in netlist.sections:
             slots = [(p, column[s.name, p]) for p in s.params if (s.name, p) in column]
-            sections.append((s.topology, s.params, slots))
+            self._sections.append((s.topology, s.params, slots))
             # in section and parameter order, the order Section validation meets them
-            self._checks += [(s.name, p, j) for p, j in slots]
-        self._plan = _S11Plan(sections, 2.0 * np.pi * f, netlist.input_port_impedance,
-                              netlist.output_port_impedance)
+            self._checks += [(f"{s.name}.{p}", p, j) for p, j in slots]
         start_db = self.s11_db(start_values[None])
         self._residual, reference_db = _residual_map(target, f)
         eps = np.finfo(float).eps
@@ -253,10 +250,15 @@ class _Objective:
     def s11_db(self, values: np.ndarray) -> np.ndarray:
         """s11 dB, shape `(K, F)`, of K rows of free-parameter values."""
         lows, highs = values.min(axis=0).tolist(), values.max(axis=0).tolist()
-        for sname, pname, j in self._checks:
+        for name, pname, j in self._checks:
             if not (in_domain(pname, lows[j]) and in_domain(pname, highs[j])):
-                raise NonPositiveParameter(f"{sname}.{pname}")
-        return self._plan(values)
+                raise NonPositiveParameter(name)
+        sections = []
+        for topology, params, slots in self._sections:
+            if slots:
+                params = {**params, **{p: values[:, j, None] for p, j in slots}}
+            sections.append((topology, params))
+        return _batch_s11_db(sections, self._w, len(values), *self._ports)
 
     def residuals(self, x: np.ndarray) -> np.ndarray:
         """Residual rows, shape `(K, M)`, of K rows of log-parameters."""
@@ -309,11 +311,8 @@ def _lm(residuals, x0, lo, hi, max_iterations, tolerance, floor):
         rows = residuals(np.array(flat).reshape(n + 1, n))
         steps = [p - v for p, v in zip(probes, x)]
         column = np.array(steps)[:, None]
-        jac = rows[1:] - rows[0]  # transposed: one row per parameter
-        if all(steps):
-            jac /= column
-        else:  # a probe that a bound held at x: its row has no slope
-            jac = np.divide(jac, column, out=np.zeros_like(jac), where=column != 0)
+        jac = np.divide(rows[1:] - rows[0], column, out=np.zeros((n, rows.shape[1])),
+                        where=column != 0)  # transposed: one row per parameter
         return float(_mean_square(rows[:1])[0]), rows[0], jac
 
     x = [min(max(v, l), h) for v, (l, h) in zip(np.asarray(x0, float).tolist(), bounds)]

@@ -9,12 +9,11 @@ y, [[1, 0], [y, 1]], only a and c; only a line takes a full 2x2
 product. The engine carries the four chain entries as scalars or as
 arrays over frequency, so a single-frequency call and a sweep share one
 step list per topology, one walk and one S conversion. The walk,
-`_cascade`, serves the sweep. It starts from the identity's constants,
-which cost no array operation, so the first section's entries are taken
-as they are. The fitter's `_S11Plan` walks the same steps with the same
-functions, from the same constants, but walks its fixed sections once
-per fit and, at each call, makes only the steps of the sections that
-hold a free value.
+`_walk`, serves the sweep and the fitter alike. It starts from the
+identity's constants, which cost no array operation, so the first
+section's entries are taken as they are. The sweep's `_cascade`
+broadcasts the walk's entries to full arrays; the fitter's s11 takes
+them as they are, since its conversion broadcasts them anyway.
 Every section topology is reciprocal (AD - BC = 1), so the sweep's s12
 is its s21, one read-only array; the public scalar `abcd_to_s` keeps
 s12 = s21 * det for any matrix a caller passes. A parameter may also
@@ -309,20 +308,29 @@ class SParameterTrace:
         return magnitude_db(self.s11)
 
 
-def _cascade(sections, w) -> AbcdMatrix:
-    """Chain matrix of (topology, params) pairs at angular frequencies `w`.
+def _walk(sections, w, jw):
+    """Chain entries (a, b, c, d) of (topology, params) pairs at angular frequencies `w`.
 
     Each section is walked as its steps: a series impedance updates b and
     d, a shunt admittance a and c, and only a line takes a full 2x2
-    product. The entries are broadcast against `w`: a scalar gives 0-d
-    arrays, a parameter column of K sets `(K, F)` ones.
+    product. An entry keeps the shape its arithmetic gives it: a constant
+    of the identity, a scalar, or an array over frequency, `(K, F)` for a
+    parameter column of K sets.
     """
-    jw = 1j * w
     m = (_ONE, _ZERO, _ZERO, _ONE)
     for topology, params in sections:
         for step, value in _section_steps(topology, params, w, jw):
             m = step(m, value)
-    return AbcdMatrix(*np.broadcast_arrays(*m, w)[:4])
+    return m
+
+
+def _cascade(sections, w) -> AbcdMatrix:
+    """Chain matrix of (topology, params) pairs at angular frequencies `w`.
+
+    The walk's entries, broadcast against `w`: a scalar gives 0-d arrays,
+    a parameter column of K sets `(K, F)` ones.
+    """
+    return AbcdMatrix(*np.broadcast_arrays(*_walk(sections, w, 1j * w), w)[:4])
 
 
 def netlist_abcd_array(netlist: Netlist, frequencies: np.ndarray) -> AbcdMatrix:
@@ -354,67 +362,20 @@ def _filled(out: np.ndarray, rows: int, fill) -> np.ndarray:
     return out
 
 
-def _sliced(value, block):
-    """`value` cut to `block` along frequency: an array, or a tuple of step values and entries."""
-    if isinstance(value, tuple):
-        return tuple(_sliced(v, block) for v in value)
-    return value[block] if isinstance(value, np.ndarray) else value
+def _batch_s11_db(sections, w, rows: int, z01: float, z02: float) -> np.ndarray:
+    """Checked s11 dB, `(rows, F)`, of (topology, params) pairs whose parameters may be columns.
 
-
-class _S11Plan:
-    """Checked s11 dB, `(K, F)`, of a ladder whose free parameters take K values per call.
-
-    Compiled once over angular frequencies `w`: `1j*w`, the chain through
-    the leading sections that hold no free parameter, and the steps of
-    every later fixed section, each over the whole grid and cut per
-    block. A call makes only the steps of the sections that hold a free
-    parameter and walks all steps with `_series`, `_shunt` and
-    `_product`, so every entry takes the arithmetic `_cascade` gives it
-    and the dB is bit-identical to a sweep's. The entries are not
-    broadcast: `_s11` and the dB broadcast them into each block of the
-    result, under `_filled`'s block rule and its finiteness check. The
-    fitter reads s11 alone, so s21 and s22 are not computed.
+    The same section walk as the sweep's, each block at once to s11 and
+    dB: the fitter reads s11 alone, so s21 and s22 are not computed, and
+    the walk's entries are not broadcast first, since `_s11` broadcasts
+    them into the block.
     """
 
-    def __init__(self, sections, w: np.ndarray, z01: float, z02: float):
-        """`sections` are (topology, params, slots); a slot (parameter, j) takes column j."""
-        jw = 1j * w
-        head = (_ONE, _ZERO, _ZERO, _ONE)
-        self._sections = []  # the sections after the head
-        fixed = []  # and their steps over the whole grid, None where a section holds a free value
-        # as in `_filled`: a non-finite entry made here is reported by each call's check
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for topology, params, slots in sections:
-                steps = None if slots else _section_steps(topology, params, w, jw)
-                if steps is not None and not self._sections:
-                    for step, value in steps:
-                        head = step(head, value)
-                else:
-                    self._sections.append((topology, params, slots))
-                    fixed.append(steps)
-        self._whole = (w, jw, head, tuple(fixed))
-        self._ports = (z01, z02)
+    def fill(block, out):
+        wb = w[block]
+        out[:] = magnitude_db(_s11(AbcdMatrix(*_walk(sections, wb, 1j * wb)), z01, z02))
 
-    def __call__(self, values: np.ndarray) -> np.ndarray:
-        """s11 dB of the K rows of `values`, shape `(K, n)`, one column per slot."""
-        free = [
-            (topology, {**params, **{p: values[:, j, None] for p, j in slots}}) if slots else None
-            for topology, params, slots in self._sections
-        ]
-        points = len(self._whole[0])
-
-        def fill(block, out):
-            spans = block.start == 0 and block.stop >= points  # nothing to cut
-            w, jw, m, fixed = self._whole if spans else _sliced(self._whole, block)
-            for section, steps in zip(free, fixed):
-                if steps is None:
-                    steps = _section_steps(*section, w, jw)
-                for step, value in steps:
-                    m = step(m, value)
-            out[:] = magnitude_db(_s11(AbcdMatrix(*m), *self._ports))
-
-        rows = len(values)
-        return _filled(np.empty((rows, points)), rows, fill)
+    return _filled(np.empty((rows, len(w))), rows, fill)
 
 
 def sweep(netlist: Netlist, grid: SweepGrid) -> SParameterTrace:

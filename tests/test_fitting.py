@@ -347,14 +347,14 @@ def _lined_ladder():
 
 
 @pytest.mark.parametrize("free", [
-    (("t_in", "len"), ("r1", "L")),  # the first sections: nothing walked ahead
+    (("t_in", "len"), ("r1", "L")),  # the first sections
     (("r2", "C"), ("r2", "R")),  # a middle one: lines before and after
     (("t_out", "eps_eff"),),  # the last
     (("t_in", "z0"), ("r2", "L"), ("t_out", "len")),
 ])
 def test_compiled_objective_equals_the_sweep(free):
-    # the plan walks fixed sections once, over the whole grid, and cuts them per block; every
-    # row must equal a sweep of its netlist: 1 row, 5 rows, and 41 rows in 3 blocks
+    # the objective walks unbroadcast entries a block at a time; every row must equal a sweep
+    # of its netlist: 1 row, 5 rows, and 41 rows in 3 blocks
     net = _lined_ladder()
     start = np.array([net.section(s).params[p] for s, p in free])
     objective = ft._Objective(net, free, ft.Mask(((GRID.start, GRID.stop, -10.0),)), GRID, start)
@@ -368,7 +368,7 @@ def test_compiled_objective_equals_the_sweep(free):
 
 
 def test_cost_equals_the_sweep_with_no_free_values():
-    # the whole ladder is walked ahead; past 4,096 points its one row is cut into blocks
+    # one row: 4,096 frequencies a block, so the longer grid takes two
     net = _lined_ladder()
     for grid in (GRID, SweepGrid(0.5e9, 6e9, 5001)):
         target = sweep(two_section_ladder(), grid)
@@ -377,6 +377,22 @@ def test_cost_equals_the_sweep_with_no_free_values():
         assert objective.s11_db(np.empty((1, 0)))[0].tobytes() == swept.tobytes()
         residual, _ = ft._residual_map(target, grid.frequencies())
         assert ft.cost(net, target, grid) == float(ft._mean_square(residual(swept[None]))[0])
+
+
+def test_objective_takes_a_zero_dimensional_value_on_a_long_grid():
+    # a frequency-independent value stays 0-d through its step, ahead of the free section
+    # and behind it, and each block broadcasts it: 3 rows x 5,001 points is 4 blocks
+    zero_d = [Section(name, "series_rlc", {"R": np.array(5.0)}) for name in ("s0", "s1")]
+    t_in, r1, *rest = _lined_ladder().sections
+    net = dataclasses.replace(_lined_ladder(), sections=(zero_d[0], r1, zero_d[1], t_in, *rest))
+    grid = SweepGrid(0.5e9, 6e9, 5001)
+    mask = ft.Mask(((0.8e9, 4.2e9, -10.0),))
+    free = (("r1", "L"),)
+    objective = ft._Objective(net, free, mask, grid, np.array([3e-9]))
+    values = np.array([[1.5e-9], [3e-9], [6e-9]])
+    for row, value in zip(objective.s11_db(values), values):
+        assert row.tobytes() == sweep(ft._with_values(net, free, value), grid).s11_db().tobytes()
+    assert ft.cost(net, mask, grid) == objective.initial_cost
 
 
 def test_compiled_objective_splits_large_batches():
@@ -668,6 +684,27 @@ def test_residuals_peak_below_their_bound(target_kind, bound):
     assert peak < bound * residuals.nbytes
 
 
+@pytest.mark.parametrize("build, bound", [("cost", 6.0), ("objective", 5.0)])
+def test_scoring_peaks_below_a_few_grid_arrays(build, bound):
+    # chain entries live a block at a time, so scoring a long grid, or compiling a fit's
+    # objective on it, peaks at a few float arrays over the grid (frequencies, angular
+    # frequencies, dB rows, the residual selection), never at the chain's complex entries
+    grid = SweepGrid(0.5e9, 6e9, 100_001)
+    mask = ft.Mask(((0.8e9, 4.2e9, -10.0),))
+    problem = dataclasses.replace(_recovery_problem(), target=mask, grid=grid)
+    start = np.array([problem.netlist.section(s).params[p] for s, p in problem.free_parameters])
+    tracemalloc.start()
+    try:
+        if build == "cost":
+            ft.cost(reference_ladder(), mask, grid)
+        else:
+            ft._Objective(problem.netlist, problem.free_parameters, mask, grid, start)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * grid.points * 8
+
+
 def _restart_mask_problem():
     # runs 0 and 1 stop just above the floor, short of the ceiling; run 2 meets it
     net = reference_ladder()
@@ -753,8 +790,8 @@ def test_fit_of_a_zero_branch_is_not_finite(text, fstart, fstop, points):
     problem = ft.FitProblem(net, ((section.name, "L"),), ((1e-10, 1e-8),), target, grid)
     with pytest.raises(NonFiniteResult, match="impedance or admittance is zero"):
         ft.fit(problem)
-    # held fixed, ahead of a free section or behind one, the branch is made once, when the
-    # objective is compiled, and still reported only as the result's non-finite entries
+    # held fixed, ahead of a free section or behind one, the branch is still reported only
+    # as the result's non-finite entries
     free = Section("r", "series_rlc", {"R": 5.0})
     for sections in ((section, free), (free, section)):
         problem = ft.FitProblem(dataclasses.replace(net, sections=sections), (("r", "R"),),

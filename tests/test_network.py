@@ -369,17 +369,14 @@ def _assert_db_close_to_oracle(got, s11):
 
 
 def _with_columns(pairs, rng, rows):
-    """The ladder as it is, then with a (rows, 1) column of values on its first section
-    and on its last: each as (the oracle's pairs, the plan's sections, the plan's values)."""
-    batches = [(pairs, [(t, p, []) for t, p in pairs], np.empty((1, 0)))]
+    """The ladder as it is, then with a (rows, 1) column of values on its first
+    section and on its last."""
+    batches = [pairs]
     for k in sorted({0, len(pairs) - 1}) if pairs else ():
         topology, params = pairs[k]
         key = sorted(params)[int(rng.integers(len(params)))]
         column = params[key] * rng.uniform(0.5, 2.0, (rows, 1))
-        sections = [(t, p, [(key, 0)] if j == k else []) for j, (t, p) in enumerate(pairs)]
-        batches.append(
-            (pairs[:k] + [(topology, {**params, key: column})] + pairs[k + 1:], sections, column)
-        )
+        batches.append(pairs[:k] + [(topology, {**params, key: column})] + pairs[k + 1:])
     return batches
 
 
@@ -389,36 +386,34 @@ def test_batch_s11_matches_the_full_product_cascade():
     for net in _oracle_ladders():
         z01, z02 = net.input_port_impedance, net.output_port_impedance
         pairs = [(s.topology, s.params) for s in net.sections]
-        for batch, sections, values in _with_columns(pairs, rng, 5):
+        for batch in _with_columns(pairs, rng, 5):
+            rows = 1 if batch is pairs else 5
             expected = nw._s11(full_product_cascade(batch, w), z01, z02)
             _assert_close_to_oracle(nw._s11(nw._cascade(batch, w), z01, z02), expected)
-            got = nw._S11Plan(sections, w, z01, z02)(values)
-            assert got.shape == (len(values), len(w))
+            got = nw._batch_s11_db(batch, w, rows, z01, z02)
+            assert got.shape == (rows, len(w))
             _assert_db_close_to_oracle(got, expected)
 
 
 def test_batch_s11_fills_blocks_of_parameter_sets_times_frequencies(monkeypatch):
-    # 7 sets x 1,201 points: blocks of 4096 // 7 = 585 frequencies, the last one short;
-    # each block makes the steps of the sections that hold a column, and only those
+    # 7 sets x 1,201 points: blocks of 4096 // 7 = 585 frequencies, the last one short
     rng = np.random.default_rng(24)
     w = 2.0 * np.pi * nw.SweepGrid(0.3e9, 6e9, 1201).frequencies()
     step = nw._BLOCK // 7
     lengths = []
-    steps = nw._section_steps
+    walk = nw._walk
 
-    def recorded(topology, params, w_block, jw_block):
+    def recorded(sections, w_block, jw_block):
         lengths.append(len(w_block))
-        return steps(topology, params, w_block, jw_block)
+        return walk(sections, w_block, jw_block)
 
+    monkeypatch.setattr(nw, "_walk", recorded)
     for net in _oracle_ladders()[-12:]:
         z01, z02 = net.input_port_impedance, net.output_port_impedance
         pairs = [(s.topology, s.params) for s in net.sections]
-        for batch, sections, values in _with_columns(pairs, rng, 7)[1:]:
-            plan = nw._S11Plan(sections, w, z01, z02)
+        for batch in _with_columns(pairs, rng, 7)[1:]:
             lengths.clear()
-            with monkeypatch.context() as patch:
-                patch.setattr(nw, "_section_steps", recorded)
-                got = plan(values)
+            got = nw._batch_s11_db(batch, w, 7, z01, z02)
             assert lengths == [step, step, len(w) - 2 * step]
             _assert_db_close_to_oracle(got, nw._s11(full_product_cascade(batch, w), z01, z02))
 
