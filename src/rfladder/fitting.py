@@ -15,10 +15,11 @@ first derivative, zero where the ceiling is met, so one optimizer serves
 both: Levenberg-Marquardt (Levenberg 1944, Marquardt 1963) with a
 forward-difference Jacobian.
 
-A problem is compiled once per fit: the angular frequencies, where each
-free parameter enters its section, and the residual map on the fit grid
-are fixed up front, and one objective call evaluates a batch of K
-parameter sets in one blocked pass, 4096 // K frequencies a block.
+A problem is compiled once per fit: the angular frequencies, the
+network's ladder with a slot for each free parameter, and the residual
+map on the fit grid are fixed up front, and the bounds are checked once
+against each parameter's domain. One objective call evaluates a batch
+of K parameter sets in one blocked pass, 4096 // K frequencies a block.
 `cost` is the same objective at the netlist's own values, with no free
 parameters, after the target checks `FitProblem` makes, so a candidate
 is scored one way whether it is a fit's or a caller's. A
@@ -44,7 +45,7 @@ from . import sinum
 from .analysis import ReferenceMismatch, _resample
 from .errors import InputError
 from .netlist import Netlist, NetlistError, NonPositiveParameter, Section, in_domain
-from .network import SParameterTrace, SweepGrid, _batch_s11_db
+from .network import SParameterTrace, SweepGrid, _batch_s11_db, _compiled
 from .network import sweep  # unused here; benchmarks/tracing.py wraps fitting.sweep by name
 
 
@@ -222,25 +223,18 @@ _CONVERGED = ("tolerance", "step", "damping")
 class _Objective:
     """A problem's residuals of K rows of log-parameters, compiled once.
 
-    Holds the angular frequencies, where each free column enters its
-    section, and the residual map. `s11_db` checks every free column
-    against its parameter's domain, as building each candidate's
-    sections would, and names the section and parameter that fails;
-    `residuals` maps all rows in one sweep. `floor` is the cost
-    below which rounding, not the parameters, sets the residuals.
+    Holds the angular frequencies, the compiled ladder with a slot for
+    each free column, and the residual map; `residuals` maps all rows in
+    one sweep. Values are not checked against their domains here: `fit`
+    checks its bounds once. `floor` is the cost below which rounding,
+    not the parameters, sets the residuals.
     """
 
     def __init__(self, netlist: Netlist, free, target, grid: SweepGrid, start_values: np.ndarray):
         self._ports = (netlist.input_port_impedance, netlist.output_port_impedance)
         f = grid.frequencies()
         self._w = 2.0 * np.pi * f
-        column = {slot: j for j, slot in enumerate(free)}
-        self._sections, self._checks = [], []
-        for s in netlist.sections:
-            slots = [(p, column[s.name, p]) for p in s.params if (s.name, p) in column]
-            self._sections.append((s.topology, s.params, slots))
-            # in section and parameter order, the order Section validation meets them
-            self._checks += [(f"{s.name}.{p}", p, j) for p, j in slots]
+        self._ladder = _compiled(netlist.sections, free)
         start_db = self.s11_db(start_values[None])
         self._residual, reference_db = _residual_map(target, f)
         eps = np.finfo(float).eps
@@ -249,16 +243,7 @@ class _Objective:
 
     def s11_db(self, values: np.ndarray) -> np.ndarray:
         """s11 dB, shape `(K, F)`, of K rows of free-parameter values."""
-        lows, highs = values.min(axis=0).tolist(), values.max(axis=0).tolist()
-        for name, pname, j in self._checks:
-            if not (in_domain(pname, lows[j]) and in_domain(pname, highs[j])):
-                raise NonPositiveParameter(name)
-        sections = []
-        for topology, params, slots in self._sections:
-            if slots:
-                params = {**params, **{p: values[:, j, None] for p, j in slots}}
-            sections.append((topology, params))
-        return _batch_s11_db(sections, self._w, len(values), *self._ports)
+        return _batch_s11_db(self._ladder, values, self._w, *self._ports)
 
     def residuals(self, x: np.ndarray) -> np.ndarray:
         """Residual rows, shape `(K, M)`, of K rows of log-parameters."""
@@ -377,6 +362,12 @@ def fit(problem: FitProblem) -> FitResult:
     start_values = np.clip(
         [start_netlist.section(s).params[p] for s, p in free], lo_values, hi_values
     )
+    lo = np.log(lo_values)
+    hi = np.log(hi_values)
+    # every value evaluated lies between the bounds or the exps of their logs, the clamp's ends
+    for (s, p), *ends in zip(free, lo_values, hi_values, np.exp(lo), np.exp(hi)):
+        if not all(in_domain(p, v) for v in ends):
+            raise NonPositiveParameter(f"{s}.{p}")
     objective = _Objective(start_netlist, free, problem.target, problem.grid, start_values)
     initial_cost = objective.initial_cost
 
@@ -394,8 +385,6 @@ def fit(problem: FitProblem) -> FitResult:
     if problem.max_iterations == 0:
         return result_for(start_values, initial_cost, 0, "no_search")
 
-    lo = np.log(lo_values)
-    hi = np.log(hi_values)
     x0 = np.clip(np.log(start_values), lo, hi)
     rng = np.random.default_rng(problem.seed)
     runs = []

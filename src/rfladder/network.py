@@ -9,16 +9,16 @@ y, [[1, 0], [y, 1]], only a and c; only a line takes a full 2x2
 product. The engine carries the four chain entries as scalars or as
 arrays over frequency, so a single-frequency call and a sweep share one
 step list per topology, one walk and one S conversion. The walk,
-`_walk`, serves the sweep and the fitter alike. It starts from the
-identity's constants, which cost no array operation, so the first
-section's entries are taken as they are. The sweep's `_cascade`
-broadcasts the walk's entries to full arrays; the fitter's s11 takes
-them as they are, since its conversion broadcasts them anyway.
-Every section topology is reciprocal (AD - BC = 1), so the sweep's s12
-is its s21, one read-only array; the public scalar `abcd_to_s` keeps
-s12 = s21 * det for any matrix a caller passes. A parameter may also
-be a `(K, 1)` column of values, which adds a leading axis of K parameter
-sets to every array; the fitter scores its candidates that way.
+`_walk`, serves the sweep and the fitter alike, over a ladder that
+`_compiled` gives each free value's slot once: a `(K, n)` array of
+values enters its sections as `(K, 1)` columns, adding a leading axis
+of K parameter sets to every array. The sweep's ladder has no slots,
+and its `_cascade` broadcasts the walk's entries to full arrays; the
+fitter's s11 takes them as they are, since its conversion broadcasts
+them anyway. The walk starts from the identity's constants, which cost
+no array operation. Every section topology is reciprocal (AD - BC = 1),
+so the sweep's s12 is its s21, one read-only array; the public scalar
+`abcd_to_s` keeps s12 = s21 * det for any matrix a caller passes.
 Every evaluation fills one result in blocks of 4,096 chain entries, K
 times frequencies, with one finiteness check at the end: whole-grid
 temporaries cost more in allocation and page faults than in arithmetic,
@@ -156,7 +156,7 @@ def section_abcd(section: Section, frequency: float) -> AbcdMatrix:
     """Chain matrix of one section at a single frequency."""
     if not (frequency > 0 and math.isfinite(frequency)):
         raise NonPositiveFrequency("frequency must be finite and > 0")
-    m = _cascade([(section.topology, section.params)], 2.0 * np.pi * frequency)
+    m = _cascade(_compiled((section,)), 2.0 * np.pi * frequency)
     return AbcdMatrix(complex(m.a), complex(m.b), complex(m.c), complex(m.d))
 
 
@@ -308,35 +308,46 @@ class SParameterTrace:
         return magnitude_db(self.s11)
 
 
-def _walk(sections, w, jw):
-    """Chain entries (a, b, c, d) of (topology, params) pairs at angular frequencies `w`.
+def _compiled(sections, free=()):
+    """`(topology, params, slots)` per section; a slot `(parameter, column)` puts the free
+    value `free[column]`, found by (section name, parameter), into its section."""
+    column = {slot: j for j, slot in enumerate(free)}
+    return [(s.topology, s.params,
+             [(p, column[s.name, p]) for p in s.params if (s.name, p) in column] if free else ())
+            for s in sections]
 
-    Each section is walked as its steps: a series impedance updates b and
-    d, a shunt admittance a and c, and only a line takes a full 2x2
-    product. An entry keeps the shape its arithmetic gives it: a constant
-    of the identity, a scalar, or an array over frequency, `(K, F)` for a
-    parameter column of K sets.
+
+def _walk(ladder, w, jw, values=None):
+    """Chain entries (a, b, c, d) of a compiled ladder at angular frequencies `w`.
+
+    A slot takes its column j of `values` as `values[:, j, None]`. Each
+    section is walked as its steps: a series impedance updates b and d, a
+    shunt admittance a and c, and only a line takes a full 2x2 product.
+    An entry keeps the shape its arithmetic gives it: a constant of the
+    identity, a scalar, or an array over frequency, `(K, F)` for K rows.
     """
     m = (_ONE, _ZERO, _ZERO, _ONE)
-    for topology, params in sections:
+    for topology, params, slots in ladder:
+        if slots:
+            params = {**params, **{p: values[:, j, None] for p, j in slots}}
         for step, value in _section_steps(topology, params, w, jw):
             m = step(m, value)
     return m
 
 
-def _cascade(sections, w) -> AbcdMatrix:
-    """Chain matrix of (topology, params) pairs at angular frequencies `w`.
+def _cascade(ladder, w) -> AbcdMatrix:
+    """Chain matrix of a compiled ladder without slots at angular frequencies `w`.
 
     The walk's entries, broadcast against `w`: a scalar gives 0-d arrays,
     a parameter column of K sets `(K, F)` ones.
     """
-    return AbcdMatrix(*np.broadcast_arrays(*_walk(sections, w, 1j * w), w)[:4])
+    return AbcdMatrix(*np.broadcast_arrays(*_walk(ladder, w, 1j * w), w)[:4])
 
 
 def netlist_abcd_array(netlist: Netlist, frequencies: np.ndarray) -> AbcdMatrix:
     """Cascaded ABCD of the netlist over frequency, by the walk the fitter uses too."""
     w = 2.0 * np.pi * np.asarray(frequencies, dtype=float)
-    return _cascade(((s.topology, s.params) for s in netlist.sections), w)
+    return _cascade(_compiled(netlist.sections), w)
 
 
 _BLOCK = 4096  # chain entries, parameter sets x frequencies, per block of a blocked fill
@@ -362,8 +373,8 @@ def _filled(out: np.ndarray, rows: int, fill) -> np.ndarray:
     return out
 
 
-def _batch_s11_db(sections, w, rows: int, z01: float, z02: float) -> np.ndarray:
-    """Checked s11 dB, `(rows, F)`, of (topology, params) pairs whose parameters may be columns.
+def _batch_s11_db(ladder, values, w, z01: float, z02: float) -> np.ndarray:
+    """Checked s11 dB, `(K, F)`, of a compiled ladder for K rows of free values.
 
     The same section walk as the sweep's, each block at once to s11 and
     dB: the fitter reads s11 alone, so s21 and s22 are not computed, and
@@ -373,9 +384,9 @@ def _batch_s11_db(sections, w, rows: int, z01: float, z02: float) -> np.ndarray:
 
     def fill(block, out):
         wb = w[block]
-        out[:] = magnitude_db(_s11(AbcdMatrix(*_walk(sections, wb, 1j * wb)), z01, z02))
+        out[:] = magnitude_db(_s11(AbcdMatrix(*_walk(ladder, wb, 1j * wb, values)), z01, z02))
 
-    return _filled(np.empty((rows, len(w))), rows, fill)
+    return _filled(np.empty((len(values), len(w))), len(values), fill)
 
 
 def sweep(netlist: Netlist, grid: SweepGrid) -> SParameterTrace:

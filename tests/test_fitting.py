@@ -351,6 +351,7 @@ def _lined_ladder():
     (("r2", "C"), ("r2", "R")),  # a middle one: lines before and after
     (("t_out", "eps_eff"),),  # the last
     (("t_in", "z0"), ("r2", "L"), ("t_out", "len")),
+    (("r3", "L"), ("r1", "L")),  # one parameter name in two sections, against section order
 ])
 def test_compiled_objective_equals_the_sweep(free):
     # the objective walks unbroadcast entries a block at a time; every row must equal a sweep
@@ -515,7 +516,7 @@ def test_lm_raises_what_residuals_raises():
 
 
 def test_fit_checks_each_candidate_against_its_domain():
-    # bounds that bypass FitProblem's check still meet the per-candidate check
+    # bounds that bypass FitProblem's check still meet fit's once-per-fit domain check
     line = _tline()
     mask = ft.Mask(((GRID.start, GRID.stop, -10.0),))
     problem = ft.FitProblem(line, (("t", "eps_eff"),), ((1.0, 13.0),), mask, GRID, restarts=2)
@@ -529,6 +530,14 @@ def test_fit_checks_each_candidate_against_its_domain():
     object.__setattr__(problem, "bounds", ((1.0, 13.0), (0.13, 13.0)))
     with pytest.raises(NonPositiveParameter, match=r"'u\.eps_eff'"):
         ft.fit(problem)
+    # bounds that clip the 1.3 start out of its domain: refused before the start is scored,
+    # with or without a search
+    for max_iterations in (0, 5):
+        problem = ft.FitProblem(line, (("t", "eps_eff"),), ((1.0, 13.0),), mask, GRID,
+                                max_iterations=max_iterations)
+        object.__setattr__(problem, "bounds", ((0.1, 0.5),))
+        with pytest.raises(NonPositiveParameter, match=r"'t\.eps_eff'"):
+            ft.fit(problem)
 
 
 def _objective_for(problem):
@@ -823,7 +832,7 @@ def test_lm_checks_each_candidate_against_its_domain():
     result = ft.fit(problem)  # held on its low bound
     assert (result.parameters["t.eps_eff"], result.stop_reason) == (1.0, "step")
     object.__setattr__(problem, "bounds", ((0.13, 13.0),))
-    with pytest.raises(NonPositiveParameter, match="eps_eff"):
+    with pytest.raises(NonPositiveParameter, match=r"'t\.eps_eff'"):
         ft.fit(problem)
 
 

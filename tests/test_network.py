@@ -368,15 +368,18 @@ def _assert_db_close_to_oracle(got, s11):
     np.testing.assert_allclose(got, expected, rtol=0.0, atol=_DB_OF_REL_1E_12)
 
 
-def _with_columns(pairs, rng, rows):
+def _with_columns(net, rng, rows):
     """The ladder as it is, then with a (rows, 1) column of values on its first
-    section and on its last."""
-    batches = [pairs]
+    section and on its last; each as (compiled ladder, values, (topology, params)
+    pairs with the column in place, the oracle's input)."""
+    pairs = [(s.topology, s.params) for s in net.sections]
+    batches = [(nw._compiled(net.sections), np.empty((1, 0)), pairs)]
     for k in sorted({0, len(pairs) - 1}) if pairs else ():
-        topology, params = pairs[k]
-        key = sorted(params)[int(rng.integers(len(params)))]
-        column = params[key] * rng.uniform(0.5, 2.0, (rows, 1))
-        batches.append(pairs[:k] + [(topology, {**params, key: column})] + pairs[k + 1:])
+        section = net.sections[k]
+        key = sorted(section.params)[int(rng.integers(len(section.params)))]
+        column = section.params[key] * rng.uniform(0.5, 2.0, (rows, 1))
+        placed = pairs[:k] + [(section.topology, {**section.params, key: column})] + pairs[k + 1:]
+        batches.append((nw._compiled(net.sections, ((section.name, key),)), column, placed))
     return batches
 
 
@@ -385,13 +388,12 @@ def test_batch_s11_matches_the_full_product_cascade():
     w = 2.0 * np.pi * nw.SweepGrid(0.3e9, 6e9, 201).frequencies()
     for net in _oracle_ladders():
         z01, z02 = net.input_port_impedance, net.output_port_impedance
-        pairs = [(s.topology, s.params) for s in net.sections]
-        for batch in _with_columns(pairs, rng, 5):
-            rows = 1 if batch is pairs else 5
-            expected = nw._s11(full_product_cascade(batch, w), z01, z02)
-            _assert_close_to_oracle(nw._s11(nw._cascade(batch, w), z01, z02), expected)
-            got = nw._batch_s11_db(batch, w, rows, z01, z02)
-            assert got.shape == (rows, len(w))
+        for ladder, values, pairs in _with_columns(net, rng, 5):
+            expected = nw._s11(full_product_cascade(pairs, w), z01, z02)
+            columns = [(topology, params, ()) for topology, params in pairs]
+            _assert_close_to_oracle(nw._s11(nw._cascade(columns, w), z01, z02), expected)
+            got = nw._batch_s11_db(ladder, values, w, z01, z02)
+            assert got.shape == (len(values), len(w))
             _assert_db_close_to_oracle(got, expected)
 
 
@@ -403,19 +405,18 @@ def test_batch_s11_fills_blocks_of_parameter_sets_times_frequencies(monkeypatch)
     lengths = []
     walk = nw._walk
 
-    def recorded(sections, w_block, jw_block):
+    def recorded(ladder, w_block, jw_block, values=None):
         lengths.append(len(w_block))
-        return walk(sections, w_block, jw_block)
+        return walk(ladder, w_block, jw_block, values)
 
     monkeypatch.setattr(nw, "_walk", recorded)
     for net in _oracle_ladders()[-12:]:
         z01, z02 = net.input_port_impedance, net.output_port_impedance
-        pairs = [(s.topology, s.params) for s in net.sections]
-        for batch in _with_columns(pairs, rng, 7)[1:]:
+        for ladder, values, pairs in _with_columns(net, rng, 7)[1:]:
             lengths.clear()
-            got = nw._batch_s11_db(batch, w, 7, z01, z02)
+            got = nw._batch_s11_db(ladder, values, w, z01, z02)
             assert lengths == [step, step, len(w) - 2 * step]
-            _assert_db_close_to_oracle(got, nw._s11(full_product_cascade(batch, w), z01, z02))
+            _assert_db_close_to_oracle(got, nw._s11(full_product_cascade(pairs, w), z01, z02))
 
 
 def _identity_blocks(monkeypatch, crafted):

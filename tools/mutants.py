@@ -1,0 +1,175 @@
+"""Mutation check: each mutant is one small edit that a named test must catch.
+
+Run from the root of a checkout, with the test dependencies installed:
+
+    python3 tools/mutants.py            # every mutant
+    python3 tools/mutants.py s22_a_d_swapped slot_reads_column_0
+
+The tree's `src/`, `tests/` and `pyproject.toml` are copied to a temporary
+directory. Each mutant replaces one text, which must occur exactly once,
+in one file of the copy, runs the tests that should catch it with pytest,
+and puts the file back. A mutant survives when none of those tests fails.
+An equivalent mutant changes no result, so it is expected to survive and
+is run to show that it still does. The script prints one line per mutant
+and exits 1 if a mutant that should be caught survives, or if a text is
+not found exactly once.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to the root of the checkout
+    text: str
+    replacement: str
+    tests: tuple[str, ...]  # pytest node ids that should fail
+    equivalent: bool = False
+
+
+NETWORK, ANALYSIS, FITTING = (f"src/rfladder/{m}.py" for m in ("network", "analysis", "fitting"))
+TEST_NETWORK, TEST_ANALYSIS, TEST_FITTING = (
+    f"tests/test_{m}.py" for m in ("network", "analysis", "fitting")
+)
+
+MUTANTS = (
+    Mutant(
+        "s22_a_d_swapped", NETWORK,
+        "-az + m.b - czz + dz", "-m.d * z02 + m.b - czz + m.a * z01",
+        (f"{TEST_NETWORK}::test_s_conversion_shares_its_terms_without_reordering_them",
+         f"{TEST_NETWORK}::test_lossless_port_2_conserves_power_and_is_orthogonal_to_port_1",
+         f"{TEST_NETWORK}::test_lossy_s_matrix_is_passive",
+         f"{TEST_NETWORK}::test_s22_is_the_s11_of_the_mirrored_ladder"),
+    ),
+    Mutant(
+        "conjugated_line", NETWORK,
+        "(cos, 1j * z0 * sin, 1j * sin / z0, cos)", "(cos, -1j * z0 * sin, -1j * sin / z0, cos)",
+        (f"{TEST_NETWORK}::test_tline_quarter_wave",
+         f"{TEST_NETWORK}::test_sweep_matches_the_full_product_cascade",
+         f"{TEST_NETWORK}::test_batch_s11_matches_the_full_product_cascade",
+         f"{TEST_NETWORK}::test_sweep_matches_impedance_folding_oracle",
+         "tests/test_acceptance.py::test_criterion_9_end_to_end_pipeline"),
+    ),
+    Mutant(
+        "slot_reads_column_0", NETWORK,
+        "{p: values[:, j, None] for p, j in slots}", "{p: values[:, 0, None] for p, j in slots}",
+        (f"{TEST_FITTING}::test_compiled_objective_equals_the_sweep",
+         f"{TEST_FITTING}::test_compiled_objective_equals_cost_row_by_row",
+         f"{TEST_FITTING}::test_criterion_10_trials_unchanged",
+         f"{TEST_FITTING}::test_mask_fits_pinned"),
+    ),
+    Mutant(
+        "efficiency_as_a_plain_mean", ANALYSIS,
+        "np.trapezoid(power, xs) / (xs[-1] - xs[0])", "np.mean(power)",
+        (f"{TEST_ANALYSIS}::test_mismatch_efficiency_is_the_exact_integral_on_a_non_uniform_grid",
+         "tests/test_acceptance.py::test_criterion_9_end_to_end_pipeline"),
+    ),
+    Mutant(
+        "unclipped_band_edge", ANALYSIS,
+        "edge[k] = np.clip(x, f[np.minimum(i, o)], f[np.maximum(i, o)])", "edge[k] = x",
+        (f"{TEST_ANALYSIS}::test_property_band_edges_stay_between_their_samples",
+         f"{TEST_ANALYSIS}::test_band_edge_at_a_threshold_sample_is_not_inverted",
+         "tests/test_cli.py::test_bandwidth_threshold_exact_sample_exits_0"),
+    ),
+    Mutant(
+        "narrowest_band_as_widest", ANALYSIS,
+        "widest = max(range(len(bands))", "widest = min(range(len(bands))",
+        (f"{TEST_ANALYSIS}::test_band_report_picks_widest",),
+    ),
+    Mutant(
+        "interp_brackets_left", ANALYSIS,
+        'side="right"', 'side="left"',
+        (TEST_ANALYSIS, "tests/test_acceptance.py", "tests/test_cli.py"),
+        equivalent=True,  # at a sample both brackets interpolate to its own value
+    ),
+    Mutant(
+        "mean_square_divisor_off_by_one", FITTING,
+        "/ max(residuals.shape[-1], 1)", "/ max(residuals.shape[-1] - 1, 1)",
+        (f"{TEST_FITTING}::test_cost_flat_mask_violation",
+         f"{TEST_FITTING}::test_cost_mask_counts_only_covered_points",
+         f"{TEST_FITTING}::test_fit_stop_reasons",
+         f"{TEST_FITTING}::test_noisy_target_fit_unchanged"),
+    ),
+    Mutant(
+        "upward_only_probes", FITTING,
+        "v + (_FD_STEP if v + _FD_STEP <= h else -_FD_STEP)", "v + _FD_STEP",
+        (f"{TEST_FITTING}::test_criterion_10_trials_unchanged",
+         f"{TEST_FITTING}::test_restart_runs_only_after_runs_above_the_floor",
+         f"{TEST_FITTING}::test_mask_fits_pinned"),
+    ),
+    Mutant(
+        "bound_hold_ignored", FITTING,
+        "if (v <= l and gi > 0) or (v >= h and gi < 0)]", "if False]",
+        (f"{TEST_FITTING}::test_optimizer_respects_bounds",
+         f"{TEST_FITTING}::test_lm_checks_each_candidate_against_its_domain",
+         f"{TEST_FITTING}::test_mask_fits_pinned"),
+    ),
+    Mutant(
+        "bound_check_once_per_fit_deleted", FITTING,
+        "if not all(in_domain(p, v) for v in ends):", "if False:",
+        (f"{TEST_FITTING}::test_fit_checks_each_candidate_against_its_domain",
+         f"{TEST_FITTING}::test_lm_checks_each_candidate_against_its_domain"),
+    ),
+)
+
+
+def _failed(root: Path, tests) -> list[str]:
+    """The node ids pytest reports failed or in error for `tests` in the tree at `root`."""
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *tests],
+        cwd=root, env=env, capture_output=True, text=True,
+    )
+    if run.returncode not in (0, 1):  # 1: tests failed; anything else: pytest could not run
+        raise RuntimeError(f"pytest exited {run.returncode}:\n{run.stdout}{run.stderr}")
+    return re.findall(r"^(?:FAILED|ERROR) (\S+)", run.stdout, re.MULTILINE)
+
+
+def main(argv: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not argv or m.name in argv]
+    unknown = set(argv) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}")
+        return 2
+    checkout = Path.cwd()
+    bad = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(checkout / part, root / part,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(checkout / "pyproject.toml", root)
+        for mutant in chosen:
+            target = root / mutant.path
+            original = target.read_text()
+            if original.count(mutant.text) != 1:
+                print(f"{mutant.name}: text found {original.count(mutant.text)} times"
+                      f" in {mutant.path}, not once")
+                bad += 1
+                continue
+            target.write_text(original.replace(mutant.text, mutant.replacement))
+            try:
+                failed = _failed(root, mutant.tests)
+            finally:
+                target.write_text(original)
+            verdict = "caught" if failed else "survived"
+            note = ", equivalent" if mutant.equivalent else ""
+            print(f"{mutant.name}: {verdict}{note}; {len(failed)} failing test case(s)")
+            for node in failed:
+                print(f"    {node}")
+            bad += bool(failed) == mutant.equivalent
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
