@@ -8,8 +8,12 @@ results can be traced back to their exact inputs. Output files are
 written atomically (temp file, then rename). The argument parser is
 built once per process, on the first `main` call, and reused by every
 later call; argparse keeps no parsed values in it. Within one process, a
-Touchstone input with the same bytes as one of the last two read is not
-parsed again (its digest is still printed); traces are read-only.
+Touchstone input with the same bytes as one of the last two read or
+written is not parsed (its digest is still printed); traces are
+read-only. `simulate` holds, under the digest of the text it writes, the
+trace that reading its file back gives, built from the writer's numbers
+without the text, so a `bandwidth`, `compare` or `fit` on that file
+parses nothing.
 """
 
 from __future__ import annotations
@@ -48,21 +52,37 @@ def _read_input(path: str) -> str:
     return _read(path)[0]
 
 
-# Parsed traces by the digest of their bytes, the most recently used last. Two
-# cover a batch of `compare` runs: the current design's file and the shared reference.
+# Traces by the digest of their file's bytes, the most recently used last: those
+# parsed, and those `simulate` wrote. Two cover a batch of `compare` runs: the
+# current design's file and the shared reference.
 _TRACES: dict[str, touchstone.SParameterTrace] = {}
 
 
-def _read_trace(path: str) -> touchstone.SParameterTrace:
-    """The Touchstone file's trace, parsed only if its bytes differ from the last two read."""
-    text, digest = _read(path)
-    trace = _TRACES.pop(digest, None)
-    if trace is None:
-        trace = touchstone.read_touchstone(text)
+def _hold(digest: str, trace: touchstone.SParameterTrace) -> None:
+    """Hold the trace of the bytes with this digest as the most recently used."""
+    _TRACES.pop(digest, None)
     _TRACES[digest] = trace
     if len(_TRACES) > 2:
         del _TRACES[next(iter(_TRACES))]
+
+
+def _read_trace(path: str) -> touchstone.SParameterTrace:
+    """The Touchstone file's trace, parsed only if its bytes differ from the last two held."""
+    text, digest = _read(path)
+    trace = _TRACES.get(digest)
+    if trace is None:
+        trace = touchstone.read_touchstone(text)
+    _hold(digest, trace)
     return trace
+
+
+def _write_touchstone(path: str, trace: touchstone.SParameterTrace, fmt: str) -> None:
+    """Write the trace's Touchstone file and hold the trace that reading the file gives."""
+    text = touchstone.write_touchstone(trace, fmt)
+    _write_output(path, text)
+    held = touchstone._read_back(trace, fmt)
+    if held is not None:  # else a read parses the file and raises as it would have
+        _hold(hashlib.sha256(text.encode()).hexdigest(), held)
 
 
 def _write_output(path: str, text: str) -> None:
@@ -144,7 +164,7 @@ def _cmd_simulate(args) -> int:
         trace = touchstone.SParameterTrace(
             trace.frequencies, trace.s11, reference_impedances=trace.reference_impedances
         )
-    _write_output(args.out, touchstone.write_touchstone(trace, args.format))
+    _write_touchstone(args.out, trace, args.format)
     if args.csv:
         _write_output(args.csv, touchstone.write_trace_csv(trace))
     return EXIT_OK

@@ -12,9 +12,13 @@ increasing frequencies. Only a failed check, or a field `loadtxt` refuses
 and `float` may take (such as ``1_0``), sends the rows to the per-row
 checker, which converts them with `float` one at a time and raises the
 error of the first bad line. The writer renders the values in blocks of
-rows with `sinum.format_bare_column`, one `repr` per block. Numbers are
-written as the shortest decimal that parses back to the identical float,
-which makes output byte-stable and RI round trips exact. MA and DB
+rows with `sinum.format_bare_column`, one `repr` per block; an s12 with
+s21's very bytes (every sweep's) is not rendered again, its rows repeat
+s21's strings. Numbers are written as the shortest decimal that parses
+back to the identical float (integral ones as integers, so -0.0 as
+``0``), which makes output byte-stable and RI round trips exact; so
+`_read_back` gives the trace a file reads back as from the writer's
+table, through the reader's own conversion, without the text. MA and DB
 columns come from the same numpy formulas as the analysis (`np.abs`,
 `network.magnitude_db` with its -300 dB floor, `np.angle` in degrees and
 0 for a zero sample), so they may differ in the last digit from files
@@ -220,6 +224,27 @@ def _columns(samples: np.ndarray, fmt: str) -> tuple[np.ndarray, np.ndarray]:
     return values, np.where(magnitude == 0, 0.0, np.angle(samples, deg=True))
 
 
+def _table(trace: SParameterTrace, fmt: str) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The file's distinct numeric columns, and the table column each file column shows.
+
+    A two-port s12 with the very bytes of s21 (every sweep's; compared as
+    bytes, as a -0.0 or a NaN tells apart what `==` does not) gets no
+    columns of its own: the file shows s21's two in its place.
+    """
+    ports = [trace.s11]
+    shown = (0, 1, 2)
+    if trace.s21 is not None and trace.s22 is not None:
+        s12 = trace.s12 if trace.s12 is not None else trace.s21
+        if s12.tobytes() == trace.s21.tobytes():
+            ports += [trace.s21, trace.s22]
+            shown = (0, 1, 2, 3, 4, 3, 4, 5, 6)
+        else:
+            ports += [trace.s21, s12, trace.s22]
+            shown = tuple(range(9))
+    columns = [trace.frequencies] + [c for samples in ports for c in _columns(samples, fmt)]
+    return np.column_stack(columns), shown
+
+
 def write_touchstone(trace: SParameterTrace, fmt: str = "RI") -> str:
     """Render a trace as a version-1 file (frequencies in Hz).
 
@@ -234,17 +259,39 @@ def write_touchstone(trace: SParameterTrace, fmt: str = "RI") -> str:
     if z02 != z01:
         lines.append(f"! {PORT2_REF_COMMENT} {format_bare(z02)}")
     lines.append(f"# Hz S {fmt} R {format_bare(z01)}")
-    ports = [trace.s11]
-    if trace.s21 is not None and trace.s22 is not None:
-        s12 = trace.s12 if trace.s12 is not None else trace.s21
-        ports += [trace.s21, s12, trace.s22]
-    columns = [trace.frequencies] + [c for samples in ports for c in _columns(samples, fmt)]
-    table = np.column_stack(columns)
+    table, shown = _table(trace, fmt)
+    distinct, width = table.shape[1], len(shown)
     for k in range(0, len(table), _WRITE_ROWS):
         # the block's values in row order, so a non-finite one is met where a row loop meets it
-        fields = iter(format_bare_column(table[k : k + _WRITE_ROWS].ravel()))
-        lines.extend(map(" ".join, zip(*[fields] * len(columns))))
+        fields = format_bare_column(table[k : k + _WRITE_ROWS].ravel())
+        if distinct < width:  # each row repeats s21's strings for s12
+            strings, fields = fields, [None] * (len(fields) // distinct * width)
+            for column, source in enumerate(shown):
+                fields[column::width] = strings[source::distinct]
+        lines.extend(map(" ".join, zip(*[iter(fields)] * width)))
     return "\n".join(lines) + "\n"
+
+
+def _read_back(trace: SParameterTrace, fmt: str) -> SParameterTrace | None:
+    """The trace `read_touchstone` returns for `write_touchstone(trace, fmt)`, without the text.
+
+    The reader's own `_trace` converts the writer's table, with -0.0 made
+    +0.0 as the written ``0`` reads back; every other value is written as
+    a decimal that parses back to it. None where that read raises: no
+    rows, or a value the conversion overflows (a near-maximal DB entry).
+    """
+    table, shown = _table(trace, fmt)
+    if not len(table):
+        return None
+    z01, z02 = trace.reference_impedances
+    first = 2 if z02 == z01 else 3  # the line after the option line and any port-2 comment
+    try:
+        return _trace(
+            table[:, shown] + 0.0, range(first, first + len(table)), ("hz", fmt, float(z01)),
+            float(z02),
+        )
+    except MalformedRow:
+        return None
 
 
 def write_trace_csv(trace: SParameterTrace) -> str:

@@ -42,6 +42,17 @@ ZERO_BRANCH_CASES = (
 )
 
 
+def assert_bitwise_equal(held, parsed):
+    """Two traces with the same reference impedances and the same bytes in every array."""
+    assert held.reference_impedances == parsed.reference_impedances
+    assert [type(z) for z in held.reference_impedances] == [float, float]
+    assert [type(z) for z in parsed.reference_impedances] == [float, float]
+    for name in ("frequencies", "s11", "s21", "s12", "s22"):
+        a, b = getattr(held, name), getattr(parsed, name)
+        assert (a is None) == (b is None), name
+        assert a is None or (a.dtype == b.dtype and a.tobytes() == b.tobytes()), name
+
+
 @pytest.fixture
 def geometry():
     return canonical_geometry()

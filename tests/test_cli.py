@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import ZERO_BRANCH_CASES
+from conftest import ZERO_BRANCH_CASES, assert_bitwise_equal
 from rfladder import __version__, cli, fitting, geometry, netlist, sinum, touchstone
 from rfladder.network import SParameterTrace, SweepGrid
 
@@ -697,8 +697,8 @@ def test_a_held_trace_refuses_writes(tmp_path, parses):
             array[0] = 0
 
 
-@pytest.mark.parametrize("command", ["bandwidth", "compare", "fit"])
-def test_a_hit_prints_what_a_miss_prints(tmp_path, capsys, parses, command):
+def _reads_of_a_simulated_target(tmp_path, command):
+    """`simulate` a one-port target, then the argv of `command` reading it (and other.s1p)."""
     target = tmp_path / "t.s1p"
     truth = "port in z0=50\nport out z0=4.5\nsection s1 topology=series_rl_shunt_c R=5 L=3n C=1p\n"
     (tmp_path / "truth.net").write_text(truth)
@@ -707,18 +707,78 @@ def test_a_hit_prints_what_a_miss_prints(tmp_path, capsys, parses, command):
     (tmp_path / "start.net").write_text(truth.replace("L=3n", "L=3.6n"))
     other = tmp_path / "other.s1p"
     other.write_text(BAND_AT_2GHZ)
-    argv = {
+    return {
         "bandwidth": ["bandwidth", "--input", target, "--csv", tmp_path / "out"],
         "compare": ["compare", "--a", target, "--b", other],
         "fit": ["fit", "--netlist", tmp_path / "start.net", "--target", target,
                 "--vary", "s1.L", "--out", tmp_path / "out"],
     }[command]
+
+
+def _runs(tmp_path, capsys, argv, times):
+    """Each run's exit code, printed text and output file bytes."""
     outputs = []
-    for _ in range(2):
+    for _ in range(times):
         capsys.readouterr()
         code = run(argv)
         out = tmp_path / "out"
         outputs.append((code, capsys.readouterr(), out.read_bytes() if out.exists() else None))
+    return outputs
+
+
+@pytest.mark.parametrize("command", ["bandwidth", "compare", "fit"])
+def test_a_hit_prints_what_a_miss_prints(tmp_path, capsys, parses, command):
+    argv = _reads_of_a_simulated_target(tmp_path, command)
+    cli._TRACES.clear()  # so the first run below parses the file `simulate` wrote
+    outputs = _runs(tmp_path, capsys, argv, 2)
     assert len(parses) == (2 if command == "compare" else 1)
     assert outputs[0] == outputs[1]
     assert outputs[0][1].out
+
+
+@pytest.mark.parametrize("command", ["bandwidth", "compare", "fit"])
+def test_a_file_simulate_wrote_is_read_without_a_parse(tmp_path, capsys, parses, command):
+    argv = _reads_of_a_simulated_target(tmp_path, command)
+    held = _runs(tmp_path, capsys, argv, 1)
+    assert parses == ([BAND_AT_2GHZ] if command == "compare" else [])
+    cli._TRACES.clear()
+    assert _runs(tmp_path, capsys, argv, 1) == held
+    assert len(parses) == (3 if command == "compare" else 1)
+
+
+@pytest.mark.parametrize("fmt", touchstone.VALUE_FORMATS)
+@pytest.mark.parametrize("suffix", [".s1p", ".s2p"])
+@pytest.mark.parametrize("z02", ["50", "4.5"])  # 4.5 writes the port-2 comment
+def test_simulate_holds_the_trace_its_file_reads_back_as(tmp_path, parses, fmt, suffix, z02):
+    net = tmp_path / "ladder.net"
+    net.write_text(f"port in z0=50\nport out z0={z02}\n"
+                   "section s1 topology=series_rl_shunt_c R=5 L=3n C=1p\n")
+    out = tmp_path / f"sim{suffix}"
+    assert run(["simulate", "--netlist", net, "--points", "301", "--out", out,
+                "--format", fmt]) == 0
+    ((digest, held),) = cli._TRACES.items()
+    assert digest == hashlib.sha256(out.read_bytes()).hexdigest()
+    parsed = touchstone.read_touchstone(out.read_text())
+    assert held.reference_impedances == (50.0, float(z02))
+    assert (held.s21 is not None) == (suffix == ".s2p")
+    assert_bitwise_equal(held, parsed)
+
+
+def test_simulate_holds_nothing_where_its_file_fails_to_read_back(tmp_path, capsys, monkeypatch,
+                                                                    parses):
+    freqs = np.array([1e9, 2e9])
+    largest = np.finfo(float).max  # written as a dB value whose conversion overflows
+    trace = SParameterTrace(freqs, np.array([0.5 + 0j, complex(largest, 0.0)]))
+    monkeypatch.setattr(cli, "sweep", lambda ladder, grid: trace)
+    net = tmp_path / "ladder.net"
+    net.write_text("port in z0=50\nport out z0=50\n"
+                   "section s1 topology=series_rl_shunt_c L=3n C=1p\n")
+    out = tmp_path / "sim.s1p"
+    assert run(["simulate", "--netlist", net, "--out", out, "--format", "DB"]) == 0
+    assert not cli._TRACES
+    capsys.readouterr()
+    assert run(["bandwidth", "--input", out]) == 2
+    assert capsys.readouterr().err.endswith(
+        "error: line 3: value overflows or frequencies collide after unit or dB conversion\n"
+    )
+    assert len(parses) == 1 and not cli._TRACES

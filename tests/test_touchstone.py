@@ -1,11 +1,13 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_bitwise_equal
 from rfladder import touchstone as ts
 from rfladder.network import SParameterTrace, magnitude_db
 from rfladder.sinum import NonFiniteValue, format_bare, format_bare_column
@@ -577,6 +579,89 @@ def test_write_reports_the_first_non_finite_value_in_row_order(fmt, row):
     with pytest.raises(NonFiniteValue) as err:
         ts.write_touchstone(trace, fmt)
     assert str(err.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("fmt", ts.VALUE_FORMATS)
+def test_a_non_finite_s21_is_reported_as_before_where_s12_repeats_it(fmt):
+    s21 = np.full(401, 0.1 + 0j)
+    s21[300] = complex(0.0, math.nan)
+    trace = SParameterTrace(
+        np.arange(1.0, 402.0), np.full(401, 0.5 + 0j), s21, s21, np.full(401, 0.2 + 0j)
+    )
+    with pytest.raises(NonFiniteValue) as expected:
+        value_by_value_writer(trace, fmt)
+    with pytest.raises(NonFiniteValue) as err:
+        ts.write_touchstone(trace, fmt)
+    assert str(err.value) == str(expected.value)
+
+
+def _with_s12(kind, rng, points=300):
+    """A two-port trace whose s12 is `kind` of its s21, over more than one block of rows."""
+    s11, s21, s22, other = rng.uniform(-1, 1, (4, points)) + 1j * rng.uniform(-1, 1, (4, points))
+    s21[::7] = -0.5  # a negative real with a +0.0 imaginary part: its phase is +180
+    s12 = {"shared": s21, "copy": s21.copy(), "different": other, "none": None}.get(kind)
+    if kind == "signed_zero":  # `==` to s21, and its phase -180 where s21's is +180
+        s12 = s21.copy()
+        s12.imag[::7] = -0.0
+    return SParameterTrace(np.arange(1.0, points + 1.0), s11, s21, s12, s22, (50.0, 4.5))
+
+
+@pytest.mark.parametrize("fmt", ts.VALUE_FORMATS)
+@pytest.mark.parametrize("kind", ["shared", "copy", "different", "signed_zero", "none"])
+def test_s12_is_written_as_its_own_columns_whatever_it_shares(fmt, kind):
+    trace = _with_s12(kind, np.random.default_rng(6))
+    text = ts.write_touchstone(trace, fmt)
+    assert text == value_by_value_writer(trace, fmt)
+    if kind == "signed_zero" and fmt != "RI":  # the case tells the two phases apart
+        assert text != ts.write_touchstone(dataclasses.replace(trace, s12=trace.s21), fmt)
+
+
+@pytest.mark.parametrize("fmt", ts.VALUE_FORMATS)
+@pytest.mark.parametrize("two_port", [False, True])
+@pytest.mark.parametrize("z02", [50.0, 4.5])  # 4.5 writes the port-2 comment
+def test_read_back_is_the_parsed_trace_bit_for_bit(criterion_9_sweep, fmt, two_port, z02):
+    # -0.0 is written as ``0`` and read back as +0.0; integral values are written as integers
+    s11 = np.array([complex(-0.0, 0.5), complex(1.0, -0.0), complex(-0.0, -0.0), -2 + 0j])
+    s21 = np.array([0.5 - 0.25j, complex(-1.0, 0.0), 3 + 0j, complex(0.125, -0.0)])
+    s22 = np.array([1j, complex(-0.0, -1.0), 0.75 + 0.5j, complex(-1.0, -0.0)])
+    freqs = np.array([1.0, 2.0, 2.5e9, 3e9])
+    traces = [SParameterTrace(freqs, s11, s21, s21, s22, (50.0, z02)), criterion_9_sweep]
+    for trace in traces:
+        if not two_port:
+            trace = SParameterTrace(
+                trace.frequencies, trace.s11, reference_impedances=trace.reference_impedances
+            )
+        parsed = ts.read_touchstone(ts.write_touchstone(trace, fmt))
+        assert_bitwise_equal(ts._read_back(trace, fmt), parsed)
+
+
+# no shrink phase: shrinking a failure here ran for minutes
+@settings(max_examples=200, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(finite_traces(), st.sampled_from(ts.VALUE_FORMATS), st.booleans())
+def test_property_read_back_is_the_parsed_trace(trace, fmt, reciprocal):
+    if reciprocal and trace.s21 is not None:
+        trace = dataclasses.replace(trace, s12=trace.s21)
+    try:
+        text = ts.write_touchstone(trace, fmt)
+    except NonFiniteValue:  # a magnitude that overflows: nothing is written
+        return
+    held = ts._read_back(trace, fmt)
+    try:
+        parsed = ts.read_touchstone(text)
+    except ts.MalformedRow:  # a DB value whose conversion overflows
+        assert held is None
+    else:
+        assert_bitwise_equal(held, parsed)
+
+
+def test_read_back_is_none_where_the_read_overflows():
+    largest = np.finfo(float).max  # written as 6165.09... dB, which 10**(dB/20) overflows
+    trace = SParameterTrace(np.array([1e9, 2e9]), np.array([0.5 + 0j, complex(largest, 0.0)]))
+    text = ts.write_touchstone(trace, "DB")
+    assert ts._read_back(trace, "DB") is None
+    with pytest.raises(ts.MalformedRow) as err:
+        ts.read_touchstone(text)
+    assert err.value.line == 3
 
 
 def test_write_rejects_unknown_format():

@@ -37,9 +37,11 @@ class Mutant:
     equivalent: bool = False
 
 
-NETWORK, ANALYSIS, FITTING = (f"src/rfladder/{m}.py" for m in ("network", "analysis", "fitting"))
-TEST_NETWORK, TEST_ANALYSIS, TEST_FITTING = (
-    f"tests/test_{m}.py" for m in ("network", "analysis", "fitting")
+NETWORK, ANALYSIS, FITTING, TOUCHSTONE = (
+    f"src/rfladder/{m}.py" for m in ("network", "analysis", "fitting", "touchstone")
+)
+TEST_NETWORK, TEST_ANALYSIS, TEST_FITTING, TEST_TOUCHSTONE = (
+    f"tests/test_{m}.py" for m in ("network", "analysis", "fitting", "touchstone")
 )
 
 MUTANTS = (
@@ -119,6 +121,16 @@ MUTANTS = (
         "if not all(in_domain(p, v) for v in ends):", "if False:",
         (f"{TEST_FITTING}::test_fit_checks_each_candidate_against_its_domain",
          f"{TEST_FITTING}::test_lm_checks_each_candidate_against_its_domain"),
+    ),
+    Mutant(
+        "read_back_keeps_signed_zeros", TOUCHSTONE,
+        "table[:, shown] + 0.0", "table[:, shown]",
+        (f"{TEST_TOUCHSTONE}::test_read_back_is_the_parsed_trace_bit_for_bit",),
+    ),
+    Mutant(
+        "s12_reused_when_only_equal", TOUCHSTONE,
+        "if s12.tobytes() == trace.s21.tobytes():", "if np.array_equal(s12, trace.s21):",
+        (f"{TEST_TOUCHSTONE}::test_s12_is_written_as_its_own_columns_whatever_it_shares",),
     ),
 )
 
