@@ -17,7 +17,7 @@ import numpy as np
 from . import sinum
 from .elements import NonPositiveElement
 from .errors import InputError
-from .network import SParameterTrace, vswr
+from .network import SParameterTrace, magnitude_from_db, vswr
 
 
 class EmptyTrace(InputError):
@@ -107,7 +107,7 @@ def _band_samples(f: np.ndarray, db: np.ndarray, band: tuple[float, float]):
 
 
 def _efficiency(xs: np.ndarray, ys: np.ndarray) -> float:
-    power = 1.0 - (10.0 ** (ys / 20.0)) ** 2
+    power = 1.0 - magnitude_from_db(ys) ** 2
     if xs[-1] == xs[0]:
         return float(100.0 * power[0])
     return float(100.0 * np.trapezoid(power, xs) / (xs[-1] - xs[0]))
@@ -191,7 +191,7 @@ def band_report(trace: SParameterTrace, threshold_db: float) -> BandReport:
     widest = max(range(len(bands)), key=lambda k: bands[k][1] - bands[k][0])
     xs, ys = _band_samples(f, db, bands[widest])
     worst = float(np.max(ys))
-    max_vswr = vswr(10.0 ** (worst / 20.0))
+    max_vswr = vswr(magnitude_from_db(worst))
     return BandReport(bands, threshold_db, widest, _efficiency(xs, ys), max_vswr)
 
 

@@ -208,8 +208,8 @@ def _cmd_fit(args) -> int:
         value = ladder.section(sname).params.get(pname)
         if value is None:
             raise InputError(f"section {sname!r} has no parameter {pname!r}")
-        low = value / args.bounds_factor
-        bounds.append((max(low, 1.0) if pname == "eps_eff" else low, value * args.bounds_factor))
+        low = max(value / args.bounds_factor, netlist.LEAST_VALUE.get(pname, 0.0))
+        bounds.append((low, value * args.bounds_factor))
     if (args.fstart is None) != (args.fstop is None):
         raise InputError("--fstart and --fstop must be given together")
     if args.fstart is not None:
@@ -262,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="turn an elements CSV into the default ladder netlist")
     p.add_argument("--elements", required=True, help="elements CSV from 'extract'")
-    p.add_argument("--ports", type=_parse_ports, default="50,4.5",
+    p.add_argument("--ports", type=_parse_ports,
+                   default=",".join(map(sinum.format_bare, netlist.DEFAULT_PORTS)),
                    help="in,out port impedances (default %(default)s)")
     p.add_argument("--er", type=_number, default=geometry.CANONICAL_RELATIVE_PERMITTIVITY,
                    help="substrate permittivity for the feed line (default %(default)s)")
@@ -309,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=0,
                    help="extra seeded starts inside the bounds (default %(default)s)")
     p.add_argument("--bounds-factor", type=_number, default=10.0,
-                   help="bounds are value/F .. value*F, eps_eff at least 1 (default %(default)s)")
+                   help="bounds are value/F .. value*F, a low one raised to its parameter's"
+                   " floor in netlist.LEAST_VALUE (default %(default)s)")
     p.add_argument("--fstart", type=_number, help="fit grid start in Hz (default: target span)")
     p.add_argument("--fstop", type=_number, help="fit grid stop in Hz (default: target span)")
     p.add_argument("--points", type=int, default=201,

@@ -44,7 +44,7 @@ import numpy as np
 from . import sinum
 from .analysis import ReferenceMismatch, _resample
 from .errors import InputError
-from .netlist import Netlist, NetlistError, NonPositiveParameter, Section, in_domain
+from .netlist import LEAST_VALUE, Netlist, NetlistError, NonPositiveParameter, Section, in_domain
 from .network import SParameterTrace, SweepGrid, _batch_s11_db, _compiled
 from .network import sweep  # unused here; benchmarks/tracing.py wraps fitting.sweep by name
 
@@ -175,9 +175,10 @@ class FitProblem:
                 raise InputError(f"free parameter {sname}.{pname} is given more than once")
         for (sname, pname), (lo, _) in zip(self.free_parameters, self.bounds):
             if not in_domain(pname, lo):
+                least = ", ".join(f"{k} >= {sinum.format_bare(v)}" for k, v in LEAST_VALUE.items())
                 raise InvalidBounds(
                     f"low bound {lo} of {sname}.{pname} is outside the parameter's domain"
-                    " (eps_eff >= 1, len >= 0, others > 0)"
+                    f" ({least}, others > 0)"
                 )
 
 

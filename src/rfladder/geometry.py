@@ -17,6 +17,7 @@ from .errors import InputError, LocatedError
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 VACUUM_PERMITTIVITY = 8.85e-12  # F/m
 VACUUM_PERMEABILITY = 4e-7 * math.pi  # H/m
+_UNIT_EXPONENT = {"mm": -3, "m": 0}  # the file format's length units; a bare number is in mm
 
 # Canonical dimension table, millimeters, in file order.
 _CANONICAL_MM = (
@@ -159,7 +160,7 @@ def canonical_substrate() -> Substrate:
 
 
 def _from_mm(mm: float) -> float:
-    return sinum.parse_scaled(repr(float(mm)), -3)
+    return sinum.parse_scaled(repr(float(mm)), _UNIT_EXPONENT["mm"])
 
 
 def canonical_geometry() -> AntennaGeometry:
@@ -184,9 +185,6 @@ class GeometryDocument:
     cavities: tuple[Cavity, ...]
 
 
-_UNIT_EXPONENT = {"mm": -3, "m": 0}
-
-
 def _scaled(text: str, exponent: int, lineno: int, message: str) -> float:
     try:
         return sinum.parse_scaled(text, exponent)
@@ -196,13 +194,9 @@ def _scaled(text: str, exponent: int, lineno: int, message: str) -> float:
 
 def _parse_length(text: str, name: str, lineno: int) -> float:
     """Parse a value with an attached mm/m unit; bare numbers mean mm."""
-    if text.endswith("mm"):
-        body, exponent = text[:-2], -3
-    elif text.endswith("m"):
-        body, exponent = text[:-1], 0
-    else:
-        body, exponent = text, -3
-    return _scaled(body, exponent, lineno, f"bad number for {name!r}: {text!r}")
+    unit = "mm" if text.endswith("mm") else "m" if text.endswith("m") else ""
+    exponent = _UNIT_EXPONENT[unit or "mm"]
+    return _scaled(text.removesuffix(unit), exponent, lineno, f"bad number for {name!r}: {text!r}")
 
 
 def _parse_cavity_line(tokens: list[str], lineno: int, cavities: list[dict]) -> None:
@@ -290,7 +284,7 @@ def load_geometry(text: str) -> AntennaGeometry:
 
 def _format_length(value: float) -> str:
     """Render a length in millimeters; always parses back to the same float."""
-    return f"{sinum.format_with_exponent(value, -3)} mm"
+    return f"{sinum.format_with_exponent(value, _UNIT_EXPONENT['mm'])} mm"
 
 
 def serialize_geometry(geometry: AntennaGeometry, cavities=None) -> str:

@@ -32,6 +32,7 @@ PARAMETER_KEYS = _RLC_KEYS + _TLINE_KEYS
 _ALLOWED = {t: frozenset(_RLC_KEYS) for t in TOPOLOGIES if t != "tline"}
 _ALLOWED["tline"] = frozenset(_TLINE_KEYS)
 _REQUIRED = {"series_rl_shunt_c": ("L", "C"), "tline": _TLINE_KEYS}
+LEAST_VALUE = {"eps_eff": 1.0, "len": 0.0}  # closed lower bounds; every other parameter is > 0
 
 _NAME_RE = re.compile(r"[A-Za-z_]\w*")
 
@@ -114,14 +115,10 @@ def _validate_section(topology: str, params: dict[str, float], line: int | None)
 def in_domain(key: str, value: float) -> bool:
     """Whether `value` is allowed for parameter `key`.
 
-    Every value is finite; `len` is >= 0, `eps_eff` >= 1 and the rest > 0.
+    Every value is finite, and at least its `LEAST_VALUE` entry or else > 0.
     """
-    if key == "len":
-        ok = value >= 0
-    elif key == "eps_eff":
-        ok = value >= 1
-    else:
-        ok = value > 0
+    least = LEAST_VALUE.get(key)
+    ok = value > 0 if least is None else value >= least
     return bool(ok) and math.isfinite(value)
 
 

@@ -23,7 +23,8 @@ Every evaluation fills one result in blocks of 4,096 chain entries, K
 times frequencies, with one finiteness check at the end: whole-grid
 temporaries cost more in allocation and page faults than in arithmetic,
 while blocks this size are reused from the heap. The sweep (K = 1) fills
-s11, s21 and s22; the fitter s11 dB alone.
+s11, s21 and s22; the fitter s11 dB alone. `magnitude_db` and its
+inverse `magnitude_from_db` are the package's one dB formula.
 """
 
 from __future__ import annotations
@@ -264,8 +265,12 @@ DB_FLOOR = -300.0  # reported dB of an exact-zero reflection
 
 def magnitude_db(values: np.ndarray) -> np.ndarray:
     """20*log10|x| with zeros clamped to the -300 dB floor."""
-    mag = np.maximum(np.abs(values), 10 ** (DB_FLOOR / 20.0))
-    return 20.0 * np.log10(mag)
+    return 20.0 * np.log10(np.maximum(np.abs(values), magnitude_from_db(DB_FLOOR)))
+
+
+def magnitude_from_db(db):
+    """|x| of a dB value, 10 ** (db / 20): the inverse of `magnitude_db` above its floor."""
+    return 10.0 ** (db / 20.0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,28 +1,29 @@
 """Touchstone version-1 reader/writer plus the trace CSV format.
 
-One-port (.s1p) and two-port (.s2p) files are supported in RI, MA and
-DB value formats. Version 1 carries a single reference resistance, so
-a run with a different output-port reference records it in a structured
-comment (``! PORT2_REF_OHMS <value>``) that the reader honors.
-Both directions work on whole columns. The reader sorts every line once
-into comments, the option line and data rows (a line's text before any
-``!``), converts all rows in one C-level pass (`np.loadtxt`) and checks
-them as array masks: 3 or 9 numbers, one width, finite, positive
-increasing frequencies. Only a failed check, or a field `loadtxt` refuses
-and `float` may take (such as ``1_0``), sends the rows to the per-row
-checker, which converts them with `float` one at a time and raises the
-error of the first bad line. The writer renders the values in blocks of
-rows with `sinum.format_bare_column`, one `repr` per block; an s12 with
-s21's very bytes (every sweep's) is not rendered again, its rows repeat
-s21's strings. Numbers are written as the shortest decimal that parses
-back to the identical float (integral ones as integers, so -0.0 as
-``0``), which makes output byte-stable and RI round trips exact; so
-`_read_back` gives the trace a file reads back as from the writer's
-table, through the reader's own conversion, without the text. MA and DB
-columns come from the same numpy formulas as the analysis (`np.abs`,
-`network.magnitude_db` with its -300 dB floor, `np.angle` in degrees and
-0 for a zero sample), so they may differ in the last digit from files
-that earlier per-sample versions wrote; RI output is unchanged.
+One-port (.s1p) and two-port (.s2p) files are supported in RI, MA and DB
+value formats. Version 1 carries a single reference resistance, so a run
+with a different output-port reference records it in a structured comment
+(``! PORT2_REF_OHMS <value>``) that the reader honors; `_header` writes
+that comment and the option line. Both directions work on whole columns.
+The reader sorts every line once into comments, the option line and data
+rows (a line's text before any ``!``), converts all rows in one C-level
+pass (`np.loadtxt`) and checks them as array masks: 3 or 9 numbers, one
+width, finite, positive increasing frequencies. Only a failed check, or a
+field `loadtxt` refuses and `float` may take (such as ``1_0``), sends the
+rows to the per-row checker, which converts them with `float` one at a
+time and raises the first bad line's error. The writer renders the values
+in blocks of rows with `sinum.format_bare_column`, one `repr` per block;
+an s12 with s21's very bytes (every sweep's) is not rendered again, its
+rows repeat s21's strings. Numbers are written as the shortest decimal
+that parses back to the identical float (integral ones as integers, so
+-0.0 as ``0``), which makes output byte-stable and RI round trips exact;
+so `_read_back` gives the trace a file reads back as from the writer's
+table and `_header`'s lines, through the reader's own `_sort_lines` and
+conversion, without the text. MA and DB columns come from the same numpy
+formulas as the analysis (`np.abs`, `network.magnitude_db` with its -300
+dB floor, `np.angle` in degrees and 0 for a zero sample), and a DB read
+converts back with `network.magnitude_from_db`, so they may differ in the
+last digit from files that earlier per-sample versions wrote.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import math
 import numpy as np
 
 from .errors import InputError, LocatedError
-from .network import SParameterTrace, magnitude_db
+from .network import SParameterTrace, magnitude_db, magnitude_from_db
 from .sinum import check_finite, format_bare, format_bare_column
 
 FREQUENCY_UNITS = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
@@ -134,7 +135,7 @@ def _trace(data: np.ndarray, linenos, options, port2_ref) -> SParameterTrace:
         if fmt == "RI":
             s = x + 1j * y
         else:
-            magnitude = x if fmt == "MA" else 10.0 ** (x / 20.0)
+            magnitude = x if fmt == "MA" else magnitude_from_db(x)
             s = magnitude * np.exp(1j * np.radians(y))
     ok = np.isfinite(freqs) & np.isfinite(s).all(axis=0)
     ok[1:] &= freqs[1:] > freqs[:-1]
@@ -245,6 +246,13 @@ def _table(trace: SParameterTrace, fmt: str) -> tuple[np.ndarray, tuple[int, ...
     return np.column_stack(columns), shown
 
 
+def _header(trace: SParameterTrace, fmt: str) -> list[str]:
+    """The lines above the data: a port-2 reference comment where it differs, the option line."""
+    z01, z02 = trace.reference_impedances
+    comment = [f"! {PORT2_REF_COMMENT} {format_bare(z02)}"] if z02 != z01 else []
+    return comment + [f"# Hz S {fmt} R {format_bare(z01)}"]
+
+
 def write_touchstone(trace: SParameterTrace, fmt: str = "RI") -> str:
     """Render a trace as a version-1 file (frequencies in Hz).
 
@@ -254,11 +262,7 @@ def write_touchstone(trace: SParameterTrace, fmt: str = "RI") -> str:
     """
     if fmt not in VALUE_FORMATS:
         raise TouchstoneError(f"unknown format {fmt!r}; expected one of {VALUE_FORMATS}")
-    z01, z02 = trace.reference_impedances
-    lines = []
-    if z02 != z01:
-        lines.append(f"! {PORT2_REF_COMMENT} {format_bare(z02)}")
-    lines.append(f"# Hz S {fmt} R {format_bare(z01)}")
+    lines = _header(trace, fmt)
     table, shown = _table(trace, fmt)
     distinct, width = table.shape[1], len(shown)
     for k in range(0, len(table), _WRITE_ROWS):
@@ -275,21 +279,18 @@ def write_touchstone(trace: SParameterTrace, fmt: str = "RI") -> str:
 def _read_back(trace: SParameterTrace, fmt: str) -> SParameterTrace | None:
     """The trace `read_touchstone` returns for `write_touchstone(trace, fmt)`, without the text.
 
-    The reader's own `_trace` converts the writer's table, with -0.0 made
-    +0.0 as the written ``0`` reads back; every other value is written as
-    a decimal that parses back to it. None where that read raises: no
-    rows, or a value the conversion overflows (a near-maximal DB entry).
+    The reader's own `_sort_lines` and `_trace` take `_header`'s lines and the
+    writer's table, -0.0 made +0.0 as the written ``0`` reads back; every other
+    value is written as a decimal that parses back to it. None where that read
+    raises: no rows, or a value the conversion overflows (a near-maximal DB entry).
     """
     table, shown = _table(trace, fmt)
     if not len(table):
         return None
-    z01, z02 = trace.reference_impedances
-    first = 2 if z02 == z01 else 3  # the line after the option line and any port-2 comment
+    options, port2_ref, option_lineno = _sort_lines(_header(trace, fmt), [], [])
+    linenos = range(option_lineno + 1, option_lineno + 1 + len(table))  # rows follow the options
     try:
-        return _trace(
-            table[:, shown] + 0.0, range(first, first + len(table)), ("hz", fmt, float(z01)),
-            float(z02),
-        )
+        return _trace(table[:, shown] + 0.0, linenos, options, port2_ref)
     except MalformedRow:
         return None
 

@@ -520,6 +520,17 @@ def test_atomic_write_replaces_existing(tmp_path, geometry_file):
     assert leftovers == []
 
 
+def test_a_write_failing_with_no_os_error_propagates_and_leaves_no_temp_file(tmp_path,
+                                                                              monkeypatch):
+    def interrupted(src, dst):
+        raise RuntimeError("interrupted")
+
+    monkeypatch.setattr(os, "replace", interrupted)
+    with pytest.raises(RuntimeError, match="^interrupted$"):
+        cli._write_output(str(tmp_path / "out.txt"), "text")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_outputs_byte_stable(tmp_path, geometry_file):
     first = tmp_path / "one.csv"
     second = tmp_path / "two.csv"

@@ -269,6 +269,35 @@ def test_optimizer_respects_bounds():
     assert reason == "step"  # no parameter left that can move downhill
 
 
+def test_a_singular_solve_refuses_its_step_and_the_fit_goes_on(monkeypatch):
+    solve, raised = np.linalg.solve, []
+
+    def singular_once(a, b):
+        if not raised:
+            raised.append(a)
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", singular_once)
+    trials = []
+
+    def residuals(points):
+        trials.append(points[0].tolist())
+        return points - np.array([0.3, -0.2])
+
+    lo, hi = np.full(2, -1.0), np.full(2, 1.0)
+    x, f, _, reason = ft._lm(residuals, np.array([0.0, 0.0]), lo, hi, 50, 1e-12, 0.0)
+    assert len(raised) == 1
+    assert trials[1] == trials[0] == [0.0, 0.0]  # the refused iteration tried its start again
+    assert x.tolist() == pytest.approx([0.3, -0.2], abs=1e-9) and reason != "max_iterations"
+
+    raised.clear()
+    result = ft.fit(_recovery_problem())
+    assert len(raised) == 1 and result.converged
+    assert result.parameters["s1.L"] == pytest.approx(3e-9, rel=1e-9)
+    assert result.parameters["s1.C"] == pytest.approx(1e-12, rel=1e-9)
+
+
 def test_optimizer_best_cost_monotone():
     # the accepted best after k iterations never worsens as k grows
     def residuals(points):

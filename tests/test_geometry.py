@@ -234,6 +234,12 @@ def test_malformed_line_carries_line_number(geometry, bad):
     assert err.value.line == expected_line
 
 
+def test_a_bad_block_factor_is_a_malformed_line(geometry):
+    text = geo.serialize_geometry(geometry) + "cavity 1 n=x\n"
+    with pytest.raises(geo.MalformedLine, match="^line 29: bad block factor 'x'$"):
+        geo.parse_geometry_file(text)
+
+
 def test_duplicate_entry_rejected(geometry):
     text = geo.serialize_geometry(geometry) + "W1 = 51 mm\n"
     with pytest.raises(geo.MalformedLine):

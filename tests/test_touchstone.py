@@ -488,7 +488,7 @@ def finite_traces(draw):
     return SParameterTrace(np.array(freqs), *ports, (draw(POSITIVE), draw(POSITIVE)))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(finite_traces())
 def test_property_ri_round_trip_exact(trace):
     back = ts.read_touchstone(ts.write_touchstone(trace, "RI"))
@@ -662,6 +662,17 @@ def test_read_back_is_none_where_the_read_overflows():
     with pytest.raises(ts.MalformedRow) as err:
         ts.read_touchstone(text)
     assert err.value.line == 3
+
+
+@pytest.mark.parametrize("z02", [50.0, 4.5])
+def test_read_back_is_none_where_the_trace_has_no_samples(z02):
+    empty = np.array([])
+    trace = SParameterTrace(empty, empty, empty, None, empty, reference_impedances=(50.0, z02))
+    text = ts.write_touchstone(trace, "RI")
+    assert ts._read_back(trace, "RI") is None
+    with pytest.raises(ts.MalformedRow, match="no data rows") as err:
+        ts.read_touchstone(text)
+    assert err.value.line == len(text.splitlines())  # the option line, the file's last
 
 
 def test_write_rejects_unknown_format():

@@ -37,11 +37,13 @@ class Mutant:
     equivalent: bool = False
 
 
-NETWORK, ANALYSIS, FITTING, TOUCHSTONE = (
-    f"src/rfladder/{m}.py" for m in ("network", "analysis", "fitting", "touchstone")
+NETWORK, ANALYSIS, FITTING, TOUCHSTONE, NETLIST, GEOMETRY = (
+    f"src/rfladder/{m}.py"
+    for m in ("network", "analysis", "fitting", "touchstone", "netlist", "geometry")
 )
-TEST_NETWORK, TEST_ANALYSIS, TEST_FITTING, TEST_TOUCHSTONE = (
-    f"tests/test_{m}.py" for m in ("network", "analysis", "fitting", "touchstone")
+TEST_NETWORK, TEST_ANALYSIS, TEST_FITTING, TEST_TOUCHSTONE, TEST_NETLIST, TEST_GEOMETRY = (
+    f"tests/test_{m}.py"
+    for m in ("network", "analysis", "fitting", "touchstone", "netlist", "geometry")
 )
 
 MUTANTS = (
@@ -131,6 +133,28 @@ MUTANTS = (
         "s12_reused_when_only_equal", TOUCHSTONE,
         "if s12.tobytes() == trace.s21.tobytes():", "if np.array_equal(s12, trace.s21):",
         (f"{TEST_TOUCHSTONE}::test_s12_is_written_as_its_own_columns_whatever_it_shares",),
+    ),
+    Mutant(
+        "eps_eff_least_value_halved", NETLIST,
+        '"eps_eff": 1.0,', '"eps_eff": 0.5,',
+        (f"{TEST_NETLIST}::test_non_positive_values_rejected",),
+    ),
+    Mutant(
+        "mm_exponent_off_by_one", GEOMETRY,
+        '{"mm": -3, "m": 0}', '{"mm": -2, "m": 0}',
+        (f"{TEST_GEOMETRY}::test_canonical_totals",
+         f"{TEST_GEOMETRY}::test_cavity_override_lines",
+         f"{TEST_GEOMETRY}::test_cavity_override_units",
+         "tests/test_acceptance.py::test_criterion_9_end_to_end_pipeline"),
+    ),
+    Mutant(
+        "db_divisor_10", NETWORK,
+        "return 10.0 ** (db / 20.0)", "return 10.0 ** (db / 10.0)",
+        (f"{TEST_NETWORK}::test_magnitude_db_clamps_zero",
+         f"{TEST_ANALYSIS}::test_mismatch_efficiency_linear_power_oracle",
+         f"{TEST_ANALYSIS}::test_band_report_flat_m15",
+         f"{TEST_TOUCHSTONE}::test_read_db_row",
+         "tests/test_acceptance.py::test_criterion_9_end_to_end_pipeline"),
     ),
 )
 
