@@ -118,8 +118,7 @@ def in_domain(key: str, value: float) -> bool:
     Every value is finite, and at least its `LEAST_VALUE` entry or else > 0.
     """
     least = LEAST_VALUE.get(key)
-    ok = value > 0 if least is None else value >= least
-    return bool(ok) and math.isfinite(value)
+    return bool(value > 0 if least is None else value >= least) and math.isfinite(value)
 
 
 @dataclass(frozen=True)

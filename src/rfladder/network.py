@@ -265,11 +265,12 @@ DB_FLOOR = -300.0  # reported dB of an exact-zero reflection
 
 def magnitude_db(values: np.ndarray) -> np.ndarray:
     """20*log10|x| with zeros clamped to the -300 dB floor."""
-    return 20.0 * np.log10(np.maximum(np.abs(values), magnitude_from_db(DB_FLOOR)))
+    mag = np.maximum(np.abs(values), magnitude_from_db(DB_FLOOR))
+    return 20.0 * np.log10(mag)
 
 
 def magnitude_from_db(db):
-    """|x| of a dB value, 10 ** (db / 20): the inverse of `magnitude_db` above its floor."""
+    """The magnitude |x| of a dB value: the inverse of `magnitude_db` above its floor."""
     return 10.0 ** (db / 20.0)
 
 
