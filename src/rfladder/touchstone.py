@@ -6,12 +6,14 @@ with a different output-port reference records it in a structured comment
 (``! PORT2_REF_OHMS <value>``) that the reader honors; `_header` writes
 that comment and the option line. Both directions work on whole columns.
 The reader sorts every line once into comments, the option line and data
-rows (a line's text before any ``!``), converts all rows in one C-level
-pass (`np.loadtxt`) and checks them as array masks: 3 or 9 numbers, one
-width, finite, positive increasing frequencies. Only a failed check, or a
-field `loadtxt` refuses and `float` may take (such as ``1_0``), sends the
-rows to the per-row checker, which converts them with `float` one at a
-time and raises the first bad line's error. The writer renders the values
+rows (a line's text before any ``!``) and converts all rows in one C-level
+pass (`np.loadtxt`). `_trace` is its one array check: finite fields, then
+finite samples and positive increasing frequencies after conversion. A
+field `loadtxt` refuses (such as ``1_0``, which `float` takes), a short
+result or a width other than 3 or 9 sends the rows to the per-row checker,
+which converts them with `float` one at a time. Any refusal runs that
+checker too, so the first bad line's own error wins, and otherwise the
+refusal itself. The writer renders the values
 in blocks of rows with `sinum.format_bare_column`, one `repr` per block;
 an s12 with s21's very bytes (every sweep's) is not rendered again, its
 rows repeat s21's strings. Numbers are written as the shortest decimal
@@ -100,34 +102,29 @@ def read_touchstone(text: str) -> SParameterTrace:
     rows, linenos = [], []
     try:
         options, port2_ref, option_lineno = _sort_lines(text.splitlines(), rows, linenos)
+        if not rows:
+            raise MalformedRow("no data rows", option_lineno)
+        try:
+            data = np.loadtxt(rows, ndmin=2, comments=None)
+        except ValueError:  # a field loadtxt refuses; `float` may still take it, as ``1_0``
+            data = None
+        if data is None or len(data) != len(rows) or data.shape[1] not in (3, 9):
+            data = _check_each_row(rows, linenos)
+        return _trace(data, linenos, options, port2_ref)
     except TouchstoneError:
-        _check_each_row(rows, linenos)  # a bad row above the failed line comes first
+        _check_each_row(rows, linenos)  # the first bad row's own error comes first
         raise
-    if not rows:
-        raise MalformedRow("no data rows", option_lineno)
-    try:
-        data = np.loadtxt(rows, ndmin=2, comments=None)
-    except ValueError:  # a field loadtxt refuses; `float` may still take it, as ``1_0``
-        data = None
-    if data is None or len(data) != len(rows) or not _rows_pass(data):
-        data = _check_each_row(rows, linenos)
-    return _trace(data, linenos, options, port2_ref)
-
-
-def _rows_pass(data: np.ndarray) -> bool:
-    """Whether every row has 3 or 9 finite numbers and a positive frequency above the last."""
-    f = data[:, 0]
-    return bool(
-        data.shape[1] in (3, 9)
-        and np.isfinite(data).all()
-        and (f[1:] > f[:-1]).all()
-        and (f[:1] > 0).all()
-    )
 
 
 def _trace(data: np.ndarray, linenos, options, port2_ref) -> SParameterTrace:
-    """The trace of checked data rows, converted to Hz and complex samples."""
+    """The trace of `(rows, width)` data rows, converted to Hz and complex samples.
+
+    Refuses the first row with a non-finite field (a DB ``-inf`` converts to
+    a finite zero sample), a frequency in Hz that is not finite, positive
+    and above the last, or a sample that is not finite.
+    """
     unit, fmt, resistance = options
+    ok = np.isfinite(data).all(axis=1)
     data = data.T
     x, y = data[1::2], data[2::2]  # one row per port, in file order: S11 (S21 S12 S22)
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
@@ -137,7 +134,7 @@ def _trace(data: np.ndarray, linenos, options, port2_ref) -> SParameterTrace:
         else:
             magnitude = x if fmt == "MA" else magnitude_from_db(x)
             s = magnitude * np.exp(1j * np.radians(y))
-    ok = np.isfinite(freqs) & np.isfinite(s).all(axis=0)
+    ok &= np.isfinite(freqs) & (freqs > 0) & np.isfinite(s).all(axis=0)
     ok[1:] &= freqs[1:] > freqs[:-1]
     if not ok.all():
         raise MalformedRow(

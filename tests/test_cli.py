@@ -313,7 +313,7 @@ def test_thick_substrate_extraction_names_cavity_and_height(tmp_path, geometry_f
     assert "ind_eq needs h < (W+d)^2/W * ((W+d)/d)^(d/W)" in err
 
 
-def test_fit_eps_eff_keeps_its_low_bound_in_domain(tmp_path, capsys):
+def test_fit_eps_eff_keeps_its_low_bound_in_domain(tmp_path, capsys, monkeypatch):
     elements_csv, ladder, target = tmp_path / "e.csv", tmp_path / "l.net", tmp_path / "t.s2p"
     assert run(["extract", "--out", elements_csv]) == 0
     assert run(["build", "--elements", elements_csv, "--out", ladder]) == 0
@@ -321,9 +321,12 @@ def test_fit_eps_eff_keeps_its_low_bound_in_domain(tmp_path, capsys):
     text = ladder.read_text()
     assert "eps_eff=3.32599074017086" in text
     ladder.write_text(text.replace("eps_eff=3.32599074017086", "eps_eff=1.3"))
+    problems, fit = [], fitting.fit
+    monkeypatch.setattr(fitting, "fit", lambda problem: problems.append(problem) or fit(problem))
     # the default --bounds-factor 10 would put the low bound at 0.13
     assert run(["fit", "--netlist", ladder, "--target", target, "--vary", "c0.eps_eff",
                 "--restarts", "2", "--out", tmp_path / "f.net"]) == 0
+    assert [problem.bounds for problem in problems] == [((1.0, 13.0),)]
     fitted = netlist.parse((tmp_path / "f.net").read_text()).section("c0").params["eps_eff"]
     assert 1.0 <= fitted <= 13.0
 

@@ -263,6 +263,7 @@ def test_elements_csv_errors():
         "1,0,0.007,1,1e-12,2e-9,3",  # zero width
         "1,0.018,-0.007,1,1e-12,2e-9,3",  # negative length
         "1,0.018,0.007,1,-1e-12,2e-9,3",  # negative capacitance
+        "1,0.018,0.007,1,1e-12,-2e-9,3",  # negative inductance
         "1,0.018,0.007,0,1e-12,2e-9,3",  # no blocks
         "1,0.018,0.007,-5,1e-12,2e-9,3",  # negative block count
         "-1,0.018,0.007,1,1e-12,2e-9,3",  # negative cavity index
@@ -270,3 +271,6 @@ def test_elements_csv_errors():
         with pytest.raises(el.MalformedElementsRow) as err:
             el.elements_from_csv(good + bad + "\n")
         assert err.value.line == 3, bad
+    with pytest.raises(el.MalformedElementsRow) as err:
+        el.elements_from_csv(good + "1,0.018,0.007,1,1e-12,-2e-9,3\n")
+    assert str(err.value) == "line 3: inductance must be strictly positive"

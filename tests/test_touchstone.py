@@ -210,12 +210,15 @@ def test_blank_lines_after_the_option_line_are_no_data_and_no_warning(blank):
 
 
 @pytest.mark.parametrize(
-    "row",
-    ["1e9 nan 0", "1e9 0.1 inf", "nan 0.1 0", "inf 0.1 0", "1e9 0.1 -inf"],
+    "option, row",
+    [pytest.param("# Hz S RI R 50", row, id=row)
+     for row in ["1e9 nan 0", "1e9 0.1 inf", "nan 0.1 0", "inf 0.1 0", "1e9 0.1 -inf"]]
+    # -inf dB converts to a finite zero sample
+    + [pytest.param("# Hz S DB R 50", "1e9 -inf 0", id="1e9 -inf 0")],
 )
-def test_non_finite_fields_rejected_at_their_line(row):
+def test_non_finite_fields_rejected_at_their_line(option, row):
     with pytest.raises(ts.MalformedRow) as err:
-        ts.read_touchstone(f"# Hz S RI R 50\n5e8 0.1 0\n{row}\n")
+        ts.read_touchstone(f"{option}\n5e8 0.1 0\n{row}\n")
     assert err.value.line == 3
 
 

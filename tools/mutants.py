@@ -7,8 +7,9 @@ Run from the root of a checkout, with the test dependencies installed:
 
 The tree's `src/`, `tests/` and `pyproject.toml` are copied to a temporary
 directory. Each mutant replaces one text, which must occur exactly once,
-in one file of the copy, runs the tests that should catch it with pytest,
-and puts the file back. A mutant survives when none of those tests fails.
+in one file of the copy, runs the tests that should catch it with pytest
+(hypothesis seeded with 0, so each run draws the same examples), and puts
+the file back. A mutant survives when none of those tests fails.
 An equivalent mutant changes no result, so it is expected to survive and
 is run to show that it still does. The script prints one line per mutant
 and exits 1 if a mutant that should be caught survives, or if a text is
@@ -130,6 +131,11 @@ MUTANTS = (
         (f"{TEST_TOUCHSTONE}::test_read_back_is_the_parsed_trace_bit_for_bit",),
     ),
     Mutant(
+        "raw_finite_fields_unchecked", TOUCHSTONE,
+        "ok = np.isfinite(data).all(axis=1)", "ok = np.full(len(data), True)",
+        (f"{TEST_TOUCHSTONE}::test_non_finite_fields_rejected_at_their_line",),
+    ),
+    Mutant(
         "s12_reused_when_only_equal", TOUCHSTONE,
         "if s12.tobytes() == trace.s21.tobytes():", "if np.array_equal(s12, trace.s21):",
         (f"{TEST_TOUCHSTONE}::test_s12_is_written_as_its_own_columns_whatever_it_shares",),
@@ -137,7 +143,8 @@ MUTANTS = (
     Mutant(
         "eps_eff_least_value_halved", NETLIST,
         '"eps_eff": 1.0,', '"eps_eff": 0.5,',
-        (f"{TEST_NETLIST}::test_non_positive_values_rejected",),
+        (f"{TEST_NETLIST}::test_non_positive_values_rejected",
+         "tests/test_cli.py::test_fit_eps_eff_keeps_its_low_bound_in_domain"),
     ),
     Mutant(
         "mm_exponent_off_by_one", GEOMETRY,
@@ -163,12 +170,14 @@ def _failed(root: Path, tests) -> list[str]:
     """The node ids pytest reports failed or in error for `tests` in the tree at `root`."""
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     run = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *tests],
+        [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
+         "--hypothesis-seed=0", *tests],
         cwd=root, env=env, capture_output=True, text=True,
     )
     if run.returncode not in (0, 1):  # 1: tests failed; anything else: pytest could not run
         raise RuntimeError(f"pytest exited {run.returncode}:\n{run.stdout}{run.stderr}")
-    return re.findall(r"^(?:FAILED|ERROR) (\S+)", run.stdout, re.MULTILINE)
+    # a node id may hold spaces (a parametrized string); pytest ends it at " - " and its message
+    return re.findall(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", run.stdout, re.MULTILINE)
 
 
 def main(argv: list[str]) -> int:
