@@ -12,13 +12,15 @@ step list per topology, one walk and one S conversion. The walk,
 `_walk`, serves the sweep and the fitter alike, over a ladder that
 `_compiled` gives each free value's slot once: a `(K, n)` array of
 values enters its sections as `(K, 1)` columns, adding a leading axis
-of K parameter sets to every array. The sweep's ladder has no slots,
-and its `_cascade` broadcasts the walk's entries to full arrays; the
-fitter's s11 takes them as they are, since its conversion broadcasts
-them anyway. The walk starts from the identity's constants, which cost
-no array operation. Every section topology is reciprocal (AD - BC = 1),
-so the sweep's s12 is its s21, one read-only array; the public scalar
-`abcd_to_s` keeps s12 = s21 * det for any matrix a caller passes.
+of K parameter sets to every array. A chain has one form throughout,
+the 4-tuple (a, b, c, d), which `AbcdMatrix` only names. The sweep's
+ladder has no slots, and `netlist_abcd_array` broadcasts the walk's
+entries to full arrays; the fitter's s11 takes them as they are, since
+its conversion broadcasts them anyway. The walk starts from `IDENTITY`,
+whose constants cost no array operation. Every section topology is
+reciprocal (AD - BC = 1), so the sweep's s12 is its s21, one read-only
+array; the public scalar `abcd_to_s` keeps s12 = s21 * det for any
+matrix a caller passes.
 Every evaluation fills one result in blocks of 4,096 chain entries, K
 times frequencies, with one finiteness check at the end: whole-grid
 temporaries cost more in allocation and page faults than in arithmetic,
@@ -33,6 +35,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,8 +64,7 @@ class NonPositiveImpedance(InputError):
     pass
 
 
-@dataclass(frozen=True)
-class AbcdMatrix:
+class AbcdMatrix(NamedTuple):
     """Chain matrix of one two-port: b in ohms, c in siemens; scalars or arrays."""
 
     a: complex
@@ -157,13 +159,13 @@ def section_abcd(section: Section, frequency: float) -> AbcdMatrix:
     """Chain matrix of one section at a single frequency."""
     if not (frequency > 0 and math.isfinite(frequency)):
         raise NonPositiveFrequency("frequency must be finite and > 0")
-    m = _cascade(_compiled((section,)), 2.0 * np.pi * frequency)
-    return AbcdMatrix(complex(m.a), complex(m.b), complex(m.c), complex(m.d))
+    w = 2.0 * np.pi * frequency
+    return AbcdMatrix(*map(complex, _walk(_compiled((section,)), w, 1j * w)))
 
 
 def cascade(matrices) -> AbcdMatrix:
     """Left-to-right product of chain matrices (input side first)."""
-    matrices = [(m.a, m.b, m.c, m.d) for m in matrices]
+    matrices = list(matrices)
     if not matrices:
         raise EmptyCascade("cascade of zero matrices")
     return AbcdMatrix(*functools.reduce(_product, matrices))
@@ -171,10 +173,11 @@ def cascade(matrices) -> AbcdMatrix:
 
 def input_impedance(m: AbcdMatrix, load: complex) -> complex:
     """Impedance seen at the input with the output terminated in `load`."""
-    denom = m.c * load + m.d
+    a, b, c, d = m
+    denom = c * load + d
     if denom == 0:
         raise SingularTermination("C*ZL + D vanished")
-    return (m.a * load + m.b) / denom
+    return (a * load + b) / denom
 
 
 def reflection(z_in: complex, z_ref: float) -> complex:
@@ -189,8 +192,9 @@ def reflection(z_in: complex, z_ref: float) -> complex:
 
 def _terms(m: AbcdMatrix, z01: float, z02: float):
     """a*z02 + b, a*z02, c*z01*z02, d*z01 and the denominator, checked to be nonzero."""
-    az, czz, dz = m.a * z02, m.c * z01 * z02, m.d * z01
-    t = az + m.b
+    a, b, c, d = m
+    az, czz, dz = a * z02, c * z01 * z02, d * z01
+    t = az + b
     denom = t + czz + dz
     if np.any(denom == 0):
         raise DegenerateDenominator("conversion denominator vanished")
@@ -332,7 +336,7 @@ def _walk(ladder, w, jw, values=None):
     An entry keeps the shape its arithmetic gives it: a constant of the
     identity, a scalar, or an array over frequency, `(K, F)` for K rows.
     """
-    m = (_ONE, _ZERO, _ZERO, _ONE)
+    m = IDENTITY
     for topology, params, slots in ladder:
         if slots:
             params = {**params, **{p: values[:, j, None] for p, j in slots}}
@@ -341,19 +345,10 @@ def _walk(ladder, w, jw, values=None):
     return m
 
 
-def _cascade(ladder, w) -> AbcdMatrix:
-    """Chain matrix of a compiled ladder without slots at angular frequencies `w`.
-
-    The walk's entries, broadcast against `w`: a scalar gives 0-d arrays,
-    a parameter column of K sets `(K, F)` ones.
-    """
-    return AbcdMatrix(*np.broadcast_arrays(*_walk(ladder, w, 1j * w), w)[:4])
-
-
 def netlist_abcd_array(netlist: Netlist, frequencies: np.ndarray) -> AbcdMatrix:
-    """Cascaded ABCD of the netlist over frequency, by the walk the fitter uses too."""
+    """Cascaded ABCD of the netlist by the fitter's walk, each entry of the frequencies' shape."""
     w = 2.0 * np.pi * np.asarray(frequencies, dtype=float)
-    return _cascade(_compiled(netlist.sections), w)
+    return AbcdMatrix(*np.broadcast_arrays(*_walk(_compiled(netlist.sections), w, 1j * w), w)[:4])
 
 
 _BLOCK = 4096  # chain entries, parameter sets x frequencies, per block of a blocked fill
@@ -390,7 +385,7 @@ def _batch_s11_db(ladder, values, w, z01: float, z02: float) -> np.ndarray:
 
     def fill(block, out):
         wb = w[block]
-        out[:] = magnitude_db(_s11(AbcdMatrix(*_walk(ladder, wb, 1j * wb, values)), z01, z02))
+        out[:] = magnitude_db(_s11(_walk(ladder, wb, 1j * wb, values), z01, z02))
 
     return _filled(np.empty((len(values), len(w))), len(values), fill)
 

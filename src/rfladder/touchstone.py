@@ -119,12 +119,12 @@ def read_touchstone(text: str) -> SParameterTrace:
 def _trace(data: np.ndarray, linenos, options, port2_ref) -> SParameterTrace:
     """The trace of `(rows, width)` data rows, converted to Hz and complex samples.
 
-    Refuses the first row with a non-finite field (a DB ``-inf`` converts to
-    a finite zero sample), a frequency in Hz that is not finite, positive
-    and above the last, or a sample that is not finite.
+    Refuses a non-finite field anywhere (a DB ``-inf`` converts to a finite
+    zero sample; `read_touchstone`'s per-row checker names its row), or the
+    first row with a frequency in Hz that is not finite, positive and above
+    the last, or a sample that is not finite.
     """
     unit, fmt, resistance = options
-    ok = np.isfinite(data).all(axis=1)
     data = data.T
     x, y = data[1::2], data[2::2]  # one row per port, in file order: S11 (S21 S12 S22)
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
@@ -134,9 +134,9 @@ def _trace(data: np.ndarray, linenos, options, port2_ref) -> SParameterTrace:
         else:
             magnitude = x if fmt == "MA" else magnitude_from_db(x)
             s = magnitude * np.exp(1j * np.radians(y))
-    ok &= np.isfinite(freqs) & (freqs > 0) & np.isfinite(s).all(axis=0)
+    ok = np.isfinite(freqs) & (freqs > 0) & np.isfinite(s).all(axis=0)
     ok[1:] &= freqs[1:] > freqs[:-1]
-    if not ok.all():
+    if not (ok.all() and np.isfinite(data).all()):
         raise MalformedRow(
             "value overflows or frequencies collide after unit or dB conversion",
             linenos[ok.argmin()],

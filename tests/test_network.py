@@ -116,6 +116,20 @@ def test_cascade_rejects_empty():
         nw.cascade([])
 
 
+def test_chain_matrix_entry_types_and_shapes():
+    assert tuple(nw.IDENTITY) == (1.0, 0.0, 0.0, 1.0)
+    series = nw.section_abcd(Section("a", "series_rlc", {"R": 3.3, "L": 2.39e-9}), 1e9)
+    shunt = nw.section_abcd(Section("b", "shunt_parallel_rlc", {"C": 0.417e-12}), 1e9)
+    for m in (series, shunt, nw.cascade([series, shunt]), nw.cascade([nw.IDENTITY, shunt])):
+        assert isinstance(m, nw.AbcdMatrix)
+        assert [type(x) for x in m] == [complex] * 4
+    f = np.linspace(1e9, 2e9, 5).reshape(5, 1)
+    for sections in ((), (Section("r", "shunt_parallel_rlc", {"R": 7.0}),)):
+        m = nw.netlist_abcd_array(Netlist(50.0, 4.5, sections), f)
+        assert isinstance(m, nw.AbcdMatrix)
+        assert [x.shape for x in m] == [f.shape] * 4
+
+
 def test_input_impedance():
     assert nw.input_impedance(nw.IDENTITY, 4.5) == 4.5
     series = nw.AbcdMatrix(1, 20 + 5j, 0, 1)
@@ -158,7 +172,7 @@ def test_abcd_to_s_series_fifty():
 def test_abcd_to_s_rejects_bad_references_and_a_vanishing_denominator():
     with pytest.raises(nw.DegenerateDenominator, match="conversion denominator vanished"):
         nw.abcd_to_s(nw.AbcdMatrix(0, 0, 0, 0), 50.0, 50.0)
-    for z01, z02 in ((0.0, 50.0), (50.0, -1.0)):
+    for z01, z02 in ((0.0, 50.0), (50.0, -1.0), (50.0, 0.0)):
         with pytest.raises(nw.NonPositiveImpedance):
             nw.abcd_to_s(nw.IDENTITY, z01, z02)
 
@@ -277,7 +291,7 @@ def full_product_cascade(sections, w):
     """The chain walk as it was before steps: each section's full 2x2 matrix, multiplied in.
 
     The oracle of the two tests below; it shares only `AbcdMatrix` and the
-    speed of light with `nw._cascade`.
+    speed of light with `nw._walk`.
     """
 
     def entries(topology, p):
@@ -391,7 +405,8 @@ def test_batch_s11_matches_the_full_product_cascade():
         for ladder, values, pairs in _with_columns(net, rng, 5):
             expected = nw._s11(full_product_cascade(pairs, w), z01, z02)
             columns = [(topology, params, ()) for topology, params in pairs]
-            _assert_close_to_oracle(nw._s11(nw._cascade(columns, w), z01, z02), expected)
+            walked = nw.AbcdMatrix(*np.broadcast_arrays(*nw._walk(columns, w, 1j * w), w)[:4])
+            _assert_close_to_oracle(nw._s11(walked, z01, z02), expected)
             got = nw._batch_s11_db(ladder, values, w, z01, z02)
             assert got.shape == (len(values), len(w))
             _assert_db_close_to_oracle(got, expected)

@@ -57,6 +57,11 @@ MUTANTS = (
          f"{TEST_NETWORK}::test_s22_is_the_s11_of_the_mirrored_ladder"),
     ),
     Mutant(
+        "output_reference_zero_accepted", NETWORK,
+        "not z02 > 0", "not z02 >= 0",
+        (f"{TEST_NETWORK}::test_abcd_to_s_rejects_bad_references_and_a_vanishing_denominator",),
+    ),
+    Mutant(
         "conjugated_line", NETWORK,
         "(cos, 1j * z0 * sin, 1j * sin / z0, cos)", "(cos, -1j * z0 * sin, -1j * sin / z0, cos)",
         (f"{TEST_NETWORK}::test_tline_quarter_wave",
@@ -132,7 +137,7 @@ MUTANTS = (
     ),
     Mutant(
         "raw_finite_fields_unchecked", TOUCHSTONE,
-        "ok = np.isfinite(data).all(axis=1)", "ok = np.full(len(data), True)",
+        "ok.all() and np.isfinite(data).all()", "ok.all()",
         (f"{TEST_TOUCHSTONE}::test_non_finite_fields_rejected_at_their_line",),
     ),
     Mutant(
