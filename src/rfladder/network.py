@@ -182,8 +182,8 @@ def input_impedance(m: AbcdMatrix, load: complex) -> complex:
 
 def reflection(z_in: complex, z_ref: float) -> complex:
     """Reflection coefficient (z_in - z_ref) / (z_in + z_ref)."""
-    if not z_ref > 0:
-        raise NonPositiveImpedance("reference impedance must be > 0")
+    if not 0 < z_ref < math.inf:
+        raise NonPositiveImpedance("reference impedance must be finite and > 0")
     denom = z_in + z_ref
     if denom == 0:
         raise DegenerateDenominator("z_in + z_ref vanished")
@@ -220,8 +220,8 @@ def abcd_to_s(m: AbcdMatrix, z01: float, z02: float):
 
     s12 = s21 * det, so a non-reciprocal matrix converts correctly too.
     """
-    if not z01 > 0 or not z02 > 0:
-        raise NonPositiveImpedance("reference impedances must be > 0")
+    if not 0 < z01 < math.inf or not 0 < z02 < math.inf:
+        raise NonPositiveImpedance("reference impedances must be finite and > 0")
     s11, s21, s22 = _abcd_to_s(m, z01, z02)
     return s11, s21 * m.determinant(), s21, s22
 

@@ -7,14 +7,14 @@ formatting inverts that, picking the shortest mantissa that parses back
 to the identical float. Round trips are therefore bit-exact. Every report
 the command line prints is ``key = value`` lines from `key_value_text`:
 floats through `format_bare` (``2``, not ``2.0``), anything else through `str`.
+The module needs no numpy: the column form of `format_bare` lives with its
+one caller, as `touchstone.format_bare_column`.
 """
 
 from __future__ import annotations
 
 import math
 from decimal import Decimal, InvalidOperation
-
-import numpy as np
 
 from .errors import NumericalError
 
@@ -75,30 +75,6 @@ def format_bare(value: float) -> str:
     if value == int(value) and abs(value) < 1e16:
         return str(int(value))
     return repr(float(value))
-
-
-def check_finite(values: np.ndarray) -> None:
-    """Raise `format_bare`'s `NonFiniteValue` for the first non-finite entry of a flat array."""
-    finite = np.isfinite(values)
-    if not finite.all():
-        format_bare(values[finite.argmin()].item())  # raises with its message
-
-
-def format_bare_column(values) -> list[str]:
-    """`[format_bare(v) for v in values]`, checked and rendered a column at a time.
-
-    One `repr` of the whole list gives every entry's shortest decimal;
-    only the integral entries below 1e16 are then rewritten as integers.
-    """
-    column = np.asarray(values, dtype=float)
-    check_finite(column)
-    items = column.tolist()
-    if not items:
-        return []
-    texts = repr(items)[1:-1].split(", ")
-    for i in np.flatnonzero((column == np.trunc(column)) & (np.abs(column) < 1e16)).tolist():
-        texts[i] = str(int(items[i]))
-    return texts
 
 
 def key_value_text(pairs) -> str:

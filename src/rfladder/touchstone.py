@@ -11,21 +11,23 @@ pass (`np.loadtxt`). `_trace` is its one array check: finite fields, then
 finite samples and positive increasing frequencies after conversion. A
 field `loadtxt` refuses (such as ``1_0``, which `float` takes), a short
 result or a width other than 3 or 9 sends the rows to the per-row checker,
-which converts them with `float` one at a time. Any refusal runs that
-checker too, so the first bad line's own error wins, and otherwise the
-refusal itself. The writer renders the values
-in blocks of rows with `sinum.format_bare_column`, one `repr` per block;
-an s12 with s21's very bytes (every sweep's) is not rendered again, its
-rows repeat s21's strings. Numbers are written as the shortest decimal
-that parses back to the identical float (integral ones as integers, so
--0.0 as ``0``), which makes output byte-stable and RI round trips exact;
-so `_read_back` gives the trace a file reads back as from the writer's
-table and `_header`'s lines, through the reader's own `_sort_lines` and
-conversion, without the text. MA and DB columns come from the same numpy
-formulas as the analysis (`np.abs`, `network.magnitude_db` with its -300
-dB floor, `np.angle` in degrees and 0 for a zero sample), and a DB read
-converts back with `network.magnitude_from_db`, so they may differ in the
-last digit from files that earlier per-sample versions wrote.
+`_check_each_row`, which converts them with `float` one at a time. A
+refusal on the fast path runs that checker before it is raised, so the
+first bad line's own error wins, and otherwise the refusal itself; no
+read runs the checker twice. The writer renders the values in blocks of
+rows with `format_bare_column`, one `repr` per block, and joins each row
+from the block's columns in file order; an s12 with s21's very bytes
+(every sweep's) is not rendered again, its columns are s21's strings.
+Numbers are written as the shortest decimal that parses back to the
+identical float (integral ones as integers, so -0.0 as ``0``), which
+makes output byte-stable and RI round trips exact; so `_read_back` gives
+the trace a file reads back as from the writer's table and `_header`'s
+lines, through the reader's own `_sort_lines` and conversion, without
+the text. MA and DB columns come from the same numpy formulas as the
+analysis (`np.abs`, `network.magnitude_db` with its -300 dB floor,
+`np.angle` in degrees and 0 for a zero sample), and a DB read converts
+back with `network.magnitude_from_db`, so they may differ in the last
+digit from files that earlier per-sample versions wrote.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 
 from .errors import InputError, LocatedError
 from .network import SParameterTrace, magnitude_db, magnitude_from_db
-from .sinum import check_finite, format_bare, format_bare_column
+from .sinum import format_bare
 
 FREQUENCY_UNITS = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
 VALUE_FORMATS = ("RI", "MA", "DB")
@@ -108,12 +110,12 @@ def read_touchstone(text: str) -> SParameterTrace:
             data = np.loadtxt(rows, ndmin=2, comments=None)
         except ValueError:  # a field loadtxt refuses; `float` may still take it, as ``1_0``
             data = None
-        if data is None or len(data) != len(rows) or data.shape[1] not in (3, 9):
-            data = _check_each_row(rows, linenos)
-        return _trace(data, linenos, options, port2_ref)
+        if data is not None and len(data) == len(rows) and data.shape[1] in (3, 9):
+            return _trace(data, linenos, options, port2_ref)
     except TouchstoneError:
         _check_each_row(rows, linenos)  # the first bad row's own error comes first
         raise
+    return _trace(_check_each_row(rows, linenos), linenos, options, port2_ref)
 
 
 def _trace(data: np.ndarray, linenos, options, port2_ref) -> SParameterTrace:
@@ -212,6 +214,30 @@ def _check_each_row(rows, linenos) -> np.ndarray:
     return np.array(values)
 
 
+def check_finite(values: np.ndarray) -> None:
+    """Raise `format_bare`'s `NonFiniteValue` for the first non-finite entry of a flat array."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        format_bare(values[finite.argmin()].item())  # raises with its message
+
+
+def format_bare_column(values) -> list[str]:
+    """`[format_bare(v) for v in values]`, checked and rendered a column at a time.
+
+    One `repr` of the whole list gives every entry's shortest decimal;
+    only the integral entries below 1e16 are then rewritten as integers.
+    """
+    column = np.asarray(values, dtype=float)
+    check_finite(column)
+    items = column.tolist()
+    if not items:
+        return []
+    texts = repr(items)[1:-1].split(", ")
+    for i in np.flatnonzero((column == np.trunc(column)) & (np.abs(column) < 1e16)).tolist():
+        texts[i] = str(int(items[i]))
+    return texts
+
+
 def _columns(samples: np.ndarray, fmt: str) -> tuple[np.ndarray, np.ndarray]:
     """One port's samples as the format's two field columns."""
     if fmt == "RI":
@@ -261,15 +287,11 @@ def write_touchstone(trace: SParameterTrace, fmt: str = "RI") -> str:
         raise TouchstoneError(f"unknown format {fmt!r}; expected one of {VALUE_FORMATS}")
     lines = _header(trace, fmt)
     table, shown = _table(trace, fmt)
-    distinct, width = table.shape[1], len(shown)
+    distinct = table.shape[1]
     for k in range(0, len(table), _WRITE_ROWS):
         # the block's values in row order, so a non-finite one is met where a row loop meets it
         fields = format_bare_column(table[k : k + _WRITE_ROWS].ravel())
-        if distinct < width:  # each row repeats s21's strings for s12
-            strings, fields = fields, [None] * (len(fields) // distinct * width)
-            for column, source in enumerate(shown):
-                fields[column::width] = strings[source::distinct]
-        lines.extend(map(" ".join, zip(*[iter(fields)] * width)))
+        lines.extend(map(" ".join, zip(*[fields[j::distinct] for j in shown])))
     return "\n".join(lines) + "\n"
 
 
@@ -284,10 +306,9 @@ def _read_back(trace: SParameterTrace, fmt: str) -> SParameterTrace | None:
     table, shown = _table(trace, fmt)
     if not len(table):
         return None
-    options, port2_ref, option_lineno = _sort_lines(_header(trace, fmt), [], [])
-    linenos = range(option_lineno + 1, option_lineno + 1 + len(table))  # rows follow the options
+    options, port2_ref, _ = _sort_lines(_header(trace, fmt), [], [])
     try:
-        return _trace(table[:, shown] + 0.0, linenos, options, port2_ref)
+        return _trace(table[:, shown] + 0.0, range(len(table)), options, port2_ref)
     except MalformedRow:
         return None
 

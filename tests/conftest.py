@@ -53,6 +53,23 @@ def assert_bitwise_equal(held, parsed):
         assert a is None or (a.dtype == b.dtype and a.tobytes() == b.tobytes()), name
 
 
+def assert_same_text(actual: str, expected: str) -> None:
+    """`assert actual == expected`, failing with the first differing line and both line counts.
+
+    pytest reports two unequal strings with an `ndiff` of them, which takes
+    minutes when many lines of a whole file differ.
+    """
+    __tracebackhide__ = True
+    if actual == expected:
+        return
+    a, b = actual.splitlines(keepends=True), expected.splitlines(keepends=True)
+    k = next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    raise AssertionError(
+        f"texts differ first at line {k + 1}: {a[k:k + 1]!r} != {b[k:k + 1]!r}"
+        f" ({len(a)} lines against {len(b)})"
+    )
+
+
 @pytest.fixture
 def geometry():
     return canonical_geometry()

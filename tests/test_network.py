@@ -152,6 +152,8 @@ def test_reflection():
         nw.reflection(-50.0, 50.0)
     with pytest.raises(nw.NonPositiveImpedance):
         nw.reflection(50.0, 0.0)
+    with pytest.raises(nw.NonPositiveImpedance):
+        nw.reflection(50.0, math.inf)
 
 
 def test_abcd_to_s_identity():
@@ -172,7 +174,8 @@ def test_abcd_to_s_series_fifty():
 def test_abcd_to_s_rejects_bad_references_and_a_vanishing_denominator():
     with pytest.raises(nw.DegenerateDenominator, match="conversion denominator vanished"):
         nw.abcd_to_s(nw.AbcdMatrix(0, 0, 0, 0), 50.0, 50.0)
-    for z01, z02 in ((0.0, 50.0), (50.0, -1.0), (50.0, 0.0)):
+    for z01, z02 in ((0.0, 50.0), (50.0, -1.0), (50.0, 0.0), (math.inf, 50.0), (50.0, math.inf),
+                     (50.0, math.nan)):
         with pytest.raises(nw.NonPositiveImpedance):
             nw.abcd_to_s(nw.IDENTITY, z01, z02)
 

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rfladder import sinum
+from rfladder.touchstone import format_bare_column
 
 
 @pytest.mark.parametrize(
@@ -105,8 +106,8 @@ COLUMN_FLOATS = (
 @given(st.lists(COLUMN_FLOATS, max_size=40))
 def test_format_bare_column_equals_format_bare(values):
     expected = [sinum.format_bare(v) for v in values]
-    assert sinum.format_bare_column(values) == expected
-    assert sinum.format_bare_column(np.array(values, dtype=float)) == expected
+    assert format_bare_column(values) == expected
+    assert format_bare_column(np.array(values, dtype=float)) == expected
 
 
 @given(
@@ -121,7 +122,7 @@ def test_format_bare_column_rejects_the_first_non_finite(values, bad):
     with pytest.raises(sinum.NonFiniteValue) as expected:
         sinum.format_bare(first)
     with pytest.raises(sinum.NonFiniteValue) as err:
-        sinum.format_bare_column(values)
+        format_bare_column(values)
     assert str(err.value) == str(expected.value)
 
 

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_bitwise_equal
+from conftest import assert_bitwise_equal, assert_same_text
 from rfladder import touchstone as ts
 from rfladder.network import SParameterTrace, magnitude_db
-from rfladder.sinum import NonFiniteValue, format_bare, format_bare_column
+from rfladder.sinum import NonFiniteValue, format_bare
 
 
 def random_trace(rng, points=101, two_port=False):
@@ -433,6 +433,31 @@ def _refuse_the_row_checker(monkeypatch):
     monkeypatch.setattr(ts, "_check_each_row", refused)
 
 
+@pytest.mark.parametrize(
+    "text,calls,refusal",
+    [
+        ("# RI\n1 0.1 0 1\n2 0.1 0 1\n", 1,
+         "expected 3 (one-port) or 9 (two-port) numbers, got 4"),
+        ("# RI\n1_0 0.1 x\n", 1, "non-numeric field in '1_0 0.1 x'"),
+        ("# RI\n1_0 0.1 0\n", 1, None),  # `loadtxt` refuses ``1_0``, `float` takes it
+        ("# RI\n1 0.1 0\n2 0.1 0\n", 0, None),
+    ],
+)
+def test_a_read_checks_its_rows_one_by_one_at_most_once(monkeypatch, text, calls, refusal):
+    counted = []
+    check_each_row = ts._check_each_row
+
+    def counting(rows, linenos):
+        counted.append(len(rows))
+        return check_each_row(rows, linenos)
+
+    monkeypatch.setattr(ts, "_check_each_row", counting)
+    outcome = _outcome(ts.read_touchstone, text)
+    if refusal is not None:
+        assert outcome == (ts.MalformedRow, f"line 2: {refusal}", 2)
+    assert len(counted) == calls
+
+
 @pytest.mark.parametrize("two_port", [False, True])
 @pytest.mark.parametrize("fmt", ts.VALUE_FORMATS)
 def test_written_files_are_read_in_one_pass(criterion_9_sweep, monkeypatch, fmt, two_port):
@@ -530,7 +555,7 @@ def test_criterion_9_sweep_bytes_equal_value_by_value_rendering(criterion_9_swee
             trace.frequencies, trace.s11, reference_impedances=trace.reference_impedances
         )
     text = ts.write_touchstone(trace, fmt)
-    assert text == value_by_value_writer(trace, fmt)
+    assert_same_text(text, value_by_value_writer(trace, fmt))
     assert len(text.splitlines()) == 2 + 1201  # the port-2 comment, the option line
 
 
@@ -542,9 +567,9 @@ def test_polar_columns_are_the_analysis_magnitude_and_db(criterion_9_sweep, fmt)
     value = np.abs if fmt == "MA" else magnitude_db
     ports = [trace.s11, trace.s21, trace.s12, trace.s22]
     for k, samples in enumerate(ports):
-        assert [row[1 + 2 * k] for row in rows] == format_bare_column(value(samples))
+        assert [row[1 + 2 * k] for row in rows] == ts.format_bare_column(value(samples))
         degrees = np.angle(samples, deg=True)
-        assert [row[2 + 2 * k] for row in rows] == format_bare_column(degrees)
+        assert [row[2 + 2 * k] for row in rows] == ts.format_bare_column(degrees)
 
 
 def per_sample_columns(samples, fmt):
@@ -614,7 +639,7 @@ def _with_s12(kind, rng, points=300):
 def test_s12_is_written_as_its_own_columns_whatever_it_shares(fmt, kind):
     trace = _with_s12(kind, np.random.default_rng(6))
     text = ts.write_touchstone(trace, fmt)
-    assert text == value_by_value_writer(trace, fmt)
+    assert_same_text(text, value_by_value_writer(trace, fmt))
     if kind == "signed_zero" and fmt != "RI":  # the case tells the two phases apart
         assert text != ts.write_touchstone(dataclasses.replace(trace, s12=trace.s21), fmt)
 
@@ -753,4 +778,4 @@ def test_property_trace_csv_equals_row_by_row_rendering(freqs, data):
     s11 = np.array(re, dtype=complex)
     s11.imag = im  # set, not added, so a -0.0 real part stays
     trace = SParameterTrace(np.array(freqs), s11)
-    assert ts.write_trace_csv(trace) == row_by_row_csv(trace)
+    assert_same_text(ts.write_trace_csv(trace), row_by_row_csv(trace))

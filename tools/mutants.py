@@ -58,7 +58,7 @@ MUTANTS = (
     ),
     Mutant(
         "output_reference_zero_accepted", NETWORK,
-        "not z02 > 0", "not z02 >= 0",
+        "not 0 < z02 < math.inf", "not 0 <= z02 < math.inf",
         (f"{TEST_NETWORK}::test_abcd_to_s_rejects_bad_references_and_a_vanishing_denominator",),
     ),
     Mutant(
@@ -144,6 +144,17 @@ MUTANTS = (
         "s12_reused_when_only_equal", TOUCHSTONE,
         "if s12.tobytes() == trace.s21.tobytes():", "if np.array_equal(s12, trace.s21):",
         (f"{TEST_TOUCHSTONE}::test_s12_is_written_as_its_own_columns_whatever_it_shares",),
+    ),
+    Mutant(
+        "rows_joined_in_sorted_column_order", TOUCHSTONE,
+        "for j in shown", "for j in sorted(shown)",
+        (f"{TEST_TOUCHSTONE}::test_property_ri_round_trip_exact",
+         f"{TEST_TOUCHSTONE}::test_criterion_9_sweep_bytes_equal_value_by_value_rendering",
+         f"{TEST_TOUCHSTONE}::test_polar_columns_are_the_analysis_magnitude_and_db",
+         f"{TEST_TOUCHSTONE}::test_s12_is_written_as_its_own_columns_whatever_it_shares",
+         f"{TEST_TOUCHSTONE}::test_read_back_is_the_parsed_trace_bit_for_bit",
+         f"{TEST_TOUCHSTONE}::test_property_read_back_is_the_parsed_trace",
+         "tests/test_cli.py::test_simulate_holds_the_trace_its_file_reads_back_as"),
     ),
     Mutant(
         "eps_eff_least_value_halved", NETLIST,
