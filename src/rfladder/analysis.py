@@ -63,6 +63,8 @@ def _db(trace: SParameterTrace) -> np.ndarray:
 
 
 def _bands(f: np.ndarray, db: np.ndarray, threshold_db: float) -> list[tuple[float, float]]:
+    if not math.isfinite(threshold_db):
+        raise InputError(f"threshold_db must be finite, got {threshold_db}")
     # each run of in-band samples starts and ends where the padded mask flips
     flips = np.flatnonzero(np.diff(np.concatenate(([False], db <= threshold_db, [False]))))
     first, last = flips[0::2], flips[1::2] - 1
@@ -96,7 +98,7 @@ def _interp(x: float, f: np.ndarray, db: np.ndarray) -> float:
 def _band_samples(f: np.ndarray, db: np.ndarray, band: tuple[float, float]):
     """In-band frequencies and dB values, with interpolated edge points."""
     f_lo, f_hi = band
-    if f_lo > f_hi or f_lo < f[0] or f_hi > f[-1]:
+    if not f[0] <= f_lo <= f_hi <= f[-1]:  # a NaN edge fails it too
         raise BandOutsideTrace(f"band {band} outside trace span ({f[0]}, {f[-1]})")
     inner = (f > f_lo) & (f < f_hi)
     xs = np.concatenate(([f_lo], f[inner], [f_hi]))
@@ -124,9 +126,9 @@ def mismatch_efficiency(trace: SParameterTrace, band: tuple[float, float]) -> fl
 
 def resonant_frequency(inductance: float, capacitance: float) -> float:
     """Series-resonance frequency 1 / (2*pi*sqrt(L*C)), in hertz."""
-    if not inductance > 0:
+    if not 0 < inductance < math.inf:
         raise NonPositiveElement("inductance")
-    if not capacitance > 0:
+    if not 0 < capacitance < math.inf:
         raise NonPositiveElement("capacitance")
     return 1.0 / (2.0 * math.pi * math.sqrt(inductance * capacitance))
 
@@ -150,15 +152,6 @@ def _resample(f: np.ndarray, b: SParameterTrace):
     return keep, np.interp(f[keep], b.frequencies, db_b)
 
 
-def _overlap(a: SParameterTrace, b: SParameterTrace):
-    """a's grid points inside b's span, a's dB there, and b's dB resampled onto them."""
-    f, db_a = a.frequencies, _db(a)
-    keep, db_b = _resample(f, b)
-    if keep is None:
-        return f, db_a, db_b
-    return f[keep], db_a[keep], db_b
-
-
 def compare_traces(
     a: SParameterTrace, b: SParameterTrace, threshold_db: float
 ) -> SimilarityReport:
@@ -170,10 +163,15 @@ def compare_traces(
     reflections against different resistances; port 2 is not compared, as
     a one-port trace has none.
     """
+    if not math.isfinite(threshold_db):
+        raise InputError(f"threshold_db must be finite, got {threshold_db}")
     za, zb = a.reference_impedances[0], b.reference_impedances[0]
     if za != zb:
         raise ReferenceMismatch(f"port-1 references differ: {za} ohm and {zb} ohm")
-    f, db_a, db_b = _overlap(a, b)
+    f, db_a = a.frequencies, _db(a)
+    keep, db_b = _resample(f, b)
+    if keep is not None:  # a's grid points inside b's span
+        f, db_a = f[keep], db_a[keep]
     same_side = (db_a <= threshold_db) == (db_b <= threshold_db)
     return SimilarityReport(
         band_agreement_percent=float(100.0 * np.mean(same_side)),

@@ -48,10 +48,6 @@ def _read(path: str) -> tuple[str, str]:
     return text, digest
 
 
-def _read_input(path: str) -> str:
-    return _read(path)[0]
-
-
 # Traces by the digest of their file's bytes, the most recently used last: those
 # parsed, and those `simulate` wrote. Two cover a batch of `compare` runs: the
 # current design's file and the shared reference.
@@ -120,7 +116,7 @@ def _parse_ports(text: str) -> tuple[float, float]:
 
 def _cmd_extract(args) -> int:
     if args.geometry:
-        doc = geometry.parse_geometry_file(_read_input(args.geometry))
+        doc = geometry.parse_geometry_file(_read(args.geometry)[0])
         substrate = doc.geometry.substrate
         cavities = list(doc.cavities)
     else:
@@ -141,7 +137,7 @@ def _cmd_microstrip(args) -> int:
 
 
 def _cmd_build(args) -> int:
-    rows = elements.elements_from_csv(_read_input(args.elements))
+    rows = elements.elements_from_csv(_read(args.elements)[0])
     feed = None
     feed_rows = [row for row in rows if row.elements.inductance is None]
     if feed_rows:
@@ -157,7 +153,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    ladder = netlist.parse(_read_input(args.netlist))
+    ladder = netlist.parse(_read(args.netlist)[0])
     grid = SweepGrid(args.fstart, args.fstop, args.points)
     trace = sweep(ladder, grid)
     if args.out.endswith(".s1p"):
@@ -198,7 +194,7 @@ def _parse_vary(text: str) -> tuple[tuple[str, str], ...]:
 
 
 def _cmd_fit(args) -> int:
-    ladder = netlist.parse(_read_input(args.netlist))
+    ladder = netlist.parse(_read(args.netlist)[0])
     target = _read_trace(args.target)
     free = _parse_vary(args.vary)
     if not args.bounds_factor > 1:

@@ -73,11 +73,11 @@ class LumpedElements:
     source_cavity_index: int
 
     def __post_init__(self):
-        if not self.capacitance > 0:
+        if not 0 < self.capacitance < math.inf:
             raise NonPositiveElement("capacitance")
-        if self.inductance is not None and not self.inductance > 0:
+        if self.inductance is not None and not 0 < self.inductance < math.inf:
             raise NonPositiveElement("inductance")
-        if self.resistance is not None and self.resistance < 0:
+        if self.resistance is not None and not 0 <= self.resistance < math.inf:
             raise NonPositiveElement("resistance")
 
 
@@ -121,13 +121,13 @@ def res_eq(inductance: float, capacitance: float, n: int, angular_frequency: flo
     Zero exactly at the block's resonance omega = 1/sqrt(L*C) and
     linear in the block count n.
     """
-    if not inductance > 0:
+    if not 0 < inductance < math.inf:
         raise NonPositiveElement("inductance")
-    if not capacitance > 0:
+    if not 0 < capacitance < math.inf:
         raise NonPositiveElement("capacitance")
     if n < 1:
         raise NonPositiveElement("n")
-    if angular_frequency < 0:
+    if not 0 <= angular_frequency < math.inf:
         raise NonPositiveFrequency("angular frequency must be >= 0")
     lc = inductance * capacitance
     return (n / 10.0) * math.sqrt(inductance / capacitance) * abs(1.0 - lc * angular_frequency**2)
@@ -139,11 +139,11 @@ def eps_eff(width: float, height: float, relative_permittivity: float) -> float:
     Narrow strips (W/h < 1) get the extra 0.04*(1 - W/h)^2 correction;
     the two branches agree at W/h = 1.
     """
-    if not width > 0:
+    if not 0 < width < math.inf:
         raise NonPositiveDimension("width")
-    if not height > 0:
+    if not 0 < height < math.inf:
         raise NonPositiveDimension("height")
-    if not relative_permittivity > 1:
+    if not 1 < relative_permittivity < math.inf:
         raise NonPositiveDimension("relative_permittivity", "greater than 1")
     er = relative_permittivity
     ratio = width / height
@@ -194,7 +194,7 @@ def extract_all(
     """
     if not cavities:
         raise ExtractionError("cavity list is empty")
-    if not evaluation_frequency > 0:
+    if not 0 < evaluation_frequency < math.inf:
         raise NonPositiveFrequency("evaluation frequency must be > 0")
     omega = 2.0 * math.pi * evaluation_frequency
     rows = []

@@ -386,11 +386,10 @@ def fit(problem: FitProblem) -> FitResult:
     if problem.max_iterations == 0:
         return result_for(start_values, initial_cost, 0, "no_search")
 
-    x0 = np.clip(np.log(start_values), lo, hi)
     rng = np.random.default_rng(problem.seed)
     runs = []
     for k in range(problem.restarts + 1):
-        start = rng.uniform(lo, hi) if k else x0  # drawn as its run begins
+        start = rng.uniform(lo, hi) if k else np.log(start_values)  # drawn as its run begins
         runs.append(_lm(objective.residuals, start, lo, hi, problem.max_iterations,
                         problem.tolerance, objective.floor))
         if runs[-1][1] <= objective.floor:  # rounding sets the residuals: no start does better

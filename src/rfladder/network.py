@@ -152,7 +152,6 @@ def _section_steps(topology: str, params, w, jw):
         z0 = p["z0"]
         cos, sin = np.cos(theta), np.sin(theta)
         return ((_product, (cos, 1j * z0 * sin, 1j * sin / z0, cos)),)
-    raise InputError(f"unknown topology {topology!r}")  # unreachable once validated
 
 
 def section_abcd(section: Section, frequency: float) -> AbcdMatrix:
@@ -308,6 +307,8 @@ class SParameterTrace:
             raise InputError("frequencies must be strictly increasing")
         if len(f) and not math.isfinite(f[-1]):  # increasing, so only the last can be infinite
             raise InputError("frequencies must be finite")
+        if len(self.reference_impedances) != 2:
+            raise InputError("reference impedances must be two, one per port")
         if not all(0 < z < math.inf for z in self.reference_impedances):
             raise InputError("reference impedances must be finite and > 0")
 

@@ -97,8 +97,5 @@ def format_value(value: float) -> str:
     if value > 0:
         for scale, exponent, suffix in _SCALES:
             if scale <= value < scale * 1000:
-                mantissa = format_with_exponent(value, exponent)
-                if 1 <= float(mantissa) < 1000:
-                    return mantissa + suffix
-                break
+                return format_with_exponent(value, exponent) + suffix
     return format_bare(value)

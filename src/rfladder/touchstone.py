@@ -26,8 +26,7 @@ lines, through the reader's own `_sort_lines` and conversion, without
 the text. MA and DB columns come from the same numpy formulas as the
 analysis (`np.abs`, `network.magnitude_db` with its -300 dB floor,
 `np.angle` in degrees and 0 for a zero sample), and a DB read converts
-back with `network.magnitude_from_db`, so they may differ in the last
-digit from files that earlier per-sample versions wrote.
+back with `network.magnitude_from_db`.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from rfladder import analysis as an
 from rfladder.elements import NonPositiveElement
+from rfladder.errors import InputError
 from rfladder.network import SParameterTrace, vswr
 
 # Frozen oracle values (50-digit evaluation, 12 significant digits).
@@ -174,6 +175,19 @@ def test_mismatch_efficiency_band_checks():
         an.mismatch_efficiency(trace, (0.5e9, 2e9))
     with pytest.raises(an.BandOutsideTrace):
         an.mismatch_efficiency(trace, (3e9, 2e9))
+    for band in ((math.nan, math.nan), (1e9, math.nan), (math.nan, 2e9)):
+        with pytest.raises(an.BandOutsideTrace):
+            an.mismatch_efficiency(trace, band)
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+def test_non_finite_thresholds_refused(threshold):
+    trace = flat_trace(-15.0)
+    for report in (an.find_bands, an.band_report):
+        with pytest.raises(InputError, match="^threshold_db must be finite"):
+            report(trace, threshold)
+    with pytest.raises(InputError, match="^threshold_db must be finite"):
+        an.compare_traces(trace, trace, threshold)
 
 
 def test_mismatch_efficiency_in_range():
@@ -198,6 +212,9 @@ def test_resonant_frequency_scaling():
         an.resonant_frequency(0.0, 1e-12)
     with pytest.raises(NonPositiveElement):
         an.resonant_frequency(1e-9, 0.0)
+    for values in ((math.inf, 1e-12), (1e-9, math.inf), (math.nan, 1e-12)):
+        with pytest.raises(NonPositiveElement):
+            an.resonant_frequency(*values)
 
 
 def test_compare_identical_traces():

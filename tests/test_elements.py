@@ -105,6 +105,28 @@ def test_res_eq_validation():
         el.res_eq(1e-9, 1e-12, 0, 0.0)
     with pytest.raises(NonPositiveFrequency):
         el.res_eq(1e-9, 1e-12, 1, -1.0)
+    with pytest.raises(el.NonPositiveElement):
+        el.res_eq(math.inf, 1e-12, 1, 0.0)
+    with pytest.raises(el.NonPositiveElement):
+        el.res_eq(1e-9, math.inf, 1, 0.0)
+    for omega in (math.nan, math.inf):
+        with pytest.raises(NonPositiveFrequency):
+            el.res_eq(1e-9, 1e-12, 1, omega)
+
+
+@pytest.mark.parametrize(
+    "values,name",
+    [
+        ((math.inf, None, None), "capacitance"),
+        ((1e-12, math.inf, 3.0), "inductance"),
+        ((1e-12, 2e-9, -3.0), "resistance"),
+        ((1e-12, 2e-9, math.nan), "resistance"),
+        ((1e-12, 2e-9, math.inf), "resistance"),
+    ],
+)
+def test_lumped_elements_refuse_negative_and_non_finite_values(values, name):
+    with pytest.raises(el.NonPositiveElement, match=f"^{name} must be strictly positive$"):
+        el.LumpedElements(*values, 1)
 
 
 def test_eps_eff_values():
@@ -177,6 +199,15 @@ def test_dimension_validation(substrate):
         el.z0_microstrip(1e-3, 0.0, 4.4)
     with pytest.raises(el.NonPositiveDimension):
         el.eps_eff(1e-3, 1.7e-3, 1.0)
+    for args, name in (
+        ((math.inf, 1.7e-3, 4.4), "width"),
+        ((62e-3, math.inf, 4.4), "height"),
+        ((62e-3, 1.7e-3, math.inf), "relative_permittivity"),
+        ((62e-3, 1.7e-3, math.nan), "relative_permittivity"),
+    ):
+        for formula in (el.eps_eff, el.z0_microstrip, el.microstrip):
+            with pytest.raises(el.NonPositiveDimension, match=f"^{name} must be"):
+                formula(*args)
 
 
 def test_extract_all_shape(cavities, substrate):
@@ -217,6 +248,9 @@ def test_extract_all_validation(cavities, substrate):
         el.extract_all([], substrate)
     with pytest.raises(NonPositiveFrequency):
         el.extract_all(cavities, substrate, 0.0)
+    for frequency in (math.inf, math.nan):
+        with pytest.raises(NonPositiveFrequency, match="^evaluation frequency must be > 0$"):
+            el.extract_all(cavities, substrate, frequency)
 
 
 def test_elements_csv_round_trip(cavities, substrate):
@@ -274,3 +308,14 @@ def test_elements_csv_errors():
     with pytest.raises(el.MalformedElementsRow) as err:
         el.elements_from_csv(good + "1,0.018,0.007,1,1e-12,-2e-9,3\n")
     assert str(err.value) == "line 3: inductance must be strictly positive"
+
+
+def test_elements_csv_skips_blank_rows_among_the_data():
+    data = "0,0.0032,0.06,1,1e-15,,\n\n  \n1,0.018,0.007,1,1e-12,2e-9,3\n"
+    text = el.ELEMENTS_CSV_HEADER + "\n" + data
+    rows = el.elements_from_csv(text)
+    assert [row.index for row in rows] == [0, 1]
+    assert rows[1].elements == el.LumpedElements(1e-12, 2e-9, 3.0, 1)
+    with pytest.raises(el.MalformedElementsRow) as err:  # a blank row still counts as a line
+        el.elements_from_csv(text + "2,x,0.007,1,1e-12,2e-9,3\n")
+    assert err.value.line == 6

@@ -566,6 +566,9 @@ def test_trace_validation():
     for refs in ((-5.0, 50.0), (50.0, 0.0), (math.inf, 50.0), (50.0, math.nan)):
         with pytest.raises(InputError, match="^reference impedances must be finite and > 0"):
             nw.SParameterTrace([1e9, 2e9], [0j, 0j], reference_impedances=refs)
+    for refs in ((50.0,), (50.0, 50.0, 50.0), ()):
+        with pytest.raises(InputError, match="^reference impedances must be two, one per port$"):
+            nw.SParameterTrace([1e9, 2e9], [0j, 0j], reference_impedances=refs)
     with pytest.raises(InputError, match="^frequencies must be one-dimensional"):
         nw.SParameterTrace(np.array([[1e9, 2e9], [3e9, 4e9]]), np.zeros(2, complex))
     with pytest.raises(InputError, match="^s22 must be one-dimensional"):

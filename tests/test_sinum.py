@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from rfladder import sinum
@@ -64,12 +64,23 @@ def test_format_value_canonical(value, expected):
     assert sinum.format_value(value) == expected
 
 
-def test_format_value_mantissa_range():
-    for value in (1e-15, 999e-15, 1e-12, 123.456e-9, 1e9, 999.999e9):
-        text = sinum.format_value(value)
-        mantissa = text[:-1] if text[-1] in sinum.SUFFIX_EXPONENT else text
-        assert 1 <= float(mantissa) < 1000
-        assert sinum.parse_value(text) == value
+def _each_window_edge(test):
+    """`test` with each suffix window's two edges, and the floats either side, as examples."""
+    for scale, _, _ in sinum._SCALES:
+        for edge in (scale, scale * 1000):
+            for value in (math.nextafter(edge, 0), edge, math.nextafter(edge, math.inf)):
+                test = example(value)(test)
+    return test
+
+
+@_each_window_edge
+@example(123.456e-9)
+@given(st.floats(min_value=0, exclude_min=True, allow_infinity=False))
+def test_format_value_mantissa_range(value):
+    text = sinum.format_value(value)
+    if text[-1] in sinum.SUFFIX_EXPONENT:
+        assert 1 <= float(text[:-1]) < 1000
+    assert sinum.parse_value(text) == value
 
 
 @given(st.floats(min_value=1e-18, max_value=1e18, allow_nan=False, allow_infinity=False))

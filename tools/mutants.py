@@ -38,14 +38,12 @@ class Mutant:
     equivalent: bool = False
 
 
-NETWORK, ANALYSIS, FITTING, TOUCHSTONE, NETLIST, GEOMETRY = (
-    f"src/rfladder/{m}.py"
-    for m in ("network", "analysis", "fitting", "touchstone", "netlist", "geometry")
+MODULES = ("network", "analysis", "fitting", "touchstone", "netlist", "geometry", "elements")
+NETWORK, ANALYSIS, FITTING, TOUCHSTONE, NETLIST, GEOMETRY, ELEMENTS = (
+    f"src/rfladder/{m}.py" for m in MODULES
 )
-TEST_NETWORK, TEST_ANALYSIS, TEST_FITTING, TEST_TOUCHSTONE, TEST_NETLIST, TEST_GEOMETRY = (
-    f"tests/test_{m}.py"
-    for m in ("network", "analysis", "fitting", "touchstone", "netlist", "geometry")
-)
+(TEST_NETWORK, TEST_ANALYSIS, TEST_FITTING, TEST_TOUCHSTONE, TEST_NETLIST, TEST_GEOMETRY,
+ TEST_ELEMENTS) = (f"tests/test_{m}.py" for m in MODULES)
 
 MUTANTS = (
     Mutant(
@@ -179,6 +177,58 @@ MUTANTS = (
          f"{TEST_TOUCHSTONE}::test_read_db_row",
          "tests/test_acceptance.py::test_criterion_9_end_to_end_pipeline"),
     ),
+    # each refusal of a non-finite value or a wrong count, put back to the check it
+    # replaced (or deleted), lets that value through
+    Mutant("trace_reference_count_unchecked", NETWORK,
+           "if len(self.reference_impedances) != 2:", "if False:",
+           (f"{TEST_NETWORK}::test_trace_validation",)),
+    Mutant("band_edge_check_lets_nan_through", ANALYSIS,
+           "not f[0] <= f_lo <= f_hi <= f[-1]", "f_lo > f_hi or f_lo < f[0] or f_hi > f[-1]",
+           (f"{TEST_ANALYSIS}::test_mismatch_efficiency_band_checks",)),
+    Mutant("band_threshold_unchecked", ANALYSIS,
+           "if not math.isfinite(threshold_db):\n        raise InputError(f\"threshold_db must be"
+           " finite, got {threshold_db}\")\n    # each run", "# each run",
+           (f"{TEST_ANALYSIS}::test_non_finite_thresholds_refused",)),
+    Mutant("compare_threshold_unchecked", ANALYSIS,
+           "if not math.isfinite(threshold_db):\n        raise InputError(f\"threshold_db must be"
+           " finite, got {threshold_db}\")\n    za", "za",
+           (f"{TEST_ANALYSIS}::test_non_finite_thresholds_refused",)),
+    Mutant("resonance_inductance_infinity_accepted", ANALYSIS,
+           "not 0 < inductance < math.inf", "not inductance > 0",
+           (f"{TEST_ANALYSIS}::test_resonant_frequency_scaling",)),
+    Mutant("resonance_capacitance_infinity_accepted", ANALYSIS,
+           "not 0 < capacitance < math.inf", "not capacitance > 0",
+           (f"{TEST_ANALYSIS}::test_resonant_frequency_scaling",)),
+    Mutant("lumped_capacitance_infinity_accepted", ELEMENTS,
+           "not 0 < self.capacitance < math.inf", "not self.capacitance > 0",
+           (f"{TEST_ELEMENTS}::test_lumped_elements_refuse_negative_and_non_finite_values",)),
+    Mutant("lumped_inductance_infinity_accepted", ELEMENTS,
+           "not 0 < self.inductance < math.inf", "not self.inductance > 0",
+           (f"{TEST_ELEMENTS}::test_lumped_elements_refuse_negative_and_non_finite_values",)),
+    Mutant("lumped_resistance_nan_accepted", ELEMENTS,
+           "not 0 <= self.resistance < math.inf", "self.resistance < 0",
+           (f"{TEST_ELEMENTS}::test_lumped_elements_refuse_negative_and_non_finite_values",)),
+    Mutant("res_eq_inductance_infinity_accepted", ELEMENTS,
+           "not 0 < inductance < math.inf", "not inductance > 0",
+           (f"{TEST_ELEMENTS}::test_res_eq_validation",)),
+    Mutant("res_eq_capacitance_infinity_accepted", ELEMENTS,
+           "not 0 < capacitance < math.inf", "not capacitance > 0",
+           (f"{TEST_ELEMENTS}::test_res_eq_validation",)),
+    Mutant("res_eq_frequency_nan_accepted", ELEMENTS,
+           "not 0 <= angular_frequency < math.inf", "angular_frequency < 0",
+           (f"{TEST_ELEMENTS}::test_res_eq_validation",)),
+    Mutant("strip_width_infinity_accepted", ELEMENTS,
+           "not 0 < width < math.inf", "not width > 0",
+           (f"{TEST_ELEMENTS}::test_dimension_validation",)),
+    Mutant("strip_height_infinity_accepted", ELEMENTS,
+           "not 0 < height < math.inf", "not height > 0",
+           (f"{TEST_ELEMENTS}::test_dimension_validation",)),
+    Mutant("strip_permittivity_infinity_accepted", ELEMENTS,
+           "not 1 < relative_permittivity < math.inf", "not relative_permittivity > 1",
+           (f"{TEST_ELEMENTS}::test_dimension_validation",)),
+    Mutant("evaluation_frequency_infinity_accepted", ELEMENTS,
+           "not 0 < evaluation_frequency < math.inf", "not evaluation_frequency > 0",
+           (f"{TEST_ELEMENTS}::test_extract_all_validation",)),
 )
 
 
@@ -186,12 +236,12 @@ def _failed(root: Path, tests) -> list[str]:
     """The node ids pytest reports failed or in error for `tests` in the tree at `root`."""
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     run = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
+           [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
          "--hypothesis-seed=0", *tests],
-        cwd=root, env=env, capture_output=True, text=True,
+           cwd=root, env=env, capture_output=True, text=True,
     )
     if run.returncode not in (0, 1):  # 1: tests failed; anything else: pytest could not run
-        raise RuntimeError(f"pytest exited {run.returncode}:\n{run.stdout}{run.stderr}")
+           raise RuntimeError(f"pytest exited {run.returncode}:\n{run.stdout}{run.stderr}")
     # a node id may hold spaces (a parametrized string); pytest ends it at " - " and its message
     return re.findall(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", run.stdout, re.MULTILINE)
 
@@ -200,17 +250,17 @@ def main(argv: list[str]) -> int:
     chosen = [m for m in MUTANTS if not argv or m.name in argv]
     unknown = set(argv) - {m.name for m in MUTANTS}
     if unknown:
-        print(f"unknown mutants: {', '.join(sorted(unknown))}")
-        return 2
+           print(f"unknown mutants: {', '.join(sorted(unknown))}")
+           return 2
     checkout = Path.cwd()
     bad = 0
     with tempfile.TemporaryDirectory() as tmp:
-        root = Path(tmp)
-        for part in ("src", "tests"):
+           root = Path(tmp)
+           for part in ("src", "tests"):
             shutil.copytree(checkout / part, root / part,
                             ignore=shutil.ignore_patterns("__pycache__"))
-        shutil.copy(checkout / "pyproject.toml", root)
-        for mutant in chosen:
+           shutil.copy(checkout / "pyproject.toml", root)
+           for mutant in chosen:
             target = root / mutant.path
             original = target.read_text()
             if original.count(mutant.text) != 1:
