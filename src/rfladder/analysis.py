@@ -16,7 +16,7 @@ import numpy as np
 
 from . import sinum
 from .elements import NonPositiveElement
-from .errors import InputError
+from .errors import InputError, require
 from .network import SParameterTrace, magnitude_from_db, vswr
 
 
@@ -126,10 +126,8 @@ def mismatch_efficiency(trace: SParameterTrace, band: tuple[float, float]) -> fl
 
 def resonant_frequency(inductance: float, capacitance: float) -> float:
     """Series-resonance frequency 1 / (2*pi*sqrt(L*C)), in hertz."""
-    if not 0 < inductance < math.inf:
-        raise NonPositiveElement("inductance")
-    if not 0 < capacitance < math.inf:
-        raise NonPositiveElement("capacitance")
+    require("inductance", inductance, NonPositiveElement)
+    require("capacitance", capacitance, NonPositiveElement)
     return 1.0 / (2.0 * math.pi * math.sqrt(inductance * capacitance))
 
 

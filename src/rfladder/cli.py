@@ -26,7 +26,7 @@ import sys
 import tempfile
 
 from . import __version__, analysis, elements, fitting, geometry, netlist, sinum, touchstone
-from .errors import InputError, NumericalError, RfLadderError
+from .errors import InputError, NumericalError, RfLadderError, domain, require
 from .network import SweepGrid, sweep
 
 EXIT_OK = 0
@@ -197,14 +197,13 @@ def _cmd_fit(args) -> int:
     ladder = netlist.parse(_read(args.netlist)[0])
     target = _read_trace(args.target)
     free = _parse_vary(args.vary)
-    if not args.bounds_factor > 1:
-        raise InputError("--bounds-factor must be greater than 1")
+    require("--bounds-factor", args.bounds_factor, InputError)
     bounds = []
     for sname, pname in free:
         value = ladder.section(sname).params.get(pname)
         if value is None:
             raise InputError(f"section {sname!r} has no parameter {pname!r}")
-        low = max(value / args.bounds_factor, netlist.LEAST_VALUE.get(pname, 0.0))
+        low = max(value / args.bounds_factor, domain(pname)[0])
         bounds.append((low, value * args.bounds_factor))
     if (args.fstart is None) != (args.fstop is None):
         raise InputError("--fstart and --fstop must be given together")
@@ -307,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="extra seeded starts inside the bounds (default %(default)s)")
     p.add_argument("--bounds-factor", type=_number, default=10.0,
                    help="bounds are value/F .. value*F, a low one raised to its parameter's"
-                   " floor in netlist.LEAST_VALUE (default %(default)s)")
+                   " least value in errors.DOMAINS (default %(default)s)")
     p.add_argument("--fstart", type=_number, help="fit grid start in Hz (default: target span)")
     p.add_argument("--fstop", type=_number, help="fit grid stop in Hz (default: target span)")
     p.add_argument("--points", type=int, default=201,

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from . import sinum
-from .errors import InputError, LocatedError, NonFiniteResult, NonPositiveFrequency
+from .errors import InputError, LocatedError, NonFiniteResult, NonPositiveFrequency, require
 from .geometry import (
     VACUUM_PERMEABILITY,
     VACUUM_PERMITTIVITY,
@@ -32,15 +32,11 @@ class ExtractionError(InputError):
 
 
 class NonPositiveDimension(ExtractionError):
-    def __init__(self, name: str, rule: str = "strictly positive"):
-        self.name = name
-        super().__init__(f"{name} must be {rule}")
+    pass
 
 
 class NonPositiveElement(ExtractionError):
-    def __init__(self, name: str):
-        self.name = name
-        super().__init__(f"{name} must be strictly positive")
+    pass
 
 
 class SubstrateTooThick(ExtractionError):
@@ -73,12 +69,11 @@ class LumpedElements:
     source_cavity_index: int
 
     def __post_init__(self):
-        if not 0 < self.capacitance < math.inf:
-            raise NonPositiveElement("capacitance")
-        if self.inductance is not None and not 0 < self.inductance < math.inf:
-            raise NonPositiveElement("inductance")
-        if self.resistance is not None and not 0 <= self.resistance < math.inf:
-            raise NonPositiveElement("resistance")
+        require("capacitance", self.capacitance, NonPositiveElement)
+        if self.inductance is not None:
+            require("inductance", self.inductance, NonPositiveElement)
+        if self.resistance is not None:
+            require("resistance", self.resistance, NonPositiveElement)
 
 
 @dataclass(frozen=True)
@@ -121,14 +116,10 @@ def res_eq(inductance: float, capacitance: float, n: int, angular_frequency: flo
     Zero exactly at the block's resonance omega = 1/sqrt(L*C) and
     linear in the block count n.
     """
-    if not 0 < inductance < math.inf:
-        raise NonPositiveElement("inductance")
-    if not 0 < capacitance < math.inf:
-        raise NonPositiveElement("capacitance")
-    if n < 1:
-        raise NonPositiveElement("n")
-    if not 0 <= angular_frequency < math.inf:
-        raise NonPositiveFrequency("angular frequency must be >= 0")
+    require("inductance", inductance, NonPositiveElement)
+    require("capacitance", capacitance, NonPositiveElement)
+    require("n", n, NonPositiveElement)
+    require("angular frequency", angular_frequency, NonPositiveFrequency)
     lc = inductance * capacitance
     return (n / 10.0) * math.sqrt(inductance / capacitance) * abs(1.0 - lc * angular_frequency**2)
 
@@ -139,12 +130,9 @@ def eps_eff(width: float, height: float, relative_permittivity: float) -> float:
     Narrow strips (W/h < 1) get the extra 0.04*(1 - W/h)^2 correction;
     the two branches agree at W/h = 1.
     """
-    if not 0 < width < math.inf:
-        raise NonPositiveDimension("width")
-    if not 0 < height < math.inf:
-        raise NonPositiveDimension("height")
-    if not 1 < relative_permittivity < math.inf:
-        raise NonPositiveDimension("relative_permittivity", "greater than 1")
+    require("width", width, NonPositiveDimension)
+    require("height", height, NonPositiveDimension)
+    require("relative_permittivity", relative_permittivity, NonPositiveDimension)
     er = relative_permittivity
     ratio = width / height
     term = (1.0 + 12.0 / ratio) ** -0.5
@@ -194,8 +182,7 @@ def extract_all(
     """
     if not cavities:
         raise ExtractionError("cavity list is empty")
-    if not 0 < evaluation_frequency < math.inf:
-        raise NonPositiveFrequency("evaluation frequency must be > 0")
+    require("evaluation frequency", evaluation_frequency, NonPositiveFrequency)
     omega = 2.0 * math.pi * evaluation_frequency
     rows = []
     for cavity in cavities:
@@ -262,13 +249,11 @@ def elements_from_csv(text: str) -> list[ElementRow]:
             c = sinum.parse_scaled(fields[4], 0)
             l = sinum.parse_scaled(fields[5], 0) if fields[5].strip() else None
             r = sinum.parse_scaled(fields[6], 0) if fields[6].strip() else None
-            if not (width > 0 and length > 0):
-                raise NonPositiveDimension("W_m and d_m")
+            require("W_m", width, NonPositiveDimension)
+            require("d_m", length, NonPositiveDimension)
             lumped = LumpedElements(c, l, r, index)
-            if index < 0:  # the geometry file's cavity rules, after the value checks
-                raise ExtractionError(f"cavity index {index} is negative")
-            if n < 1:
-                raise NonPositiveElement("n")
+            require("index", index, ExtractionError)  # Cavity's rules, after the value checks
+            require("n", n, NonPositiveElement)
         except (ValueError, ExtractionError) as exc:
             raise MalformedElementsRow(str(exc), lineno) from None
         rows.append(ElementRow(index, width, length, n, lumped))

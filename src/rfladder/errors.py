@@ -1,9 +1,30 @@
-"""Exception bases shared across the package.
+"""Exception bases shared across the package, and each scalar quantity's domain.
 
 Concrete error classes live next to the code that raises them; the two
 bases exist so the CLI can map failures to exit codes (input problems
-vs. computations that left their valid domain).
+vs. computations that left their valid domain). `DOMAINS` writes each
+quantity's range once, and `require` refuses a value outside it with
+the caller's error class and a message that states the rule.
 """
+
+import math
+
+# quantity name -> (least value, whether the least itself is allowed); every
+# quantity must also be finite. A name not listed must be > 0, and a dotted
+# name, `section.parameter`, takes its parameter's rule.
+DOMAINS = {
+    "eps_eff": (1.0, True),  # a netlist line's effective permittivity
+    "len": (0.0, True),  # a netlist line's length
+    "er": (1.0, False),  # a substrate's relative permittivity, as a geometry file names it
+    "relative_permittivity": (1.0, False),
+    "resistance": (0.0, True),  # an extracted block's: 0 at its resonance, which a netlist drops
+    "angular frequency": (0.0, True),
+    "index": (0.0, True),
+    "n": (1.0, True),
+    "block_factor": (1.0, True),
+    "tolerance": (0.0, True),
+    "--bounds-factor": (1.0, False),
+}
 
 
 class RfLadderError(Exception):
@@ -33,4 +54,23 @@ class LocatedError(InputError):
 
 
 class NonPositiveFrequency(InputError):
-    """Frequency arguments must be strictly positive."""
+    """A frequency, or an angular frequency, outside its `DOMAINS` range."""
+
+
+def domain(name: str) -> tuple[float, bool]:
+    """The least value of quantity `name`, and whether that least is allowed."""
+    return DOMAINS.get(name.rpartition(".")[2], (0.0, False))
+
+
+def require(name: str, value, error: type[RfLadderError], line: int | None = None) -> None:
+    """Raise `error` unless `value` is finite and inside quantity `name`'s domain.
+
+    The message states the rule, as ``eps_eff must be finite and >= 1``;
+    the error carries `name` as `.name`, and a `LocatedError` its `line`.
+    """
+    least, closed = domain(name)
+    if not (value >= least if closed else value > least) or not value < math.inf:
+        rule = f"{'>=' if closed else '>'} {least:g}"
+        exc = error(f"{name} must be finite and {rule}", *(() if line is None else (line,)))
+        exc.name = name
+        raise exc

@@ -43,8 +43,8 @@ import numpy as np
 
 from . import sinum
 from .analysis import ReferenceMismatch, _resample
-from .errors import InputError
-from .netlist import LEAST_VALUE, Netlist, NetlistError, NonPositiveParameter, Section, in_domain
+from .errors import InputError, require
+from .netlist import Netlist, NetlistError, NonPositiveParameter, Section
 from .network import SParameterTrace, SweepGrid, _batch_s11_db, _compiled
 from .network import sweep  # unused here; benchmarks/tracing.py wraps fitting.sweep by name
 
@@ -161,8 +161,7 @@ class FitProblem:
                 raise InvalidBounds(f"bounds ({lo}, {hi}) must satisfy 0 < low < high < inf")
         if min(self.max_iterations, self.restarts, self.seed) < 0:
             raise InputError("max_iterations, restarts and seed must not be negative")
-        if not 0 <= self.tolerance < math.inf:
-            raise InputError(f"tolerance {self.tolerance} must be finite and not negative")
+        require("tolerance", self.tolerance, InputError)
         _check_target(self.netlist, self.target)
         for k, (sname, pname) in enumerate(self.free_parameters):
             try:
@@ -174,12 +173,7 @@ class FitProblem:
             if (sname, pname) in self.free_parameters[:k]:
                 raise InputError(f"free parameter {sname}.{pname} is given more than once")
         for (sname, pname), (lo, _) in zip(self.free_parameters, self.bounds):
-            if not in_domain(pname, lo):
-                least = ", ".join(f"{k} >= {sinum.format_bare(v)}" for k, v in LEAST_VALUE.items())
-                raise InvalidBounds(
-                    f"low bound {lo} of {sname}.{pname} is outside the parameter's domain"
-                    f" ({least}, others > 0)"
-                )
+            require(f"low bound of {sname}.{pname}", lo, InvalidBounds)
 
 
 @dataclass(frozen=True)
@@ -367,8 +361,8 @@ def fit(problem: FitProblem) -> FitResult:
     hi = np.log(hi_values)
     # every value evaluated lies between the bounds or the exps of their logs, the clamp's ends
     for (s, p), *ends in zip(free, lo_values, hi_values, np.exp(lo), np.exp(hi)):
-        if not all(in_domain(p, v) for v in ends):
-            raise NonPositiveParameter(f"{s}.{p}")
+        for v in ends:
+            require(f"{s}.{p}", v, NonPositiveParameter)
     objective = _Objective(start_netlist, free, problem.target, problem.grid, start_values)
     initial_cost = objective.initial_cost
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import sinum
-from .errors import InputError, LocatedError
+from .errors import InputError, LocatedError, require
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 VACUUM_PERMITTIVITY = 8.85e-12  # F/m
@@ -76,9 +76,7 @@ class MissingDimension(GeometryError):
 
 
 class NonPositiveValue(LocatedError, GeometryError):
-    def __init__(self, name: str, line: int | None = None):
-        self.name = name
-        super().__init__(f"value for {name!r} violates its positivity bound", line)
+    pass
 
 
 class UnknownKey(LocatedError, GeometryError):
@@ -89,16 +87,6 @@ class UnknownKey(LocatedError, GeometryError):
 
 class MalformedLine(LocatedError, GeometryError):
     pass
-
-
-# the value a quantity must exceed: 1 for a relative permittivity, 0 for every other name
-_LOWER_BOUND = {"er": 1, "relative_permittivity": 1}
-
-
-def _check_bound(name: str, value, line: int | None = None) -> None:
-    """Raise NonPositiveValue unless `value` is finite and above its bound."""
-    if not _LOWER_BOUND.get(name, 0) < value < math.inf:
-        raise NonPositiveValue(name, line)
 
 
 @dataclass(frozen=True)
@@ -115,8 +103,8 @@ class Substrate:
     vacuum_permeability: float = field(default=VACUUM_PERMEABILITY, init=False)
 
     def __post_init__(self):
-        _check_bound("relative_permittivity", self.relative_permittivity)
-        _check_bound("thickness", self.thickness)
+        require("relative_permittivity", self.relative_permittivity, NonPositiveValue)
+        require("thickness", self.thickness, NonPositiveValue)
 
 
 @dataclass(frozen=True)
@@ -133,7 +121,7 @@ class AntennaGeometry:
         for key, value in self.dimensions.items():
             if key not in DIMENSION_KEYS:
                 raise UnknownKey(key)
-            _check_bound(key, value)
+            require(key, value, NonPositiveValue)
 
 
 @dataclass(frozen=True)
@@ -147,12 +135,8 @@ class Cavity:
     block_factor: int = 1
 
     def __post_init__(self):
-        if self.index < 0:
-            raise NonPositiveValue("index")
-        for name in ("width", "length", "thickness"):
-            _check_bound(name, getattr(self, name))
-        if not 1 <= self.block_factor < math.inf:
-            raise NonPositiveValue("block_factor")
+        for name in ("index", "width", "length", "thickness", "block_factor"):
+            require(name, getattr(self, name), NonPositiveValue)
 
 
 def canonical_substrate() -> Substrate:
@@ -219,7 +203,7 @@ def _parse_cavity_line(tokens: list[str], lineno: int, cavities: list[dict]) -> 
                 raise MalformedLine(f"bad block factor {raw!r}", lineno) from None
         else:
             value = _parse_length(raw, key, lineno)
-        _check_bound(key, value, lineno)
+        require(key, value, NonPositiveValue, lineno)
         cavities[index][key] = value
 
 
@@ -263,7 +247,7 @@ def parse_geometry_file(text: str) -> GeometryDocument:
         if name in entries:
             raise MalformedLine(f"duplicate entry {name!r}", lineno)
         value = _scaled(tokens[2], exponent, lineno, f"bad number {tokens[2]!r}")
-        _check_bound(name, value, lineno)
+        require(name, value, NonPositiveValue, lineno)
         entries[name] = value
 
     for name in ("er", "h"):

@@ -10,12 +10,11 @@ text format.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 
 from . import sinum
-from .errors import LocatedError
+from .errors import LocatedError, require
 
 TOPOLOGIES = (
     "series_rlc",
@@ -32,7 +31,6 @@ PARAMETER_KEYS = _RLC_KEYS + _TLINE_KEYS
 _ALLOWED = {t: frozenset(_RLC_KEYS) for t in TOPOLOGIES if t != "tline"}
 _ALLOWED["tline"] = frozenset(_TLINE_KEYS)
 _REQUIRED = {"series_rl_shunt_c": ("L", "C"), "tline": _TLINE_KEYS}
-LEAST_VALUE = {"eps_eff": 1.0, "len": 0.0}  # closed lower bounds; every other parameter is > 0
 
 _NAME_RE = re.compile(r"[A-Za-z_]\w*")
 
@@ -90,9 +88,9 @@ class ForbiddenParameter(NetlistError):
 
 
 class NonPositiveParameter(NetlistError):
-    def __init__(self, parameter: str, line: int | None = None):
-        self.parameter = parameter
-        super().__init__(f"parameter {parameter!r} violates its positivity bound", line)
+    @property
+    def parameter(self) -> str:  # the `.name` that `require` sets
+        return self.name
 
 
 def _validate_section(topology: str, params: dict[str, float], line: int | None) -> None:
@@ -108,17 +106,7 @@ def _validate_section(topology: str, params: dict[str, float], line: int | None)
     if topology != "tline" and topology != "series_rl_shunt_c" and not params:
         raise MissingRequiredParameter("one of R, L, C", line)
     for key, value in params.items():
-        if not in_domain(key, value):
-            raise NonPositiveParameter(key, line)
-
-
-def in_domain(key: str, value: float) -> bool:
-    """Whether `value` is allowed for parameter `key`.
-
-    Every value is finite, and at least its `LEAST_VALUE` entry or else > 0.
-    """
-    least = LEAST_VALUE.get(key)
-    return bool(value > 0 if least is None else value >= least) and math.isfinite(value)
+        require(key, value, NonPositiveParameter, line)
 
 
 @dataclass(frozen=True)
@@ -145,8 +133,7 @@ class Netlist:
 
     def __post_init__(self):
         for which, z in (("in", self.input_port_impedance), ("out", self.output_port_impedance)):
-            if not (math.isfinite(z) and z > 0):
-                raise NonPositiveParameter(f"port {which} z0")
+            require(f"port {which} z0", z, NonPositiveParameter)
         seen = set()
         for section in self.sections:
             if section.name in seen:
@@ -187,8 +174,7 @@ def parse(text: str) -> Netlist:
             if len(tokens) != 3 or tokens[1] not in ("in", "out") or not tokens[2].startswith("z0="):
                 raise MalformedLine(f"expected 'port in|out z0=<value>', got {line!r}", lineno)
             value = _parse_number(tokens[2][3:], lineno)
-            if not value > 0:
-                raise NonPositiveParameter("z0", lineno)
+            require(f"port {tokens[1]} z0", value, NonPositiveParameter, lineno)
             if tokens[1] in ports:
                 raise DuplicatePort(tokens[1], lineno)
             ports[tokens[1]] = value

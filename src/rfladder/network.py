@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError, NonFiniteResult, NonPositiveFrequency, NumericalError
+from .errors import InputError, NonFiniteResult, NonPositiveFrequency, NumericalError, require
 from .geometry import SPEED_OF_LIGHT
 from .netlist import Netlist, Section
 
@@ -156,8 +156,7 @@ def _section_steps(topology: str, params, w, jw):
 
 def section_abcd(section: Section, frequency: float) -> AbcdMatrix:
     """Chain matrix of one section at a single frequency."""
-    if not (frequency > 0 and math.isfinite(frequency)):
-        raise NonPositiveFrequency("frequency must be finite and > 0")
+    require("frequency", frequency, NonPositiveFrequency)
     w = 2.0 * np.pi * frequency
     return AbcdMatrix(*map(complex, _walk(_compiled((section,)), w, 1j * w)))
 
@@ -181,8 +180,7 @@ def input_impedance(m: AbcdMatrix, load: complex) -> complex:
 
 def reflection(z_in: complex, z_ref: float) -> complex:
     """Reflection coefficient (z_in - z_ref) / (z_in + z_ref)."""
-    if not 0 < z_ref < math.inf:
-        raise NonPositiveImpedance("reference impedance must be finite and > 0")
+    require("reference impedance", z_ref, NonPositiveImpedance)
     denom = z_in + z_ref
     if denom == 0:
         raise DegenerateDenominator("z_in + z_ref vanished")
@@ -219,8 +217,8 @@ def abcd_to_s(m: AbcdMatrix, z01: float, z02: float):
 
     s12 = s21 * det, so a non-reciprocal matrix converts correctly too.
     """
-    if not 0 < z01 < math.inf or not 0 < z02 < math.inf:
-        raise NonPositiveImpedance("reference impedances must be finite and > 0")
+    require("reference impedances", z01, NonPositiveImpedance)
+    require("reference impedances", z02, NonPositiveImpedance)
     s11, s21, s22 = _abcd_to_s(m, z01, z02)
     return s11, s21 * m.determinant(), s21, s22
 
@@ -307,10 +305,12 @@ class SParameterTrace:
             raise InputError("frequencies must be strictly increasing")
         if len(f) and not math.isfinite(f[-1]):  # increasing, so only the last can be infinite
             raise InputError("frequencies must be finite")
-        if len(self.reference_impedances) != 2:
+        refs = self.reference_impedances
+        if len(refs) != 2:
             raise InputError("reference impedances must be two, one per port")
-        if not all(0 < z < math.inf for z in self.reference_impedances):
-            raise InputError("reference impedances must be finite and > 0")
+        for z in refs:
+            require("reference impedances", z, InputError)
+        object.__setattr__(self, "reference_impedances", tuple(map(float, refs)))
 
     def __len__(self) -> int:
         return len(self.frequencies)

@@ -35,7 +35,7 @@ import math
 
 import numpy as np
 
-from .errors import InputError, LocatedError
+from .errors import InputError, LocatedError, require
 from .network import SParameterTrace, magnitude_db, magnitude_from_db
 from .sinum import format_bare
 
@@ -93,8 +93,7 @@ def _parse_option_line(line: str, lineno: int):
             raise BadOptionLine(f"unknown option token {token!r}", lineno)
     if parameter != "s":
         raise BadOptionLine(f"only S-parameter files are supported, got {parameter!r}", lineno)
-    if not (resistance > 0 and math.isfinite(resistance)):
-        raise BadOptionLine("reference resistance must be finite and > 0", lineno)
+    require("reference resistance", resistance, BadOptionLine, lineno)
     return unit, fmt.upper(), resistance
 
 
@@ -163,8 +162,7 @@ def _sort_lines(lines, rows, linenos):
                     port2_ref = float(comment[len(PORT2_REF_COMMENT):])
                 except ValueError:
                     port2_ref = math.nan
-                if not (port2_ref > 0 and math.isfinite(port2_ref)):
-                    raise MalformedRow(f"bad {PORT2_REF_COMMENT} comment", lineno)
+                require(PORT2_REF_COMMENT, port2_ref, MalformedRow, lineno)
         line = line.strip()
         if not line:
             continue
@@ -206,8 +204,7 @@ def _check_each_row(rows, linenos) -> np.ndarray:
             raise MalformedRow("row width changed mid-file", lineno)
         if previous is not None and row[0] <= previous:
             raise NonMonotoneFrequency(f"frequency {row[0]} not above previous {previous}", lineno)
-        if not row[0] > 0:
-            raise MalformedRow(f"frequency {row[0]} must be > 0", lineno)
+        require("frequency", row[0], MalformedRow, lineno)
         width, previous = len(row), row[0]
         values.append(row)
     return np.array(values)

@@ -125,7 +125,10 @@ def test_band_edge_at_a_threshold_sample_is_not_inverted():
     trace = SParameterTrace(np.array([1e9, 4.9e9, 9e9]), np.array(mags, dtype=complex))
     assert trace.s11_db()[0] == -10.0
     assert an.find_bands(trace, -10.0) == [(1e9, 1e9)]
-    assert an.band_report(trace, -10.0).bands == ((1e9, 1e9),)
+    report = an.band_report(trace, -10.0)
+    assert report.bands == ((1e9, 1e9),)
+    # a zero-width band's efficiency is 1 - |s11|^2 at its one point, -10 dB
+    assert report.mismatch_efficiency_percent == 90.0
 
 
 def test_mismatch_efficiency_extremes():

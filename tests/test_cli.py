@@ -333,7 +333,7 @@ def test_fit_eps_eff_keeps_its_low_bound_in_domain(tmp_path, capsys, monkeypatch
 
 def test_microstrip_zero_height_exits_2(capsys):
     assert run(["microstrip", "--width", "1e-3", "--height", "0", "--er", "4.4"]) == 2
-    assert "error: height must be strictly positive" in capsys.readouterr().err
+    assert "error: height must be finite and > 0\n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -605,7 +605,7 @@ def test_permittivity_at_most_1_exits_2_stating_the_rule(tmp_path, capsys):
                  ["build", "--elements", elements_csv, "--er", "0.5", "--out", tmp_path / "l.net"]):
         capsys.readouterr()
         assert run(argv) == 2
-        assert "error: relative_permittivity must be greater than 1\n" in capsys.readouterr().err
+        assert "error: relative_permittivity must be finite and > 1\n" in capsys.readouterr().err
     assert not (tmp_path / "l.net").exists()
 
 

@@ -125,7 +125,8 @@ def test_res_eq_validation():
     ],
 )
 def test_lumped_elements_refuse_negative_and_non_finite_values(values, name):
-    with pytest.raises(el.NonPositiveElement, match=f"^{name} must be strictly positive$"):
+    rule = ">= 0" if name == "resistance" else "> 0"  # an extracted block's R may be 0
+    with pytest.raises(el.NonPositiveElement, match=f"^{name} must be finite and {rule}$"):
         el.LumpedElements(*values, 1)
 
 
@@ -249,7 +250,8 @@ def test_extract_all_validation(cavities, substrate):
     with pytest.raises(NonPositiveFrequency):
         el.extract_all(cavities, substrate, 0.0)
     for frequency in (math.inf, math.nan):
-        with pytest.raises(NonPositiveFrequency, match="^evaluation frequency must be > 0$"):
+        rule = "^evaluation frequency must be finite and > 0$"
+        with pytest.raises(NonPositiveFrequency, match=rule):
             el.extract_all(cavities, substrate, frequency)
 
 
@@ -307,7 +309,7 @@ def test_elements_csv_errors():
         assert err.value.line == 3, bad
     with pytest.raises(el.MalformedElementsRow) as err:
         el.elements_from_csv(good + "1,0.018,0.007,1,1e-12,-2e-9,3\n")
-    assert str(err.value) == "line 3: inductance must be strictly positive"
+    assert str(err.value) == "line 3: inductance must be finite and > 0"
 
 
 def test_elements_csv_skips_blank_rows_among_the_data():

@@ -118,7 +118,7 @@ def test_problem_validation():
         with pytest.raises(InputError):
             ft.FitProblem(net, (("s1", "L"),), ((1e-10, 1e-8),), target, GRID, **{field: -1})
     for tolerance in (math.nan, math.inf, -1.0):
-        with pytest.raises(InputError, match="tolerance .* must be finite and not negative"):
+        with pytest.raises(InputError, match="^tolerance must be finite and >= 0$"):
             ft.FitProblem(net, (("s1", "L"),), ((1e-10, 1e-8),), target, GRID, tolerance=tolerance)
     ft.FitProblem(net, (("s1", "L"),), ((1e-10, 1e-8),), target, GRID, tolerance=0.0)
     s11 = target.s11.copy()
@@ -133,7 +133,8 @@ def test_problem_validation():
     at_50 = SParameterTrace(target.frequencies, target.s11, reference_impedances=(50.0, 50.0))
     ft.FitProblem(net, (("s1", "L"),), ((1e-10, 1e-8),), at_50, GRID)
     line = _tline()
-    with pytest.raises(ft.InvalidBounds, match="t.eps_eff"):
+    rule = r"^low bound of t\.eps_eff must be finite and >= 1$"
+    with pytest.raises(ft.InvalidBounds, match=rule):
         ft.FitProblem(line, (("t", "eps_eff"),), ((0.13, 13.0),), sweep(line, GRID), GRID)
     ft.FitProblem(line, (("t", "eps_eff"),), ((1.0, 13.0),), sweep(line, GRID), GRID)
 
@@ -550,14 +551,14 @@ def test_fit_checks_each_candidate_against_its_domain():
     mask = ft.Mask(((GRID.start, GRID.stop, -10.0),))
     problem = ft.FitProblem(line, (("t", "eps_eff"),), ((1.0, 13.0),), mask, GRID, restarts=2)
     object.__setattr__(problem, "bounds", ((0.13, 13.0),))
-    with pytest.raises(NonPositiveParameter, match=r"'t\.eps_eff'"):
+    with pytest.raises(NonPositiveParameter, match=r"^t\.eps_eff must be finite and >= 1$"):
         ft.fit(problem)
     # of two freed lines, the error names the one out of its domain
     lines = Netlist(50.0, 50.0, (line.sections[0], dataclasses.replace(line.sections[0], name="u")))
     free = (("t", "eps_eff"), ("u", "eps_eff"))
     problem = ft.FitProblem(lines, free, ((1.0, 13.0),) * 2, mask, GRID, restarts=2)
     object.__setattr__(problem, "bounds", ((1.0, 13.0), (0.13, 13.0)))
-    with pytest.raises(NonPositiveParameter, match=r"'u\.eps_eff'"):
+    with pytest.raises(NonPositiveParameter, match=r"^u\.eps_eff must be finite and >= 1$"):
         ft.fit(problem)
     # bounds that clip the 1.3 start out of its domain: refused before the start is scored,
     # with or without a search
@@ -565,7 +566,7 @@ def test_fit_checks_each_candidate_against_its_domain():
         problem = ft.FitProblem(line, (("t", "eps_eff"),), ((1.0, 13.0),), mask, GRID,
                                 max_iterations=max_iterations)
         object.__setattr__(problem, "bounds", ((0.1, 0.5),))
-        with pytest.raises(NonPositiveParameter, match=r"'t\.eps_eff'"):
+        with pytest.raises(NonPositiveParameter, match=r"^t\.eps_eff must be finite and >= 1$"):
             ft.fit(problem)
 
 
@@ -861,7 +862,7 @@ def test_lm_checks_each_candidate_against_its_domain():
     result = ft.fit(problem)  # held on its low bound
     assert (result.parameters["t.eps_eff"], result.stop_reason) == (1.0, "step")
     object.__setattr__(problem, "bounds", ((0.13, 13.0),))
-    with pytest.raises(NonPositiveParameter, match=r"'t\.eps_eff'"):
+    with pytest.raises(NonPositiveParameter, match=r"^t\.eps_eff must be finite and >= 1$"):
         ft.fit(problem)
 
 

@@ -575,6 +575,17 @@ def test_trace_validation():
         nw.SParameterTrace([1e9], [0j], [0j], [0j], 0j)
 
 
+def test_trace_keeps_its_references_as_a_tuple_of_floats():
+    refs = [50.0, 50.0]
+    trace = nw.SParameterTrace([1e9, 2e9], [0j, 0j], reference_impedances=refs)
+    refs[0] = -1.0  # the caller's list is not the trace's
+    assert trace.reference_impedances == (50.0, 50.0)
+    assert trace.reference_impedances == nw.SParameterTrace([1e9], [0j]).reference_impedances
+    mixed = nw.SParameterTrace([1e9], [0j], reference_impedances=(np.float64(50.0), 4))
+    assert [type(z) for z in mixed.reference_impedances] == [float, float]
+    assert mixed.reference_impedances == (50.0, 4.0)
+
+
 def test_trace_arrays_refuse_writes_however_the_trace_was_built():
     freqs, real, s = np.array([1e9, 2e9, 3e9]), np.array([0.1, 0.2, 0.3]), np.full(3, 0.4j)
     from_complex = nw.SParameterTrace(freqs, s, s, s, s)

@@ -131,7 +131,7 @@ def test_option_line_r_without_a_value_rejected():
 
 
 def test_non_numeric_port2_reference_comment_rejected_at_its_line():
-    with pytest.raises(ts.MalformedRow, match="^line 3: bad PORT2_REF_OHMS comment$"):
+    with pytest.raises(ts.MalformedRow, match="^line 3: PORT2_REF_OHMS must be finite and > 0$"):
         ts.read_touchstone("# Hz S RI R 50\n1e9 0.1 0\n! PORT2_REF_OHMS abc\n2e9 0.1 0\n")
 
 
@@ -324,7 +324,7 @@ def line_by_line_reader(text):
             except ValueError:
                 port2_ref = math.nan
             if not (port2_ref > 0 and math.isfinite(port2_ref)):
-                raise ts.MalformedRow(f"bad {ts.PORT2_REF_COMMENT} comment", lineno)
+                raise ts.MalformedRow(f"{ts.PORT2_REF_COMMENT} must be finite and > 0", lineno)
         line = line.strip()
         if not line:
             continue
@@ -354,7 +354,7 @@ def line_by_line_reader(text):
                 f"frequency {values[0]} not above previous {rows[-1][0]}", lineno
             )
         if not values[0] > 0:
-            raise ts.MalformedRow(f"frequency {values[0]} must be > 0", lineno)
+            raise ts.MalformedRow("frequency must be finite and > 0", lineno)
         rows.append(values)
         linenos.append(lineno)
 

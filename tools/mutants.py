@@ -38,12 +38,15 @@ class Mutant:
     equivalent: bool = False
 
 
-MODULES = ("network", "analysis", "fitting", "touchstone", "netlist", "geometry", "elements")
-NETWORK, ANALYSIS, FITTING, TOUCHSTONE, NETLIST, GEOMETRY, ELEMENTS = (
+MODULES = ("network", "analysis", "fitting", "touchstone", "netlist", "geometry", "elements",
+           "errors")
+NETWORK, ANALYSIS, FITTING, TOUCHSTONE, NETLIST, GEOMETRY, ELEMENTS, ERRORS = (
     f"src/rfladder/{m}.py" for m in MODULES
 )
 (TEST_NETWORK, TEST_ANALYSIS, TEST_FITTING, TEST_TOUCHSTONE, TEST_NETLIST, TEST_GEOMETRY,
- TEST_ELEMENTS) = (f"tests/test_{m}.py" for m in MODULES)
+ TEST_ELEMENTS) = (f"tests/test_{m}.py" for m in MODULES[:-1])
+TEST_DOMAINS = "tests/test_domains.py"
+WALK = f"{TEST_DOMAINS}::test_each_site_refuses_by_its_table_rule"
 
 MUTANTS = (
     Mutant(
@@ -56,7 +59,8 @@ MUTANTS = (
     ),
     Mutant(
         "output_reference_zero_accepted", NETWORK,
-        "not 0 < z02 < math.inf", "not 0 <= z02 < math.inf",
+        'require("reference impedances", z02, NonPositiveImpedance)',
+        'if not 0 <= z02 < math.inf: raise NonPositiveImpedance("z02")',
         (f"{TEST_NETWORK}::test_abcd_to_s_rejects_bad_references_and_a_vanishing_denominator",),
     ),
     Mutant(
@@ -124,7 +128,7 @@ MUTANTS = (
     ),
     Mutant(
         "bound_check_once_per_fit_deleted", FITTING,
-        "if not all(in_domain(p, v) for v in ends):", "if False:",
+        'require(f"{s}.{p}", v, NonPositiveParameter)', "pass",
         (f"{TEST_FITTING}::test_fit_checks_each_candidate_against_its_domain",
          f"{TEST_FITTING}::test_lm_checks_each_candidate_against_its_domain"),
     ),
@@ -155,8 +159,8 @@ MUTANTS = (
          "tests/test_cli.py::test_simulate_holds_the_trace_its_file_reads_back_as"),
     ),
     Mutant(
-        "eps_eff_least_value_halved", NETLIST,
-        '"eps_eff": 1.0,', '"eps_eff": 0.5,',
+        "eps_eff_least_value_halved", ERRORS,
+        '"eps_eff": (1.0, True)', '"eps_eff": (0.5, True)',
         (f"{TEST_NETLIST}::test_non_positive_values_rejected",
          "tests/test_cli.py::test_fit_eps_eff_keeps_its_low_bound_in_domain"),
     ),
@@ -180,7 +184,7 @@ MUTANTS = (
     # each refusal of a non-finite value or a wrong count, put back to the check it
     # replaced (or deleted), lets that value through
     Mutant("trace_reference_count_unchecked", NETWORK,
-           "if len(self.reference_impedances) != 2:", "if False:",
+           "if len(refs) != 2:", "if False:",
            (f"{TEST_NETWORK}::test_trace_validation",)),
     Mutant("band_edge_check_lets_nan_through", ANALYSIS,
            "not f[0] <= f_lo <= f_hi <= f[-1]", "f_lo > f_hi or f_lo < f[0] or f_hi > f[-1]",
@@ -194,41 +198,78 @@ MUTANTS = (
            " finite, got {threshold_db}\")\n    za", "za",
            (f"{TEST_ANALYSIS}::test_non_finite_thresholds_refused",)),
     Mutant("resonance_inductance_infinity_accepted", ANALYSIS,
-           "not 0 < inductance < math.inf", "not inductance > 0",
+           'require("inductance", inductance, NonPositiveElement)',
+           'if not inductance > 0: raise NonPositiveElement("inductance")',
            (f"{TEST_ANALYSIS}::test_resonant_frequency_scaling",)),
     Mutant("resonance_capacitance_infinity_accepted", ANALYSIS,
-           "not 0 < capacitance < math.inf", "not capacitance > 0",
+           'require("capacitance", capacitance, NonPositiveElement)',
+           'if not capacitance > 0: raise NonPositiveElement("capacitance")',
            (f"{TEST_ANALYSIS}::test_resonant_frequency_scaling",)),
     Mutant("lumped_capacitance_infinity_accepted", ELEMENTS,
-           "not 0 < self.capacitance < math.inf", "not self.capacitance > 0",
+           'require("capacitance", self.capacitance, NonPositiveElement)',
+           'if not self.capacitance > 0: raise NonPositiveElement("capacitance")',
            (f"{TEST_ELEMENTS}::test_lumped_elements_refuse_negative_and_non_finite_values",)),
     Mutant("lumped_inductance_infinity_accepted", ELEMENTS,
-           "not 0 < self.inductance < math.inf", "not self.inductance > 0",
+           'require("inductance", self.inductance, NonPositiveElement)',
+           'if not self.inductance > 0: raise NonPositiveElement("inductance")',
            (f"{TEST_ELEMENTS}::test_lumped_elements_refuse_negative_and_non_finite_values",)),
     Mutant("lumped_resistance_nan_accepted", ELEMENTS,
-           "not 0 <= self.resistance < math.inf", "self.resistance < 0",
+           'require("resistance", self.resistance, NonPositiveElement)',
+           'if self.resistance < 0: raise NonPositiveElement("resistance")',
            (f"{TEST_ELEMENTS}::test_lumped_elements_refuse_negative_and_non_finite_values",)),
     Mutant("res_eq_inductance_infinity_accepted", ELEMENTS,
-           "not 0 < inductance < math.inf", "not inductance > 0",
+           'require("inductance", inductance, NonPositiveElement)',
+           'if not inductance > 0: raise NonPositiveElement("inductance")',
            (f"{TEST_ELEMENTS}::test_res_eq_validation",)),
     Mutant("res_eq_capacitance_infinity_accepted", ELEMENTS,
-           "not 0 < capacitance < math.inf", "not capacitance > 0",
+           'require("capacitance", capacitance, NonPositiveElement)',
+           'if not capacitance > 0: raise NonPositiveElement("capacitance")',
            (f"{TEST_ELEMENTS}::test_res_eq_validation",)),
     Mutant("res_eq_frequency_nan_accepted", ELEMENTS,
-           "not 0 <= angular_frequency < math.inf", "angular_frequency < 0",
+           'require("angular frequency", angular_frequency, NonPositiveFrequency)',
+           'if angular_frequency < 0: raise NonPositiveFrequency("angular frequency")',
            (f"{TEST_ELEMENTS}::test_res_eq_validation",)),
     Mutant("strip_width_infinity_accepted", ELEMENTS,
-           "not 0 < width < math.inf", "not width > 0",
+           'require("width", width, NonPositiveDimension)',
+           'if not width > 0: raise NonPositiveDimension("width")',
            (f"{TEST_ELEMENTS}::test_dimension_validation",)),
     Mutant("strip_height_infinity_accepted", ELEMENTS,
-           "not 0 < height < math.inf", "not height > 0",
+           'require("height", height, NonPositiveDimension)',
+           'if not height > 0: raise NonPositiveDimension("height")',
            (f"{TEST_ELEMENTS}::test_dimension_validation",)),
     Mutant("strip_permittivity_infinity_accepted", ELEMENTS,
-           "not 1 < relative_permittivity < math.inf", "not relative_permittivity > 1",
+           'require("relative_permittivity", relative_permittivity, NonPositiveDimension)',
+           'if not relative_permittivity > 1: raise NonPositiveDimension("relative_permittivity")',
            (f"{TEST_ELEMENTS}::test_dimension_validation",)),
     Mutant("evaluation_frequency_infinity_accepted", ELEMENTS,
-           "not 0 < evaluation_frequency < math.inf", "not evaluation_frequency > 0",
+           'require("evaluation frequency", evaluation_frequency, NonPositiveFrequency)',
+           'if not evaluation_frequency > 0: raise NonPositiveFrequency("evaluation frequency")',
            (f"{TEST_ELEMENTS}::test_extract_all_validation",)),
+    Mutant("zero_width_band_efficiency_off", ANALYSIS,
+           "return float(100.0 * power[0])", "return float(100.0 * power[0]) + 1.0",
+           (f"{TEST_ANALYSIS}::test_band_edge_at_a_threshold_sample_is_not_inverted",)),
+    # each rule of the domain table, its bound's closedness flipped, and the helper's
+    # finiteness clause dropped, caught where the table walk meets the rule
+    *(Mutant(f"{name}_least_{'refused' if closed else 'accepted'}", ERRORS,
+             f'"{key}": ({least}, {closed})', f'"{key}": ({least}, {not closed})',
+             (WALK,))
+      for name, key, least, closed in (
+          ("eps_eff", "eps_eff", 1.0, True), ("len", "len", 0.0, True),
+          ("er", "er", 1.0, False),
+          ("relative_permittivity", "relative_permittivity", 1.0, False),
+          ("resistance", "resistance", 0.0, True),
+          ("angular_frequency", "angular frequency", 0.0, True),
+          ("index", "index", 0.0, True), ("n", "n", 1.0, True),
+          ("block_factor", "block_factor", 1.0, True), ("tolerance", "tolerance", 0.0, True))),
+    Mutant("bounds_factor_least_accepted", ERRORS,
+           '"--bounds-factor": (1.0, False)', '"--bounds-factor": (1.0, True)',
+           (f"{TEST_DOMAINS}::test_bounds_factor_walks_its_rule",)),
+    Mutant("unlisted_least_accepted", ERRORS,
+           '[2], (0.0, False))', '[2], (0.0, True))', (WALK,)),
+    Mutant("dotted_name_takes_its_own_rule", ERRORS,
+           'DOMAINS.get(name.rpartition(".")[2]', "DOMAINS.get(name", (WALK,)),
+    Mutant("require_finiteness_dropped", ERRORS,
+           " or not value < math.inf", "", (WALK,)),
 )
 
 
