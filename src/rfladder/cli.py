@@ -328,7 +328,3 @@ def main(argv=None) -> int:
     except RfLadderError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-
-
-if __name__ == "__main__":
-    sys.exit(main())

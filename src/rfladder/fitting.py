@@ -159,6 +159,9 @@ class FitProblem:
         for lo, hi in self.bounds:
             if not 0 < lo < hi < math.inf:
                 raise InvalidBounds(f"bounds ({lo}, {hi}) must satisfy 0 < low < high < inf")
+        # copies, so a later change to the caller's lists cannot reach the checked problem
+        object.__setattr__(self, "free_parameters", tuple(map(tuple, self.free_parameters)))
+        object.__setattr__(self, "bounds", tuple((float(lo), float(hi)) for lo, hi in self.bounds))
         if min(self.max_iterations, self.restarts, self.seed) < 0:
             raise InputError("max_iterations, restarts and seed must not be negative")
         require("tolerance", self.tolerance, InputError)
@@ -357,12 +360,17 @@ def fit(problem: FitProblem) -> FitResult:
     start_values = np.clip(
         [start_netlist.section(s).params[p] for s, p in free], lo_values, hi_values
     )
-    lo = np.log(lo_values)
-    hi = np.log(hi_values)
-    # every value evaluated lies between the bounds or the exps of their logs, the clamp's ends
-    for (s, p), *ends in zip(free, lo_values, hi_values, np.exp(lo), np.exp(hi)):
-        for v in ends:
-            require(f"{s}.{p}", v, NonPositiveParameter)
+
+    def check(*ends):
+        for (s, p), *values in zip(free, *ends):
+            for v in values:
+                require(f"{s}.{p}", v, NonPositiveParameter)
+
+    # every value evaluated lies between the bounds or the exps of their logs, the clamp's
+    # ends; the bounds are checked first, so no log is taken of one outside its domain
+    check(lo_values, hi_values)
+    lo, hi = np.log(lo_values), np.log(hi_values)
+    check(np.exp(lo), np.exp(hi))
     objective = _Objective(start_netlist, free, problem.target, problem.grid, start_values)
     initial_cost = objective.initial_cost
 

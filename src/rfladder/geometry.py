@@ -115,6 +115,7 @@ class AntennaGeometry:
     substrate: Substrate
 
     def __post_init__(self):
+        object.__setattr__(self, "dimensions", dict(self.dimensions))  # a copy, not the caller's
         for key in DIMENSION_KEYS:
             if key not in self.dimensions:
                 raise MissingDimension(key)

@@ -16,21 +16,16 @@ from dataclasses import dataclass
 from . import sinum
 from .errors import LocatedError, require
 
-TOPOLOGIES = (
-    "series_rlc",
-    "shunt_series_rlc",
-    "shunt_parallel_rlc",
-    "series_rl_shunt_c",
-    "tline",
-)
-
-_RLC_KEYS = ("R", "L", "C")
-_TLINE_KEYS = ("z0", "eps_eff", "len")
-PARAMETER_KEYS = _RLC_KEYS + _TLINE_KEYS
-
-_ALLOWED = {t: frozenset(_RLC_KEYS) for t in TOPOLOGIES if t != "tline"}
-_ALLOWED["tline"] = frozenset(_TLINE_KEYS)
-_REQUIRED = {"series_rl_shunt_c": ("L", "C"), "tline": _TLINE_KEYS}
+# topology -> (the parameters it takes, the parameters it needs); every
+# section also needs at least one parameter
+TOPOLOGIES = {
+    "series_rlc": (("R", "L", "C"), ()),
+    "shunt_series_rlc": (("R", "L", "C"), ()),
+    "shunt_parallel_rlc": (("R", "L", "C"), ()),
+    "series_rl_shunt_c": (("R", "L", "C"), ("L", "C")),
+    "tline": (("z0", "eps_eff", "len"), ("z0", "eps_eff", "len")),
+}
+PARAMETER_KEYS = tuple(dict.fromkeys(key for takes, _ in TOPOLOGIES.values() for key in takes))
 
 _NAME_RE = re.compile(r"[A-Za-z_]\w*")
 
@@ -52,21 +47,15 @@ class UnknownTopology(NetlistError):
 
 
 class BadValueSuffix(NetlistError):
-    def __init__(self, token: str, line: int | None = None):
-        self.token = token
-        super().__init__(f"bad value {token!r}", line)
+    pass
 
 
 class DuplicatePort(NetlistError):
-    def __init__(self, which: str, line: int | None = None):
-        self.which = which
-        super().__init__(f"port {which!r} declared twice", line)
+    pass
 
 
 class MissingPort(NetlistError):
-    def __init__(self, which: str):
-        self.which = which
-        super().__init__(f"missing 'port {which}' declaration")
+    pass
 
 
 class DuplicateSectionName(NetlistError):
@@ -96,15 +85,15 @@ class NonPositiveParameter(NetlistError):
 def _validate_section(topology: str, params: dict[str, float], line: int | None) -> None:
     if topology not in TOPOLOGIES:
         raise UnknownTopology(topology, line)
-    allowed = _ALLOWED[topology]
+    takes, needs = TOPOLOGIES[topology]
     for key in params:
-        if key not in allowed:
+        if key not in takes:
             raise ForbiddenParameter(key, line)
-    for key in _REQUIRED.get(topology, ()):
+    for key in needs:
         if key not in params:
             raise MissingRequiredParameter(key, line)
-    if topology != "tline" and topology != "series_rl_shunt_c" and not params:
-        raise MissingRequiredParameter("one of R, L, C", line)
+    if not params:
+        raise MissingRequiredParameter(f"one of {', '.join(takes)}", line)
     for key, value in params.items():
         require(key, value, NonPositiveParameter, line)
 
@@ -120,6 +109,7 @@ class Section:
     def __post_init__(self):
         if not _NAME_RE.fullmatch(self.name):
             raise MalformedLine(f"bad section name {self.name!r}")
+        object.__setattr__(self, "params", dict(self.params))  # a copy, not the caller's
         _validate_section(self.topology, self.params, None)
 
 
@@ -151,7 +141,7 @@ def _parse_number(token: str, line: int) -> float:
     try:
         return sinum.parse_value(token)
     except ValueError:
-        raise BadValueSuffix(token, line) from None
+        raise BadValueSuffix(f"bad value {token!r}", line) from None
 
 
 def parse(text: str) -> Netlist:
@@ -176,7 +166,7 @@ def parse(text: str) -> Netlist:
             value = _parse_number(tokens[2][3:], lineno)
             require(f"port {tokens[1]} z0", value, NonPositiveParameter, lineno)
             if tokens[1] in ports:
-                raise DuplicatePort(tokens[1], lineno)
+                raise DuplicatePort(f"port {tokens[1]!r} declared twice", lineno)
             ports[tokens[1]] = value
         elif tokens[0] == "section":
             if len(tokens) < 3 or not tokens[2].startswith("topology="):
@@ -205,7 +195,7 @@ def parse(text: str) -> Netlist:
 
     for which in ("in", "out"):
         if which not in ports:
-            raise MissingPort(which)
+            raise MissingPort(f"missing 'port {which}' declaration")
     return Netlist(ports["in"], ports["out"], tuple(sections))
 
 

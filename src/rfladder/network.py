@@ -299,6 +299,8 @@ class SParameterTrace:
         for name in ("s21", "s12", "s22", "s11"):
             if getattr(self, name) is not None and len(getattr(self, name)) != len(f):
                 raise InputError(f"{name} length differs from frequency length")
+        if (self.s21 is None) != (self.s22 is None) or (self.s12 is not None and self.s21 is None):
+            raise InputError("s21 and s22 must be given together, and s12 only with them")
         if len(f) and not f[0] > 0:
             raise InputError("frequencies must be positive")
         if len(f) > 1 and not np.all(np.diff(f) > 0):

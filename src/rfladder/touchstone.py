@@ -253,7 +253,7 @@ def _table(trace: SParameterTrace, fmt: str) -> tuple[np.ndarray, tuple[int, ...
     """
     ports = [trace.s11]
     shown = (0, 1, 2)
-    if trace.s21 is not None and trace.s22 is not None:
+    if trace.s21 is not None:
         s12 = trace.s12 if trace.s12 is not None else trace.s21
         if s12.tobytes() == trace.s21.tobytes():
             ports += [trace.s21, trace.s22]

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
 import pytest
 
 from rfladder import analysis as an
@@ -89,8 +88,7 @@ def _fit_with_low_bound(value: float):
     """`fit` of a problem whose low bound bypassed `FitProblem`'s check."""
     problem = _fit_problem(max_iterations=0)
     object.__setattr__(problem, "bounds", ((value, 13.0),))
-    with np.errstate(divide="ignore", invalid="ignore"):  # the log of a bound below 0
-        return ft.fit(problem)
+    return ft.fit(problem)
 
 
 def _netlist_line(params: str) -> str:

@@ -570,6 +570,20 @@ def test_fit_checks_each_candidate_against_its_domain():
             ft.fit(problem)
 
 
+def test_problem_keeps_its_own_copy_of_free_parameters_and_bounds():
+    mask = ft.Mask(((GRID.start, GRID.stop, -10.0),))
+    free, bounds = [["t", "eps_eff"]], [[np.float64(1.0), 13]]
+    problem = ft.FitProblem(_tline(), free, bounds, mask, GRID, max_iterations=0)
+    free[0][1], bounds[0][0] = "len", 0.0  # after the checks ran: fit sees what they saw
+    assert problem.free_parameters == (("t", "eps_eff"),)
+    assert problem.bounds == ((1.0, 13.0),)
+    assert [type(v) for v in problem.bounds[0]] == [float, float]
+    assert ft.fit(problem).parameters == {"t.eps_eff": 1.3}
+    # the pairs are compared as tuples, so a parameter freed twice in lists is refused
+    with pytest.raises(InputError, match="given more than once"):
+        ft.FitProblem(_tline(), [["t", "len"]] * 2, [[0.001, 0.01]] * 2, mask, GRID)
+
+
 def _objective_for(problem):
     start = [problem.netlist.section(s).params[p] for s, p in problem.free_parameters]
     return ft._Objective(problem.netlist, problem.free_parameters, problem.target, problem.grid,

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 
 import pytest
 
@@ -288,3 +289,12 @@ def test_geometry_type_rejects_bad_maps(geometry):
     negative["Wa"] = math.inf
     with pytest.raises(geo.NonPositiveValue):
         geo.AntennaGeometry(negative, geometry.substrate)
+
+
+def test_geometry_keeps_its_own_copy_of_dimensions(geometry):
+    dimensions = dict(geometry.dimensions)
+    held = geo.AntennaGeometry(dimensions, geometry.substrate)
+    dimensions["Wp"] = -1.0  # after the checks ran: the geometry holds what they saw
+    assert held == geometry
+    assert geo.load_geometry(geo.serialize_geometry(held)) == held
+    assert pickle.loads(pickle.dumps(held)) == held

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,19 @@ def test_ports_required_exactly_once():
     with pytest.raises(nl.DuplicatePort) as err:
         nl.parse("port in z0=50\nport in z0=75\nport out z0=50\n")
     assert err.value.line == 2
+
+
+def test_errors_raised_at_one_site_keep_their_messages():
+    with pytest.raises(nl.BadValueSuffix, match=r"^line 3: bad value '1x2'$"):
+        nl.parse("port in z0=50\nport out z0=50\nsection s topology=series_rlc R=1x2\n")
+    with pytest.raises(nl.DuplicatePort, match=r"^line 2: port 'in' declared twice$"):
+        nl.parse("port in z0=50\nport in z0=75\nport out z0=50\n")
+    with pytest.raises(nl.MissingPort, match=r"^missing 'port out' declaration$") as err:
+        nl.parse("port in z0=50\n")
+    assert err.value.line is None
+    with pytest.raises(nl.MissingRequiredParameter,
+                       match=r"^line 3: missing required parameter 'one of R, L, C'$"):
+        nl.parse("port in z0=50\nport out z0=50\nsection s topology=shunt_series_rlc\n")
 
 
 def test_empty_sections_allowed():
@@ -189,6 +204,16 @@ def test_netlist_type_validation():
         nl.Netlist(50.0, 50.0, (a, b))
     with pytest.raises(nl.MalformedLine, match="bad section name '1a'"):
         nl.Section("1a", "series_rlc", {"R": 1.0})
+
+
+def test_section_keeps_its_own_copy_of_params():
+    params = {"L": 1e-9, "C": 1e-12}
+    section = nl.Section("a", "series_rl_shunt_c", params)
+    params["L"] = -5e-9  # after the checks ran: the section holds what they saw
+    assert section.params == {"L": 1e-9, "C": 1e-12}
+    net = nl.Netlist(50.0, 50.0, (section,))
+    assert nl.parse(nl.serialize(net)) == net
+    assert pickle.loads(pickle.dumps(section)) == section
 
 
 def test_section_lookup():

@@ -575,6 +575,18 @@ def test_trace_validation():
         nw.SParameterTrace([1e9], [0j], [0j], [0j], 0j)
 
 
+def test_trace_refuses_a_partial_port_set():
+    from rfladder.errors import InputError
+
+    f, s = [1e9, 2e9], [0j, 0j]
+    for ports in ({"s21": s}, {"s22": s}, {"s12": s}, {"s21": s, "s12": s}, {"s12": s, "s22": s}):
+        with pytest.raises(InputError, match="^s21 and s22 must be given together, and s12"):
+            nw.SParameterTrace(f, s, **ports)
+    # s21 with s22 is a two-port, with its own s12 or with s21's
+    for ports in ({"s21": s, "s22": s}, {"s21": s, "s12": s, "s22": s}):
+        assert len(nw.SParameterTrace(f, s, **ports).s22) == 2
+
+
 def test_trace_keeps_its_references_as_a_tuple_of_floats():
     refs = [50.0, 50.0]
     trace = nw.SParameterTrace([1e9, 2e9], [0j, 0j], reference_impedances=refs)

@@ -270,6 +270,48 @@ MUTANTS = (
            'DOMAINS.get(name.rpartition(".")[2]', "DOMAINS.get(name", (WALK,)),
     Mutant("require_finiteness_dropped", ERRORS,
            " or not value < math.inf", "", (WALK,)),
+    # each rule of the topology table, and the one rule every section keeps
+    Mutant("resonator_needs_only_l", NETLIST,
+           '"series_rl_shunt_c": (("R", "L", "C"), ("L", "C"))',
+           '"series_rl_shunt_c": (("R", "L", "C"), ("L",))',
+           (f"{TEST_NETLIST}::test_resonator_requires_l_and_c",)),
+    Mutant("tline_needs_no_eps_eff", NETLIST,
+           '"tline": (("z0", "eps_eff", "len"), ("z0", "eps_eff", "len"))',
+           '"tline": (("z0", "eps_eff", "len"), ("z0", "len"))',
+           (f"{TEST_NETLIST}::test_tline_forbidden_then_missing",)),
+    Mutant("empty_section_accepted", NETLIST,
+           "if not params:", "if False:",
+           (f"{TEST_NETLIST}::test_rlc_topology_requires_some_element",
+            f"{TEST_NETLIST}::test_errors_raised_at_one_site_keep_their_messages")),
+    Mutant("shunt_parallel_takes_no_r", NETLIST,
+           '"shunt_parallel_rlc": (("R", "L", "C"), ())', '"shunt_parallel_rlc": (("L", "C"), ())',
+           (f"{TEST_NETLIST}::test_round_trip_random_corpus",)),
+    # each copy a checked object takes of the caller's containers, undone
+    Mutant("section_holds_the_callers_params", NETLIST,
+           'object.__setattr__(self, "params", dict(self.params))',
+           'object.__setattr__(self, "params", self.params)',
+           (f"{TEST_NETLIST}::test_section_keeps_its_own_copy_of_params",)),
+    Mutant("geometry_holds_the_callers_dimensions", GEOMETRY,
+           'object.__setattr__(self, "dimensions", dict(self.dimensions))',
+           'object.__setattr__(self, "dimensions", self.dimensions)',
+           (f"{TEST_GEOMETRY}::test_geometry_keeps_its_own_copy_of_dimensions",)),
+    Mutant("problem_holds_the_callers_free_parameters", FITTING,
+           "tuple(map(tuple, self.free_parameters))", "self.free_parameters",
+           (f"{TEST_FITTING}::test_problem_keeps_its_own_copy_of_free_parameters_and_bounds",)),
+    Mutant("problem_holds_the_callers_bounds", FITTING,
+           "tuple((float(lo), float(hi)) for lo, hi in self.bounds)", "self.bounds",
+           (f"{TEST_FITTING}::test_problem_keeps_its_own_copy_of_free_parameters_and_bounds",)),
+    # fit's raw bounds checked after their logs, and each half of the port-set refusal dropped
+    Mutant("bounds_logged_before_their_check", FITTING,
+           "check(lo_values, hi_values)\n    lo, hi = np.log(lo_values), np.log(hi_values)",
+           "lo, hi = np.log(lo_values), np.log(hi_values)\n    check(lo_values, hi_values)",
+           (f"{WALK}[fit:t.eps_eff]",)),
+    Mutant("s21_without_s22_accepted", NETWORK,
+           "(self.s21 is None) != (self.s22 is None) or ", "",
+           (f"{TEST_NETWORK}::test_trace_refuses_a_partial_port_set",)),
+    Mutant("s12_without_s21_accepted", NETWORK,
+           " or (self.s12 is not None and self.s21 is None)", "",
+           (f"{TEST_NETWORK}::test_trace_refuses_a_partial_port_set",)),
 )
 
 
@@ -277,12 +319,12 @@ def _failed(root: Path, tests) -> list[str]:
     """The node ids pytest reports failed or in error for `tests` in the tree at `root`."""
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     run = subprocess.run(
-           [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
+        [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
          "--hypothesis-seed=0", *tests],
-           cwd=root, env=env, capture_output=True, text=True,
+        cwd=root, env=env, capture_output=True, text=True,
     )
     if run.returncode not in (0, 1):  # 1: tests failed; anything else: pytest could not run
-           raise RuntimeError(f"pytest exited {run.returncode}:\n{run.stdout}{run.stderr}")
+        raise RuntimeError(f"pytest exited {run.returncode}:\n{run.stdout}{run.stderr}")
     # a node id may hold spaces (a parametrized string); pytest ends it at " - " and its message
     return re.findall(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", run.stdout, re.MULTILINE)
 
@@ -291,17 +333,17 @@ def main(argv: list[str]) -> int:
     chosen = [m for m in MUTANTS if not argv or m.name in argv]
     unknown = set(argv) - {m.name for m in MUTANTS}
     if unknown:
-           print(f"unknown mutants: {', '.join(sorted(unknown))}")
-           return 2
+        print(f"unknown mutants: {', '.join(sorted(unknown))}")
+        return 2
     checkout = Path.cwd()
     bad = 0
     with tempfile.TemporaryDirectory() as tmp:
-           root = Path(tmp)
-           for part in ("src", "tests"):
+        root = Path(tmp)
+        for part in ("src", "tests"):
             shutil.copytree(checkout / part, root / part,
                             ignore=shutil.ignore_patterns("__pycache__"))
-           shutil.copy(checkout / "pyproject.toml", root)
-           for mutant in chosen:
+        shutil.copy(checkout / "pyproject.toml", root)
+        for mutant in chosen:
             target = root / mutant.path
             original = target.read_text()
             if original.count(mutant.text) != 1:
