@@ -68,8 +68,10 @@ class Mask:
     intervals: tuple[tuple[float, float, float], ...]  # (f_low, f_high, ceiling_db)
 
     def __post_init__(self):
+        intervals = tuple((float(lo), float(hi), float(c)) for lo, hi, c in self.intervals)
+        object.__setattr__(self, "intervals", intervals)  # a copy, not the caller's
         prev_hi = None
-        for lo, hi, ceiling in self.intervals:
+        for lo, hi, ceiling in intervals:
             if not lo < hi:
                 raise InvalidBounds(f"mask interval ({lo}, {hi}) is empty")
             if not math.isfinite(ceiling):

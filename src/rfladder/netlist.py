@@ -122,6 +122,7 @@ class Netlist:
     sections: tuple[Section, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "sections", tuple(self.sections))  # a copy, not the caller's
         for which, z in (("in", self.input_port_impedance), ("out", self.output_port_impedance)):
             require(f"port {which} z0", z, NonPositiveParameter)
         seen = set()

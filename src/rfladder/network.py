@@ -14,19 +14,25 @@ step list per topology, one walk and one S conversion. The walk,
 values enters its sections as `(K, 1)` columns, adding a leading axis
 of K parameter sets to every array. A chain has one form throughout,
 the 4-tuple (a, b, c, d), which `AbcdMatrix` only names. The sweep's
-ladder has no slots, and `netlist_abcd_array` broadcasts the walk's
-entries to full arrays; the fitter's s11 takes them as they are, since
-its conversion broadcasts them anyway. The walk starts from `IDENTITY`,
-whose constants cost no array operation. Every section topology is
-reciprocal (AD - BC = 1), so the sweep's s12 is its s21, one read-only
-array; the public scalar `abcd_to_s` keeps s12 = s21 * det for any
-matrix a caller passes.
+ladder has no slots, and `_chain`, the step of each sweep block and of
+`netlist_abcd_array`, broadcasts the walk's entries to full arrays; the
+fitter's s11 takes them as they are, since its conversion broadcasts
+them anyway. The walk starts from `IDENTITY`, whose constants cost no
+array operation. Every section topology is reciprocal (AD - BC = 1), so
+the sweep's s12 is its s21, one read-only array; the public scalar
+`abcd_to_s` keeps s12 = s21 * det for any matrix a caller passes.
 Every evaluation fills one result in blocks of 4,096 chain entries, K
 times frequencies, with one finiteness check at the end: whole-grid
 temporaries cost more in allocation and page faults than in arithmetic,
 while blocks this size are reused from the heap. The sweep (K = 1) fills
 s11, s21 and s22; the fitter s11 dB alone. `magnitude_db` and its
 inverse `magnitude_from_db` are the package's one dB formula.
+A `SweepGrid` keeps the cos θ and sin θ of the lines of the last ladder
+swept on it, 16 bytes per point per line, and the next sweep of equal
+line values slices them per block instead of computing them again. Only
+lines are kept: theirs is the one step that costs transcendentals, and
+a Monte-Carlo run over R, L and C sweeps one fixed feed line many times
+on one grid. Every other evaluation computes its lines in each block.
 """
 
 from __future__ import annotations
@@ -131,12 +137,14 @@ def _branch(p, jw, forms):
     return functools.reduce(operator.add, [form(p[key], jw) for key, form in forms if key in p])
 
 
-def _section_steps(topology: str, params, w, jw):
+def _section_steps(topology: str, params, w, jw, lines):
     """One section as the steps of a chain walk at angular frequencies `w` (jw = 1j*w).
 
     Each step is a (function, value) pair mapping the chain so far to the
     chain through it. A parameter given as a `(K, 1)` column broadcasts,
-    adding a leading batch axis of K parameter sets.
+    adding a leading batch axis of K parameter sets. A line takes its
+    cos θ and sin θ from the iterator `lines` while it yields, else
+    computes them.
     """
     p = params
     if topology == "series_rl_shunt_c":
@@ -148,10 +156,16 @@ def _section_steps(topology: str, params, w, jw):
     if topology == "shunt_parallel_rlc":
         return ((_shunt, _branch(p, jw, _ADMITTANCES)),)
     if topology == "tline":
-        theta = w * np.sqrt(p["eps_eff"]) * p["len"] / SPEED_OF_LIGHT
         z0 = p["z0"]
-        cos, sin = np.cos(theta), np.sin(theta)
-        return ((_product, (cos, 1j * z0 * sin, 1j * sin / z0, cos)),)
+        cos, sin = next(lines, None) or _cos_sin(p, w)
+        cos = cos.astype(complex)  # once, for both a and d
+        return ((_product, (cos, 1j * z0 * sin, 1j / z0 * sin, cos)),)
+
+
+def _cos_sin(p, w):
+    """cos θ and sin θ of a line with parameters `p` at angular frequencies `w`."""
+    theta = w * np.sqrt(p["eps_eff"]) * p["len"] / SPEED_OF_LIGHT
+    return np.cos(theta), np.sin(theta)
 
 
 def section_abcd(section: Section, frequency: float) -> AbcdMatrix:
@@ -193,7 +207,7 @@ def _terms(m: AbcdMatrix, z01: float, z02: float):
     az, czz, dz = a * z02, c * z01 * z02, d * z01
     t = az + b
     denom = t + czz + dz
-    if np.any(denom == 0):
+    if not np.all(denom):
         raise DegenerateDenominator("conversion denominator vanished")
     return t, az, czz, dz, denom
 
@@ -209,7 +223,7 @@ def _abcd_to_s(m: AbcdMatrix, z01: float, z02: float, out=(None, None, None)):
     t, az, czz, dz, denom = _terms(m, z01, z02)
     s11 = np.divide(t - czz - dz, denom, out=out[0])
     s21 = np.divide(2.0 * math.sqrt(z01 * z02), denom, out=out[1])
-    return s11, s21, np.divide(-az + m.b - czz + dz, denom, out=out[2])
+    return s11, s21, np.divide(m.b - az - czz + dz, denom, out=out[2])
 
 
 def abcd_to_s(m: AbcdMatrix, z01: float, z02: float):
@@ -236,7 +250,14 @@ class InvalidGrid(InputError):
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Linear frequency grid, hertz; one read-only frequency array serves all its sweeps."""
+    """Linear frequency grid, hertz; one read-only frequency array serves all its sweeps.
+
+    The grid also keeps one memo: the read-only cos θ and sin θ of the
+    lines of the last ladder swept on it, 16 bytes per point per line of
+    that ladder (`_line_tables`). Only lines: theirs is the one step that
+    costs transcendentals. The memo is no field, so it enters no
+    comparison, hash or repr, and it goes with the grid.
+    """
 
     start: float
     stop: float
@@ -259,6 +280,29 @@ class SweepGrid:
             raise InvalidGrid(f"{self.points} points do not fit in memory") from None
         f.flags.writeable = False
         return f
+
+    def _line_tables(self, ladder) -> list:
+        """Read-only (cos θ, sin θ) over the grid for each line of a compiled ladder.
+
+        The grid keeps the last ladder's tables, keyed by the exact bits of
+        every line's eps_eff and len, and serves them again while those
+        are the same. A ladder with a line value that is not a float gets
+        none: its lines compute in each block.
+        """
+        lines = [p for topology, p, _ in ladder if topology == "tline"]
+        values = [p[name] for p in lines for name in ("eps_eff", "len")]
+        if not all(isinstance(v, float) for v in values):
+            return []
+        key = [v.hex() for v in values]  # tells -0.0 from 0.0, whose sines differ
+        memo = self.__dict__.get("_lines")
+        if memo is None or memo[0] != key:
+            w = 2.0 * np.pi * self._frequencies
+            tables = [_cos_sin(p, w) for p in lines]
+            for table in tables:
+                for a in table:
+                    a.flags.writeable = False
+            memo = self.__dict__["_lines"] = (key, tables)  # outside the dataclass fields
+        return memo[1]
 
 
 DB_FLOOR = -300.0  # reported dB of an exact-zero reflection
@@ -330,28 +374,36 @@ def _compiled(sections, free=()):
             for s in sections]
 
 
-def _walk(ladder, w, jw, values=None):
+def _walk(ladder, w, jw, values=None, lines=()):
     """Chain entries (a, b, c, d) of a compiled ladder at angular frequencies `w`.
 
     A slot takes its column j of `values` as `values[:, j, None]`. Each
     section is walked as its steps: a series impedance updates b and d, a
     shunt admittance a and c, and only a line takes a full 2x2 product.
-    An entry keeps the shape its arithmetic gives it: a constant of the
-    identity, a scalar, or an array over frequency, `(K, F)` for K rows.
+    `lines` may give the ladder's lines, in order, their (cos θ, sin θ)
+    at `w`. An entry keeps the shape its arithmetic gives it: a constant
+    of the identity, a scalar, or an array over frequency, `(K, F)` for K
+    rows.
     """
     m = IDENTITY
+    lines = iter(lines)
     for topology, params, slots in ladder:
         if slots:
             params = {**params, **{p: values[:, j, None] for p, j in slots}}
-        for step, value in _section_steps(topology, params, w, jw):
+        for step, value in _section_steps(topology, params, w, jw, lines):
             m = step(m, value)
     return m
 
 
+def _chain(ladder, frequencies, lines=()):
+    """Chain entries of a compiled ladder by `_walk`, each of the frequencies' shape."""
+    w = 2.0 * np.pi * np.asarray(frequencies, dtype=float)
+    return AbcdMatrix(*np.broadcast_arrays(*_walk(ladder, w, 1j * w, lines=lines), w)[:4])
+
+
 def netlist_abcd_array(netlist: Netlist, frequencies: np.ndarray) -> AbcdMatrix:
     """Cascaded ABCD of the netlist by the fitter's walk, each entry of the frequencies' shape."""
-    w = 2.0 * np.pi * np.asarray(frequencies, dtype=float)
-    return AbcdMatrix(*np.broadcast_arrays(*_walk(_compiled(netlist.sections), w, 1j * w), w)[:4])
+    return _chain(_compiled(netlist.sections), frequencies)
 
 
 _BLOCK = 4096  # chain entries, parameter sets x frequencies, per block of a blocked fill
@@ -369,7 +421,7 @@ def _filled(out: np.ndarray, rows: int, fill) -> np.ndarray:
         for k in range(0, out.shape[-1], step):
             block = slice(k, k + step)
             fill(block, out[..., block])
-    if not np.isfinite(out).all():
+    if not np.isfinite(out.view(float)).all():
         raise NonFiniteResult(
             "S-parameters are not finite; a section value overflows"
             " or a branch impedance or admittance is zero"
@@ -402,9 +454,12 @@ def sweep(netlist: Netlist, grid: SweepGrid) -> SParameterTrace:
     freqs = grid.frequencies()
     z01 = netlist.input_port_impedance
     z02 = netlist.output_port_impedance
+    ladder = _compiled(netlist.sections)
+    tables = grid._line_tables(ladder)
 
     def fill(block, out):
-        _abcd_to_s(netlist_abcd_array(netlist, freqs[block]), z01, z02, out)
+        lines = [(cos[block], sin[block]) for cos, sin in tables]
+        _abcd_to_s(_chain(ladder, freqs[block], lines), z01, z02, out)
 
     s11, s21, s22 = _filled(np.empty((3, len(freqs)), complex), 1, fill)
     return SParameterTrace(freqs, s11, s21, s21, s22, (z01, z02))

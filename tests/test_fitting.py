@@ -398,6 +398,31 @@ def test_compiled_objective_equals_the_sweep(free):
             assert row.tobytes() == want.tobytes()
 
 
+def test_a_row_with_a_free_line_value_equals_its_sweep_while_the_grid_holds_a_line():
+    # the sweep of the fixed ladder leaves its line tables on the grid; the objective
+    # computes its free line columns, and a row equal to the fixed ladder's values hits them
+    net = _lined_ladder()
+    free = (("t_mid", "len"), ("t_out", "eps_eff"))
+    grid = SweepGrid(0.5e9, 6e9, 5001)
+    sweep(net, grid)
+    start = np.array([net.section(s).params[p] for s, p in free])
+    objective = ft._Objective(net, free, ft.Mask(((grid.start, grid.stop, -10.0),)), grid, start)
+    values = np.array([start, start * [1.3, 0.8], start])
+    for row, value in zip(objective.s11_db(values), values):
+        want = sweep(ft._with_values(net, free, value), grid).s11_db()
+        assert row.tobytes() == want.tobytes()
+
+
+def test_mask_keeps_its_own_float_triples_of_intervals():
+    intervals = [[1e9, 2e9, -10]]
+    mask = ft.Mask(intervals)
+    intervals[0][1] = 0.5e9
+    intervals.append([0.1e9, 0.2e9, -10.0])  # would be out of order
+    assert mask.intervals == ((1e9, 2e9, -10.0),)
+    assert [type(x) for x in mask.intervals[0]] == [float] * 3
+    assert hash(mask) == hash(ft.Mask(((1e9, 2e9, -10.0),)))
+
+
 def test_cost_equals_the_sweep_with_no_free_values():
     # one row: 4,096 frequencies a block, so the longer grid takes two
     net = _lined_ladder()

@@ -98,6 +98,15 @@ def test_empty_sections_allowed():
     assert net.sections == ()
 
 
+def test_netlist_keeps_its_own_tuple_of_sections():
+    a = nl.Section("a", "series_rlc", {"R": 1.0})
+    sections = [a]
+    net = nl.Netlist(50.0, 50.0, sections)
+    sections.append(a)  # would duplicate its name
+    assert net.sections == (a,)
+    assert nl.parse(nl.serialize(net)) == net
+
+
 def test_unknown_topology():
     with pytest.raises(nl.UnknownTopology) as err:
         nl.parse("port in z0=50\nport out z0=50\nsection s topology=magic R=1\n")

@@ -244,6 +244,70 @@ def test_a_grid_holds_one_read_only_frequency_array_for_all_its_sweeps():
     assert grid == nw.SweepGrid(1e9, 4e9, 301) and "freq" not in repr(grid)
 
 
+def _line(name, eps_eff, length, z0=50.0):
+    return Section(name, "tline", {"z0": z0, "eps_eff": eps_eff, "len": length})
+
+
+def _lined(*lines):
+    """The reference resonators behind `lines`; a second line sits after the second resonator."""
+    resonators = reference_ladder().sections[1:]
+    first, *more = lines
+    return Netlist(50.0, 4.5, (first, *resonators[:2], *more, *resonators[2:]))
+
+
+def test_a_grid_serves_each_ladder_the_sweep_of_a_fresh_grid():
+    # the grid keeps the last ladder's line tables; a ladder whose line differs in len
+    # alone, in eps_eff alone, or in its second line must miss them, and an equal one hit
+    a = _lined(_line("t", 3.3, 0.06))
+    two = _lined(_line("t", 3.3, 0.06), _line("u", 2.2, 0.02, 20.0))
+    ladders = (
+        a, _lined(_line("t", 3.3, 0.05)), a, _lined(_line("t", 2.2, 0.06)), a,
+        two, _lined(_line("t", 3.3, 0.06), _line("u", 2.2, 0.03, 20.0)), two,
+        _lined(_line("t", 2.2, 0.02), _line("u", 3.3, 0.06, 20.0)), a,
+    )
+    span = (0.5e9, 6e9, 2 * nw._BLOCK + 1)  # three blocks, each slicing the tables
+    grid = nw.SweepGrid(*span)
+    for net in ladders:
+        got, want = nw.sweep(net, grid), nw.sweep(net, nw.SweepGrid(*span))
+        for name in ("s11", "s21", "s12", "s22"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    for table in grid._line_tables(nw._compiled(a.sections)):
+        for values in table:
+            assert not values.flags.writeable
+    fresh = nw.SweepGrid(*span)
+    assert (grid, hash(grid), repr(grid)) == (fresh, hash(fresh), repr(fresh))
+
+
+def test_a_line_value_that_is_not_a_float_is_computed_in_each_sweep():
+    # a 0-d array can change in place between two sweeps on one grid
+    length = np.array(0.06)
+    net = _lined(_line("t", 3.3, length))
+    grid = nw.SweepGrid(0.5e9, 6e9, 1201)
+    first = nw.sweep(net, grid).s11.tobytes()
+    length[...] = 0.05
+    second = nw.sweep(net, grid).s11.tobytes()
+    assert first != second
+    fresh = nw.SweepGrid(0.5e9, 6e9, 1201)
+    assert second == nw.sweep(_lined(_line("t", 3.3, 0.05)), fresh).s11.tobytes()
+    assert grid._line_tables(nw._compiled(net.sections)) == []
+
+
+def test_a_grid_holds_only_the_last_ladders_line_tables():
+    grid = nw.SweepGrid(0.1e9, 6e9, 20001)
+    grid.frequencies()
+    tracemalloc.start()
+    try:
+        for k in range(50):
+            nw.sweep(_lined(_line("t", 3.3, 0.05 + k * 1e-3)), grid)
+            held = tracemalloc.get_traced_memory()[0]
+            if k == 0:
+                first = held
+    finally:
+        tracemalloc.stop()
+    tables = 2 * 8 * grid.points  # one line's cos and sin
+    assert first >= tables and abs(held - first) < tables / 10  # 49 more replaced them
+
+
 def test_a_grid_beyond_memory_is_refused_naming_its_points():
     # numpy refuses both sizes before allocating anything
     for points in (10**13, 10**19):
@@ -444,13 +508,13 @@ def _identity_blocks(monkeypatch, crafted):
     """
     lengths = []
 
-    def blocks(net, f):
+    def blocks(ladder, f, lines):
         entries = [np.full(len(f), x, complex) for x in (1, 0, 0, 1)]
         crafted(len(lengths), entries)
         lengths.append(len(f))
         return nw.AbcdMatrix(*entries)
 
-    monkeypatch.setattr(nw, "netlist_abcd_array", blocks)
+    monkeypatch.setattr(nw, "_chain", blocks)
     return lengths
 
 

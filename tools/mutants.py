@@ -51,7 +51,7 @@ WALK = f"{TEST_DOMAINS}::test_each_site_refuses_by_its_table_rule"
 MUTANTS = (
     Mutant(
         "s22_a_d_swapped", NETWORK,
-        "-az + m.b - czz + dz", "-m.d * z02 + m.b - czz + m.a * z01",
+        "m.b - az - czz + dz", "m.b - m.d * z02 - czz + m.a * z01",
         (f"{TEST_NETWORK}::test_s_conversion_shares_its_terms_without_reordering_them",
          f"{TEST_NETWORK}::test_lossless_port_2_conserves_power_and_is_orthogonal_to_port_1",
          f"{TEST_NETWORK}::test_lossy_s_matrix_is_passive",
@@ -65,13 +65,25 @@ MUTANTS = (
     ),
     Mutant(
         "conjugated_line", NETWORK,
-        "(cos, 1j * z0 * sin, 1j * sin / z0, cos)", "(cos, -1j * z0 * sin, -1j * sin / z0, cos)",
+        "(cos, 1j * z0 * sin, 1j / z0 * sin, cos)", "(cos, -1j * z0 * sin, -1j / z0 * sin, cos)",
         (f"{TEST_NETWORK}::test_tline_quarter_wave",
          f"{TEST_NETWORK}::test_sweep_matches_the_full_product_cascade",
          f"{TEST_NETWORK}::test_batch_s11_matches_the_full_product_cascade",
          f"{TEST_NETWORK}::test_sweep_matches_impedance_folding_oracle",
          "tests/test_acceptance.py::test_criterion_9_end_to_end_pipeline"),
     ),
+    # the sweep grid's line memo: a key that leaves out a line value, and a hit unchecked
+    Mutant("line_memo_key_without_len", NETWORK,
+           'for name in ("eps_eff", "len")]', 'for name in ("eps_eff",)]',
+           (f"{TEST_NETWORK}::test_a_grid_serves_each_ladder_the_sweep_of_a_fresh_grid",)),
+    Mutant("line_memo_key_without_eps_eff", NETWORK,
+           'for name in ("eps_eff", "len")]', 'for name in ("len",)]',
+           (f"{TEST_NETWORK}::test_a_grid_serves_each_ladder_the_sweep_of_a_fresh_grid",)),
+    Mutant("line_memo_hit_unchecked", NETWORK,
+           "if memo is None or memo[0] != key:", "if memo is None:",
+           (f"{TEST_NETWORK}::test_a_grid_serves_each_ladder_the_sweep_of_a_fresh_grid",
+            f"{TEST_FITTING}::test_a_row_with_a_free_line_value_equals_its_sweep_while_the_grid"
+            "_holds_a_line")),
     Mutant(
         "slot_reads_column_0", NETWORK,
         "{p: values[:, j, None] for p, j in slots}", "{p: values[:, 0, None] for p, j in slots}",
@@ -301,6 +313,14 @@ MUTANTS = (
     Mutant("problem_holds_the_callers_bounds", FITTING,
            "tuple((float(lo), float(hi)) for lo, hi in self.bounds)", "self.bounds",
            (f"{TEST_FITTING}::test_problem_keeps_its_own_copy_of_free_parameters_and_bounds",)),
+    Mutant("netlist_holds_the_callers_sections", NETLIST,
+           'object.__setattr__(self, "sections", tuple(self.sections))',
+           'object.__setattr__(self, "sections", self.sections)',
+           (f"{TEST_NETLIST}::test_netlist_keeps_its_own_tuple_of_sections",)),
+    Mutant("mask_holds_the_callers_intervals", FITTING,
+           "tuple((float(lo), float(hi), float(c)) for lo, hi, c in self.intervals)",
+           "self.intervals",
+           (f"{TEST_FITTING}::test_mask_keeps_its_own_float_triples_of_intervals",)),
     # fit's raw bounds checked after their logs, and each half of the port-set refusal dropped
     Mutant("bounds_logged_before_their_check", FITTING,
            "check(lo_values, hi_values)\n    lo, hi = np.log(lo_values), np.log(hi_values)",
