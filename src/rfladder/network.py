@@ -24,15 +24,16 @@ the sweep's s12 is its s21, one read-only array; the public scalar
 Every evaluation fills one result in blocks of 4,096 chain entries, K
 times frequencies, with one finiteness check at the end: whole-grid
 temporaries cost more in allocation and page faults than in arithmetic,
-while blocks this size are reused from the heap. The sweep (K = 1) fills
-s11, s21 and s22; the fitter s11 dB alone. `magnitude_db` and its
-inverse `magnitude_from_db` are the package's one dB formula.
-A `SweepGrid` keeps the cos θ and sin θ of the lines of the last ladder
-swept on it, 16 bytes per point per line, and the next sweep of equal
-line values slices them per block instead of computing them again. Only
-lines are kept: theirs is the one step that costs transcendentals, and
-a Monte-Carlo run over R, L and C sweeps one fixed feed line many times
-on one grid. Every other evaluation computes its lines in each block.
+while blocks this size are reused from the heap. A step writes only into
+an array it just made, where dtype and shape already fit (`_into`): each
+sum or difference of the walk and the conversion goes into the array the
+operation before it made, operands in their order, so entries may share
+arrays, no value column or line table is written, and no bit changes.
+The sweep (K = 1) fills s11, s21 and s22; the fitter s11 dB alone.
+`magnitude_db` and its inverse `magnitude_from_db` are the package's one
+dB formula. A `SweepGrid` keeps its last ladder's line cos θ and sin θ,
+so a Monte-Carlo run over R, L and C behind one feed line computes that
+line's transcendentals once; every other evaluation, in each block.
 """
 
 from __future__ import annotations
@@ -84,19 +85,26 @@ class AbcdMatrix(NamedTuple):
 
 _ONE, _ZERO = 1.0, 0.0  # the identity's entries: a walk skips them, costing no array operation
 IDENTITY = AbcdMatrix(_ONE, _ZERO, _ZERO, _ONE)
+_UFUNCS = {operator.add: np.add, operator.sub: np.subtract}
+
+
+def _into(op, x, y, into_y=False):
+    """op(x, y), written into x (y when `into_y`), which its caller just made and reads no more,
+    where that is an array of the result's dtype and the other operand a scalar or of its shape."""
+    new, other = (y, x) if into_y else (x, y)
+    if (isinstance(new, np.ndarray) and new.dtype == np.result_type(x, y)
+            and getattr(other, "shape", ()) in ((), new.shape)):
+        return _UFUNCS[op](x, y, out=new)
+    return op(x, y)  # else the Python operator, so that scalars stay Python numbers
 
 
 def _plus(x, u, v):
     """x + u*v, where x or u may be the identity's constant and cost nothing."""
     if u is _ZERO:
         return x
-    uv = v if u is _ONE else u * v
-    return uv if x is _ZERO else x + uv
-
-
-def _times(u, v):
-    """u*v, where u may be the identity's constant and cost nothing."""
-    return _plus(_ZERO, u, v)
+    if u is _ONE:
+        return v if x is _ZERO else x + v
+    return u * v if x is _ZERO else _into(operator.add, x, u * v, into_y=True)
 
 
 def _product(m, n):
@@ -104,10 +112,10 @@ def _product(m, n):
     a, b, c, d = m
     na, nb, nc, nd = n
     return (
-        _plus(_times(a, na), b, nc),
-        _plus(_times(a, nb), b, nd),
-        _plus(_times(c, na), d, nc),
-        _plus(_times(c, nb), d, nd),
+        _plus(_plus(_ZERO, a, na), b, nc),
+        _plus(_plus(_ZERO, a, nb), b, nd),
+        _plus(_plus(_ZERO, c, na), d, nc),
+        _plus(_plus(_ZERO, c, nb), d, nd),
     )
 
 
@@ -206,7 +214,7 @@ def _terms(m: AbcdMatrix, z01: float, z02: float):
     a, b, c, d = m
     az, czz, dz = a * z02, c * z01 * z02, d * z01
     t = az + b
-    denom = t + czz + dz
+    denom = _into(operator.add, t + czz, dz)
     if not np.all(denom):
         raise DegenerateDenominator("conversion denominator vanished")
     return t, az, czz, dz, denom
@@ -215,15 +223,16 @@ def _terms(m: AbcdMatrix, z01: float, z02: float):
 def _s11(m: AbcdMatrix, z01: float, z02: float):
     """s11 of chain entries."""
     t, _, czz, dz, denom = _terms(m, z01, z02)
-    return (t - czz - dz) / denom
+    return _into(operator.sub, t - czz, dz) / denom
 
 
 def _abcd_to_s(m: AbcdMatrix, z01: float, z02: float, out=(None, None, None)):
     """(s11, s21, s22) of chain entries, written into the three rows of `out` when given."""
     t, az, czz, dz, denom = _terms(m, z01, z02)
-    s11 = np.divide(t - czz - dz, denom, out=out[0])
+    s11 = np.divide(_into(operator.sub, t - czz, dz), denom, out=out[0])
     s21 = np.divide(2.0 * math.sqrt(z01 * z02), denom, out=out[1])
-    return s11, s21, np.divide(m.b - az - czz + dz, denom, out=out[2])
+    s22 = _into(operator.add, _into(operator.sub, m.b - az, czz), dz)
+    return s11, s21, np.divide(s22, denom, out=out[2])
 
 
 def abcd_to_s(m: AbcdMatrix, z01: float, z02: float):
@@ -266,8 +275,11 @@ class SweepGrid:
     def __post_init__(self):
         if not (0 < self.start < self.stop and math.isfinite(self.stop)):
             raise InvalidGrid("need 0 < start < stop, both finite")
-        if self.points < 2:
-            raise InvalidGrid("need at least 2 points")
+        try:
+            if operator.index(self.points) < 2:
+                raise InvalidGrid("need at least 2 points")
+        except TypeError:
+            raise InvalidGrid(f"points must be an integer, got {self.points!r}") from None
 
     def frequencies(self) -> np.ndarray:
         return self._frequencies
@@ -311,7 +323,8 @@ DB_FLOOR = -300.0  # reported dB of an exact-zero reflection
 def magnitude_db(values: np.ndarray) -> np.ndarray:
     """20*log10|x| with zeros clamped to the -300 dB floor."""
     mag = np.maximum(np.abs(values), magnitude_from_db(DB_FLOOR))
-    return 20.0 * np.log10(mag)
+    out = mag if isinstance(mag, np.ndarray) else None  # the log and x20 go where mag is
+    return np.multiply(20.0, np.log10(mag, out=out), out=out)
 
 
 def magnitude_from_db(db):
@@ -410,7 +423,8 @@ _BLOCK = 4096  # chain entries, parameter sets x frequencies, per block of a blo
 
 
 def _filled(out: np.ndarray, rows: int, fill) -> np.ndarray:
-    """`out`, filled by `fill(block, out[..., block])`, `_BLOCK // rows` frequencies a block.
+    """`out`, filled by `fill(block, out[..., block])`, `_BLOCK // rows` frequencies a block,
+    whose steps write only into arrays they just made, where dtype and shape already fit.
 
     Overflow inside the chain or the conversion, and a branch impedance or
     admittance of exactly zero, show up as a non-finite entry, which is

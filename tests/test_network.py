@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -227,6 +228,11 @@ def test_sweep_grid_validation():
         nw.SweepGrid(2e9, 1e9, 10)
     with pytest.raises(nw.InvalidGrid):
         nw.SweepGrid(1e9, 2e9, 1)
+    for points in (2.5, 5.0, "5", None):  # at construction, not as a TypeError at the first sweep
+        message = f"^points must be an integer, got {re.escape(repr(points))}$"
+        with pytest.raises(nw.InvalidGrid, match=message):
+            nw.SweepGrid(1e9, 2e9, points)
+    assert len(nw.SweepGrid(1e9, 2e9, np.int64(3)).frequencies()) == 3
     for start, stop in ((1e9, math.inf), (1e9, math.nan), (math.nan, 2e9)):
         with pytest.raises(nw.InvalidGrid):
             nw.SweepGrid(start, stop, 10)
@@ -499,6 +505,133 @@ def test_batch_s11_fills_blocks_of_parameter_sets_times_frequencies(monkeypatch)
             got = nw._batch_s11_db(ladder, values, w, z01, z02)
             assert lengths == [step, step, len(w) - 2 * step]
             _assert_db_close_to_oracle(got, nw._s11(full_product_cascade(pairs, w), z01, z02))
+
+
+def out_of_place_walk(pairs, w):
+    """The chain walk written out with every sum a new array: a series z is b + a*z and
+    d + c*z, a shunt y is a + b*y and c + d*y, a line the full product. The identity's
+    1 and 0 cost no operation, as in `nw._walk`; every other operation, its operand
+    order and its dtype are the walk's, so its entries are the walk's to the bit."""
+    one, zero = 1.0, 0.0
+
+    def plus(x, u, v):
+        if u is zero:
+            return x
+        uv = v if u is one else u * v
+        return uv if x is zero else x + uv
+
+    jw = 1j * w
+    impedance = {"R": lambda r: r, "L": lambda l: jw * l, "C": lambda c: 1.0 / (jw * c)}
+    admittance = {"R": lambda r: 1.0 / r, "L": lambda l: 1.0 / (jw * l), "C": lambda c: jw * c}
+
+    def branch(p, forms, keys="RLC"):
+        total = None
+        for key in keys:
+            if key in p:
+                term = forms[key](p[key])
+                total = term if total is None else total + term
+        return total
+
+    a, b, c, d = one, zero, zero, one
+    for topology, p in pairs:
+        if topology == "tline":
+            theta = w * np.sqrt(p["eps_eff"]) * p["len"] / nw.SPEED_OF_LIGHT
+            cos, sin = np.cos(theta).astype(complex), np.sin(theta)
+            na, nb, nc, nd = cos, 1j * p["z0"] * sin, 1j / p["z0"] * sin, cos
+            a, b, c, d = (plus(plus(zero, a, na), b, nc), plus(plus(zero, a, nb), b, nd),
+                          plus(plus(zero, c, na), d, nc), plus(plus(zero, c, nb), d, nd))
+            continue
+        if topology in ("series_rlc", "series_rl_shunt_c"):
+            z = branch(p, impedance, "RL" if topology == "series_rl_shunt_c" else "RLC")
+            b, d = plus(b, a, z), plus(d, c, z)
+        if topology != "series_rlc":
+            y = {"series_rl_shunt_c": lambda: jw * p["C"],
+                 "shunt_series_rlc": lambda: 1.0 / branch(p, impedance),
+                 "shunt_parallel_rlc": lambda: branch(p, admittance)}[topology]()
+            a, c = plus(a, b, y), plus(c, d, y)
+    return a, b, c, d
+
+
+def out_of_place_s(m, z01, z02):
+    """(s11, s21, s22) of chain entries, each sum and difference a new array."""
+    a, b, c, d = m
+    az, czz, dz = a * z02, c * z01 * z02, d * z01
+    t = az + b
+    denom = t + czz + dz
+    return (t - czz - dz) / denom, 2.0 * math.sqrt(z01 * z02) / denom, (b - az - czz + dz) / denom
+
+
+def _bit_oracle_ladders():
+    """Every section form alone, random netlists lossless and lossy, the reference ladder
+    with its line first, and an R-only ladder, whose chain is real and frequency-free."""
+    rng = np.random.default_rng(44)
+    forms = [Netlist(20.0, 4.5, (Section("s", topology, {k: log_uniform(rng, *_SPANS[k])
+                                                         for k in keys}),))
+             for topology, keys in SECTION_FORMS]
+    resistors = tuple(Section(f"r{k}", topology, {"R": 10.0 + k})
+                      for k, topology in enumerate(RLC_TOPOLOGIES[:3]))
+    return forms + [random_netlist(rng, k % 2 == 0) for k in range(40)] + [
+        reference_ladder(), Netlist(50.0, 4.5, resistors)]
+
+
+def _free_r_alone_ladders():
+    """(netlist, free slots): a free R alone is a (K, 1) float column. After it, a shunt C
+    makes a and c complex, which a one-frequency block keeps (K, 1) too, and a second
+    series section meets a b that has K rows with an a that has none."""
+    lc = {"L": 2.39e-9, "C": 0.417e-12}
+    return [
+        (Netlist(50.0, 4.5, (Section("r", "series_rlc", {"R": 10.0}),
+                             Section("c", "shunt_parallel_rlc", {"C": 1e-12}),
+                             Section("g", "shunt_parallel_rlc", {"R": 80.0}))), (("r", "R"),)),
+        (Netlist(50.0, 4.5, (Section("l", "series_rlc", {"L": 3e-9}),
+                             Section("c", "shunt_parallel_rlc", {"C": 1e-12}),
+                             Section("r", "series_rlc", {"R": 10.0}),
+                             Section("m", "series_rlc", {"L": 2e-9}))), (("r", "R"),)),
+        (reference_ladder(), (("c2", "R"),)),
+        (Netlist(50.0, 4.5, (Section("a", "series_rl_shunt_c", {"R": 3.3, **lc}),
+                             Section("t", "tline", {"z0": 40.0, "eps_eff": 2.2, "len": 0.02}))),
+         (("a", "R"), ("t", "z0"), ("t", "len"))),
+    ]
+
+
+def test_every_evaluation_equals_the_out_of_place_walk_to_the_bit():
+    # writing sums into the arrays a step just made must leave every bit as the plain
+    # expressions give it, and write no array the walk reads: values, tables, shared entries
+    grid = nw.SweepGrid(0.1e9, 6e9, nw._BLOCK + 1)  # two blocks, the last one frequency long
+    w = 2.0 * np.pi * grid.frequencies()
+    for net in _bit_oracle_ladders():
+        z01, z02 = net.input_port_impedance, net.output_port_impedance
+        pairs = [(s.topology, s.params) for s in net.sections]
+        walked = np.broadcast_arrays(*out_of_place_walk(pairs, w), w)[:4]
+        for got, want in zip(nw.netlist_abcd_array(net, grid.frequencies()), walked):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        tables = grid._line_tables(nw._compiled(net.sections))
+        held = [[t.tobytes() for t in table] for table in tables]
+        trace = nw.sweep(net, grid)
+        for got, want in zip((trace.s11, trace.s21, trace.s22), out_of_place_s(walked, z01, z02)):
+            assert got.tobytes() == np.asarray(want, complex).tobytes()
+        assert [[t.tobytes() for t in table] for table in tables] == held
+    rng = np.random.default_rng(45)
+    rows = 4
+    fitter_w = (w[:nw._BLOCK // rows + 1], w[:1])  # each ends in a one-frequency block
+    cases = [(ladder, values, pairs) for net in _bit_oracle_ladders()[-12:]
+             for ladder, values, pairs in _with_columns(net, rng, rows)[1:]]
+    for net, free in _free_r_alone_ladders():
+        values = np.array([[net.section(s).params[p] for s, p in free]]) * rng.uniform(
+            0.5, 2.0, (rows, len(free)))
+        placed = {s.name: dict(s.params) for s in net.sections}
+        for j, (s, p) in enumerate(free):
+            placed[s][p] = values[:, j, None]
+        cases.append((nw._compiled(net.sections, free), values,
+                      [(s.topology, placed[s.name]) for s in net.sections]))
+    for ladder, values, pairs in cases:
+        before = values.tobytes()
+        for wb in fitter_w:
+            got = nw._batch_s11_db(ladder, values, wb, 50.0, 4.5)
+            s11 = out_of_place_s(out_of_place_walk(pairs, wb), 50.0, 4.5)[0]
+            want = 20.0 * np.log10(np.maximum(np.abs(s11), 10.0 ** (nw.DB_FLOOR / 20.0)))
+            assert got.tobytes() == np.broadcast_to(want, got.shape).tobytes()
+        assert values.tobytes() == before
 
 
 def _identity_blocks(monkeypatch, crafted):

@@ -47,11 +47,13 @@ NETWORK, ANALYSIS, FITTING, TOUCHSTONE, NETLIST, GEOMETRY, ELEMENTS, ERRORS = (
  TEST_ELEMENTS) = (f"tests/test_{m}.py" for m in MODULES[:-1])
 TEST_DOMAINS = "tests/test_domains.py"
 WALK = f"{TEST_DOMAINS}::test_each_site_refuses_by_its_table_rule"
+BIT_ORACLE = f"{TEST_NETWORK}::test_every_evaluation_equals_the_out_of_place_walk_to_the_bit"
 
 MUTANTS = (
     Mutant(
         "s22_a_d_swapped", NETWORK,
-        "m.b - az - czz + dz", "m.b - m.d * z02 - czz + m.a * z01",
+        "_into(operator.sub, m.b - az, czz), dz)",
+        "_into(operator.sub, m.b - m.d * z02, czz), m.a * z01)",
         (f"{TEST_NETWORK}::test_s_conversion_shares_its_terms_without_reordering_them",
          f"{TEST_NETWORK}::test_lossless_port_2_conserves_power_and_is_orthogonal_to_port_1",
          f"{TEST_NETWORK}::test_lossy_s_matrix_is_passive",
@@ -72,6 +74,16 @@ MUTANTS = (
          f"{TEST_NETWORK}::test_sweep_matches_impedance_folding_oracle",
          "tests/test_acceptance.py::test_criterion_9_end_to_end_pipeline"),
     ),
+    # the in-place helper: each guard dropped, and its write aimed at the operand it must not touch
+    Mutant("into_dtype_unchecked", NETWORK,
+           "isinstance(new, np.ndarray) and new.dtype == np.result_type(x, y)",
+           "isinstance(new, np.ndarray)", (BIT_ORACLE,)),
+    Mutant("into_shape_unchecked", NETWORK,
+           'getattr(other, "shape", ()) in ((), new.shape)', "True", (BIT_ORACLE,)),
+    Mutant("into_writes_the_other_operand", NETWORK,
+           "_UFUNCS[op](x, y, out=new)", "_UFUNCS[op](x, y, out=other)",
+           (BIT_ORACLE, f"{TEST_NETWORK}::test_sweep_matches_the_full_product_cascade",
+            "tests/test_acceptance.py::test_criterion_9_end_to_end_pipeline")),
     # the sweep grid's line memo: a key that leaves out a line value, and a hit unchecked
     Mutant("line_memo_key_without_len", NETWORK,
            'for name in ("eps_eff", "len")]', 'for name in ("eps_eff",)]',
