@@ -17,23 +17,22 @@ the 4-tuple (a, b, c, d), which `AbcdMatrix` only names. The sweep's
 ladder has no slots, and `_chain`, the step of each sweep block and of
 `netlist_abcd_array`, broadcasts the walk's entries to full arrays; the
 fitter's s11 takes them as they are, since its conversion broadcasts
-them anyway. The walk starts from `IDENTITY`, whose constants cost no
-array operation. Every section topology is reciprocal (AD - BC = 1), so
+them anyway. Every section topology is reciprocal (AD - BC = 1), so
 the sweep's s12 is its s21, one read-only array; the public scalar
 `abcd_to_s` keeps s12 = s21 * det for any matrix a caller passes.
 Every evaluation fills one result in blocks of 4,096 chain entries, K
 times frequencies, with one finiteness check at the end: whole-grid
 temporaries cost more in allocation and page faults than in arithmetic,
-while blocks this size are reused from the heap. A step writes only into
-an array it just made, where dtype and shape already fit (`_into`): each
-sum or difference of the walk and the conversion goes into the array the
-operation before it made, operands in their order, so entries may share
-arrays, no value column or line table is written, and no bit changes.
-The sweep (K = 1) fills s11, s21 and s22; the fitter s11 dB alone.
-`magnitude_db` and its inverse `magnitude_from_db` are the package's one
-dB formula. A `SweepGrid` keeps its last ladder's line cos θ and sin θ,
-so a Monte-Carlo run over R, L and C behind one feed line computes that
-line's transcendentals once; every other evaluation, in each block.
+while blocks this size are reused from the heap. Each sum or difference
+of the walk and the conversion is written into the operand its caller
+just made, where numpy takes it as the result's array (`_into`),
+operands in their order: entries may share arrays, no value column or
+line table is written, and no bit changes. The sweep (K = 1) fills s11,
+s21 and s22; the fitter s11 dB alone. `magnitude_db` and its inverse
+`magnitude_from_db` are the package's one dB formula. A `SweepGrid`
+keeps its last ladder's line cos θ and sin θ, so a Monte-Carlo run over
+R, L and C behind one feed line computes that line's transcendentals
+once; every other evaluation, in each block.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -89,13 +88,11 @@ _UFUNCS = {operator.add: np.add, operator.sub: np.subtract}
 
 
 def _into(op, x, y, into_y=False):
-    """op(x, y), written into x (y when `into_y`), which its caller just made and reads no more,
-    where that is an array of the result's dtype and the other operand a scalar or of its shape."""
-    new, other = (y, x) if into_y else (x, y)
-    if (isinstance(new, np.ndarray) and new.dtype == np.result_type(x, y)
-            and getattr(other, "shape", ()) in ((), new.shape)):
-        return _UFUNCS[op](x, y, out=new)
-    return op(x, y)  # else the Python operator, so that scalars stay Python numbers
+    """op(x, y) into x (y when `into_y`), just made by its caller, where numpy takes it as `out`."""
+    try:
+        return _UFUNCS[op](x, y, out=y if into_y else x)
+    except (TypeError, ValueError):  # refused before any write: a scalar, narrower dtype or shape
+        return op(x, y)  # the Python operator, so that scalars stay Python numbers
 
 
 def _plus(x, u, v):
@@ -145,7 +142,7 @@ def _branch(p, jw, forms):
     return functools.reduce(operator.add, [form(p[key], jw) for key, form in forms if key in p])
 
 
-def _section_steps(topology: str, params, w, jw, lines):
+def _section_steps(topology: str, p, w, jw, lines):
     """One section as the steps of a chain walk at angular frequencies `w` (jw = 1j*w).
 
     Each step is a (function, value) pair mapping the chain so far to the
@@ -154,7 +151,6 @@ def _section_steps(topology: str, params, w, jw, lines):
     cos θ and sin θ from the iterator `lines` while it yields, else
     computes them.
     """
-    p = params
     if topology == "series_rl_shunt_c":
         return (_series, _branch(p, jw, _IMPEDANCES[:2])), (_shunt, jw * p["C"])  # R + jwL, jwC
     if topology == "series_rlc":
@@ -210,26 +206,26 @@ def reflection(z_in: complex, z_ref: float) -> complex:
 
 
 def _terms(m: AbcdMatrix, z01: float, z02: float):
-    """a*z02 + b, a*z02, c*z01*z02, d*z01 and the denominator, checked to be nonzero."""
+    """s11's numerator, a*z02, c*z01*z02, d*z01 and the denominator, checked to be nonzero."""
     a, b, c, d = m
     az, czz, dz = a * z02, c * z01 * z02, d * z01
     t = az + b
     denom = _into(operator.add, t + czz, dz)
     if not np.all(denom):
         raise DegenerateDenominator("conversion denominator vanished")
-    return t, az, czz, dz, denom
+    return _into(operator.sub, t - czz, dz), az, czz, dz, denom
 
 
 def _s11(m: AbcdMatrix, z01: float, z02: float):
     """s11 of chain entries."""
-    t, _, czz, dz, denom = _terms(m, z01, z02)
-    return _into(operator.sub, t - czz, dz) / denom
+    numerator, *_, denom = _terms(m, z01, z02)
+    return numerator / denom
 
 
 def _abcd_to_s(m: AbcdMatrix, z01: float, z02: float, out=(None, None, None)):
     """(s11, s21, s22) of chain entries, written into the three rows of `out` when given."""
-    t, az, czz, dz, denom = _terms(m, z01, z02)
-    s11 = np.divide(_into(operator.sub, t - czz, dz), denom, out=out[0])
+    numerator, az, czz, dz, denom = _terms(m, z01, z02)
+    s11 = np.divide(numerator, denom, out=out[0])
     s21 = np.divide(2.0 * math.sqrt(z01 * z02), denom, out=out[1])
     s22 = _into(operator.add, _into(operator.sub, m.b - az, czz), dz)
     return s11, s21, np.divide(s22, denom, out=out[2])
@@ -265,7 +261,7 @@ class SweepGrid:
     lines of the last ladder swept on it, 16 bytes per point per line of
     that ladder (`_line_tables`). Only lines: theirs is the one step that
     costs transcendentals. The memo is no field, so it enters no
-    comparison, hash or repr, and it goes with the grid.
+    comparison, hash, repr, copy or pickle: those rebuild their own.
     """
 
     start: float
@@ -280,6 +276,9 @@ class SweepGrid:
                 raise InvalidGrid("need at least 2 points")
         except TypeError:
             raise InvalidGrid(f"points must be an integer, got {self.points!r}") from None
+
+    def __getstate__(self):  # the fields alone, restored into __dict__ past `frozen`
+        return asdict(self)
 
     def frequencies(self) -> np.ndarray:
         return self._frequencies
@@ -423,8 +422,8 @@ _BLOCK = 4096  # chain entries, parameter sets x frequencies, per block of a blo
 
 
 def _filled(out: np.ndarray, rows: int, fill) -> np.ndarray:
-    """`out`, filled by `fill(block, out[..., block])`, `_BLOCK // rows` frequencies a block,
-    whose steps write only into arrays they just made, where dtype and shape already fit.
+    """`out`, filled by `fill(block, out[..., block])`, `_BLOCK // rows` frequencies a block, each
+    sum written into the operand its caller just made, where numpy takes it as the result's array.
 
     Overflow inside the chain or the conversion, and a branch impedance or
     admittance of exactly zero, show up as a non-finite entry, which is

@@ -165,6 +165,12 @@ def test_non_positive_values_rejected():
         nl.parse("port in z0=50\nport out z0=50\nsection s topology=tline z0=50 eps_eff=0.5 len=0\n")
 
 
+def test_a_non_positive_parameter_names_itself_and_its_line():
+    with pytest.raises(nl.NonPositiveParameter) as err:
+        nl.parse("port in z0=50\nport out z0=50\nsection s topology=series_rlc R=-1\n")
+    assert (err.value.parameter, err.value.line) == ("R", 3)
+
+
 def test_tline_len_zero_is_valid():
     net = nl.parse(
         "port in z0=50\nport out z0=50\nsection s topology=tline z0=50 eps_eff=1 len=0\n"

@@ -1,6 +1,9 @@
 import cmath
+import copy
 import itertools
 import math
+import operator
+import pickle
 import re
 import tracemalloc
 
@@ -129,6 +132,29 @@ def test_chain_matrix_entry_types_and_shapes():
         m = nw.netlist_abcd_array(Netlist(50.0, 4.5, sections), f)
         assert isinstance(m, nw.AbcdMatrix)
         assert [x.shape for x in m] == [f.shape] * 4
+
+
+def test_into_writes_where_numpy_takes_the_operand_and_else_makes_a_new_result():
+    # numpy's own casting and broadcasting check decides; a refusal writes nothing
+    fresh = np.arange(3.0) + 1j
+    want = (fresh + np.ones(3)).tobytes()
+    assert nw._into(operator.add, fresh, np.ones(3)) is fresh and fresh.tobytes() == want
+    rows = np.array([[1.0, 2.0, 4.0], [8.0, 16.0, 32.0]]) * 1j
+    want = (np.arange(3.0) - rows).tobytes()  # operands in their order
+    assert nw._into(operator.sub, np.arange(3.0), rows, into_y=True) is rows
+    assert rows.tobytes() == want  # the smaller other operand broadcast into it
+    for x, y in ((2.0, 3.0), (2.0, 1j), (1 + 1j, 0.5)):
+        for into_y in (False, True):
+            got = nw._into(operator.sub, x, y, into_y)
+            assert type(got) is type(x - y) and got == x - y
+    real = np.arange(3.0)
+    got = nw._into(operator.add, real, np.full(3, 1j))  # complex does not cast into float
+    assert got is not real and got.dtype == complex
+    assert real.tobytes() == np.arange(3.0).tobytes()
+    small = np.ones(3, complex)
+    got = nw._into(operator.add, small, np.ones((2, 3), complex))  # nor (2, 3) into (3,)
+    assert got is not small and got.shape == (2, 3)
+    assert small.tobytes() == np.ones(3, complex).tobytes()
 
 
 def test_input_impedance():
@@ -312,6 +338,23 @@ def test_a_grid_holds_only_the_last_ladders_line_tables():
         tracemalloc.stop()
     tables = 2 * 8 * grid.points  # one line's cos and sin
     assert first >= tables and abs(held - first) < tables / 10  # 49 more replaced them
+
+
+def test_a_copied_or_unpickled_grid_keeps_no_caches_and_sweeps_as_the_original():
+    net = reference_ladder()  # its line fills the grid's line tables
+    span = (0.1e9, 6e9, 2001)
+    grid = nw.SweepGrid(*span)
+    want = nw.sweep(net, grid)
+    assert pickle.dumps(grid) == pickle.dumps(nw.SweepGrid(*span))
+    for other in (pickle.loads(pickle.dumps(grid)), copy.deepcopy(grid), copy.copy(grid)):
+        assert (other, hash(other)) == (grid, hash(grid))
+        got = nw.sweep(net, other)
+        assert not other.frequencies().flags.writeable
+        for table in other._line_tables(nw._compiled(net.sections)):
+            for values in table:
+                assert not values.flags.writeable
+        for name in ("frequencies", "s11", "s21", "s12", "s22"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 def test_a_grid_beyond_memory_is_refused_naming_its_points():
@@ -574,12 +617,16 @@ def _bit_oracle_ladders():
         reference_ladder(), Netlist(50.0, 4.5, resistors)]
 
 
-def _free_r_alone_ladders():
+def _free_value_ladders():
     """(netlist, free slots): a free R alone is a (K, 1) float column. After it, a shunt C
     makes a and c complex, which a one-frequency block keeps (K, 1) too, and a second
-    series section meets a b that has K rows with an a that has none."""
+    series section meets a b that has K rows with an a that has none. A fixed resonator
+    before a free C gives entries without rows, which numpy broadcasts into the K rows
+    of the free C's products."""
     lc = {"L": 2.39e-9, "C": 0.417e-12}
     return [
+        (Netlist(50.0, 4.5, (Section("a", "series_rl_shunt_c", {"R": 3.3, **lc}),
+                             Section("c", "shunt_parallel_rlc", {"C": 1e-12}))), (("c", "C"),)),
         (Netlist(50.0, 4.5, (Section("r", "series_rlc", {"R": 10.0}),
                              Section("c", "shunt_parallel_rlc", {"C": 1e-12}),
                              Section("g", "shunt_parallel_rlc", {"R": 80.0}))), (("r", "R"),)),
@@ -616,7 +663,7 @@ def test_every_evaluation_equals_the_out_of_place_walk_to_the_bit():
     fitter_w = (w[:nw._BLOCK // rows + 1], w[:1])  # each ends in a one-frequency block
     cases = [(ladder, values, pairs) for net in _bit_oracle_ladders()[-12:]
              for ladder, values, pairs in _with_columns(net, rng, rows)[1:]]
-    for net, free in _free_r_alone_ladders():
+    for net, free in _free_value_ladders():
         values = np.array([[net.section(s).params[p] for s, p in free]]) * rng.uniform(
             0.5, 2.0, (rows, len(free)))
         placed = {s.name: dict(s.params) for s in net.sections}

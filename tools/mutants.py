@@ -74,14 +74,15 @@ MUTANTS = (
          f"{TEST_NETWORK}::test_sweep_matches_impedance_folding_oracle",
          "tests/test_acceptance.py::test_criterion_9_end_to_end_pipeline"),
     ),
-    # the in-place helper: each guard dropped, and its write aimed at the operand it must not touch
-    Mutant("into_dtype_unchecked", NETWORK,
-           "isinstance(new, np.ndarray) and new.dtype == np.result_type(x, y)",
-           "isinstance(new, np.ndarray)", (BIT_ORACLE,)),
-    Mutant("into_shape_unchecked", NETWORK,
-           'getattr(other, "shape", ()) in ((), new.shape)', "True", (BIT_ORACLE,)),
+    # the in-place helper: numpy's refusal uncaught or its casting loosened, and its write
+    # aimed at the operand it must not touch
+    Mutant("into_refusal_uncaught", NETWORK,
+           "except (TypeError, ValueError):", "except ():",
+           (BIT_ORACLE, f"{TEST_NETWORK}::test_chain_matrix_entry_types_and_shapes")),
+    Mutant("into_casts_unsafely", NETWORK,
+           "out=y if into_y else x)", 'out=y if into_y else x, casting="unsafe")', (BIT_ORACLE,)),
     Mutant("into_writes_the_other_operand", NETWORK,
-           "_UFUNCS[op](x, y, out=new)", "_UFUNCS[op](x, y, out=other)",
+           "out=y if into_y else x)", "out=x if into_y else y)",
            (BIT_ORACLE, f"{TEST_NETWORK}::test_sweep_matches_the_full_product_cascade",
             "tests/test_acceptance.py::test_criterion_9_end_to_end_pipeline")),
     # the sweep grid's line memo: a key that leaves out a line value, and a hit unchecked
@@ -96,6 +97,9 @@ MUTANTS = (
            (f"{TEST_NETWORK}::test_a_grid_serves_each_ladder_the_sweep_of_a_fresh_grid",
             f"{TEST_FITTING}::test_a_row_with_a_free_line_value_equals_its_sweep_while_the_grid"
             "_holds_a_line")),
+    Mutant("grid_pickles_its_caches", NETWORK, "return asdict(self)", "return dict(self.__dict__)",
+           (f"{TEST_NETWORK}::test_a_copied_or_unpickled_grid_keeps_no_caches_and_sweeps_as_the"
+            "_original",)),
     Mutant(
         "slot_reads_column_0", NETWORK,
         "{p: values[:, j, None] for p, j in slots}", "{p: values[:, 0, None] for p, j in slots}",
