@@ -4,7 +4,8 @@ A band is a maximal frequency interval where the reflection magnitude
 stays at or below a dB threshold; a sample exactly at the threshold is
 in band. Edges are interpolated linearly in (frequency, dB) between the
 bracketing samples, because thresholds are specified in dB, and always
-lie between those two samples. Each report reads one dB array per trace.
+lie between those two samples. Each report reads one dB array per trace,
+and refuses a trace whose s11 dB is not finite at some sample.
 """
 
 from __future__ import annotations
@@ -57,9 +58,14 @@ class SimilarityReport:
 
 
 def _db(trace: SParameterTrace) -> np.ndarray:
+    """The trace's s11 dB, refused unless every sample is finite."""
     if len(trace) == 0:
         raise EmptyTrace("trace has no samples")
-    return trace.s11_db()
+    db = trace.s11_db()
+    if not math.isfinite(db.max()):  # no dB is below the floor, so this is NaN or +inf
+        f = trace.frequencies[np.flatnonzero(~np.isfinite(db))[0]]
+        raise InputError(f"s11 dB is not finite at {f} Hz")
+    return db
 
 
 def _bands(f: np.ndarray, db: np.ndarray, threshold_db: float) -> list[tuple[float, float]]:

@@ -9,15 +9,17 @@ y, [[1, 0], [y, 1]], only a and c; only a line takes a full 2x2
 product. The engine carries the four chain entries as scalars or as
 arrays over frequency, so a single-frequency call and a sweep share one
 step list per topology, one walk and one S conversion. The walk,
-`_walk`, serves the sweep and the fitter alike, over a ladder that
+`_walk`, is the one way from a ladder and angular frequencies to chain
+entries: the sweep's blocks, the fitter's blocks, `section_abcd` and
+`netlist_abcd_array` all call it alike. It runs over a ladder that
 `_compiled` gives each free value's slot once: a `(K, n)` array of
 values enters its sections as `(K, 1)` columns, adding a leading axis
-of K parameter sets to every array. A chain has one form throughout,
-the 4-tuple (a, b, c, d), which `AbcdMatrix` only names. The sweep's
-ladder has no slots, and `_chain`, the step of each sweep block and of
-`netlist_abcd_array`, broadcasts the walk's entries to full arrays; the
-fitter's s11 takes them as they are, since its conversion broadcasts
-them anyway. Every section topology is reciprocal (AD - BC = 1), so
+of K parameter sets to every array; the sweep's ladder has no slots.
+A chain has one form throughout, the 4-tuple (a, b, c, d), which
+`AbcdMatrix` only names. Its entries keep the shapes their arithmetic
+gives them: the S conversion broadcasts them into the block it writes,
+and only `netlist_abcd_array`, which returns them, broadcasts them to
+full arrays. Every section topology is reciprocal (AD - BC = 1), so
 the sweep's s12 is its s21, one read-only array; the public scalar
 `abcd_to_s` keeps s12 = s21 * det for any matrix a caller passes.
 Every evaluation fills one result in blocks of 4,096 chain entries, K
@@ -175,8 +177,7 @@ def _cos_sin(p, w):
 def section_abcd(section: Section, frequency: float) -> AbcdMatrix:
     """Chain matrix of one section at a single frequency."""
     require("frequency", frequency, NonPositiveFrequency)
-    w = 2.0 * np.pi * frequency
-    return AbcdMatrix(*map(complex, _walk(_compiled((section,)), w, 1j * w)))
+    return AbcdMatrix(*map(complex, _walk(_compiled((section,)), 2.0 * np.pi * frequency)))
 
 
 def cascade(matrices) -> AbcdMatrix:
@@ -227,7 +228,7 @@ def _abcd_to_s(m: AbcdMatrix, z01: float, z02: float, out=(None, None, None)):
     numerator, az, czz, dz, denom = _terms(m, z01, z02)
     s11 = np.divide(numerator, denom, out=out[0])
     s21 = np.divide(2.0 * math.sqrt(z01 * z02), denom, out=out[1])
-    s22 = _into(operator.add, _into(operator.sub, m.b - az, czz), dz)
+    s22 = _into(operator.add, _into(operator.sub, m[1] - az, czz), dz)
     return s11, s21, np.divide(s22, denom, out=out[2])
 
 
@@ -308,7 +309,9 @@ class SweepGrid:
         memo = self.__dict__.get("_lines")
         if memo is None or memo[0] != key:
             w = 2.0 * np.pi * self._frequencies
-            tables = [_cos_sin(p, w) for p in lines]
+            # an overflowing line's non-finite table is reported by `_filled`, as any overflow
+            with np.errstate(over="ignore", invalid="ignore"):
+                tables = [_cos_sin(p, w) for p in lines]
             for table in tables:
                 for a in table:
                     a.flags.writeable = False
@@ -359,7 +362,7 @@ class SParameterTrace:
             raise InputError("s21 and s22 must be given together, and s12 only with them")
         if len(f) and not f[0] > 0:
             raise InputError("frequencies must be positive")
-        if len(f) > 1 and not np.all(np.diff(f) > 0):
+        if len(f) > 1 and not np.all(f[1:] > f[:-1]):
             raise InputError("frequencies must be strictly increasing")
         if len(f) and not math.isfinite(f[-1]):  # increasing, so only the last can be infinite
             raise InputError("frequencies must be finite")
@@ -386,7 +389,7 @@ def _compiled(sections, free=()):
             for s in sections]
 
 
-def _walk(ladder, w, jw, values=None, lines=()):
+def _walk(ladder, w, values=None, lines=()):
     """Chain entries (a, b, c, d) of a compiled ladder at angular frequencies `w`.
 
     A slot takes its column j of `values` as `values[:, j, None]`. Each
@@ -397,6 +400,7 @@ def _walk(ladder, w, jw, values=None, lines=()):
     of the identity, a scalar, or an array over frequency, `(K, F)` for K
     rows.
     """
+    jw = 1j * w
     m = IDENTITY
     lines = iter(lines)
     for topology, params, slots in ladder:
@@ -407,15 +411,10 @@ def _walk(ladder, w, jw, values=None, lines=()):
     return m
 
 
-def _chain(ladder, frequencies, lines=()):
-    """Chain entries of a compiled ladder by `_walk`, each of the frequencies' shape."""
-    w = 2.0 * np.pi * np.asarray(frequencies, dtype=float)
-    return AbcdMatrix(*np.broadcast_arrays(*_walk(ladder, w, 1j * w, lines=lines), w)[:4])
-
-
 def netlist_abcd_array(netlist: Netlist, frequencies: np.ndarray) -> AbcdMatrix:
-    """Cascaded ABCD of the netlist by the fitter's walk, each entry of the frequencies' shape."""
-    return _chain(_compiled(netlist.sections), frequencies)
+    """Cascaded ABCD of the netlist by the one walk, each entry of the frequencies' shape."""
+    w = 2.0 * np.pi * np.asarray(frequencies, dtype=float)
+    return AbcdMatrix(*np.broadcast_arrays(*_walk(_compiled(netlist.sections), w), w)[:4])
 
 
 _BLOCK = 4096  # chain entries, parameter sets x frequencies, per block of a blocked fill
@@ -446,14 +445,11 @@ def _batch_s11_db(ladder, values, w, z01: float, z02: float) -> np.ndarray:
     """Checked s11 dB, `(K, F)`, of a compiled ladder for K rows of free values.
 
     The same section walk as the sweep's, each block at once to s11 and
-    dB: the fitter reads s11 alone, so s21 and s22 are not computed, and
-    the walk's entries are not broadcast first, since `_s11` broadcasts
-    them into the block.
+    dB: the fitter reads s11 alone, so s21 and s22 are not computed.
     """
 
     def fill(block, out):
-        wb = w[block]
-        out[:] = magnitude_db(_s11(_walk(ladder, wb, 1j * wb, values), z01, z02))
+        out[:] = magnitude_db(_s11(_walk(ladder, w[block], values), z01, z02))
 
     return _filled(np.empty((len(values), len(w))), len(values), fill)
 
@@ -472,7 +468,7 @@ def sweep(netlist: Netlist, grid: SweepGrid) -> SParameterTrace:
 
     def fill(block, out):
         lines = [(cos[block], sin[block]) for cos, sin in tables]
-        _abcd_to_s(_chain(ladder, freqs[block], lines), z01, z02, out)
+        _abcd_to_s(_walk(ladder, 2.0 * np.pi * freqs[block], lines=lines), z01, z02, out)
 
     s11, s21, s22 = _filled(np.empty((3, len(freqs)), complex), 1, fill)
     return SParameterTrace(freqs, s11, s21, s21, s22, (z01, z02))

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import os
+import sys
+
 import numpy as np
 import pytest
 
+import rfladder
 from rfladder import cli, fitting
 from rfladder.geometry import canonical_cavities, canonical_geometry, serialize_geometry
 from rfladder.netlist import Netlist, Section, parse
@@ -112,6 +116,28 @@ def reference_ladder() -> Netlist:
             )
         )
     return Netlist(50.0, 4.5, tuple(sections))
+
+
+def rfladder_calls(run) -> int:
+    """Python frames entered in the package's own code while `run()` runs.
+
+    Counted with `sys.setprofile`, so numpy's own Python frames, which vary
+    with its version, are left out.
+    """
+    package = os.path.dirname(rfladder.__file__) + os.sep
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
 
 
 def log_uniform(rng: np.random.Generator, lo: float, hi: float) -> float:

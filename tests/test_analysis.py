@@ -193,6 +193,23 @@ def test_non_finite_thresholds_refused(threshold):
         an.compare_traces(trace, trace, threshold)
 
 
+@pytest.mark.parametrize("sample", [complex(math.nan, 0.0), complex(math.inf, 0.0),
+                                    complex(1.3e308, 1.3e308)], ids=["nan", "inf", "overflow"])
+def test_a_trace_whose_s11_db_is_not_finite_is_refused(sample):
+    # finite parts can still give an infinite |s11|; every report and the fitter's
+    # resampling read dB through one refusal, which names the first such sample
+    f = [1e9, 1.2e9, 1.5e9, 2e9]
+    trace = SParameterTrace(f, [0.1, sample, sample, 0.5])
+    good = SParameterTrace(f, [0.1, 0.1, 0.1, 0.5])
+    reports = (lambda: an.find_bands(trace, -10.0), lambda: an.band_report(trace, -10.0),
+               lambda: an.mismatch_efficiency(trace, (1e9, 2e9)),
+               lambda: an.compare_traces(trace, good, -10.0),
+               lambda: an.compare_traces(good, trace, -10.0))
+    for report in reports:
+        with pytest.raises(InputError, match=r"^s11 dB is not finite at 1200000000\.0 Hz$"):
+            report()
+
+
 def test_mismatch_efficiency_in_range():
     rng = np.random.default_rng(9)
     freqs = np.linspace(1e9, 4e9, 41)

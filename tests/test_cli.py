@@ -410,6 +410,46 @@ def test_a_point_count_beyond_memory_exits_2_naming_it(tmp_path, capsys, command
     assert not out.exists()
 
 
+def test_simulate_an_overflowing_line_exits_3_with_no_warning(tmp_path, capsys):
+    net = tmp_path / "long.net"
+    net.write_text("port in z0=50\nport out z0=4.5\n"
+                   "section c0 topology=tline z0=50.7 eps_eff=3.3 len=1e300\n")
+    out = tmp_path / "long.s1p"
+    assert run(["simulate", "--netlist", net, "--out", out]) == 3
+    digest = hashlib.sha256(net.read_bytes()).hexdigest()
+    assert capsys.readouterr().err == (
+        f"rfladder {__version__}\ninput {net} sha256={digest}\nnumerical error: S-parameters"
+        " are not finite; a section value overflows or a branch impedance or admittance is zero\n"
+    )
+    assert not out.exists()
+
+
+# finite RI parts whose magnitude overflows: the reader keeps the row, the reports refuse it
+OVERFLOWING_RI = "# Hz S RI R 50\n1e9 0.1 0\n1.2e9 1.3e308 1.3e308\n2e9 0.5 0\n"
+
+
+@pytest.mark.parametrize("command", ["bandwidth", "compare_a", "compare_b", "fit"])
+def test_a_trace_whose_s11_db_overflows_exits_2_naming_its_frequency(tmp_path, capsys,
+                                                                       command):
+    bad, good = tmp_path / "bad.s1p", tmp_path / "good.s1p"
+    bad.write_text(OVERFLOWING_RI)
+    good.write_text("# Hz S RI R 50\n1e9 0.1 0\n1.2e9 0.1 0\n2e9 0.5 0\n")
+    net = tmp_path / "n.net"
+    net.write_text("port in z0=50\nport out z0=4.5\nsection s1 topology=series_rl_shunt_c L=3n C=1p\n")
+    out = tmp_path / "o.net"
+    argv = {
+        "bandwidth": ["bandwidth", "--input", bad],
+        "compare_a": ["compare", "--a", bad, "--b", good],
+        "compare_b": ["compare", "--a", good, "--b", bad],
+        "fit": ["fit", "--netlist", net, "--target", bad, "--vary", "s1.L", "--out", out],
+    }[command]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.endswith("\nerror: s11 dB is not finite at 1200000000.0 Hz\n")
+    assert all(line.startswith(("rfladder ", "input ", "error: ")) for line in err.splitlines())
+    assert not out.exists()
+
+
 def test_bandwidth_non_finite_sample_exits_2(tmp_path, capsys):
     bad = tmp_path / "nan.s1p"
     bad.write_text("# Hz S RI R 50\n1e9 nan 0\n2e9 0.1 0\n")

@@ -6,7 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import ZERO_BRANCH_CASES, random_netlist, recovery_problem, reference_ladder
+from conftest import (
+    ZERO_BRANCH_CASES, random_netlist, recovery_problem, reference_ladder, rfladder_calls,
+)
 from rfladder import fitting as ft
 from rfladder import network as nw
 from rfladder.analysis import NoOverlap, ReferenceMismatch, band_report
@@ -734,6 +736,18 @@ def test_residuals_split_large_batches():
     residuals = objective.residuals(rows)
     assert residuals.shape == (len(rows), GRID.points)
     assert residuals.tolist() == [objective.residuals(x[None])[0].tolist() for x in rows]
+
+
+# Python calls in the package's own code per residuals call of criterion-10 trial 1 (four
+# free values, five rows): 58 when set, bounded at 10 % above
+RESIDUALS_CALL_BUDGET = 64
+
+
+def test_a_residuals_call_keeps_its_python_call_budget():
+    problem = recovery_problem(1)[0]
+    objective = _objective_for(problem)
+    x = _random_rows(np.random.default_rng(6), problem, len(problem.free_parameters) + 1)
+    assert rfladder_calls(lambda: objective.residuals(x)) <= RESIDUALS_CALL_BUDGET
 
 
 @pytest.mark.parametrize("target_kind, bound", [

@@ -10,7 +10,7 @@ import itertools
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rfladder import cli, elements, geometry, netlist, touchstone
@@ -71,6 +71,7 @@ def mutated(draw, text, sep):
 
 @settings(max_examples=150, deadline=None)
 @given(mutated(SMALL_NETLIST, " "))
+@example(SMALL_NETLIST.replace("len=60m", "len=1e300"))  # the line's tables overflow
 def test_fuzz_netlist_parse_serialize_sweep(text):
     try:
         ladder = netlist.parse(text)

@@ -6,12 +6,14 @@ import operator
 import pickle
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import (
     RLC_TOPOLOGIES, ZERO_BRANCH_CASES, log_uniform, random_netlist, reference_ladder,
+    rfladder_calls,
 )
 from rfladder import network as nw
 from rfladder import touchstone as ts
@@ -521,7 +523,7 @@ def test_batch_s11_matches_the_full_product_cascade():
         for ladder, values, pairs in _with_columns(net, rng, 5):
             expected = nw._s11(full_product_cascade(pairs, w), z01, z02)
             columns = [(topology, params, ()) for topology, params in pairs]
-            walked = nw.AbcdMatrix(*np.broadcast_arrays(*nw._walk(columns, w, 1j * w), w)[:4])
+            walked = nw.AbcdMatrix(*np.broadcast_arrays(*nw._walk(columns, w), w)[:4])
             _assert_close_to_oracle(nw._s11(walked, z01, z02), expected)
             got = nw._batch_s11_db(ladder, values, w, z01, z02)
             assert got.shape == (len(values), len(w))
@@ -536,9 +538,9 @@ def test_batch_s11_fills_blocks_of_parameter_sets_times_frequencies(monkeypatch)
     lengths = []
     walk = nw._walk
 
-    def recorded(ladder, w_block, jw_block, values=None):
+    def recorded(ladder, w_block, values=None):
         lengths.append(len(w_block))
-        return walk(ladder, w_block, jw_block, values)
+        return walk(ladder, w_block, values)
 
     monkeypatch.setattr(nw, "_walk", recorded)
     for net in _oracle_ladders()[-12:]:
@@ -682,19 +684,19 @@ def test_every_evaluation_equals_the_out_of_place_walk_to_the_bit():
 
 
 def _identity_blocks(monkeypatch, crafted):
-    """Replace the chain with identity blocks; `crafted(k, entries)` edits the k-th.
+    """Replace the walk with identity blocks; `crafted(k, entries)` edits the k-th.
 
     Returns the lengths of the blocks the sweep asked for.
     """
     lengths = []
 
-    def blocks(ladder, f, lines):
-        entries = [np.full(len(f), x, complex) for x in (1, 0, 0, 1)]
+    def blocks(ladder, w, values=None, lines=()):
+        entries = [np.full(len(w), x, complex) for x in (1, 0, 0, 1)]
         crafted(len(lengths), entries)
-        lengths.append(len(f))
-        return nw.AbcdMatrix(*entries)
+        lengths.append(len(w))
+        return tuple(entries)
 
-    monkeypatch.setattr(nw, "_chain", blocks)
+    monkeypatch.setattr(nw, "_walk", blocks)
     return lengths
 
 
@@ -750,6 +752,30 @@ def test_touchstone_read_peaks_below_four_times_its_text(criterion_9_sweep, fmt)
     finally:
         tracemalloc.stop()
     assert peak < 4 * len(text.encode())
+
+
+def test_an_overflowing_line_is_not_finite_on_a_fresh_and_a_held_grid():
+    # the grid's line tables are made outside the blocks, yet their overflow is reported
+    # as any other is: NonFiniteResult, with no warning
+    net = Netlist(50.0, 4.5, (Section("c0", "tline", {"z0": 50.7, "eps_eff": 3.3, "len": 1e300}),))
+    grid = nw.SweepGrid(1e9, 2e9, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(2):  # the first sweep makes the grid's tables, the second reuses them
+            with pytest.raises(nw.NonFiniteResult):
+                nw.sweep(net, grid)
+
+
+# Python calls in the package's own code per 20,001-point sweep of the reference ladder on
+# a held grid: 488 when set, bounded at 10 % above
+SWEEP_CALL_BUDGET = 537
+
+
+def test_a_held_grid_sweep_keeps_its_python_call_budget():
+    grid = nw.SweepGrid(0.1e9, 6e9, 20_001)
+    net = reference_ladder()
+    nw.sweep(net, grid)  # makes the grid's line tables
+    assert rfladder_calls(lambda: nw.sweep(net, grid)) <= SWEEP_CALL_BUDGET
 
 
 def test_sweep_rejects_non_finite_results():

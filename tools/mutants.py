@@ -52,8 +52,8 @@ BIT_ORACLE = f"{TEST_NETWORK}::test_every_evaluation_equals_the_out_of_place_wal
 MUTANTS = (
     Mutant(
         "s22_a_d_swapped", NETWORK,
-        "_into(operator.sub, m.b - az, czz), dz)",
-        "_into(operator.sub, m.b - m.d * z02, czz), m.a * z01)",
+        "_into(operator.sub, m[1] - az, czz), dz)",
+        "_into(operator.sub, m[1] - m[3] * z02, czz), m[0] * z01)",
         (f"{TEST_NETWORK}::test_s_conversion_shares_its_terms_without_reordering_them",
          f"{TEST_NETWORK}::test_lossless_port_2_conserves_power_and_is_orthogonal_to_port_1",
          f"{TEST_NETWORK}::test_lossy_s_matrix_is_passive",
@@ -74,6 +74,19 @@ MUTANTS = (
          f"{TEST_NETWORK}::test_sweep_matches_impedance_folding_oracle",
          "tests/test_acceptance.py::test_criterion_9_end_to_end_pipeline"),
     ),
+    # the walk's one jw, and the sweep's angular frequencies
+    Mutant("walk_jw_conjugated", NETWORK,
+           "jw = 1j * w", "jw = -1j * w",
+           (f"{TEST_NETWORK}::test_sweep_matches_the_full_product_cascade",
+            f"{TEST_NETWORK}::test_batch_s11_matches_the_full_product_cascade",
+            f"{TEST_NETWORK}::test_sweep_matches_impedance_folding_oracle", BIT_ORACLE,
+            "tests/test_acceptance.py::test_criterion_9_end_to_end_pipeline")),
+    Mutant("sweep_walks_hertz", NETWORK,
+           "_walk(ladder, 2.0 * np.pi * freqs[block], lines=lines)",
+           "_walk(ladder, freqs[block], lines=lines)",
+           (f"{TEST_NETWORK}::test_sweep_matches_the_full_product_cascade",
+            f"{TEST_NETWORK}::test_sweep_matches_impedance_folding_oracle", BIT_ORACLE,
+            "tests/test_acceptance.py::test_criterion_9_end_to_end_pipeline")),
     # the in-place helper: numpy's refusal uncaught or its casting loosened, and its write
     # aimed at the operand it must not touch
     Mutant("into_refusal_uncaught", NETWORK,
@@ -97,6 +110,12 @@ MUTANTS = (
            (f"{TEST_NETWORK}::test_a_grid_serves_each_ladder_the_sweep_of_a_fresh_grid",
             f"{TEST_FITTING}::test_a_row_with_a_free_line_value_equals_its_sweep_while_the_grid"
             "_holds_a_line")),
+    Mutant("line_tables_warn", NETWORK,
+           'with np.errstate(over="ignore", invalid="ignore"):\n                tables',
+           "if True:\n                tables",
+           (f"{TEST_NETWORK}::test_an_overflowing_line_is_not_finite_on_a_fresh_and_a_held_grid",
+            "tests/test_cli.py::test_simulate_an_overflowing_line_exits_3_with_no_warning",
+            "tests/test_fuzz.py::test_fuzz_netlist_parse_serialize_sweep")),
     Mutant("grid_pickles_its_caches", NETWORK, "return asdict(self)", "return dict(self.__dict__)",
            (f"{TEST_NETWORK}::test_a_copied_or_unpickled_grid_keeps_no_caches_and_sweeps_as_the"
             "_original",)),
@@ -214,6 +233,10 @@ MUTANTS = (
     Mutant("trace_reference_count_unchecked", NETWORK,
            "if len(refs) != 2:", "if False:",
            (f"{TEST_NETWORK}::test_trace_validation",)),
+    Mutant("db_nonfinite_accepted", ANALYSIS,
+           "if not math.isfinite(db.max()):", "if False:",
+           (f"{TEST_ANALYSIS}::test_a_trace_whose_s11_db_is_not_finite_is_refused",
+            "tests/test_cli.py::test_a_trace_whose_s11_db_overflows_exits_2_naming_its_frequency")),
     Mutant("band_edge_check_lets_nan_through", ANALYSIS,
            "not f[0] <= f_lo <= f_hi <= f[-1]", "f_lo > f_hi or f_lo < f[0] or f_hi > f[-1]",
            (f"{TEST_ANALYSIS}::test_mismatch_efficiency_band_checks",)),
