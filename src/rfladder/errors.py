@@ -7,7 +7,7 @@ quantity's range once, and `require` refuses a value outside it with
 the caller's error class and a message that states the rule.
 """
 
-import math
+import sys
 
 # quantity name -> (least value, whether the least itself is allowed); every
 # quantity must also be finite. A name not listed must be > 0, and a dotted
@@ -25,6 +25,9 @@ DOMAINS = {
     "tolerance": (0.0, True),
     "--bounds-factor": (1.0, False),
 }
+# finite is at most the largest float, so that `float` of a value is finite; a float subclass,
+# which numpy takes as a float64, widens a float32 compared with it where a float would overflow
+_LARGEST = type("_Largest", (float,), {})(sys.float_info.max)
 
 
 class RfLadderError(Exception):
@@ -69,7 +72,7 @@ def require(name: str, value, error: type[RfLadderError], line: int | None = Non
     the error carries `name` as `.name`, and a `LocatedError` its `line`.
     """
     least, closed = domain(name)
-    if not (value >= least if closed else value > least) or not value < math.inf:
+    if not (value >= least if closed else value > least) or not value <= _LARGEST:
         rule = f"{'>=' if closed else '>'} {least:g}"
         exc = error(f"{name} must be finite and {rule}", *(() if line is None else (line,)))
         exc.name = name

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sinum
-from .analysis import ReferenceMismatch, _resample
+from .analysis import ReferenceMismatch, _db, _resample
 from .errors import InputError, require
 from .netlist import Netlist, NetlistError, NonPositiveParameter, Section
 from .network import SParameterTrace, SweepGrid, _batch_s11_db, _compiled
@@ -118,10 +118,9 @@ def _mean_square(residuals):
 
 
 def _check_target(netlist: Netlist, target) -> None:
-    """Refuse a trace target with a non-finite s11 or another port-1 reference."""
+    """Refuse a trace target whose s11 dB is not finite, or with another port-1 reference."""
     if isinstance(target, SParameterTrace):
-        if not np.isfinite(target.s11).all():
-            raise InputError("target trace has a non-finite s11 sample")
+        _db(target)
         z_target, z_in = target.reference_impedances[0], netlist.input_port_impedance
         if z_target != z_in:  # port 1 only: a measured one-port trace has no port 2
             raise ReferenceMismatch(
@@ -199,7 +198,7 @@ class FitResult:
 def _with_values(netlist: Netlist, free, values) -> Netlist:
     updates: dict[str, dict[str, float]] = {}
     for (sname, pname), value in zip(free, values):
-        updates.setdefault(sname, {})[pname] = float(value)
+        updates.setdefault(sname, {})[pname] = value
     sections = []
     for section in netlist.sections:
         if section.name in updates:

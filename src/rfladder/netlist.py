@@ -109,8 +109,8 @@ class Section:
     def __post_init__(self):
         if not _NAME_RE.fullmatch(self.name):
             raise MalformedLine(f"bad section name {self.name!r}")
-        object.__setattr__(self, "params", dict(self.params))  # a copy, not the caller's
-        _validate_section(self.topology, self.params, None)
+        _validate_section(self.topology, self.params, None)  # then hold the floats it saw
+        object.__setattr__(self, "params", {k: float(v) for k, v in self.params.items()})
 
 
 @dataclass(frozen=True)
@@ -123,8 +123,9 @@ class Netlist:
 
     def __post_init__(self):
         object.__setattr__(self, "sections", tuple(self.sections))  # a copy, not the caller's
-        for which, z in (("in", self.input_port_impedance), ("out", self.output_port_impedance)):
-            require(f"port {which} z0", z, NonPositiveParameter)
+        for which, field in (("in", "input_port_impedance"), ("out", "output_port_impedance")):
+            require(f"port {which} z0", getattr(self, field), NonPositiveParameter)
+            object.__setattr__(self, field, float(getattr(self, field)))  # the float it saw
         seen = set()
         for section in self.sections:
             if section.name in seen:

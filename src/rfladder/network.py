@@ -34,7 +34,7 @@ s21 and s22; the fitter s11 dB alone. `magnitude_db` and its inverse
 `magnitude_from_db` are the package's one dB formula. A `SweepGrid`
 keeps its last ladder's line cos θ and sin θ, so a Monte-Carlo run over
 R, L and C behind one feed line computes that line's transcendentals
-once; every other evaluation, in each block.
+once; every evaluation but a sweep, in each block.
 """
 
 from __future__ import annotations
@@ -298,14 +298,11 @@ class SweepGrid:
 
         The grid keeps the last ladder's tables, keyed by the exact bits of
         every line's eps_eff and len, and serves them again while those
-        are the same. A ladder with a line value that is not a float gets
-        none: its lines compute in each block.
+        are the same.
         """
         lines = [p for topology, p, _ in ladder if topology == "tline"]
-        values = [p[name] for p in lines for name in ("eps_eff", "len")]
-        if not all(isinstance(v, float) for v in values):
-            return []
-        key = [v.hex() for v in values]  # tells -0.0 from 0.0, whose sines differ
+        # every value is a float, whose hex tells -0.0 from 0.0: their sines differ
+        key = [p[name].hex() for p in lines for name in ("eps_eff", "len")]
         memo = self.__dict__.get("_lines")
         if memo is None or memo[0] != key:
             w = 2.0 * np.pi * self._frequencies

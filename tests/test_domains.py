@@ -5,8 +5,9 @@ reader that makes it. Its name and rule are written here, not read from
 `errors.DOMAINS`, so an edit of the table made for one module shows at
 every other site that reads the same entry. At each site the boundary
 value is accepted exactly when the rule is closed, a value one past it
-is refused, a value one inside it is accepted, and NaN and both
-infinities are refused; a refusal has the site's error class, its line,
+is refused, a value one inside it is accepted, and NaN, both
+infinities and an integer above the largest float, whose `float`
+overflows, are refused; a refusal has the site's error class, its line,
 and a message that states the rule. Where the value is text, a number
 parser meets NaN and the infinities first and refuses them at the same
 line with its own message.
@@ -15,6 +16,7 @@ line with its own message.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -58,8 +60,15 @@ class Site:
     beyond: float | None = None  # a refused value; default: one past the least
 
 
+_HUGE = 10**400  # above the largest float
+
+
+def _finite(value) -> bool:
+    return abs(value) <= sys.float_info.max
+
+
 def _text(value: float) -> str:
-    return sinum.format_bare(value) if math.isfinite(value) else repr(value)
+    return sinum.format_bare(value) if _finite(value) else repr(value)
 
 
 def _csv_row(**fields) -> str:
@@ -245,14 +254,14 @@ def test_each_site_refuses_by_its_table_rule(site):
         message = f"line {site.line}: {message}"
     beyond = least - 1.0 if site.beyond is None else site.beyond
     assert _refusal(site.call, least + 1.0) is None
-    for value in (least, beyond, math.nan, math.inf, -math.inf):
+    for value in (least, beyond, math.nan, math.inf, -math.inf, _HUGE):
         exc = _refusal(site.call, value)
         if value == least and closed:
             assert exc is None, value
             continue
         assert exc is not None, value
         assert getattr(exc, "line", None) == site.line, value
-        if site.parsed and not math.isfinite(value):  # the number parser's own refusal
+        if site.parsed and not _finite(value):  # the number parser's own refusal
             assert isinstance(exc, InputError), value
             continue
         assert type(exc) is site.error, value

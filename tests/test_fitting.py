@@ -84,7 +84,7 @@ def test_cost_refuses_the_trace_targets_fit_problem_refuses():
     target = sweep(net, GRID)
     s11 = target.s11.copy()
     s11[7] = complex(math.nan, 0.0)
-    with pytest.raises(InputError, match="non-finite s11"):
+    with pytest.raises(InputError, match=r"^s11 dB is not finite at 692500000\.0 Hz$"):
         ft.cost(net, SParameterTrace(target.frequencies, s11), GRID)
 
 
@@ -125,9 +125,13 @@ def test_problem_validation():
     ft.FitProblem(net, (("s1", "L"),), ((1e-10, 1e-8),), target, GRID, tolerance=0.0)
     s11 = target.s11.copy()
     s11[7] = complex(math.nan, 0.0)
-    with pytest.raises(InputError, match="non-finite s11"):
+    with pytest.raises(InputError, match=r"^s11 dB is not finite at 692500000\.0 Hz$"):
         ft.FitProblem(net, (("s1", "L"),), ((1e-10, 1e-8),),
                       SParameterTrace(target.frequencies, s11), GRID)
+    # finite RI parts whose magnitude overflows: the dB every report refuses
+    overflowing = SParameterTrace([1e9, 1.2e9, 2e9], [0.1, complex(1.3e308, 1.3e308), 0.5])
+    with pytest.raises(InputError, match=r"^s11 dB is not finite at 1200000000\.0 Hz$"):
+        ft.FitProblem(net, (("s1", "L"),), ((1e-10, 1e-8),), overflowing, GRID)
     at_75 = SParameterTrace(target.frequencies, target.s11, reference_impedances=(75.0, 4.5))
     with pytest.raises(InputError, match="port-1 reference 75.0 ohm differs .* input port 50.0"):
         ft.FitProblem(net, (("s1", "L"),), ((1e-10, 1e-8),), at_75, GRID)
@@ -438,8 +442,9 @@ def test_cost_equals_the_sweep_with_no_free_values():
 
 
 def test_objective_takes_a_zero_dimensional_value_on_a_long_grid():
-    # a frequency-independent value stays 0-d through its step, ahead of the free section
-    # and behind it, and each block broadcasts it: 3 rows x 5,001 points is 4 blocks
+    # a frequency-independent value, np.array(5.0) held as the float 5.0, stays a scalar
+    # through its step, ahead of the free section and behind it, and each block broadcasts
+    # it: 3 rows x 5,001 points is 4 blocks
     zero_d = [Section(name, "series_rlc", {"R": np.array(5.0)}) for name in ("s0", "s1")]
     t_in, r1, *rest = _lined_ladder().sections
     net = dataclasses.replace(_lined_ladder(), sections=(zero_d[0], r1, zero_d[1], t_in, *rest))

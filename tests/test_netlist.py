@@ -222,13 +222,23 @@ def test_netlist_type_validation():
 
 
 def test_section_keeps_its_own_copy_of_params():
-    params = {"L": 1e-9, "C": 1e-12}
-    section = nl.Section("a", "series_rl_shunt_c", params)
-    params["L"] = -5e-9  # after the checks ran: the section holds what they saw
-    assert section.params == {"L": 1e-9, "C": 1e-12}
-    net = nl.Netlist(50.0, 50.0, (section,))
-    assert nl.parse(nl.serialize(net)) == net
-    assert pickle.loads(pickle.dumps(section)) == section
+    # the plain floats, then an int, a 0-d array and a numpy float
+    for r, l, c, z0 in ((None, 1e-9, 1e-12, 50.0),
+                        (5, np.array(1e-9), np.float64(1e-12), np.array(50.0))):
+        params = {"L": l, "C": c, **({} if r is None else {"R": r})}
+        section = nl.Section("a", "series_rl_shunt_c", params)
+        net = nl.Netlist(z0, 50, (section,))
+        # after the checks ran: the section and the netlist hold the floats they saw
+        params["L"] = -5e-9
+        for value in (l, z0):
+            if isinstance(value, np.ndarray):
+                value[...] = -value
+        assert section.params == {"L": 1e-9, "C": 1e-12, **({} if r is None else {"R": 5.0})}
+        assert (net.input_port_impedance, net.output_port_impedance) == (50.0, 50.0)
+        values = [*section.params.values(), net.input_port_impedance, net.output_port_impedance]
+        assert all(type(v) is float for v in values)
+        assert nl.parse(nl.serialize(net)) == net
+        assert pickle.loads(pickle.dumps(section)) == section
 
 
 def test_section_lookup():

@@ -312,18 +312,26 @@ def test_a_grid_serves_each_ladder_the_sweep_of_a_fresh_grid():
     assert (grid, hash(grid), repr(grid)) == (fresh, hash(fresh), repr(fresh))
 
 
-def test_a_line_value_that_is_not_a_float_is_computed_in_each_sweep():
-    # a 0-d array can change in place between two sweeps on one grid
-    length = np.array(0.06)
-    net = _lined(_line("t", 3.3, length))
-    grid = nw.SweepGrid(0.5e9, 6e9, 1201)
-    first = nw.sweep(net, grid).s11.tobytes()
-    length[...] = 0.05
-    second = nw.sweep(net, grid).s11.tobytes()
-    assert first != second
-    fresh = nw.SweepGrid(0.5e9, 6e9, 1201)
-    assert second == nw.sweep(_lined(_line("t", 3.3, 0.05)), fresh).s11.tobytes()
-    assert grid._line_tables(nw._compiled(net.sections)) == []
+def test_a_line_value_that_is_not_a_float_sweeps_as_its_float_twin_from_the_tables():
+    # the section holds the floats its check saw: a 0-d array written in place between two
+    # sweeps on one grid changes neither, and the grid serves the twin's tables to both; an
+    # np.float32 passes its check with no overflow warning and is held as its float64 value
+    span = (0.5e9, 6e9, 1201)
+    for eps_eff, length in ((3.3, np.array(0.06)), (3, np.float64(0.06)),
+                            (np.float32(3.3), np.float32(0.06))):
+        net = _lined(_line("t", eps_eff, length))
+        twin = _lined(_line("t", float(eps_eff), float(length)))
+        grid = nw.SweepGrid(*span)
+        first = nw.sweep(net, grid)
+        tables = grid._line_tables(nw._compiled(net.sections))
+        if isinstance(length, np.ndarray):
+            length[...] = 0.05
+        second = nw.sweep(net, grid)
+        assert tables and grid._line_tables(nw._compiled(twin.sections)) is tables
+        want = nw.sweep(twin, nw.SweepGrid(*span))
+        for got in (first, second):
+            for name in ("s11", "s21", "s22"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 def test_a_grid_holds_only_the_last_ladders_line_tables():

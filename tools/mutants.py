@@ -233,6 +233,9 @@ MUTANTS = (
     Mutant("trace_reference_count_unchecked", NETWORK,
            "if len(refs) != 2:", "if False:",
            (f"{TEST_NETWORK}::test_trace_validation",)),
+    Mutant("target_db_unchecked", FITTING,
+           "_db(target)\n        z_target", "z_target",
+           (f"{TEST_FITTING}::test_problem_validation",)),
     Mutant("db_nonfinite_accepted", ANALYSIS,
            "if not math.isfinite(db.max()):", "if False:",
            (f"{TEST_ANALYSIS}::test_a_trace_whose_s11_db_is_not_finite_is_refused",
@@ -320,7 +323,15 @@ MUTANTS = (
     Mutant("dotted_name_takes_its_own_rule", ERRORS,
            'DOMAINS.get(name.rpartition(".")[2]', "DOMAINS.get(name", (WALK,)),
     Mutant("require_finiteness_dropped", ERRORS,
-           " or not value < math.inf", "", (WALK,)),
+           " or not value <= _LARGEST", "", (WALK,)),
+    # the bound put back to infinity, under which an int past the largest float passes, and
+    # to a plain float, which numpy narrows to a compared float32 and overflows, warning
+    Mutant("require_bound_is_inf", ERRORS,
+           'type("_Largest", (float,), {})(sys.float_info.max)', 'float("inf")', (WALK,)),
+    Mutant("require_bound_is_a_plain_float", ERRORS,
+           'type("_Largest", (float,), {})(sys.float_info.max)', "sys.float_info.max",
+           (f"{TEST_NETWORK}::test_a_line_value_that_is_not_a_float_sweeps_as_its_float_twin"
+            "_from_the_tables",)),
     # each rule of the topology table, and the one rule every section keeps
     Mutant("resonator_needs_only_l", NETLIST,
            '"series_rl_shunt_c": (("R", "L", "C"), ("L", "C"))',
@@ -339,8 +350,19 @@ MUTANTS = (
            (f"{TEST_NETLIST}::test_round_trip_random_corpus",)),
     # each copy a checked object takes of the caller's containers, undone
     Mutant("section_holds_the_callers_params", NETLIST,
-           'object.__setattr__(self, "params", dict(self.params))',
+           'object.__setattr__(self, "params", {k: float(v) for k, v in self.params.items()})',
            'object.__setattr__(self, "params", self.params)',
+           (f"{TEST_NETLIST}::test_section_keeps_its_own_copy_of_params",)),
+    # each value a checked netlist holds, kept as the caller's number instead of its float
+    Mutant("section_keeps_the_callers_value", NETLIST,
+           "{k: float(v) for k, v in self.params.items()}",
+           "{k: v for k, v in self.params.items()}",
+           (f"{TEST_NETLIST}::test_section_keeps_its_own_copy_of_params",
+            f"{TEST_NETWORK}::test_a_line_value_that_is_not_a_float_sweeps_as_its_float_twin"
+            "_from_the_tables")),
+    Mutant("netlist_keeps_the_callers_port", NETLIST,
+           "object.__setattr__(self, field, float(getattr(self, field)))",
+           "object.__setattr__(self, field, getattr(self, field))",
            (f"{TEST_NETLIST}::test_section_keeps_its_own_copy_of_params",)),
     Mutant("geometry_holds_the_callers_dimensions", GEOMETRY,
            'object.__setattr__(self, "dimensions", dict(self.dimensions))',
