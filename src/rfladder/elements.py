@@ -69,11 +69,10 @@ class LumpedElements:
     source_cavity_index: int
 
     def __post_init__(self):
-        require("capacitance", self.capacitance, NonPositiveElement)
-        if self.inductance is not None:
-            require("inductance", self.inductance, NonPositiveElement)
-        if self.resistance is not None:
-            require("resistance", self.resistance, NonPositiveElement)
+        for name in ("capacitance", "inductance", "resistance"):
+            value = getattr(self, name)
+            if value is not None or name == "capacitance":
+                object.__setattr__(self, name, require(name, value, NonPositiveElement))
 
 
 @dataclass(frozen=True)

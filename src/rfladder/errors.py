@@ -1,17 +1,17 @@
 """Exception bases shared across the package, and each scalar quantity's domain.
 
-Concrete error classes live next to the code that raises them; the two
-bases exist so the CLI can map failures to exit codes (input problems
-vs. computations that left their valid domain). `DOMAINS` writes each
-quantity's range once, and `require` refuses a value outside it with
-the caller's error class and a message that states the rule.
+Concrete error classes live next to the code that raises them; the two bases
+exist so the CLI can map failures to exit codes (input problems vs. computations
+that left their valid domain). `DOMAINS` writes each quantity's range once.
+`require` refuses a value outside it with the caller's error class and a message
+that states the rule, and returns what it checked, which a checked object holds.
 """
 
 import sys
 
-# quantity name -> (least value, whether the least itself is allowed); every
-# quantity must also be finite. A name not listed must be > 0, and a dotted
-# name, `section.parameter`, takes its parameter's rule.
+# quantity name -> (least value, whether the least itself is allowed); every quantity must
+# also be finite, and one whose least is an int is a count, a whole number held as an int.
+# A name not listed must be > 0, and a dotted name, `section.parameter`, takes its rule.
 DOMAINS = {
     "eps_eff": (1.0, True),  # a netlist line's effective permittivity
     "len": (0.0, True),  # a netlist line's length
@@ -19,9 +19,9 @@ DOMAINS = {
     "relative_permittivity": (1.0, False),
     "resistance": (0.0, True),  # an extracted block's: 0 at its resonance, which a netlist drops
     "angular frequency": (0.0, True),
-    "index": (0.0, True),
-    "n": (1.0, True),
-    "block_factor": (1.0, True),
+    "index": (0, True),
+    "n": (1, True),
+    "block_factor": (1, True),
     "tolerance": (0.0, True),
     "--bounds-factor": (1.0, False),
 }
@@ -65,15 +65,17 @@ def domain(name: str) -> tuple[float, bool]:
     return DOMAINS.get(name.rpartition(".")[2], (0.0, False))
 
 
-def require(name: str, value, error: type[RfLadderError], line: int | None = None) -> None:
-    """Raise `error` unless `value` is finite and inside quantity `name`'s domain.
+def require(name: str, value, error: type[RfLadderError], line: int | None = None):
+    """`value` as the float it was checked as, or a count's int; else raise `error`.
 
-    The message states the rule, as ``eps_eff must be finite and >= 1``;
-    the error carries `name` as `.name`, and a `LocatedError` its `line`.
+    The check: finite, in quantity `name`'s domain, and whole for a count. The message states
+    the rule, as ``eps_eff must be finite and >= 1``; the error carries `name` and any `line`.
     """
     least, closed = domain(name)
-    if not (value >= least if closed else value > least) or not value <= _LARGEST:
-        rule = f"{'>=' if closed else '>'} {least:g}"
-        exc = error(f"{name} must be finite and {rule}", *(() if line is None else (line,)))
-        exc.name = name
-        raise exc
+    inside = (value >= least if closed else value > least) and value <= _LARGEST
+    if inside and (isinstance(least, float) or int(value) == value):
+        return type(least)(value)  # the float, or the int of a count
+    rule = "a whole number" if inside else f"finite and {'>=' if closed else '>'} {least:g}"
+    exc = error(f"{name} must be {rule}", *(() if line is None else (line,)))
+    exc.name = name
+    raise exc

@@ -36,14 +36,13 @@ floor, the cost at which the residuals are rounding.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import sinum
 from .analysis import ReferenceMismatch, _db, _resample
-from .errors import InputError, require
+from .errors import _LARGEST, InputError, require
 from .netlist import Netlist, NetlistError, NonPositiveParameter, Section
 from .network import SParameterTrace, SweepGrid, _batch_s11_db, _compiled
 from .network import sweep  # unused here; benchmarks/tracing.py wraps fitting.sweep by name
@@ -68,17 +67,18 @@ class Mask:
     intervals: tuple[tuple[float, float, float], ...]  # (f_low, f_high, ceiling_db)
 
     def __post_init__(self):
-        intervals = tuple((float(lo), float(hi), float(c)) for lo, hi, c in self.intervals)
-        object.__setattr__(self, "intervals", intervals)  # a copy, not the caller's
-        prev_hi = None
-        for lo, hi, ceiling in intervals:
+        held = []  # the floats the checks saw, not the caller's numbers
+        for lo, hi, ceiling in self.intervals:
+            lo = require("mask start", lo, InvalidBounds)
+            hi = require("mask stop", hi, InvalidBounds)
             if not lo < hi:
                 raise InvalidBounds(f"mask interval ({lo}, {hi}) is empty")
-            if not math.isfinite(ceiling):
+            if not abs(ceiling) <= _LARGEST:  # the bound of `require`, which has no least here
                 raise InvalidBounds(f"mask ceiling {ceiling} is not finite")
-            if prev_hi is not None and lo <= prev_hi:
+            if held and lo <= held[-1][1]:
                 raise InvalidBounds("mask intervals must be disjoint and sorted")
-            prev_hi = hi
+            held.append((lo, hi, float(ceiling)))
+        object.__setattr__(self, "intervals", tuple(held))
 
 
 def _residual_map(target, f: np.ndarray):
@@ -157,15 +157,19 @@ class FitProblem:
             raise NoFreeParameters("no free parameters to fit")
         if len(self.bounds) != len(self.free_parameters):
             raise InvalidBounds("need one (low, high) pair per free parameter")
-        for lo, hi in self.bounds:
-            if not 0 < lo < hi < math.inf:
-                raise InvalidBounds(f"bounds ({lo}, {hi}) must satisfy 0 < low < high < inf")
         # copies, so a later change to the caller's lists cannot reach the checked problem
         object.__setattr__(self, "free_parameters", tuple(map(tuple, self.free_parameters)))
-        object.__setattr__(self, "bounds", tuple((float(lo), float(hi)) for lo, hi in self.bounds))
+        held = []
+        for (sname, pname), (lo, hi) in zip(self.free_parameters, self.bounds):
+            lo = require(f"low bound of {sname}.{pname}", lo, InvalidBounds)
+            hi = require(f"high bound of {sname}.{pname}", hi, InvalidBounds)
+            if not 0 < lo < hi:  # the search runs on logs, so a low bound of 0 has none
+                raise InvalidBounds(f"bounds ({lo}, {hi}) of {sname}.{pname} need 0 < low < high")
+            held.append((lo, hi))
+        object.__setattr__(self, "bounds", tuple(held))
         if min(self.max_iterations, self.restarts, self.seed) < 0:
             raise InputError("max_iterations, restarts and seed must not be negative")
-        require("tolerance", self.tolerance, InputError)
+        object.__setattr__(self, "tolerance", require("tolerance", self.tolerance, InputError))
         _check_target(self.netlist, self.target)
         for k, (sname, pname) in enumerate(self.free_parameters):
             try:
@@ -176,8 +180,6 @@ class FitProblem:
                 raise UnknownParameter(f"section {sname!r} has no parameter {pname!r}")
             if (sname, pname) in self.free_parameters[:k]:
                 raise InputError(f"free parameter {sname}.{pname} is given more than once")
-        for (sname, pname), (lo, _) in zip(self.free_parameters, self.bounds):
-            require(f"low bound of {sname}.{pname}", lo, InvalidBounds)
 
 
 @dataclass(frozen=True)

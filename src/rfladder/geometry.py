@@ -103,8 +103,8 @@ class Substrate:
     vacuum_permeability: float = field(default=VACUUM_PERMEABILITY, init=False)
 
     def __post_init__(self):
-        require("relative_permittivity", self.relative_permittivity, NonPositiveValue)
-        require("thickness", self.thickness, NonPositiveValue)
+        for name in ("relative_permittivity", "thickness"):
+            object.__setattr__(self, name, require(name, getattr(self, name), NonPositiveValue))
 
 
 @dataclass(frozen=True)
@@ -115,14 +115,14 @@ class AntennaGeometry:
     substrate: Substrate
 
     def __post_init__(self):
-        object.__setattr__(self, "dimensions", dict(self.dimensions))  # a copy, not the caller's
         for key in DIMENSION_KEYS:
             if key not in self.dimensions:
                 raise MissingDimension(key)
-        for key, value in self.dimensions.items():
+        for key in self.dimensions:
             if key not in DIMENSION_KEYS:
                 raise UnknownKey(key)
-            require(key, value, NonPositiveValue)
+        held = {key: require(key, v, NonPositiveValue) for key, v in self.dimensions.items()}
+        object.__setattr__(self, "dimensions", held)  # the floats the checks saw, not the caller's
 
 
 @dataclass(frozen=True)
@@ -137,7 +137,7 @@ class Cavity:
 
     def __post_init__(self):
         for name in ("index", "width", "length", "thickness", "block_factor"):
-            require(name, getattr(self, name), NonPositiveValue)
+            object.__setattr__(self, name, require(name, getattr(self, name), NonPositiveValue))
 
 
 def canonical_substrate() -> Substrate:
@@ -204,8 +204,7 @@ def _parse_cavity_line(tokens: list[str], lineno: int, cavities: list[dict]) -> 
                 raise MalformedLine(f"bad block factor {raw!r}", lineno) from None
         else:
             value = _parse_length(raw, key, lineno)
-        require(key, value, NonPositiveValue, lineno)
-        cavities[index][key] = value
+        cavities[index][key] = require(key, value, NonPositiveValue, lineno)
 
 
 def parse_geometry_file(text: str) -> GeometryDocument:
@@ -248,8 +247,7 @@ def parse_geometry_file(text: str) -> GeometryDocument:
         if name in entries:
             raise MalformedLine(f"duplicate entry {name!r}", lineno)
         value = _scaled(tokens[2], exponent, lineno, f"bad number {tokens[2]!r}")
-        require(name, value, NonPositiveValue, lineno)
-        entries[name] = value
+        entries[name] = require(name, value, NonPositiveValue, lineno)
 
     for name in ("er", "h"):
         if name not in entries:

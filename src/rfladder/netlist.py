@@ -82,7 +82,7 @@ class NonPositiveParameter(NetlistError):
         return self.name
 
 
-def _validate_section(topology: str, params: dict[str, float], line: int | None) -> None:
+def _validate_section(topology: str, params: dict, line: int | None) -> dict[str, float]:
     if topology not in TOPOLOGIES:
         raise UnknownTopology(topology, line)
     takes, needs = TOPOLOGIES[topology]
@@ -94,8 +94,7 @@ def _validate_section(topology: str, params: dict[str, float], line: int | None)
             raise MissingRequiredParameter(key, line)
     if not params:
         raise MissingRequiredParameter(f"one of {', '.join(takes)}", line)
-    for key, value in params.items():
-        require(key, value, NonPositiveParameter, line)
+    return {key: require(key, value, NonPositiveParameter, line) for key, value in params.items()}
 
 
 @dataclass(frozen=True)
@@ -109,8 +108,7 @@ class Section:
     def __post_init__(self):
         if not _NAME_RE.fullmatch(self.name):
             raise MalformedLine(f"bad section name {self.name!r}")
-        _validate_section(self.topology, self.params, None)  # then hold the floats it saw
-        object.__setattr__(self, "params", {k: float(v) for k, v in self.params.items()})
+        object.__setattr__(self, "params", _validate_section(self.topology, self.params, None))
 
 
 @dataclass(frozen=True)
@@ -124,8 +122,8 @@ class Netlist:
     def __post_init__(self):
         object.__setattr__(self, "sections", tuple(self.sections))  # a copy, not the caller's
         for which, field in (("in", "input_port_impedance"), ("out", "output_port_impedance")):
-            require(f"port {which} z0", getattr(self, field), NonPositiveParameter)
-            object.__setattr__(self, field, float(getattr(self, field)))  # the float it saw
+            held = require(f"port {which} z0", getattr(self, field), NonPositiveParameter)
+            object.__setattr__(self, field, held)
         seen = set()
         for section in self.sections:
             if section.name in seen:

@@ -20,6 +20,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
 import pytest
 
 from rfladder import analysis as an
@@ -30,7 +31,9 @@ from rfladder import geometry as geo
 from rfladder import netlist as nl
 from rfladder import network as nw
 from rfladder import touchstone as ts
-from rfladder.errors import DOMAINS, InputError, NonPositiveFrequency, RfLadderError, domain
+from rfladder.errors import (
+    DOMAINS, InputError, NonPositiveFrequency, RfLadderError, domain, require
+)
 
 GT0, GE0, GT1, GE1 = (0.0, False), (0.0, True), (1.0, False), (1.0, True)
 
@@ -43,9 +46,9 @@ def _line():
                                                                 "len": 0.005}),))
 
 
-def _fit_problem(bounds=((1.0, 13.0),), **options):
+def _fit_problem(bounds=((1.0, 13.0),), free=_FREE, **options):
     mask = ft.Mask(((1e9, 2e9, -10.0),))
-    return ft.FitProblem(_line(), _FREE, bounds, mask, nw.SweepGrid(1e9, 2e9, 11), **options)
+    return ft.FitProblem(_line(), free, bounds, mask, nw.SweepGrid(1e9, 2e9, 11), **options)
 
 
 @dataclass(frozen=True)
@@ -213,6 +216,8 @@ SITES = [
          lambda v: nw.SParameterTrace([1e9, 2e9], [0j, 0j], reference_impedances=(v, 50.0))),
     Site("SParameterTrace port 2", "reference impedances", GT0, InputError,
          lambda v: nw.SParameterTrace([1e9, 2e9], [0j, 0j], reference_impedances=(50.0, v))),
+    Site("SweepGrid", "grid start", GT0, nw.InvalidGrid, lambda v: nw.SweepGrid(v, 2e9, 11)),
+    Site("SweepGrid", "grid stop", GT0, nw.InvalidGrid, lambda v: nw.SweepGrid(0.5, v, 11)),
     # analysis
     Site("resonant_frequency", "inductance", GT0, el.NonPositiveElement,
          lambda v: an.resonant_frequency(v, 1e-12)),
@@ -220,9 +225,13 @@ SITES = [
          lambda v: an.resonant_frequency(2e-9, v)),
     # fitting
     Site("FitProblem", "tolerance", GE0, InputError, lambda v: _fit_problem(tolerance=v)),
-    # NaN, the infinities and 0 meet the check that 0 < low < high < inf first
     Site("FitProblem", "low bound of t.eps_eff", GE1, ft.InvalidBounds,
-         lambda v: _fit_problem(((v, 13.0),)), parsed=True, beyond=0.5),
+         lambda v: _fit_problem(((v, 13.0),))),
+    # a high bound at a closed least leaves no low bound below it, so z0's open rule is walked
+    Site("FitProblem", "high bound of t.z0", GT0, ft.InvalidBounds,
+         lambda v: _fit_problem(((0.5, v),), (("t", "z0"),))),
+    Site("Mask", "mask start", GT0, ft.InvalidBounds, lambda v: ft.Mask(((v, 2e9, -10.0),))),
+    Site("Mask", "mask stop", GT0, ft.InvalidBounds, lambda v: ft.Mask(((0.5, v, -10.0),))),
     Site("fit", "t.eps_eff", GE1, nl.NonPositiveParameter, _fit_with_low_bound),
     # touchstone: `float` reads the option line's and the comment's value, NaN and infinities too
     Site("read_touchstone", "reference resistance", GT0, ts.BadOptionLine,
@@ -267,6 +276,31 @@ def test_each_site_refuses_by_its_table_rule(site):
         assert type(exc) is site.error, value
         assert str(exc) == message, value
         assert getattr(exc, "name", site.name) == site.name, value
+
+
+_COUNT_SITES = [s for s in SITES if isinstance(domain(s.name)[0], int) and not s.parsed]
+
+
+@pytest.mark.parametrize("site", _COUNT_SITES, ids=[f"{s.where}:{s.name}" for s in _COUNT_SITES])
+def test_each_count_site_refuses_a_fraction(site):
+    # a parsed count meets its parser's int first; a whole float is the count it equals
+    least = domain(site.name)[0]
+    exc = _refusal(site.call, least + 1.5)
+    assert type(exc) is site.error and str(exc) == f"{site.name} must be a whole number"
+    assert exc.name == site.name
+    assert _refusal(site.call, float(least + 1)) is None
+
+
+def test_counts_are_the_table_entries_with_an_int_least():
+    assert {name for name, (least, _) in DOMAINS.items() if isinstance(least, int)} == {
+        "index", "n", "block_factor"}
+    assert [s.where for s in _COUNT_SITES] == ["res_eq", "Cavity", "Cavity"]
+    # a real quantity given as an int is its float, whole or not, and never a count's refusal
+    for value in (2**53 + 1, 10**300, np.int64(3)):
+        held = require("capacitance", value, InputError)
+        assert (type(held), held) == (float, float(value))
+    held = require("block_factor", np.array(3.0), InputError)
+    assert (type(held), held) == (int, 3)
 
 
 def test_every_table_entry_has_a_site():

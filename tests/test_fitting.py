@@ -93,7 +93,7 @@ def test_mask_validation():
         ft.Mask(((2e9, 1e9, -10.0),))
     with pytest.raises(ft.InvalidBounds):
         ft.Mask(((1e9, 2e9, -10.0), (1.5e9, 3e9, -10.0)))
-    for ceiling in (math.nan, math.inf, -math.inf):
+    for ceiling in (math.nan, math.inf, -math.inf, 10**400, -10**400):
         with pytest.raises(ft.InvalidBounds, match="not finite"):
             ft.Mask(((1e9, 2e9, -10.0), (3e9, 4e9, ceiling)))
 
@@ -113,6 +113,13 @@ def test_problem_validation():
         ft.FitProblem(net, (("s1", "len"),), ((1e-10, 1e-8),), target, GRID)
     with pytest.raises(ft.InvalidBounds):
         ft.FitProblem(net, (("s1", "L"),), ((1e-10, math.inf),), target, GRID)
+    for bounds in ((1e-8, 1e-10), (1e-9, 1e-9)):
+        with pytest.raises(ft.InvalidBounds, match=r"^bounds \(.*\) of s1\.L need 0 < low < hi"):
+            ft.FitProblem(net, (("s1", "L"),), (bounds,), target, GRID)
+    # a line's length may be 0, but a log-space search needs a low bound above it
+    line = _tline()
+    with pytest.raises(ft.InvalidBounds, match=r"^bounds \(0\.0, 0\.1\) of t\.len need 0 < low"):
+        ft.FitProblem(line, (("t", "len"),), ((0.0, 0.1),), sweep(line, GRID), GRID)
     with pytest.raises(InputError, match=r"s1\.C is given more than once"):
         ft.FitProblem(net, (("s1", "C"), ("s1", "L"), ("s1", "C")), ((1e-13, 1e-11),) * 3,
                       target, GRID)

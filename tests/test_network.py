@@ -876,6 +876,22 @@ def test_trace_keeps_its_references_as_a_tuple_of_floats():
     assert mixed.reference_impedances == (50.0, 4.0)
 
 
+def test_a_trace_holds_views_of_the_callers_arrays_and_a_sweep_its_own():
+    # a view, not a copy, of a float or complex array: the caller's later write shows through
+    f, s11 = np.array([1e9, 2e9, 3e9]), np.array([0.1j, 0.2j, 0.3j])
+    trace = nw.SParameterTrace(f, s11)
+    assert np.shares_memory(trace.frequencies, f) and np.shares_memory(trace.s11, s11)
+    assert f.flags.writeable and not trace.frequencies.flags.writeable
+    f[1] = 2.5e9
+    assert trace.frequencies[1] == 2.5e9
+    # a sweep's frequencies are the grid's read-only array, and its samples rows of one block
+    grid = nw.SweepGrid(1e9, 3e9, 5)
+    swept = nw.sweep(reference_ladder(), grid)
+    assert np.shares_memory(swept.frequencies, grid.frequencies())
+    assert not grid.frequencies().flags.writeable
+    assert swept.s11.base is swept.s22.base is not None
+
+
 def test_trace_arrays_refuse_writes_however_the_trace_was_built():
     freqs, real, s = np.array([1e9, 2e9, 3e9]), np.array([0.1, 0.2, 0.3]), np.full(3, 0.4j)
     from_complex = nw.SParameterTrace(freqs, s, s, s, s)

@@ -46,6 +46,8 @@ NETWORK, ANALYSIS, FITTING, TOUCHSTONE, NETLIST, GEOMETRY, ELEMENTS, ERRORS = (
 (TEST_NETWORK, TEST_ANALYSIS, TEST_FITTING, TEST_TOUCHSTONE, TEST_NETLIST, TEST_GEOMETRY,
  TEST_ELEMENTS) = (f"tests/test_{m}.py" for m in MODULES[:-1])
 TEST_DOMAINS = "tests/test_domains.py"
+TEST_PACKAGE = "tests/test_package.py"
+HOLDS = f"{TEST_PACKAGE}::test_each_checked_public_dataclass_holds_what_it_checked"
 WALK = f"{TEST_DOMAINS}::test_each_site_refuses_by_its_table_rule"
 BIT_ORACLE = f"{TEST_NETWORK}::test_every_evaluation_equals_the_out_of_place_walk_to_the_bit"
 
@@ -259,18 +261,13 @@ MUTANTS = (
            'require("capacitance", capacitance, NonPositiveElement)',
            'if not capacitance > 0: raise NonPositiveElement("capacitance")',
            (f"{TEST_ANALYSIS}::test_resonant_frequency_scaling",)),
-    Mutant("lumped_capacitance_infinity_accepted", ELEMENTS,
-           'require("capacitance", self.capacitance, NonPositiveElement)',
-           'if not self.capacitance > 0: raise NonPositiveElement("capacitance")',
-           (f"{TEST_ELEMENTS}::test_lumped_elements_refuse_negative_and_non_finite_values",)),
-    Mutant("lumped_inductance_infinity_accepted", ELEMENTS,
-           'require("inductance", self.inductance, NonPositiveElement)',
-           'if not self.inductance > 0: raise NonPositiveElement("inductance")',
-           (f"{TEST_ELEMENTS}::test_lumped_elements_refuse_negative_and_non_finite_values",)),
-    Mutant("lumped_resistance_nan_accepted", ELEMENTS,
-           'require("resistance", self.resistance, NonPositiveElement)',
-           'if self.resistance < 0: raise NonPositiveElement("resistance")',
-           (f"{TEST_ELEMENTS}::test_lumped_elements_refuse_negative_and_non_finite_values",)),
+    *(Mutant(f"lumped_{name}_{value}_accepted", ELEMENTS,
+             "require(name, value, NonPositiveElement)",
+             f'value if name == "{name}" and {rule} else require(name, value, NonPositiveElement)',
+             (f"{TEST_ELEMENTS}::test_lumped_elements_refuse_negative_and_non_finite_values",))
+      for name, value, rule in (("capacitance", "infinity", "value > 0"),
+                                ("inductance", "infinity", "value > 0"),
+                                ("resistance", "nan", "not value < 0"))),
     Mutant("res_eq_inductance_infinity_accepted", ELEMENTS,
            'require("inductance", inductance, NonPositiveElement)',
            'if not inductance > 0: raise NonPositiveElement("inductance")',
@@ -313,8 +310,8 @@ MUTANTS = (
           ("relative_permittivity", "relative_permittivity", 1.0, False),
           ("resistance", "resistance", 0.0, True),
           ("angular_frequency", "angular frequency", 0.0, True),
-          ("index", "index", 0.0, True), ("n", "n", 1.0, True),
-          ("block_factor", "block_factor", 1.0, True), ("tolerance", "tolerance", 0.0, True))),
+          ("index", "index", 0, True), ("n", "n", 1, True),
+          ("block_factor", "block_factor", 1, True), ("tolerance", "tolerance", 0.0, True))),
     Mutant("bounds_factor_least_accepted", ERRORS,
            '"--bounds-factor": (1.0, False)', '"--bounds-factor": (1.0, True)',
            (f"{TEST_DOMAINS}::test_bounds_factor_walks_its_rule",)),
@@ -323,7 +320,7 @@ MUTANTS = (
     Mutant("dotted_name_takes_its_own_rule", ERRORS,
            'DOMAINS.get(name.rpartition(".")[2]', "DOMAINS.get(name", (WALK,)),
     Mutant("require_finiteness_dropped", ERRORS,
-           " or not value <= _LARGEST", "", (WALK,)),
+           " and value <= _LARGEST", "", (WALK,)),
     # the bound put back to infinity, under which an int past the largest float passes, and
     # to a plain float, which numpy narrows to a compared float32 and overflows, warning
     Mutant("require_bound_is_inf", ERRORS,
@@ -350,38 +347,95 @@ MUTANTS = (
            (f"{TEST_NETLIST}::test_round_trip_random_corpus",)),
     # each copy a checked object takes of the caller's containers, undone
     Mutant("section_holds_the_callers_params", NETLIST,
-           'object.__setattr__(self, "params", {k: float(v) for k, v in self.params.items()})',
-           'object.__setattr__(self, "params", self.params)',
-           (f"{TEST_NETLIST}::test_section_keeps_its_own_copy_of_params",)),
-    # each value a checked netlist holds, kept as the caller's number instead of its float
-    Mutant("section_keeps_the_callers_value", NETLIST,
-           "{k: float(v) for k, v in self.params.items()}",
-           "{k: v for k, v in self.params.items()}",
-           (f"{TEST_NETLIST}::test_section_keeps_its_own_copy_of_params",
-            f"{TEST_NETWORK}::test_a_line_value_that_is_not_a_float_sweeps_as_its_float_twin"
-            "_from_the_tables")),
-    Mutant("netlist_keeps_the_callers_port", NETLIST,
-           "object.__setattr__(self, field, float(getattr(self, field)))",
-           "object.__setattr__(self, field, getattr(self, field))",
+           'object.__setattr__(self, "params", _validate_section(',
+           "(self.params, _validate_section(",
            (f"{TEST_NETLIST}::test_section_keeps_its_own_copy_of_params",)),
     Mutant("geometry_holds_the_callers_dimensions", GEOMETRY,
-           'object.__setattr__(self, "dimensions", dict(self.dimensions))',
+           'object.__setattr__(self, "dimensions", held)',
            'object.__setattr__(self, "dimensions", self.dimensions)',
            (f"{TEST_GEOMETRY}::test_geometry_keeps_its_own_copy_of_dimensions",)),
     Mutant("problem_holds_the_callers_free_parameters", FITTING,
            "tuple(map(tuple, self.free_parameters))", "self.free_parameters",
            (f"{TEST_FITTING}::test_problem_keeps_its_own_copy_of_free_parameters_and_bounds",)),
     Mutant("problem_holds_the_callers_bounds", FITTING,
-           "tuple((float(lo), float(hi)) for lo, hi in self.bounds)", "self.bounds",
+           'object.__setattr__(self, "bounds", tuple(held))',
+           'object.__setattr__(self, "bounds", self.bounds)',
            (f"{TEST_FITTING}::test_problem_keeps_its_own_copy_of_free_parameters_and_bounds",)),
     Mutant("netlist_holds_the_callers_sections", NETLIST,
            'object.__setattr__(self, "sections", tuple(self.sections))',
            'object.__setattr__(self, "sections", self.sections)',
            (f"{TEST_NETLIST}::test_netlist_keeps_its_own_tuple_of_sections",)),
     Mutant("mask_holds_the_callers_intervals", FITTING,
-           "tuple((float(lo), float(hi), float(c)) for lo, hi, c in self.intervals)",
-           "self.intervals",
+           'object.__setattr__(self, "intervals", tuple(held))',
+           'object.__setattr__(self, "intervals", self.intervals)',
            (f"{TEST_FITTING}::test_mask_keeps_its_own_float_triples_of_intervals",)),
+    # each value a checked object holds, kept as the caller's number instead of what its
+    # check returned: `require` itself, and each store of its return
+    Mutant("require_returns_the_callers_value", ERRORS,
+           "return type(least)(value)", "return value",
+           (f"{TEST_NETLIST}::test_section_keeps_its_own_copy_of_params", HOLDS)),
+    Mutant("section_keeps_the_callers_value", NETLIST,
+           "{key: require(key, value, NonPositiveParameter, line)"
+           " for key, value in params.items()}",
+           "{key: value for key, value in params.items()"
+           " if require(key, value, NonPositiveParameter, line)}",
+           (f"{TEST_NETLIST}::test_section_keeps_its_own_copy_of_params",
+            f"{TEST_NETWORK}::test_a_line_value_that_is_not_a_float_sweeps_as_its_float_twin"
+            "_from_the_tables")),
+    Mutant("netlist_keeps_the_callers_port", NETLIST,
+           "object.__setattr__(self, field, held)",
+           "object.__setattr__(self, field, getattr(self, field))",
+           (f"{TEST_NETLIST}::test_section_keeps_its_own_copy_of_params",)),
+    Mutant("geometry_keeps_the_callers_values", GEOMETRY,
+           "{key: require(key, v, NonPositiveValue) for key, v in self.dimensions.items()}",
+           "{key: v for key, v in self.dimensions.items() if require(key, v, NonPositiveValue)}",
+           (HOLDS,)),
+    *(Mutant(f"{name}_keeps_the_callers_values", GEOMETRY,
+             f'{last}):\n            object.__setattr__(self, name, ',
+             f'{last}):\n            (self, name, ', (HOLDS,))
+      for name, last in (("substrate", '"thickness"'), ("cavity", '"block_factor"'))),
+    Mutant("lumped_keeps_the_callers_values", ELEMENTS,
+           "object.__setattr__(self, name, require(name, value, NonPositiveElement))",
+           "require(name, value, NonPositiveElement)", (HOLDS,)),
+    Mutant("grid_keeps_its_given_start_and_stop", NETWORK,
+           "object.__setattr__(self, end, require(", "(self, end, require(", (HOLDS,)),
+    Mutant("grid_keeps_its_given_points", NETWORK,
+           'object.__setattr__(self, "points", operator.index(self.points))',
+           "operator.index(self.points)", (HOLDS,)),
+    Mutant("trace_keeps_the_callers_references", NETWORK,
+           'object.__setattr__(self, "reference_impedances", held)',
+           'object.__setattr__(self, "reference_impedances", refs)',
+           (f"{TEST_NETWORK}::test_trace_keeps_its_references_as_a_tuple_of_floats", HOLDS)),
+    Mutant("mask_keeps_the_callers_ceiling", FITTING,
+           "held.append((lo, hi, float(ceiling)))", "held.append((lo, hi, ceiling))",
+           (f"{TEST_FITTING}::test_mask_keeps_its_own_float_triples_of_intervals", HOLDS)),
+    Mutant("problem_keeps_the_callers_tolerance", FITTING,
+           'object.__setattr__(self, "tolerance", require(', '(self, "tolerance", require(',
+           (HOLDS,)),
+    # each new refusal: a fractional count, an int past the largest float, and an empty span
+    Mutant("fractional_count_accepted", ERRORS,
+           "int(value) == value", "True",
+           (f"{TEST_DOMAINS}::test_each_count_site_refuses_a_fraction",)),
+    Mutant("counts_held_as_floats", ERRORS,
+           "return type(least)(value)", "return float(value)",
+           (HOLDS, f"{TEST_PACKAGE}::test_serialized_library_objects_parse_back_equal")),
+    Mutant("grid_ends_unchecked", NETWORK,
+           'require(f"grid {end}", getattr(self, end), InvalidGrid)', "getattr(self, end)",
+           (WALK,)),
+    Mutant("grid_start_after_stop_accepted", NETWORK,
+           "if not self.start < self.stop:", "if False:",
+           (f"{TEST_NETWORK}::test_sweep_grid_validation",)),
+    Mutant("high_bound_unchecked", FITTING,
+           'hi = require(f"high bound of {sname}.{pname}", hi, InvalidBounds)', "hi = hi", (WALK,)),
+    Mutant("problem_zero_low_bound_accepted", FITTING,
+           "if not 0 < lo < hi:", "if not lo < hi:",
+           (f"{TEST_FITTING}::test_problem_validation",)),
+    *(Mutant(f"mask_{end}_unchecked", FITTING,
+             f'{v} = require("mask {end}", {v}, InvalidBounds)', f"{v} = {v}", (WALK,))
+      for end, v in (("start", "lo"), ("stop", "hi"))),
+    Mutant("mask_ceiling_bound_is_inf", FITTING,
+           "if not abs(ceiling) <= _LARGEST:", 'if not abs(ceiling) <= float("inf"):',
+           (f"{TEST_FITTING}::test_mask_validation",)),
     # fit's raw bounds checked after their logs, and each half of the port-set refusal dropped
     Mutant("bounds_logged_before_their_check", FITTING,
            "check(lo_values, hi_values)\n    lo, hi = np.log(lo_values), np.log(hi_values)",
