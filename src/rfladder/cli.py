@@ -207,20 +207,14 @@ def _cmd_fit(args) -> int:
         bounds.append((low, value * args.bounds_factor))
     if (args.fstart is None) != (args.fstop is None):
         raise InputError("--fstart and --fstop must be given together")
-    if args.fstart is not None:
-        grid = SweepGrid(args.fstart, args.fstop, args.points)
-    elif len(target) == 1:
+    if args.fstart is None and len(target) == 1:
         raise InputError(f"target {args.target} has one sample; --fstart and --fstop are needed")
-    else:
-        grid = SweepGrid(
-            float(target.frequencies[0]), float(target.frequencies[-1]), len(target)
-        )
     problem = fitting.FitProblem(
         netlist=ladder,
         free_parameters=free,
         bounds=tuple(bounds),
         target=target,
-        grid=grid,
+        grid=None if args.fstart is None else SweepGrid(args.fstart, args.fstop, args.points),
         max_iterations=args.max_iter,
         tolerance=args.tol,
         seed=args.seed,
@@ -307,8 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bounds-factor", type=_number, default=10.0,
                    help="bounds are value/F .. value*F, a low one raised to its parameter's"
                    " least value in errors.DOMAINS (default %(default)s)")
-    p.add_argument("--fstart", type=_number, help="fit grid start in Hz (default: target span)")
-    p.add_argument("--fstop", type=_number, help="fit grid stop in Hz (default: target span)")
+    p.add_argument("--fstart", type=_number, help="Hz (default: the target's own samples)")
+    p.add_argument("--fstop", type=_number, help="Hz (default: the target's own samples)")
     p.add_argument("--points", type=int, default=201,
                    help="fit grid points when --fstart/--fstop given (default %(default)s)")
     p.add_argument("--out", required=True, help="fitted netlist path")

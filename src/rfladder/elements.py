@@ -73,6 +73,8 @@ class LumpedElements:
             value = getattr(self, name)
             if value is not None or name == "capacitance":
                 object.__setattr__(self, name, require(name, value, NonPositiveElement))
+        index = require("index", self.source_cavity_index, ExtractionError)  # Cavity's rule
+        object.__setattr__(self, "source_cavity_index", index)
 
 
 @dataclass(frozen=True)
@@ -251,7 +253,6 @@ def elements_from_csv(text: str) -> list[ElementRow]:
             require("W_m", width, NonPositiveDimension)
             require("d_m", length, NonPositiveDimension)
             lumped = LumpedElements(c, l, r, index)
-            require("index", index, ExtractionError)  # Cavity's rules, after the value checks
             require("n", n, NonPositiveElement)
         except (ValueError, ExtractionError) as exc:
             raise MalformedElementsRow(str(exc), lineno) from None

@@ -23,6 +23,7 @@ DOMAINS = {
     "n": (1, True),
     "block_factor": (1, True),
     "tolerance": (0.0, True),
+    "max_iterations": (0, True), "restarts": (0, True), "seed": (0, True),  # a fit's counts
     "--bounds-factor": (1.0, False),
 }
 # finite is at most the largest float, so that `float` of a value is finite; a float subclass,

@@ -8,30 +8,31 @@ into its bounds before evaluation, so a search never leaves the
 feasible box.
 
 Every target is one residual map: a trace gives `db - target_db` on
-the grid points it overlaps, a mask gives the hinge
-`max(0, db - ceiling)` at each point an interval covers, and the cost is
-the mean square of those residuals. The squared hinge has a continuous
-first derivative, zero where the ceiling is met, so one optimizer serves
-both: Levenberg-Marquardt (Levenberg 1944, Marquardt 1963) with a
+the grid points it overlaps, or at its own samples when no grid is
+given; a mask, which needs a grid, gives the hinge `max(0, db - ceiling)`
+at each point an interval covers; the cost is the mean square of those
+residuals. The squared hinge has a continuous first derivative, zero
+where the ceiling is met, so one optimizer serves both:
+Levenberg-Marquardt (Levenberg 1944, Marquardt 1963) with a
 forward-difference Jacobian.
 
-A problem is compiled once per fit: the angular frequencies, the
-network's ladder with a slot for each free parameter, and the residual
-map on the fit grid are fixed up front, and the bounds are checked once
-against each parameter's domain. One objective call evaluates a batch
-of K parameter sets in one blocked pass, 4096 // K frequencies a block.
-`cost` is the same objective at the netlist's own values, with no free
-parameters, after the target checks `FitProblem` makes, so a candidate
-is scored one way whether it is a fit's or a caller's. A
-Levenberg-Marquardt iteration is one such call: the trial point and its
-n difference probes. Its n-vectors (the point, the bounds, the probes,
-the held set and the downhill direction) are Python floats, since n is
-a handful and a numpy call on so few entries costs more than its
-arithmetic; the mean square, the gradient, the normal matrix, the solve
-and the predicted decrease stay numpy. A refused step keeps the point,
-so it reuses that point's gradient and normal matrix. The restarts run
-in seed order, each only while every earlier run ended above the float
-floor, the cost at which the residuals are rounding.
+A problem is compiled once per fit: the angular frequencies of the
+points it is scored at, the network's ladder with a slot for each free
+parameter, and the residual map are fixed up front, and the bounds are
+checked once against each parameter's domain. One objective call
+evaluates a batch of K parameter sets in one blocked pass, 4096 // K
+frequencies a block. `cost` is the same objective at the netlist's own
+values, with no free parameters, after the target checks `FitProblem`
+makes, so a candidate is scored one way whether it is a fit's or a
+caller's. A Levenberg-Marquardt iteration is one such call: the trial
+point and its n difference probes. Its n-vectors (the point, the bounds,
+the probes, the held set and the downhill direction) are Python floats,
+since n is a handful and a numpy call on so few entries costs more than
+its arithmetic; the mean square, the gradient, the normal matrix, the
+solve and the predicted decrease stay numpy. A refused step keeps the
+point, so it reuses that point's gradient and normal matrix. The
+restarts run in seed order, each only while every earlier run ended
+above the float floor, the cost at which the residuals are rounding.
 """
 
 from __future__ import annotations
@@ -82,9 +83,9 @@ class Mask:
 
 
 def _residual_map(target, f: np.ndarray):
-    """Map `(K, F)` s11 dB on grid `f` to the `(K, M)` residuals `cost` averages.
+    """Map `(K, F)` s11 dB at frequencies `f` to the `(K, M)` residuals `cost` averages.
 
-    A trace gives `db - target_db` on the M grid points it overlaps; a
+    A trace gives `db - target_db` at the M points of `f` it overlaps; a
     mask gives `max(0, db - ceiling)` at the M points its intervals
     cover, in grid order, which is interval order. Returns the map and
     the reference dB at those points: the target's dB or the ceiling.
@@ -117,8 +118,10 @@ def _mean_square(residuals):
     return np.sum(residuals * residuals, axis=-1) / max(residuals.shape[-1], 1)
 
 
-def _check_target(netlist: Netlist, target) -> None:
-    """Refuse a trace target whose s11 dB is not finite, or with another port-1 reference."""
+def _check_target(netlist: Netlist, target, grid: SweepGrid | None) -> None:
+    """Refuse a mask with no grid, and a trace whose dB is not finite or off port 1's reference."""
+    if isinstance(target, Mask) and grid is None:
+        raise InputError("a mask target needs a grid")
     if isinstance(target, SParameterTrace):
         _db(target)
         z_target, z_in = target.reference_impedances[0], netlist.input_port_impedance
@@ -129,13 +132,16 @@ def _check_target(netlist: Netlist, target) -> None:
             )
 
 
-def cost(netlist: Netlist, target, grid: SweepGrid) -> float:
-    """Mean squared dB deviation from a trace, or mean squared mask violation.
+def _scored_at(target, grid: SweepGrid | None) -> np.ndarray:
+    """The frequencies a target is scored at: the grid's, else a trace's own samples."""
+    return target.frequencies if grid is None else grid.frequencies()
 
-    The compiled objective with no free parameters, after `FitProblem`'s target checks.
-    """
-    _check_target(netlist, target)
-    return _Objective(netlist, (), target, grid, np.empty(0)).initial_cost
+
+def cost(netlist: Netlist, target, grid: SweepGrid | None) -> float:
+    """Mean squared dB deviation from a trace, or mean squared mask violation: the compiled
+    objective with no free parameters, after `FitProblem`'s target checks."""
+    _check_target(netlist, target, grid)
+    return _Objective(netlist, (), target, _scored_at(target, grid), np.empty(0)).initial_cost
 
 
 @dataclass(frozen=True)
@@ -146,7 +152,7 @@ class FitProblem:
     free_parameters: tuple[tuple[str, str], ...]  # (section name, parameter name)
     bounds: tuple[tuple[float, float], ...]
     target: SParameterTrace | Mask
-    grid: SweepGrid
+    grid: SweepGrid | None  # None scores a trace at its own samples; a mask needs a grid
     max_iterations: int = 400
     tolerance: float = 1e-10
     seed: int = 0
@@ -167,10 +173,9 @@ class FitProblem:
                 raise InvalidBounds(f"bounds ({lo}, {hi}) of {sname}.{pname} need 0 < low < high")
             held.append((lo, hi))
         object.__setattr__(self, "bounds", tuple(held))
-        if min(self.max_iterations, self.restarts, self.seed) < 0:
-            raise InputError("max_iterations, restarts and seed must not be negative")
-        object.__setattr__(self, "tolerance", require("tolerance", self.tolerance, InputError))
-        _check_target(self.netlist, self.target)
+        for name in ("max_iterations", "restarts", "seed", "tolerance"):
+            object.__setattr__(self, name, require(name, getattr(self, name), InputError))
+        _check_target(self.netlist, self.target, self.grid)
         for k, (sname, pname) in enumerate(self.free_parameters):
             try:
                 section = self.netlist.section(sname)
@@ -224,16 +229,15 @@ _CONVERGED = ("tolerance", "step", "damping")
 class _Objective:
     """A problem's residuals of K rows of log-parameters, compiled once.
 
-    Holds the angular frequencies, the compiled ladder with a slot for
-    each free column, and the residual map; `residuals` maps all rows in
-    one sweep. Values are not checked against their domains here: `fit`
-    checks its bounds once. `floor` is the cost below which rounding,
-    not the parameters, sets the residuals.
+    Holds the angular frequencies of `f`, the scored points, the compiled
+    ladder with a slot for each free column, and the residual map;
+    `residuals` maps all rows in one sweep. Values are not checked
+    against their domains here: `fit` checks its bounds once. `floor` is
+    the cost below which rounding, not the parameters, sets the residuals.
     """
 
-    def __init__(self, netlist: Netlist, free, target, grid: SweepGrid, start_values: np.ndarray):
+    def __init__(self, netlist: Netlist, free, target, f: np.ndarray, start_values: np.ndarray):
         self._ports = (netlist.input_port_impedance, netlist.output_port_impedance)
-        f = grid.frequencies()
         self._w = 2.0 * np.pi * f
         self._ladder = _compiled(netlist.sections, free)
         start_db = self.s11_db(start_values[None])
@@ -358,8 +362,7 @@ def fit(problem: FitProblem) -> FitResult:
     """Run the bounded search; deterministic for a given problem and seed."""
     free = problem.free_parameters
     start_netlist = problem.netlist
-    lo_values = np.array([b[0] for b in problem.bounds])
-    hi_values = np.array([b[1] for b in problem.bounds])
+    lo_values, hi_values = np.array(problem.bounds).T
     start_values = np.clip(
         [start_netlist.section(s).params[p] for s, p in free], lo_values, hi_values
     )
@@ -374,7 +377,8 @@ def fit(problem: FitProblem) -> FitResult:
     check(lo_values, hi_values)
     lo, hi = np.log(lo_values), np.log(hi_values)
     check(np.exp(lo), np.exp(hi))
-    objective = _Objective(start_netlist, free, problem.target, problem.grid, start_values)
+    scored_at = _scored_at(problem.target, problem.grid)
+    objective = _Objective(start_netlist, free, problem.target, scored_at, start_values)
     initial_cost = objective.initial_cost
 
     def result_for(values, final, iterations, reason):

@@ -5,7 +5,10 @@ import os
 import numpy as np
 import pytest
 
-from conftest import ZERO_BRANCH_CASES, assert_bitwise_equal
+from conftest import (
+    UNEVEN_FREQUENCIES, UNEVEN_TRIALS, ZERO_BRANCH_CASES, assert_bitwise_equal, recovery_problem,
+    worst_relative_error,
+)
 from rfladder import __version__, cli, fitting, geometry, netlist, sinum, touchstone
 from rfladder.network import SParameterTrace, SweepGrid
 
@@ -154,6 +157,46 @@ def test_fit_command(tmp_path, capsys):
     result = netlist.parse(fitted.read_text())
     assert result.section("s1").params["L"] == pytest.approx(3e-9, rel=0.05)
     assert result.section("s1").params["C"] == pytest.approx(1e-12, rel=0.05)
+
+
+def test_fit_of_a_simulated_target_is_its_fit_on_the_simulated_grid(tmp_path, capsys):
+    # a target `simulate` wrote has its grid's points as samples, so scoring at the samples
+    # and on that grid give the same bytes
+    net = tmp_path / "n.net"
+    net.write_text("port in z0=50\nport out z0=4.5\n"
+                   "section s1 topology=series_rl_shunt_c R=5 L=3n C=1p\n")
+    target = tmp_path / "t.s1p"
+    grid = ["--fstart", "0.5e9", "--fstop", "6e9", "--points", "201"]
+    assert run(["simulate", "--netlist", net, *grid, "--out", target]) == 0
+    start = tmp_path / "start.net"
+    start.write_text(net.read_text().replace("L=3n C=1p", "L=3.9n C=1.3p"))
+    outputs = []
+    for options in ([], grid):
+        capsys.readouterr()
+        fitted = tmp_path / f"fitted{len(outputs)}.net"
+        assert run(["fit", "--netlist", start, "--target", target, "--vary", "s1.L,s1.C",
+                    "--seed", "1", "--restarts", "1", *options, "--out", fitted]) == 0
+        outputs.append((capsys.readouterr().out, fitted.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("corpus", sorted(UNEVEN_FREQUENCIES))
+def test_fit_scores_an_uneven_target_at_its_own_samples(tmp_path, capsys, corpus):
+    # the library's fit of the same problem, with no grid, and the trial recovered
+    for trial in UNEVEN_TRIALS:
+        problem, truth = recovery_problem(trial, UNEVEN_FREQUENCIES[corpus])
+        start, target, fitted = (tmp_path / n for n in ("start.net", "t.s2p", "fitted.net"))
+        start.write_text(netlist.serialize(problem.netlist))
+        target.write_text(touchstone.write_touchstone(problem.target))
+        capsys.readouterr()
+        assert run(["fit", "--netlist", start, "--target", target,
+                    "--vary", ",".join(f"{s}.{p}" for s, p in problem.free_parameters),
+                    "--bounds-factor", "10", "--max-iter", "800", "--tol", "1e-14",
+                    "--seed", trial, "--restarts", "3", "--out", fitted]) == 0
+        result = fitting.fit(problem)
+        assert capsys.readouterr().out == fitting.fit_result_text(result)
+        assert fitted.read_text() == netlist.serialize(result.netlist)
+        assert worst_relative_error(result.netlist, truth, problem.free_parameters) <= 0.05
 
 
 def test_fit_explicit_grid_scores_on_that_grid(tmp_path, capsys):

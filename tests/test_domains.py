@@ -140,6 +140,8 @@ SITES = [
          lambda v: el.LumpedElements(1e-12, v, 3.0, 1)),
     Site("LumpedElements", "resistance", GE0, el.NonPositiveElement,
          lambda v: el.LumpedElements(1e-12, 2e-9, v, 1)),
+    Site("LumpedElements", "index", GE0, el.ExtractionError,
+         lambda v: el.LumpedElements(1e-12, None, None, v)),
     Site("res_eq", "inductance", GT0, el.NonPositiveElement,
          lambda v: el.res_eq(v, 1e-12, 1, 1e10)),
     Site("res_eq", "capacitance", GT0, el.NonPositiveElement,
@@ -225,6 +227,8 @@ SITES = [
          lambda v: an.resonant_frequency(2e-9, v)),
     # fitting
     Site("FitProblem", "tolerance", GE0, InputError, lambda v: _fit_problem(tolerance=v)),
+    *[Site("FitProblem", name, GE0, InputError, lambda v, k=name: _fit_problem(**{k: v}))
+      for name in ("max_iterations", "restarts", "seed")],
     Site("FitProblem", "low bound of t.eps_eff", GE1, ft.InvalidBounds,
          lambda v: _fit_problem(((v, 13.0),))),
     # a high bound at a closed least leaves no low bound below it, so z0's open rule is walked
@@ -293,8 +297,9 @@ def test_each_count_site_refuses_a_fraction(site):
 
 def test_counts_are_the_table_entries_with_an_int_least():
     assert {name for name, (least, _) in DOMAINS.items() if isinstance(least, int)} == {
-        "index", "n", "block_factor"}
-    assert [s.where for s in _COUNT_SITES] == ["res_eq", "Cavity", "Cavity"]
+        "index", "n", "block_factor", "max_iterations", "restarts", "seed"}
+    assert [s.where for s in _COUNT_SITES] == [
+        "LumpedElements", "res_eq", "Cavity", "Cavity", "FitProblem", "FitProblem", "FitProblem"]
     # a real quantity given as an int is its float, whole or not, and never a count's refusal
     for value in (2**53 + 1, 10**300, np.int64(3)):
         held = require("capacitance", value, InputError)

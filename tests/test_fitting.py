@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import (
-    ZERO_BRANCH_CASES, random_netlist, recovery_problem, reference_ladder, rfladder_calls,
+    UNEVEN_FREQUENCIES, UNEVEN_TRIALS, ZERO_BRANCH_CASES, random_netlist, recovery_problem,
+    reference_ladder, rfladder_calls, worst_relative_error,
 )
 from rfladder import fitting as ft
 from rfladder import network as nw
@@ -124,8 +125,10 @@ def test_problem_validation():
         ft.FitProblem(net, (("s1", "C"), ("s1", "L"), ("s1", "C")), ((1e-13, 1e-11),) * 3,
                       target, GRID)
     for field in ("max_iterations", "restarts", "seed"):
-        with pytest.raises(InputError):
-            ft.FitProblem(net, (("s1", "L"),), ((1e-10, 1e-8),), target, GRID, **{field: -1})
+        for value, rule in ((-1, "finite and >= 0"), (1.5, "a whole number")):
+            with pytest.raises(InputError, match=f"^{field} must be {rule}$"):
+                ft.FitProblem(net, (("s1", "L"),), ((1e-10, 1e-8),), target, GRID,
+                              **{field: value})
     for tolerance in (math.nan, math.inf, -1.0):
         with pytest.raises(InputError, match="^tolerance must be finite and >= 0$"):
             ft.FitProblem(net, (("s1", "L"),), ((1e-10, 1e-8),), target, GRID, tolerance=tolerance)
@@ -368,7 +371,7 @@ def test_compiled_objective_equals_cost_row_by_row(target_kind):
             "mask": lambda: ft.Mask(((0.5e9, 2e9, -3.0), (2.5e9, 5.5e9, -6.0))),
         }[target_kind]()
         problem = ft.FitProblem(net, free, bounds, target, GRID)
-        objective = ft._Objective(net, free, target, GRID, np.array(values))
+        objective = ft._Objective(net, free, target, GRID.frequencies(), np.array(values))
         assert objective.initial_cost == ft.cost(net, target, GRID) == _swept_cost(net, target)
         rows = _random_rows(rng, problem, 7)
         batched = ft._mean_square(objective.residuals(rows))
@@ -401,7 +404,8 @@ def test_compiled_objective_equals_the_sweep(free):
     # of its netlist: 1 row, 5 rows, and 41 rows in 3 blocks
     net = _lined_ladder()
     start = np.array([net.section(s).params[p] for s, p in free])
-    objective = ft._Objective(net, free, ft.Mask(((GRID.start, GRID.stop, -10.0),)), GRID, start)
+    objective = ft._Objective(net, free, ft.Mask(((GRID.start, GRID.stop, -10.0),)),
+                              GRID.frequencies(), start)
     rng = np.random.default_rng(30)
     for rows in (1, 5, 2 * nw._BLOCK // GRID.points + 1):
         values = start * rng.uniform(0.5, 2.0, (rows, len(free)))
@@ -419,7 +423,8 @@ def test_a_row_with_a_free_line_value_equals_its_sweep_while_the_grid_holds_a_li
     grid = SweepGrid(0.5e9, 6e9, 5001)
     sweep(net, grid)
     start = np.array([net.section(s).params[p] for s, p in free])
-    objective = ft._Objective(net, free, ft.Mask(((grid.start, grid.stop, -10.0),)), grid, start)
+    objective = ft._Objective(net, free, ft.Mask(((grid.start, grid.stop, -10.0),)),
+                              grid.frequencies(), start)
     values = np.array([start, start * [1.3, 0.8], start])
     for row, value in zip(objective.s11_db(values), values):
         want = sweep(ft._with_values(net, free, value), grid).s11_db()
@@ -441,7 +446,7 @@ def test_cost_equals_the_sweep_with_no_free_values():
     net = _lined_ladder()
     for grid in (GRID, SweepGrid(0.5e9, 6e9, 5001)):
         target = sweep(two_section_ladder(), grid)
-        objective = ft._Objective(net, (), target, grid, np.empty(0))
+        objective = ft._Objective(net, (), target, grid.frequencies(), np.empty(0))
         swept = sweep(net, grid).s11_db()
         assert objective.s11_db(np.empty((1, 0)))[0].tobytes() == swept.tobytes()
         residual, _ = ft._residual_map(target, grid.frequencies())
@@ -458,7 +463,7 @@ def test_objective_takes_a_zero_dimensional_value_on_a_long_grid():
     grid = SweepGrid(0.5e9, 6e9, 5001)
     mask = ft.Mask(((0.8e9, 4.2e9, -10.0),))
     free = (("r1", "L"),)
-    objective = ft._Objective(net, free, mask, grid, np.array([3e-9]))
+    objective = ft._Objective(net, free, mask, grid.frequencies(), np.array([3e-9]))
     values = np.array([[1.5e-9], [3e-9], [6e-9]])
     for row, value in zip(objective.s11_db(values), values):
         assert row.tobytes() == sweep(ft._with_values(net, free, value), grid).s11_db().tobytes()
@@ -517,6 +522,36 @@ def test_criterion_10_trials_unchanged(trial):
     for key, value in result.parameters.items():
         section, param = key.split(".")
         assert value == pytest.approx(truth.section(section).params[param], rel=1e-6)
+
+
+@pytest.mark.parametrize("trial", sorted(CRITERION_10_PINNED))
+def test_an_evenly_spaced_target_scores_as_on_its_own_grid(trial):
+    # no grid scores the target at its own samples, which on an evenly spaced target are
+    # the points of its grid: the same costs, and the same fit to the bit
+    problem = recovery_problem(trial)[0]
+    own = dataclasses.replace(problem, grid=None)
+    assert ft.cost(problem.netlist, problem.target, None) == ft.cost(
+        problem.netlist, problem.target, problem.grid)
+    assert ft.fit(own) == ft.fit(problem)
+
+
+@pytest.mark.parametrize("corpus", sorted(UNEVEN_FREQUENCIES))
+def test_an_uneven_target_is_recovered_at_its_own_samples(corpus):
+    for trial in UNEVEN_TRIALS:
+        problem, truth = recovery_problem(trial, UNEVEN_FREQUENCIES[corpus])
+        assert problem.grid is None
+        result = ft.fit(problem)
+        assert result.converged
+        assert worst_relative_error(result.netlist, truth, problem.free_parameters) <= 0.05, trial
+
+
+def test_a_mask_needs_a_grid():
+    net = two_section_ladder()
+    mask = ft.Mask(((1e9, 2e9, -10.0),))
+    with pytest.raises(InputError, match="^a mask target needs a grid$"):
+        ft.cost(net, mask, None)
+    with pytest.raises(InputError, match="^a mask target needs a grid$"):
+        ft.FitProblem(net, (("s1", "L"),), ((1e-10, 1e-8),), mask, None)
 
 
 def _noisy_target_problem(trial):
@@ -625,7 +660,8 @@ def test_problem_keeps_its_own_copy_of_free_parameters_and_bounds():
 
 def _objective_for(problem):
     start = [problem.netlist.section(s).params[p] for s, p in problem.free_parameters]
-    return ft._Objective(problem.netlist, problem.free_parameters, problem.target, problem.grid,
+    return ft._Objective(problem.netlist, problem.free_parameters, problem.target,
+                         ft._scored_at(problem.target, problem.grid),
                          np.clip(start, *np.array(problem.bounds).T))
 
 
@@ -802,7 +838,8 @@ def test_scoring_peaks_below_a_few_grid_arrays(build, bound):
         if build == "cost":
             ft.cost(reference_ladder(), mask, grid)
         else:
-            ft._Objective(problem.netlist, problem.free_parameters, mask, grid, start)
+            ft._Objective(problem.netlist, problem.free_parameters, mask, grid.frequencies(),
+                          start)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -61,6 +61,7 @@ def _fields(obj, *names) -> dict:
 _DIMENSIONS = {**geo.canonical_geometry().dimensions, "Lt": 1.0}
 _MASK = ft.Mask(((1e9, 2e9, -10.0),))
 _GRID = nw.SweepGrid(1e9, 2e9, 11)
+_FIT_OPTIONS = ("tolerance", "max_iterations", "restarts", "seed")
 
 CHECKED = {
     "Substrate": Checked(
@@ -74,10 +75,9 @@ CHECKED = {
         {"index": 1, "width": 0.018, "length": 0.007, "thickness": 1.7e-3, "block_factor": 2},
         lambda v: geo.Cavity(**v), dataclasses.asdict, geo.NonPositiveValue),
     "LumpedElements": Checked(
-        {"capacitance": 1e-12, "inductance": 2e-9, "resistance": 3.0},
-        lambda v: el.LumpedElements(**v, source_cavity_index=1),
-        lambda e: _fields(e, "capacitance", "inductance", "resistance"),
-        el.NonPositiveElement),
+        {"capacitance": 1e-12, "inductance": 2e-9, "resistance": 3.0, "source_cavity_index": 1},
+        lambda v: el.LumpedElements(**v), dataclasses.asdict, el.NonPositiveElement,
+        {"source_cavity_index": el.ExtractionError}),
     "Section": Checked(
         {"R": 2.0, "L": 1e-9, "C": 1e-12}, lambda v: nl.Section("s", "series_rl_shunt_c", v),
         lambda s: s.params, nl.NonPositiveParameter),
@@ -98,11 +98,12 @@ CHECKED = {
         lambda v: ft.Mask(((v["start"], v["stop"], v["ceiling"]),)),
         lambda m: dict(zip(("start", "stop", "ceiling"), m.intervals[0])), ft.InvalidBounds),
     "FitProblem": Checked(
-        {"low": 1.0, "high": 13.0, "tolerance": 1e-10},
+        {"low": 1.0, "high": 13.0, "tolerance": 1e-10, "max_iterations": 3, "restarts": 2,
+         "seed": 5},
         lambda v: ft.FitProblem(_line(), (("t", "eps_eff"),), ((v["low"], v["high"]),), _MASK,
-                                _GRID, tolerance=v["tolerance"]),
-        lambda p: {"low": p.bounds[0][0], "high": p.bounds[0][1], "tolerance": p.tolerance},
-        ft.InvalidBounds, {"tolerance": InputError}),
+                                _GRID, **{k: v[k] for k in _FIT_OPTIONS}),
+        lambda p: {"low": p.bounds[0][0], "high": p.bounds[0][1], **_fields(p, *_FIT_OPTIONS)},
+        ft.InvalidBounds, dict.fromkeys(_FIT_OPTIONS, InputError)),
 }
 # public dataclasses that check no number of their own: records the package computes, and a
 # feed line, whose numbers the line section that `from_elements` makes of it checks

@@ -39,17 +39,21 @@ class Mutant:
 
 
 MODULES = ("network", "analysis", "fitting", "touchstone", "netlist", "geometry", "elements",
-           "errors")
-NETWORK, ANALYSIS, FITTING, TOUCHSTONE, NETLIST, GEOMETRY, ELEMENTS, ERRORS = (
+           "errors", "cli")
+NETWORK, ANALYSIS, FITTING, TOUCHSTONE, NETLIST, GEOMETRY, ELEMENTS, ERRORS, CLI = (
     f"src/rfladder/{m}.py" for m in MODULES
 )
 (TEST_NETWORK, TEST_ANALYSIS, TEST_FITTING, TEST_TOUCHSTONE, TEST_NETLIST, TEST_GEOMETRY,
- TEST_ELEMENTS) = (f"tests/test_{m}.py" for m in MODULES[:-1])
+ TEST_ELEMENTS) = (f"tests/test_{m}.py" for m in MODULES[:-2])
 TEST_DOMAINS = "tests/test_domains.py"
 TEST_PACKAGE = "tests/test_package.py"
 HOLDS = f"{TEST_PACKAGE}::test_each_checked_public_dataclass_holds_what_it_checked"
 WALK = f"{TEST_DOMAINS}::test_each_site_refuses_by_its_table_rule"
 BIT_ORACLE = f"{TEST_NETWORK}::test_every_evaluation_equals_the_out_of_place_walk_to_the_bit"
+# `FitProblem`'s options, each checked by `require` and stored as what it returned
+PROBLEM_OPTIONS = ("max_iterations", "restarts", "seed", "tolerance")
+PROBLEM_CHECK = "require(name, getattr(self, name), InputError)"
+PROBLEM_STORE = f"object.__setattr__(self, name, {PROBLEM_CHECK})"
 
 MUTANTS = (
     Mutant(
@@ -311,7 +315,9 @@ MUTANTS = (
           ("resistance", "resistance", 0.0, True),
           ("angular_frequency", "angular frequency", 0.0, True),
           ("index", "index", 0, True), ("n", "n", 1, True),
-          ("block_factor", "block_factor", 1, True), ("tolerance", "tolerance", 0.0, True))),
+          ("block_factor", "block_factor", 1, True), ("tolerance", "tolerance", 0.0, True),
+          ("max_iterations", "max_iterations", 0, True), ("restarts", "restarts", 0, True),
+          ("seed", "seed", 0, True))),
     Mutant("bounds_factor_least_accepted", ERRORS,
            '"--bounds-factor": (1.0, False)', '"--bounds-factor": (1.0, True)',
            (f"{TEST_DOMAINS}::test_bounds_factor_walks_its_rule",)),
@@ -409,9 +415,12 @@ MUTANTS = (
     Mutant("mask_keeps_the_callers_ceiling", FITTING,
            "held.append((lo, hi, float(ceiling)))", "held.append((lo, hi, ceiling))",
            (f"{TEST_FITTING}::test_mask_keeps_its_own_float_triples_of_intervals", HOLDS)),
-    Mutant("problem_keeps_the_callers_tolerance", FITTING,
-           'object.__setattr__(self, "tolerance", require(', '(self, "tolerance", require(',
-           (HOLDS,)),
+    *(Mutant(f"problem_keeps_the_callers_{name}", FITTING, PROBLEM_STORE,
+             f'{PROBLEM_CHECK} if name == "{name}" else {PROBLEM_STORE}', (HOLDS,))
+      for name in PROBLEM_OPTIONS),
+    Mutant("lumped_keeps_the_callers_index", ELEMENTS,
+           'object.__setattr__(self, "source_cavity_index", index)',
+           '(self, "source_cavity_index", index)', (HOLDS,)),
     # each new refusal: a fractional count, an int past the largest float, and an empty span
     Mutant("fractional_count_accepted", ERRORS,
            "int(value) == value", "True",
@@ -419,6 +428,15 @@ MUTANTS = (
     Mutant("counts_held_as_floats", ERRORS,
            "return type(least)(value)", "return float(value)",
            (HOLDS, f"{TEST_PACKAGE}::test_serialized_library_objects_parse_back_equal")),
+    *(Mutant(f"problem_{name}_unchecked", FITTING, PROBLEM_STORE,
+             f'object.__setattr__(self, name, getattr(self, name) if name == "{name}"'
+             f" else {PROBLEM_CHECK})",
+             (WALK, f"{TEST_FITTING}::test_problem_validation"))
+      for name in PROBLEM_OPTIONS),
+    Mutant("lumped_index_unchecked", ELEMENTS,
+           'require("index", self.source_cavity_index, ExtractionError)',
+           "self.source_cavity_index",
+           (WALK, f"{TEST_DOMAINS}::test_each_count_site_refuses_a_fraction")),
     Mutant("grid_ends_unchecked", NETWORK,
            'require(f"grid {end}", getattr(self, end), InvalidGrid)', "getattr(self, end)",
            (WALK,)),
@@ -441,6 +459,21 @@ MUTANTS = (
            "check(lo_values, hi_values)\n    lo, hi = np.log(lo_values), np.log(hi_values)",
            "lo, hi = np.log(lo_values), np.log(hi_values)\n    check(lo_values, hi_values)",
            (f"{WALK}[fit:t.eps_eff]",)),
+    # a trace target scored on a linear grid over its span, made up in the library or put
+    # back into the CLI, and a mask let through with no grid to score it on
+    Mutant("library_scores_on_a_linear_grid", FITTING,
+           "return target.frequencies if grid is None",
+           "return np.linspace(target.frequencies[0], target.frequencies[-1], len(target))"
+           " if grid is None",
+           (f"{TEST_FITTING}::test_an_uneven_target_is_recovered_at_its_own_samples",)),
+    Mutant("cli_grid_restored", CLI,
+           "grid=None if args.fstart is None",
+           "grid=SweepGrid(target.frequencies[0], target.frequencies[-1], len(target))"
+           " if args.fstart is None",
+           ("tests/test_cli.py::test_fit_scores_an_uneven_target_at_its_own_samples",)),
+    Mutant("mask_with_no_grid_accepted", FITTING,
+           "if isinstance(target, Mask) and grid is None:", "if False:",
+           (f"{TEST_FITTING}::test_a_mask_needs_a_grid",)),
     Mutant("s21_without_s22_accepted", NETWORK,
            "(self.s21 is None) != (self.s22 is None) or ", "",
            (f"{TEST_NETWORK}::test_trace_refuses_a_partial_port_set",)),
