@@ -207,8 +207,6 @@ def _cmd_fit(args) -> int:
         bounds.append((low, value * args.bounds_factor))
     if (args.fstart is None) != (args.fstop is None):
         raise InputError("--fstart and --fstop must be given together")
-    if args.fstart is None and len(target) == 1:
-        raise InputError(f"target {args.target} has one sample; --fstart and --fstop are needed")
     problem = fitting.FitProblem(
         netlist=ladder,
         free_parameters=free,

@@ -692,16 +692,20 @@ def test_permittivity_at_most_1_exits_2_stating_the_rule(tmp_path, capsys):
     assert not (tmp_path / "l.net").exists()
 
 
-def test_fit_on_a_one_sample_target_needs_an_explicit_grid(tmp_path, capsys):
-    net = tmp_path / "n.net"
+def test_fit_on_a_one_sample_target_scores_it_at_that_sample(tmp_path, capsys):
+    # the library's fit of the same problem, with no grid; an explicit grid is fitted too
+    net, target, fitted = (tmp_path / n for n in ("n.net", "t.s1p", "o.net"))
     net.write_text("port in z0=50\nport out z0=4.5\nsection s1 topology=series_rl_shunt_c L=3n C=1p\n")
-    target = tmp_path / "t.s1p"
     target.write_text("# Hz S RI R 50\n2.4e9 0.1 0.2\n")
-    argv = ["fit", "--netlist", net, "--target", target, "--vary", "s1.L",
-            "--out", tmp_path / "o.net"]
-    assert run(argv) == 2
-    assert (f"error: target {target} has one sample; --fstart and --fstop are needed\n"
-            in capsys.readouterr().err)
+    argv = ["fit", "--netlist", net, "--target", target, "--vary", "s1.L", "--out", fitted]
+    assert run(argv) == 0
+    ladder = netlist.parse(net.read_text())
+    value = ladder.section("s1").params["L"]
+    result = fitting.fit(fitting.FitProblem(
+        ladder, (("s1", "L"),), ((value / 10, value * 10),),
+        touchstone.read_touchstone(target.read_text()), None, max_iterations=500))
+    assert capsys.readouterr().out == fitting.fit_result_text(result)
+    assert fitted.read_text() == netlist.serialize(result.netlist)
     assert run(argv + ["--fstart", "1e9", "--fstop", "3e9"]) == 0
 
 

@@ -36,6 +36,52 @@ def test_python_dash_m_runs_the_cli():
     assert (run.returncode, run.stdout) == (0, f"rfladder {rfladder.__version__}\n")
 
 
+def _fresh(code: str) -> str:
+    """What `code` prints in a new interpreter that imports the package from the suite's tree."""
+    src = Path(rfladder.__file__).parents[1]
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
+def test_the_numpy_free_modules_import_without_numpy():
+    assert _fresh("import sys, rfladder, rfladder.errors, rfladder.sinum, rfladder.geometry,"
+                  " rfladder.elements, rfladder.netlist\n"
+                  "print('numpy' in sys.modules)\n"
+                  "rfladder.sweep\n"
+                  "print('numpy' in sys.modules)\n") == "False\nTrue\n"
+
+
+def test_the_netlist_aliases_are_its_parse_and_serialize():
+    assert rfladder.parse_netlist is nl.parse
+    assert rfladder.serialize_netlist is nl.serialize
+
+
+def test_star_import_binds_every_public_name_and_dir_lists_them():
+    assert _fresh("import rfladder\n"
+                  "print(set(rfladder.__all__) <= set(dir(rfladder)))\n"
+                  "from rfladder import *\n"
+                  "print(all(name in globals() for name in rfladder.__all__))\n") == "True\nTrue\n"
+    assert len(rfladder.__all__) == 50
+    namespace = {}
+    exec("from rfladder import *", namespace)
+    assert all(namespace[name] is getattr(rfladder, name) for name in rfladder.__all__)
+
+
+# the submodules `import rfladder` bound when it imported them all
+MODULES = ("analysis", "elements", "errors", "fitting", "geometry", "netlist", "network",
+           "sinum", "touchstone")
+
+
+def test_each_module_resolves_as_a_package_attribute():
+    code = (f"import sys, rfladder\nfor m in {MODULES}:\n"
+            "    print(getattr(rfladder, m) is sys.modules['rfladder.' + m])\n")
+    assert _fresh(code) == "True\n" * len(MODULES)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        rfladder.no_such_name
+
+
 # Each public dataclass that checks numbers, by the numbers it checks: a builder from them, a
 # reader of what it holds, and the error of each, its own class unless named per number. A
 # value written as an int is a count, held as an int; a float is held as a float.

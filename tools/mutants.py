@@ -47,6 +47,7 @@ NETWORK, ANALYSIS, FITTING, TOUCHSTONE, NETLIST, GEOMETRY, ELEMENTS, ERRORS, CLI
  TEST_ELEMENTS) = (f"tests/test_{m}.py" for m in MODULES[:-2])
 TEST_DOMAINS = "tests/test_domains.py"
 TEST_PACKAGE = "tests/test_package.py"
+INIT = "src/rfladder/__init__.py"
 HOLDS = f"{TEST_PACKAGE}::test_each_checked_public_dataclass_holds_what_it_checked"
 WALK = f"{TEST_DOMAINS}::test_each_site_refuses_by_its_table_rule"
 BIT_ORACLE = f"{TEST_NETWORK}::test_every_evaluation_equals_the_out_of_place_walk_to_the_bit"
@@ -471,9 +472,26 @@ MUTANTS = (
            "grid=SweepGrid(target.frequencies[0], target.frequencies[-1], len(target))"
            " if args.fstart is None",
            ("tests/test_cli.py::test_fit_scores_an_uneven_target_at_its_own_samples",)),
+    Mutant("cli_one_sample_refused", CLI,
+           "    problem = fitting.FitProblem(",
+           "    if args.fstart is None and len(target) == 1:\n"
+           '        raise InputError("one sample")\n'
+           "    problem = fitting.FitProblem(",
+           ("tests/test_cli.py::test_fit_on_a_one_sample_target_scores_it_at_that_sample",)),
     Mutant("mask_with_no_grid_accepted", FITTING,
            "if isinstance(target, Mask) and grid is None:", "if False:",
            (f"{TEST_FITTING}::test_a_mask_needs_a_grid",)),
+    # the package: a module loaded eagerly, a name resolved but not bound, the aliases swapped
+    Mutant("package_loads_network_eagerly", INIT,
+           '__version__ = "0.1.0"', 'from . import network\n__version__ = "0.1.0"',
+           (f"{TEST_PACKAGE}::test_the_numpy_free_modules_import_without_numpy",)),
+    Mutant("package_name_left_unbound", INIT,
+           "value = globals()[name] = getattr(", "value = getattr(",
+           (f"{TEST_PACKAGE}::test_all_is_every_public_name_the_package_binds",)),
+    Mutant("package_aliases_swapped", INIT,
+           '"parse"),\n    "serialize_netlist": ("netlist", "serialize")',
+           '"serialize"),\n    "serialize_netlist": ("netlist", "parse")',
+           (f"{TEST_PACKAGE}::test_the_netlist_aliases_are_its_parse_and_serialize",)),
     Mutant("s21_without_s22_accepted", NETWORK,
            "(self.s21 is None) != (self.s22 is None) or ", "",
            (f"{TEST_NETWORK}::test_trace_refuses_a_partial_port_set",)),
